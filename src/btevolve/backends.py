@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol
@@ -51,8 +52,11 @@ class HttpBackend:
 
     Transport failures (connection errors, timeouts, HTTP 429/5xx) are
     retried `transport_retries` times with exponential backoff starting at
-    `backoff_seconds`; other HTTP errors fail immediately.  The auth token is
-    read from the environment at call time so configs never hold secrets.
+    `backoff_seconds`; other HTTP errors, and replies that are not a JSON
+    object with a string `text`, fail immediately.  Each thread keeps its own
+    `requests.Session`, so calls reuse keep-alive connections.  The auth
+    token is read from the environment at call time so configs never hold
+    secrets.
     """
 
     def __init__(
@@ -68,6 +72,13 @@ class HttpBackend:
         self.timeout = timeout
         self.transport_retries = transport_retries
         self.backoff_seconds = backoff_seconds
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, request: CompletionRequest) -> str:
         headers = {}
@@ -85,15 +96,19 @@ class HttpBackend:
             if attempt:
                 time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
             try:
-                response = requests.post(self.base_url, json=body, headers=headers, timeout=self.timeout)
+                response = self._session().post(self.base_url, json=body, headers=headers, timeout=self.timeout)
                 if response.status_code == 429 or response.status_code >= 500:
                     last_error = BackendError(f"HTTP {response.status_code} from {self.base_url}")
                     logger.warning("retryable status %s (attempt %d)", response.status_code, attempt + 1)
                     continue
                 response.raise_for_status()
                 payload = response.json()
+                if not isinstance(payload, dict):
+                    raise BackendError(f"endpoint reply is not a JSON object: {payload!r:.200}")
                 if "text" not in payload:
                     raise BackendError(f"endpoint reply is missing 'text': {payload!r:.200}")
+                if not isinstance(payload["text"], str):
+                    raise BackendError(f"endpoint reply 'text' is not a string: {payload['text']!r:.200}")
                 return payload["text"]
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc

@@ -22,6 +22,7 @@ from .backends import Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
+from .pipeline import run_parallel
 from .population import ORIGIN_MUTATED, Candidate
 
 logger = logging.getLogger(__name__)
@@ -32,16 +33,6 @@ VERDICT_NO = "VERDICT: NO"
 
 def _seed(base: int, *path: int) -> int:
     return int(np.random.SeedSequence([base, *path]).generate_state(1, np.uint64)[0])
-
-
-def _run_parallel(tasks, parallelism: int) -> list:
-    if parallelism <= 1:
-        return [task() for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def pointwise_score(
         )
         return parse_verdict_line(backend.complete(request))
 
-    results = _run_parallel([lambda i=i: vote_task(i) for i in range(votes)], parallelism)
+    results = run_parallel([lambda i=i: vote_task(i) for i in range(votes)], parallelism)
     valid = [r for r in results if r is not None]
     verdict = PointwiseVerdict(candidate.id, sum(valid), len(valid))
     if verdict.flagged:
@@ -159,7 +150,7 @@ def self_refine(
                 parent_id=member.id,
             )
 
-        current = _run_parallel(
+        current = run_parallel(
             [lambda slot=slot: refine_task(slot) for slot in range(len(current))], parallelism
         )
     return current
@@ -273,7 +264,7 @@ def judge_diagnostic(
         rejected_correct = classify(pair.rejected, 1) is False
         return pairwise_correct, accepted_correct, rejected_correct
 
-    results = _run_parallel([lambda p=p: diagnose_task(p) for p in range(len(pairs))], parallelism)
+    results = run_parallel([lambda p=p: diagnose_task(p) for p in range(len(pairs))], parallelism)
     count = len(results)
     pairwise = sum(r[0] for r in results) / count
     on_accepted = sum(r[1] for r in results) / count

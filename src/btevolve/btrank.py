@@ -13,12 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 LEFT_WINS = "left-wins"
 RIGHT_WINS = "right-wins"
 TIE = "tie"
 OUTCOMES = (LEFT_WINS, RIGHT_WINS, TIE)
+
+# damped-Newton constants: Armijo slope fraction, the Newton decrement below
+# which the objective is too flat to test, and the smallest step scale tried
+_ARMIJO = 0.25
+_FLAT_DECREMENT = 1e-8
+_MIN_SCALE = 2.0**-30
+
+# grid step on which `rank` compares scores
+_RANK_RESOLUTION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,16 +104,15 @@ def _gradient_arrays(s, winners, losers, weights, lam, n):
 
 
 def _hessian_arrays(s, winners, losers, weights, lam, n):
-    # -(L + lam*I) with L the graph Laplacian under edge weights w*p*(1-p);
-    # negative definite for lam > 0, so Newton steps are always well posed
+    # negated Hessian L + lam*I, with L the graph Laplacian under edge weights
+    # w*p*(1-p); positive definite for lam > 0, so Newton steps are always well posed
     d = s[winners] - s[losers]
     p = 1.0 / (1.0 + np.exp(-d))
     w = weights * p * (1.0 - p)
-    hess = np.zeros((n, n))
-    np.add.at(hess, (winners, losers), w)
-    np.add.at(hess, (losers, winners), w)
-    diag = np.bincount(winners, weights=w, minlength=n) + np.bincount(losers, weights=w, minlength=n)
-    hess[np.diag_indices(n)] = -diag - lam
+    off = np.bincount(winners * n + losers, weights=w, minlength=n * n).reshape(n, n)
+    off = off + off.T
+    hess = -off
+    hess[np.diag_indices(n)] = off.sum(axis=1) + lam
     return hess
 
 
@@ -139,18 +146,21 @@ def fit_bt(
     tolerance: float = 1e-8,
     max_iterations: int = 500,
 ) -> ScoreVector:
-    """Maximize the penalized likelihood and return fitted scores.
+    """Maximize the penalized likelihood by damped Newton and return fitted scores.
 
-    Deterministic: zero initialization, L-BFGS-B with the analytic gradient,
-    a damped Newton polish, then exact mean centering (the likelihood is
-    shift-invariant and the penalty strictly prefers the centered point, so
-    centering is an exact ascent step that also makes the zero-sum property
-    hold exactly).  The polish exists because near-flat directions (weakly
-    penalized undefeated candidates) stall a function-value line search in
-    rounding noise well before the gradient reaches `tolerance`; Newton
-    steps on the analytic gradient do not have that floor.  `converged`
-    reports whether the gradient max-norm at the returned point is within
-    `tolerance`; a non-converged fit is still returned.
+    Deterministic: start from zeros; each step solves (L_w + lam*I) step =
+    grad, where L_w is the comparison graph's Laplacian under edge weights
+    w*p*(1-p), the negated Hessian.  While the Newton decrement grad.step is
+    above 1e-8 the step is halved until it passes an Armijo test on the
+    objective; below that the objective is flat to rounding, so a test on it
+    would only see noise, and full steps are taken (they converge
+    quadratically there).  Iteration stops once the gradient max-norm is
+    within tolerance/2 or after `max_iterations` Newton steps, and the
+    scores are then mean-centered exactly (the likelihood is shift-invariant
+    and the penalty strictly prefers the centered point).  `iterations`
+    counts Newton steps; `converged` reports whether the gradient max-norm
+    at the returned point is within `tolerance`.  A non-converged fit is
+    still returned.
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
@@ -161,44 +171,23 @@ def fit_bt(
         return ScoreVector(np.zeros(population_size), lam, True, 0)
 
     n = population_size
-
-    def neg_objective(s):
-        return -_objective_arrays(s, winners, losers, weights, lam)
-
-    def neg_gradient(s):
-        return -_gradient_arrays(s, winners, losers, weights, lam, n)
-
-    result = minimize(
-        neg_objective,
-        np.zeros(n),
-        jac=neg_gradient,
-        method="L-BFGS-B",
-        options={
-            "maxiter": max_iterations,
-            "maxfun": 50 * max_iterations,
-            # stop on the gradient criterion, not on f-stagnation
-            "ftol": 1e-17,
-            "gtol": 0.1 * tolerance,
-        },
-    )
-    s = result.x
-    iterations = int(result.nit)
-    for _ in range(50):
-        grad = _gradient_arrays(s, winners, losers, weights, lam, n)
-        if np.max(np.abs(grad)) <= 0.5 * tolerance:
-            break
+    s = np.zeros(n)
+    grad = _gradient_arrays(s, winners, losers, weights, lam, n)
+    iterations = 0
+    while np.max(np.abs(grad)) > 0.5 * tolerance and iterations < max_iterations:
         step = np.linalg.solve(_hessian_arrays(s, winners, losers, weights, lam, n), grad)
+        decrement = float(np.dot(grad, step))
         scale = 1.0
-        reference = np.max(np.abs(grad))
-        while scale > 1e-4:
-            trial = s - scale * step
-            trial_grad = _gradient_arrays(trial, winners, losers, weights, lam, n)
-            if np.max(np.abs(trial_grad)) < reference:
-                break
-            scale *= 0.5
-        else:
-            break  # no damping helps; keep the best point we have
-        s = trial
+        if decrement > _FLAT_DECREMENT:
+            value = _objective_arrays(s, winners, losers, weights, lam)
+            while (
+                _objective_arrays(s + scale * step, winners, losers, weights, lam)
+                < value + _ARMIJO * scale * decrement
+                and scale > _MIN_SCALE
+            ):
+                scale *= 0.5
+        s = s + scale * step
+        grad = _gradient_arrays(s, winners, losers, weights, lam, n)
         iterations += 1
     s = s - s.mean()
     grad = _gradient_arrays(s, winners, losers, weights, lam, n)
@@ -207,6 +196,11 @@ def fit_bt(
 
 
 def rank(score_vector: ScoreVector) -> list[int]:
-    """Indices from best to worst; exact score ties break toward the lower index."""
-    s = score_vector.scores
-    return sorted(range(len(s)), key=lambda i: (-s[i], i))
+    """Indices from best to worst; tied scores break toward the lower index.
+
+    Scores are compared on a 1e-9 grid, so candidates the fit leaves equal up
+    to rounding noise count as tied.  Rounding, unlike a pairwise tolerance,
+    keeps "tied" transitive and the ordering a strict total order.
+    """
+    grid = np.round(np.asarray(score_vector.scores) / _RANK_RESOLUTION)
+    return sorted(range(len(grid)), key=lambda i: (-grid[i], i))

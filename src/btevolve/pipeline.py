@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -199,13 +199,25 @@ def _dump_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _run_parallel(tasks, parallelism: int) -> list:
-    """Run no-arg callables, returning results in submission order."""
+def run_parallel(tasks, parallelism: int) -> list:
+    """Run no-arg callables, returning results in submission order.
+
+    The first task to raise stops the batch: tasks not yet started are
+    cancelled, the running ones are waited for, and the exception of the
+    earliest-submitted failed task is raised.
+    """
     if parallelism <= 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    try:
         futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
 
 
 def _judge_pair(
@@ -265,7 +277,7 @@ def _comparison_round(
         (lambda p=p, i=i, j=j: _judge_pair(backend, config, config.problem, members[i], members[j], round_no, p))
         for p, (i, j) in enumerate(plan.pairs)
     ]
-    results = _run_parallel(tasks, parallelism)
+    results = run_parallel(tasks, parallelism)
     judgments = [judgment for judgment, _ in results]
     retries = [spent for _, spent in results]
     return judgments, retries
@@ -323,9 +335,10 @@ def run_pipeline(
 ) -> tuple[Candidate, RunTrace]:
     """Run the full loop and return (selected candidate, trace).
 
-    Backend failures abort the run after flushing the trace through the last
-    completed batch plus an abort record; the BackendError is re-raised with
-    round/pair context attached.
+    Any exception aborts the run after flushing the trace through the last
+    completed batch plus an abort record naming the error and its type; the
+    exception is then re-raised unchanged.  Backend failures surface as a
+    BackendError with round/pair context attached.
     """
     if parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
@@ -368,7 +381,7 @@ def run_pipeline(
             except BackendError as exc:
                 raise BackendError(f"sampling candidate {i}: {exc}") from exc
 
-        contents = _run_parallel([lambda i=i: sample_task(i) for i in range(n)], parallelism)
+        contents = run_parallel([lambda i=i: sample_task(i) for i in range(n)], parallelism)
         primary_calls += n
         state = GenerationState(
             0,
@@ -432,7 +445,7 @@ def run_pipeline(
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
 
             survivors = [i for i in range(n) if i not in discards]
-            children = _run_parallel([lambda i=i: mutate_task(i) for i in survivors], parallelism)
+            children = run_parallel([lambda i=i: mutate_task(i) for i in survivors], parallelism)
             primary_calls += len(children)
             next_state = assemble_next_generation(state, elites, discards, children)
             for member in next_state.members:
@@ -476,8 +489,8 @@ def run_pipeline(
         )
         trace.flush()
         return selected, trace
-    except BackendError as exc:
-        trace.append("abort", -1, round_no, {"error": str(exc)})
+    except BaseException as exc:
+        trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
         trace.flush()
         raise
 

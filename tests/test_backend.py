@@ -3,7 +3,7 @@
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -162,7 +162,9 @@ class _Script(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
-        _Script.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+        _Script.seen.append(
+            {"body": body, "auth": self.headers.get("Authorization"), "peer": self.client_address}
+        )
         status, payload = _Script.script.pop(0) if _Script.script else (500, "{}")
         data = payload.encode("utf-8")
         self.send_response(status)
@@ -175,9 +177,11 @@ class _Script(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Script)
+class _KeepAliveScript(_Script):
+    protocol_version = "HTTP/1.1"  # keeps the connection open between requests
+
+
+def _serve(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Script.script = []
@@ -185,6 +189,18 @@ def http_server():
     yield f"http://127.0.0.1:{server.server_port}", _Script
     server.shutdown()
     thread.join(timeout=5)
+    server.server_close()
+
+
+@pytest.fixture()
+def http_server():
+    yield from _serve(HTTPServer(("127.0.0.1", 0), _Script))
+
+
+@pytest.fixture()
+def keep_alive_server():
+    # one thread per connection, so a connection held open blocks nothing
+    yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveScript))
 
 
 def test_http_success_and_payload_shape(http_server):
@@ -246,3 +262,41 @@ def test_http_connection_refused():
     backend = HttpBackend("http://127.0.0.1:9", timeout=0.2, transport_retries=1, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="2 attempts"):
         backend.complete(CompletionRequest("u"))
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        (json.dumps(["text", "hello"]), "not a JSON object"),
+        (json.dumps("hello"), "not a JSON object"),
+        (json.dumps({"text": 42}), "'text' is not a string"),
+        (json.dumps({"text": None}), "'text' is not a string"),
+    ],
+)
+def test_http_rejects_malformed_reply(http_server, body, message):
+    url, script = http_server
+    script.script.extend([(200, body), (200, json.dumps({"text": "never"}))])
+    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    with pytest.raises(BackendError, match=message):
+        backend.complete(CompletionRequest("u"))
+    assert len(script.seen) == 1
+
+
+def test_http_reuses_connection(keep_alive_server):
+    url, script = keep_alive_server
+    script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
+    backend = HttpBackend(url, timeout=5)
+    assert [backend.complete(CompletionRequest("u")) for _ in range(3)] == ["0", "1", "2"]
+    assert len({seen["peer"] for seen in script.seen}) == 1
+
+
+def test_http_sessions_are_per_thread(keep_alive_server):
+    url, script = keep_alive_server
+    script.script.extend([(200, json.dumps({"text": "x"}))] * 2)
+    backend = HttpBackend(url, timeout=5)
+    backend.complete(CompletionRequest("u"))
+    worker = threading.Thread(target=backend.complete, args=(CompletionRequest("u"),))
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert len({seen["peer"] for seen in script.seen}) == 2

@@ -192,6 +192,74 @@ def test_rank_breaks_ties_toward_lower_index():
     assert rank(vector) == [1, 2, 0, 3]
 
 
+def test_rank_ties_fitted_scores_equal_up_to_rounding():
+    # 0 and 3 are mirror images (0<->3, 1<->2 maps the records onto
+    # themselves), so their fitted scores agree only up to rounding noise
+    fit = fit_bt(records_of([(0, 1, LEFT_WINS), (3, 2, LEFT_WINS), (1, 2, TIE)]), 4)
+    assert abs(fit.scores[0] - fit.scores[3]) <= 1e-12
+    assert abs(fit.scores[1] - fit.scores[2]) <= 1e-12
+    assert rank(fit) == [0, 3, 1, 2]
+
+
+def test_rank_treats_rounding_noise_as_ties():
+    from btevolve.btrank import ScoreVector
+
+    vector = ScoreVector(np.array([1.0, 1.0 + 4e-16, 1.0 - 3e-16, 1.0 + 1e-6]), 0.01, True, 3)
+    assert rank(vector) == [3, 0, 1, 2]
+
+
+def regular_records(rng, n, k):
+    """k random perfect matchings over n candidates, mostly decisive outcomes."""
+    triples = []
+    for _ in range(k):
+        perm = rng.permutation(n)
+        for a in range(n // 2):
+            outcome = (LEFT_WINS, RIGHT_WINS, TIE)[int(rng.choice(3, p=[0.45, 0.45, 0.1]))]
+            triples.append((int(perm[2 * a]), int(perm[2 * a + 1]), outcome))
+    return records_of(triples)
+
+
+def test_newton_converges_in_few_steps():
+    rng = np.random.default_rng(11)
+    for n, k, reps in ((4, 1, 20), (4, 58, 10), (8, 7, 20), (20, 4, 20), (40, 39, 5), (200, 10, 3)):
+        for _ in range(reps):
+            fit = fit_bt(regular_records(rng, n, k), n)
+            assert fit.converged
+            assert 1 <= fit.iterations <= 20
+
+
+def converged_with_small_gradient(triples, n):
+    fit = fit_bt(records_of(triples), n)
+    assert fit.converged
+    assert np.max(np.abs(bt_gradient(fit.scores, records_of(triples), lam=0.01))) <= 1e-8
+    return fit
+
+
+def test_undefeated_candidate_converges():
+    # 0 never loses: only the penalty holds its score finite
+    fit = converged_with_small_gradient([(0, i, LEFT_WINS) for i in range(1, 6)] * 3, 6)
+    assert rank(fit)[0] == 0
+    assert fit.scores[0] > 3.0
+
+
+def test_all_ties_converge_to_zero():
+    fit = converged_with_small_gradient([(i, (i + 1) % 5, TIE) for i in range(5)], 5)
+    assert np.max(np.abs(fit.scores)) <= 1e-12
+
+
+def test_disconnected_graph_converges():
+    # two components that never meet, plus an isolated candidate 6
+    triples = [(0, 1, LEFT_WINS), (1, 2, LEFT_WINS), (3, 4, RIGHT_WINS), (4, 5, TIE), (5, 3, LEFT_WINS)]
+    fit = converged_with_small_gradient(triples, 7)
+    assert abs(float(np.sum(fit.scores))) <= 1e-12
+
+
+def test_max_iterations_bounds_newton_steps():
+    fit = fit_bt(records_of(FIXED_RECORDS), 8, max_iterations=1)
+    assert fit.iterations == 1
+    assert not fit.converged
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         ComparisonRecord(2, 2, LEFT_WINS)

@@ -1,6 +1,8 @@
 """Pipeline orchestration tests: budgets, traces, retries, replay, determinism."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -259,6 +261,46 @@ def test_backend_failure_aborts_with_partial_trace(tmp_path):
     assert "endpoint down" in records[-1]["payload"]["error"]
     with pytest.raises(ReplayError, match="truncated"):
         replay(path)
+
+
+def test_any_exception_aborts_with_partial_trace(tmp_path):
+    # the synthetic backend mistakes this problem text for a judge prompt and
+    # raises ValueError; the run must still end in an abort record
+    path = tmp_path / "abort.jsonl"
+    config = RunConfig(problem="Compare ## Solution A with ## Solution B")
+    with pytest.raises(ValueError, match="no theta marker"):
+        run_pipeline(config, trace_path=path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["kind"] for r in records] == ["config", "abort"]
+    assert records[-1]["payload"] == {"error": "no theta marker in candidate text", "type": "ValueError"}
+
+
+class FailFirstBackend:
+    """Fails its first call at once; every later call succeeds after a pause."""
+
+    def __init__(self):
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first:
+            raise BackendError("endpoint down")
+        time.sleep(0.05)
+        return "candidate"
+
+
+def test_first_failure_cancels_pending_calls(tmp_path):
+    path = tmp_path / "abort.jsonl"
+    backend = FailFirstBackend()
+    config = RunConfig(problem="p", n=20, seed=1)
+    with pytest.raises(BackendError, match="endpoint down"):
+        run_pipeline(config, backend=backend, parallelism=2, trace_path=path)
+    assert backend.calls < config.n  # the 20 sampling calls did not all run
+    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+    assert kinds == ["config", "abort"]
 
 
 def test_trace_flushes_incrementally(tmp_path):
