@@ -10,8 +10,6 @@ Accept rates are computed from the world's hidden quality threshold.
 import numpy as np
 
 from btevolve import (
-    Candidate,
-    CompletionRequest,
     RunConfig,
     SyntheticBackend,
     SyntheticWorldConfig,
@@ -20,24 +18,13 @@ from btevolve import (
     pointwise_score,
     pointwise_top1_expected_accuracy,
     run_pipeline,
+    sample_candidates,
     self_refine,
 )
-from btevolve.prompts import GENERATION_SYSTEM_PROMPT
 
 PROBLEMS = 60
 world = SyntheticWorldConfig(feedback_bonus=0.05)
 threshold = world.acceptance_threshold
-
-
-def sample_candidates(backend, problem, n, seed):
-    out = []
-    for i in range(n):
-        content = backend.complete(CompletionRequest(
-            problem, system_prompt=GENERATION_SYSTEM_PROMPT,
-            temperature=1.0, seed=derive_seed(seed, 0, 0, i),
-        ))
-        out.append(Candidate(f"s{i:03d}", content, 0, "sampled"))
-    return out
 
 
 accept = {"pointwise": 0.0, "self-refine": 0.0, "pipeline": 0.0}

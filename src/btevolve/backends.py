@@ -191,8 +191,19 @@ def synthetic_mutate(parent_theta: float, feedback_present: bool, world: Synthet
     return parent_theta + shift
 
 
-def _sigmoid(x: float) -> float:
-    return 1.0 / (1.0 + np.exp(-x))
+def judge_outcome(theta_a: float, theta_b: float, world: SyntheticWorldConfig, rng: np.random.Generator) -> str:
+    """The synthetic judge's verdict ("A", "B" or "TIE") on one pair.
+
+    Logistic mode draws once from sigmoid(theta_a - theta_b); fixed-accuracy
+    mode ties equal thetas without a draw, else draws once to pick the
+    higher-theta side with probability judge_accuracy.
+    """
+    if world.judge_mode == JUDGE_MODE_LOGISTIC:
+        return "A" if rng.random() < 1.0 / (1.0 + np.exp(theta_b - theta_a)) else "B"
+    if theta_a == theta_b:
+        return "TIE"
+    better_a = theta_a > theta_b
+    return "A" if (rng.random() < world.judge_accuracy) == better_a else "B"
 
 
 class SyntheticBackend:
@@ -223,15 +234,7 @@ class SyntheticBackend:
         b_start = prompt.index("## Solution B")
         theta_a = parse_theta(prompt[a_start:b_start])
         theta_b = parse_theta(prompt[b_start:])
-        rng = np.random.default_rng(seed)
-        if self.world.judge_mode == JUDGE_MODE_LOGISTIC:
-            winner = "A" if rng.random() < _sigmoid(theta_a - theta_b) else "B"
-        elif theta_a == theta_b:
-            winner = "TIE"
-        else:
-            correct = rng.random() < self.world.judge_accuracy
-            better = "A" if theta_a > theta_b else "B"
-            winner = better if correct else ("B" if better == "A" else "A")
+        winner = judge_outcome(theta_a, theta_b, self.world, np.random.default_rng(seed))
         if winner == "A":
             feedback_a = "Solution A handles the decisive cases more convincingly."
             feedback_b = "Solution B looks more fragile than Solution A on edge inputs."

@@ -15,24 +15,18 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import prompts
 from .backends import Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from .pipeline import run_parallel
+from .pipeline import derive_seed, run_parallel
 from .population import ORIGIN_MUTATED, Candidate
 
 logger = logging.getLogger(__name__)
 
 VERDICT_YES = "VERDICT: YES"
 VERDICT_NO = "VERDICT: NO"
-
-
-def _seed(base: int, *path: int) -> int:
-    return int(np.random.SeedSequence([base, *path]).generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ def pointwise_score(
 
     def vote_task(i: int):
         request = CompletionRequest(
-            user_prompt=prompt, temperature=temperature, seed=_seed(seed, 0, i)
+            user_prompt=prompt, temperature=temperature, seed=derive_seed(seed, 0, i)
         )
         return parse_verdict_line(backend.complete(request))
 
@@ -139,7 +133,7 @@ def self_refine(
                 user_prompt=prompt,
                 system_prompt=system_prompt,
                 temperature=temperature,
-                seed=_seed(seed, 1, round_no, slot),
+                seed=derive_seed(seed, 1, round_no, slot),
             )
             content = backend.complete(request)
             return Candidate(
@@ -154,21 +148,6 @@ def self_refine(
             [lambda slot=slot: refine_task(slot) for slot in range(len(current))], parallelism
         )
     return current
-
-
-def majority_vote(answers) -> object:
-    """Most frequent answer; ties go to the answer that appeared first."""
-    answers = list(answers)
-    if not answers:
-        raise ValueError("need at least one answer")
-    counts: dict = {}
-    for answer in answers:
-        counts[answer] = counts.get(answer, 0) + 1
-    best = max(counts.values())
-    for answer in answers:
-        if counts[answer] == best:
-            return answer
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -241,10 +220,10 @@ def judge_diagnostic(
         accepted = Candidate(f"pair{p:04d}-accepted", pair.accepted, 0, "sampled")
         rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, "sampled")
         task = render_comparison_prompt(
-            pair.problem, accepted, rejected, _seed(seed, 0, p), template=comparison_template
+            pair.problem, accepted, rejected, derive_seed(seed, 0, p), template=comparison_template
         )
         reply = backend.complete(
-            CompletionRequest(user_prompt=task.prompt_text, temperature=0.0, seed=_seed(seed, 1, p))
+            CompletionRequest(user_prompt=task.prompt_text, temperature=0.0, seed=derive_seed(seed, 1, p))
         )
         try:
             judgment = canonicalize(task, *parse_judge_reply(reply))
@@ -256,7 +235,7 @@ def judge_diagnostic(
             prompt = pointwise_template.replace("{problem}", pair.problem).replace("{code}", content)
             return parse_verdict_line(
                 backend.complete(
-                    CompletionRequest(user_prompt=prompt, temperature=0.0, seed=_seed(seed, 2 + which, p))
+                    CompletionRequest(user_prompt=prompt, temperature=0.0, seed=derive_seed(seed, 2 + which, p))
                 )
             )
 

@@ -16,17 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import baselines, elo, scaling
-from .backends import CompletionRequest, SyntheticBackend, SyntheticWorldConfig, parse_theta
+from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
 from .errors import BackendError, ConfigError
-from .pipeline import RunConfig, derive_seed, make_backend, run_pipeline
-from .population import Candidate, FeedbackStrategy
-from .prompts import GENERATION_SYSTEM_PROMPT
+from .pipeline import RunConfig, derive_seed, make_backend, run_pipeline, sample_candidates
+from .population import FeedbackStrategy
 
 _RUN_KEYS = {
     "problem", "n", "k", "generations", "final_k", "lambda", "seed",
@@ -43,10 +43,7 @@ _BASELINE_KEYS = {"mode", "problem", "n", "votes", "rounds", "seed", "backend"}
 
 
 def _load_config(path: str, allowed: set) -> dict:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    raw = Path(path).read_text(encoding="utf-8")
     try:
         config = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
@@ -137,8 +134,7 @@ def _cmd_run(args) -> int:
         run_config = _run_config(config, problem_text, args)
         if len(problems) > 1:
             # isolated per-problem stream derived from the batch seed
-            per_problem = int(np.random.SeedSequence([base_seed, index]).generate_state(1, np.uint64)[0])
-            run_config = RunConfig(**{**asdict_shallow(run_config), "seed": per_problem})
+            run_config = replace(run_config, seed=derive_seed(base_seed, index))
         trace_path = out_dir / f"{path.stem}.trace.jsonl"
         out_dir.mkdir(parents=True, exist_ok=True)
         selected, trace = run_pipeline(run_config, parallelism=args.parallelism, trace_path=trace_path)
@@ -163,11 +159,6 @@ def _cmd_run(args) -> int:
     if len(results) > 1:
         _write_json(out_dir / "batch.json", {"seed": base_seed, "runs": results})
     return 0
-
-
-def asdict_shallow(config: RunConfig) -> dict:
-    # keep nested dataclasses intact so RunConfig(**...) round-trips
-    return {name: getattr(config, name) for name in config.__dataclass_fields__}
 
 
 def _cmd_simulate(args) -> int:
@@ -268,17 +259,7 @@ def _cmd_baseline(args) -> int:
     rounds = config.get("rounds", 6)
     backend = _diagnostic_backend(config, args)
 
-    candidates = []
-    for i in range(n):
-        content = backend.complete(
-            CompletionRequest(
-                user_prompt=problem,
-                system_prompt=GENERATION_SYSTEM_PROMPT,
-                temperature=1.0,
-                seed=derive_seed(seed, 0, 0, i),
-            )
-        )
-        candidates.append(Candidate(f"g0-s{i:03d}", content, 0, "sampled"))
+    candidates = sample_candidates(backend, problem, n, seed, parallelism=args.parallelism)
     calls = n
     if mode == "self-refine":
         candidates = baselines.self_refine(

@@ -223,7 +223,6 @@ def run_parallel(tasks, parallelism: int) -> list:
 def _judge_pair(
     backend: Backend,
     config: RunConfig,
-    problem: str,
     left: Candidate,
     right: Candidate,
     round_no: int,
@@ -234,7 +233,7 @@ def _judge_pair(
     Returns the canonical judgment plus how many retry calls were spent.
     """
     order_seed = derive_seed(config.seed, round_no, _P_ORDER, pair_index)
-    task = render_comparison_prompt(problem, left, right, order_seed, template=config.templates.comparison)
+    task = render_comparison_prompt(config.problem, left, right, order_seed, template=config.templates.comparison)
     retries_used = 0
     for attempt in range(config.parse_retries + 1):
         if attempt == 0:
@@ -262,60 +261,6 @@ def _judge_pair(
     return degraded_tie(task), retries_used
 
 
-def _comparison_round(
-    backend: Backend,
-    config: RunConfig,
-    state: GenerationState,
-    degree: int,
-    round_no: int,
-    parallelism: int,
-) -> tuple[list[Judgment], list[int]]:
-    """Pair the generation at the given degree and judge every pair."""
-    plan = sample_pairing(config.n, degree, derive_seed(config.seed, round_no, _P_PAIRING, 0))
-    members = state.members
-    tasks = [
-        (lambda p=p, i=i, j=j: _judge_pair(backend, config, config.problem, members[i], members[j], round_no, p))
-        for p, (i, j) in enumerate(plan.pairs)
-    ]
-    results = run_parallel(tasks, parallelism)
-    judgments = [judgment for judgment, _ in results]
-    retries = [spent for _, spent in results]
-    return judgments, retries
-
-
-def _score_state(state: GenerationState, judgments: list[Judgment], lam: float) -> GenerationState:
-    index = {member.id: i for i, member in enumerate(state.members)}
-    records = [
-        ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments
-    ]
-    scores = fit_bt(records, len(state.members), lam=lam)
-    return GenerationState(state.generation, state.members, tuple(judgments), scores)
-
-
-def _judgment_payload(judgment: Judgment, pair_index: int, retries: int) -> dict:
-    return {
-        "left_id": judgment.left_id,
-        "right_id": judgment.right_id,
-        "outcome": judgment.outcome,
-        "rationale_for_left": judgment.rationale_for_left,
-        "rationale_for_right": judgment.rationale_for_right,
-        "presented_first": judgment.presented_first,
-        "degraded": judgment.degraded,
-        "pair_index": pair_index,
-        "retries": retries,
-    }
-
-
-def _candidate_payload(candidate: Candidate) -> dict:
-    return {
-        "id": candidate.id,
-        "content": candidate.content,
-        "generation": candidate.generation,
-        "origin": candidate.origin,
-        "parent_id": candidate.parent_id,
-    }
-
-
 def _score_payload(state: GenerationState) -> dict:
     scores = state.scores
     return {
@@ -325,6 +270,44 @@ def _score_payload(state: GenerationState) -> dict:
         "converged": scores.converged,
         "iterations": scores.iterations,
     }
+
+
+def _complete_candidate(backend: Backend, request: CompletionRequest, context: str) -> str:
+    """One sampling or mutation call; a failure or an empty reply raises
+    BackendError prefixed with `context`."""
+    try:
+        content = backend.complete(request)
+    except BackendError as exc:
+        raise BackendError(f"{context}: {exc}") from exc
+    if not content:
+        raise BackendError(f"{context}: empty completion")
+    return content
+
+
+def sample_candidates(
+    backend: Backend,
+    problem: str,
+    n: int,
+    seed: int,
+    parallelism: int = 1,
+    templates: PromptTemplates = PromptTemplates(),
+    temperature: float = 1.0,
+) -> list[Candidate]:
+    """Generation 0: n independent samples `g0-s000`, `g0-s001`, ..., sample i
+    drawn with seed derive_seed(seed, 0, 0, i)."""
+    user_prompt = templates.generation_user.replace("{problem}", problem)
+
+    def sample_task(i: int) -> Candidate:
+        request = CompletionRequest(
+            user_prompt=user_prompt,
+            system_prompt=templates.generation_system,
+            temperature=temperature,
+            seed=derive_seed(seed, 0, _P_SAMPLE, i),
+        )
+        content = _complete_candidate(backend, request, f"sampling candidate {i}")
+        return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
+
+    return run_parallel([lambda i=i: sample_task(i) for i in range(n)], parallelism)
 
 
 def run_pipeline(
@@ -337,8 +320,9 @@ def run_pipeline(
 
     Any exception aborts the run after flushing the trace through the last
     completed batch plus an abort record naming the error and its type; the
-    exception is then re-raised unchanged.  Backend failures surface as a
-    BackendError with round/pair context attached.
+    exception is then re-raised unchanged.  Backend failures, and empty
+    sampling or mutation replies, surface as a BackendError with round/pair
+    context attached.
     """
     if parallelism < 1:
         raise ConfigError("parallelism must be at least 1")
@@ -365,46 +349,44 @@ def run_pipeline(
         )
         trace.flush()
 
+    def compare_and_score(state: GenerationState, degree: int) -> GenerationState:
+        """Pair the generation at the given degree, judge and trace every pair,
+        then fit and trace the scores."""
+        nonlocal primary_calls, retry_calls
+        members = state.members
+        plan = sample_pairing(n, degree, derive_seed(config.seed, round_no, _P_PAIRING, 0))
+        tasks = [
+            (lambda p=p, i=i, j=j, r=round_no: _judge_pair(backend, config, members[i], members[j], r, p))
+            for p, (i, j) in enumerate(plan.pairs)
+        ]
+        results = run_parallel(tasks, parallelism)
+        primary_calls += len(results)
+        for p, (judgment, retries) in enumerate(results):
+            retry_calls += retries
+            trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
+        barrier()
+        judgments = tuple(judgment for judgment, _ in results)
+        index = {member.id: i for i, member in enumerate(members)}
+        records = [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments]
+        state = GenerationState(state.generation, members, judgments, fit_bt(records, n, lam=config.lam))
+        trace.append("score-fit", state.generation, round_no, _score_payload(state))
+        return state
+
     try:
         # generation 0: sample n candidates
         round_no = 1
-
-        def sample_task(i: int):
-            request = CompletionRequest(
-                user_prompt=config.templates.generation_user.replace("{problem}", config.problem),
-                system_prompt=config.templates.generation_system,
-                temperature=config.temperature_generate,
-                seed=derive_seed(config.seed, 0, _P_SAMPLE, i),
-            )
-            try:
-                return backend.complete(request)
-            except BackendError as exc:
-                raise BackendError(f"sampling candidate {i}: {exc}") from exc
-
-        contents = run_parallel([lambda i=i: sample_task(i) for i in range(n)], parallelism)
-        primary_calls += n
-        state = GenerationState(
-            0,
-            tuple(
-                Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
-                for i, content in enumerate(contents)
-            ),
+        samples = sample_candidates(
+            backend, config.problem, n, config.seed, parallelism, config.templates, config.temperature_generate
         )
+        state = GenerationState(0, tuple(samples))
+        primary_calls += n
         for member in state.members:
-            trace.append("candidate", 0, round_no, _candidate_payload(member))
+            trace.append("candidate", 0, round_no, dict(vars(member)))
         barrier()
 
         for t in range(1, t_total + 1):
             round_no = t
-            judgments, retries = _comparison_round(backend, config, state, config.k, t, parallelism)
-            primary_calls += len(judgments)
-            retry_calls += sum(retries)
-            for p, judgment in enumerate(judgments):
-                trace.append("judgment", state.generation, round_no, _judgment_payload(judgment, p, retries[p]))
-            barrier()
-
-            state = _score_state(state, judgments, config.lam)
-            trace.append("score-fit", state.generation, round_no, _score_payload(state))
+            state = compare_and_score(state, config.k)
             elites = select_elites(state.scores, n)
             discards = select_discards(state.scores, n)
             trace.append(
@@ -438,10 +420,7 @@ def run_pipeline(
                     temperature=config.temperature_generate,
                     seed=derive_seed(config.seed, gen, _P_MUTATE, i),
                 )
-                try:
-                    content = backend.complete(request)
-                except BackendError as exc:
-                    raise BackendError(f"mutation round {gen}, member {member.id}: {exc}") from exc
+                content = _complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
 
             survivors = [i for i in range(n) if i not in discards]
@@ -449,21 +428,13 @@ def run_pipeline(
             primary_calls += len(children)
             next_state = assemble_next_generation(state, elites, discards, children)
             for member in next_state.members:
-                trace.append("candidate", next_state.generation, round_no, _candidate_payload(member))
+                trace.append("candidate", next_state.generation, round_no, dict(vars(member)))
             barrier()
             state = next_state
 
         # final round: dense comparisons over the last generation, then pick the top
         round_no = t_total + 1
-        judgments, retries = _comparison_round(backend, config, state, config.final_k, round_no, parallelism)
-        primary_calls += len(judgments)
-        retry_calls += sum(retries)
-        for p, judgment in enumerate(judgments):
-            trace.append("judgment", state.generation, round_no, _judgment_payload(judgment, p, retries[p]))
-        barrier()
-
-        state = _score_state(state, judgments, config.lam)
-        trace.append("score-fit", state.generation, round_no, _score_payload(state))
+        state = compare_and_score(state, config.final_k)
         order = rank(state.scores)
         selected = state.members[order[0]]
         trace.append(

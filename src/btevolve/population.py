@@ -80,12 +80,6 @@ class GenerationState:
     judgments: tuple[Judgment, ...] = ()
     scores: ScoreVector | None = None
 
-    def index_of(self, candidate_id: str) -> int:
-        for i, member in enumerate(self.members):
-            if member.id == candidate_id:
-                return i
-        raise KeyError(candidate_id)
-
 
 def _quarter(scores: ScoreVector, n: int) -> int:
     if n % 4 != 0:

@@ -16,13 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import JUDGE_MODE_LOGISTIC, SyntheticWorldConfig, _sigmoid
+from .backends import SyntheticWorldConfig, judge_outcome
 from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, rank
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
 MATRIX_TIE = "tie"
 MATRIX_OUTCOMES = (FIRST_WINS, SECOND_WINS, MATRIX_TIE)
+
+# judge verdict ("A" is the lower pool index) -> matrix outcome
+_MATRIX_OUTCOME = {"A": FIRST_WINS, "B": SECOND_WINS, "TIE": MATRIX_TIE}
+# matrix outcome -> record outcome, for records shown in pool order and reversed
+_IN_ORDER = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
+_REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
 
 PAIRING_RANDOM = "random"
 PAIRING_ROUND_ROBIN = "round-robin"
@@ -58,12 +64,10 @@ class JudgmentMatrix:
     def record(self, left: int, right: int, left_index: int, right_index: int) -> ComparisonRecord:
         """Look up the (left, right) pool pair as a record over local indices."""
         if left < right:
-            outcome = self.outcomes[(left, right)]
-            mapping = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
+            outcome = _IN_ORDER[self.outcomes[(left, right)]]
         else:
-            outcome = self.outcomes[(right, left)]
-            mapping = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
-        return ComparisonRecord(left_index, right_index, mapping[outcome])
+            outcome = _REVERSED[self.outcomes[(right, left)]]
+        return ComparisonRecord(left_index, right_index, outcome)
 
 
 def round_robin_schedule(pool_size: int) -> list[list[tuple[int, int]]]:
@@ -90,16 +94,10 @@ def generate_matrix(pool_size: int, world: SyntheticWorldConfig, seed: int) -> J
     rng = np.random.default_rng(seed)
     thetas = rng.normal(world.theta_mean, world.theta_std, size=pool_size)
     labels = tuple(bool(theta >= world.acceptance_threshold) for theta in thetas)
-    outcomes = {}
-    for i, j in _pair_order(pool_size):
-        if world.judge_mode == JUDGE_MODE_LOGISTIC:
-            outcomes[(i, j)] = FIRST_WINS if rng.random() < _sigmoid(thetas[i] - thetas[j]) else SECOND_WINS
-        elif thetas[i] == thetas[j]:
-            outcomes[(i, j)] = MATRIX_TIE
-        else:
-            correct = rng.random() < world.judge_accuracy
-            better_first = thetas[i] > thetas[j]
-            outcomes[(i, j)] = FIRST_WINS if correct == better_first else SECOND_WINS
+    outcomes = {
+        (i, j): _MATRIX_OUTCOME[judge_outcome(thetas[i], thetas[j], world, rng)]
+        for i, j in _pair_order(pool_size)
+    }
     return JudgmentMatrix(pool_size, outcomes, labels)
 
 

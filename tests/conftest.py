@@ -2,6 +2,7 @@
 
 import json
 
+from btevolve.backends import SyntheticBackend
 from btevolve.population import Candidate
 
 
@@ -37,6 +38,19 @@ class CountingBackend:
 
     def complete(self, request):
         self.calls += 1
+        return self.inner.complete(request)
+
+
+class EmptyReplyBackend:
+    """Synthetic replies, except an empty completion for the listed request seeds."""
+
+    def __init__(self, empty_seeds):
+        self.inner = SyntheticBackend()
+        self.empty_seeds = set(empty_seeds)
+
+    def complete(self, request):
+        if request.seed in self.empty_seeds:
+            return ""
         return self.inner.complete(request)
 
 

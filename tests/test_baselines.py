@@ -5,8 +5,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig, format_candidate
 from btevolve.baselines import (
@@ -14,7 +12,6 @@ from btevolve.baselines import (
     PointwiseVerdict,
     judge_diagnostic,
     load_pairs,
-    majority_vote,
     parse_verdict_line,
     pointwise_score,
     pointwise_top1_expected_accuracy,
@@ -114,27 +111,6 @@ def test_self_refine_rounds_are_sequential():
     backend = ScriptedBackend([appending_reply] * 3)
     refined = self_refine([sampled("a", "base")], rounds=3, problem="p", backend=backend)
     assert refined[0].content == "base!!!"
-
-
-def test_majority_vote_first_occurrence_tie_break():
-    assert majority_vote(["x", "y", "x"]) == "x"
-    assert majority_vote(["y", "x", "x", "y"]) == "y"
-    assert majority_vote(["only"]) == "only"
-    with pytest.raises(ValueError):
-        majority_vote([])
-
-
-@given(st.lists(st.sampled_from("abc"), min_size=1, max_size=9), st.randoms())
-@settings(max_examples=120, deadline=None)
-def test_majority_vote_permutation_insensitive_without_ties(answers, rnd):
-    counts = {a: answers.count(a) for a in set(answers)}
-    best = max(counts.values())
-    if sum(1 for v in counts.values() if v == best) != 1:
-        return  # tied inputs are legitimately order-sensitive
-    winner = majority_vote(answers)
-    shuffled = answers[:]
-    rnd.shuffle(shuffled)
-    assert majority_vote(shuffled) == winner
 
 
 def test_load_pairs_skips_malformed(tmp_path, caplog):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
+from btevolve import pipeline
 from btevolve.backends import format_candidate
 from btevolve.cli import main
-from btevolve.pipeline import replay
+from btevolve.pipeline import derive_seed, replay
+from conftest import EmptyReplyBackend
 
 
 def run_cli(*argv):
@@ -217,6 +219,36 @@ def test_baseline_pointwise_and_self_refine(tmp_path, problem_file):
     assert payload["selected"]["id"].endswith("-r2")
 
 
+def test_baseline_output_independent_of_parallelism(tmp_path, problem_file):
+    for mode in ("pointwise", "self-refine"):
+        config = write_config(
+            tmp_path, f"{mode}.yaml",
+            {"problem": str(problem_file), "mode": mode, "n": 8, "votes": 3, "rounds": 2, "seed": 8},
+        )
+        blobs = []
+        for parallelism in ("1", "4"):
+            out = tmp_path / f"{mode}-{parallelism}.json"
+            assert run_cli("baseline", "--config", str(config), "--out", str(out), "--parallelism", parallelism)[0] == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+def test_baseline_samples_are_a_runs_generation_zero(tmp_path, problem_file):
+    config = write_config(
+        tmp_path, "base.yaml",
+        {"problem": str(problem_file), "mode": "pointwise", "n": 8, "votes": 3, "seed": 13},
+    )
+    out = tmp_path / "pointwise.json"
+    assert run_cli("baseline", "--config", str(config), "--out", str(out))[0] == 0
+    selected = json.loads(out.read_text())["selected"]
+    run_config = write_config(tmp_path, "run.yaml", small_run_config(problem_file))
+    assert run_cli("run", "--config", str(run_config), "--out", str(tmp_path / "run"))[0] == 0
+    generation_zero = replay(tmp_path / "run" / "problem.trace.jsonl").states[0].members
+    assert {"id": selected["id"], "content": selected["content"]} in [
+        {"id": member.id, "content": member.content} for member in generation_zero
+    ]
+
+
 def test_baseline_rejects_unknown_mode(tmp_path, problem_file):
     config = write_config(
         tmp_path, "base.yaml",
@@ -280,6 +312,18 @@ def test_backend_failure_exit_code(tmp_path, problem_file):
     code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
     assert code == 3
     assert json.loads(err)["error"] == "backend"
+
+
+def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
+    backend = EmptyReplyBackend([derive_seed(13, 0, 0, 3)])
+    monkeypatch.setattr(pipeline, "make_backend", lambda config: backend)
+    config = write_config(tmp_path, "run.yaml", small_run_config(problem_file))
+    code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert json.loads(err) == {"error": "backend", "message": "sampling candidate 3: empty completion"}
+    abort = json.loads((tmp_path / "o" / "problem.trace.jsonl").read_text().splitlines()[-1])
+    assert abort["kind"] == "abort"
+    assert abort["payload"]["type"] == "BackendError"
 
 
 def test_json_config_accepted(tmp_path, problem_file):

@@ -19,7 +19,7 @@ from btevolve.pipeline import (
     run_pipeline,
 )
 from btevolve.population import FeedbackStrategy
-from conftest import CountingBackend, ScriptedBackend, judge_reply
+from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
 SMALL = dict(problem="toy problem", n=8, k=3, generations=2, final_k=5, seed=31)
 
@@ -273,6 +273,24 @@ def test_any_exception_aborts_with_partial_trace(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["kind"] for r in records] == ["config", "abort"]
     assert records[-1]["payload"] == {"error": "no theta marker in candidate text", "type": "ValueError"}
+
+
+@pytest.mark.parametrize(
+    "empty_seeds, message",
+    [
+        ([derive_seed(31, 0, 0, 3)], r"^sampling candidate 3: empty completion$"),
+        ([derive_seed(31, 1, 5, i) for i in range(8)], r"^mutation round 1, member g0-s\d{3}: empty completion$"),
+    ],
+    ids=["sampling", "mutation"],
+)
+def test_empty_completion_aborts_with_backend_error(tmp_path, empty_seeds, message):
+    path = tmp_path / "abort.jsonl"
+    with pytest.raises(BackendError, match=message):
+        run_pipeline(RunConfig(**SMALL), backend=EmptyReplyBackend(empty_seeds), trace_path=path)
+    abort = json.loads(path.read_text().splitlines()[-1])
+    assert abort["kind"] == "abort"
+    assert abort["payload"]["type"] == "BackendError"
+    assert "empty completion" in abort["payload"]["error"]
 
 
 class FailFirstBackend:

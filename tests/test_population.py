@@ -150,8 +150,9 @@ def previous_state():
 
 
 def children_for(previous, parents, generation=1):
+    index = {member.id: i for i, member in enumerate(previous.members)}
     return [
-        Candidate(f"g1-mut{previous.index_of(p):03d}", f"child-of-{p}", generation, "mutated", parent_id=p)
+        Candidate(f"g1-mut{index[p]:03d}", f"child-of-{p}", generation, "mutated", parent_id=p)
         for p in parents
     ]
 
@@ -194,10 +195,3 @@ def test_assemble_rejects_bad_routing():
     wrong_gen = children_for(previous, parents, generation=2)
     with pytest.raises(ValueError):
         assemble_next_generation(previous, {0, 5}, {2, 6}, wrong_gen)
-
-
-def test_generation_state_index_of():
-    state = previous_state()
-    assert state.index_of("g0-s003") == 3
-    with pytest.raises(KeyError):
-        state.index_of("missing")

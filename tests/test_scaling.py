@@ -67,6 +67,22 @@ def test_generate_matrix_shape_and_determinism():
     assert other != matrix
 
 
+def test_generate_matrix_frozen_values():
+    # pins the shared synthetic judge as the matrix generator draws it: outcomes
+    # in canonical pair order, F/S/T for first-wins/second-wins/tie
+    code = {FIRST_WINS: "F", SECOND_WINS: "S", MATRIX_TIE: "T"}
+    expected = {
+        "fixed-accuracy": "FFFFFFFFSSSSSSFFSFSSFSSFSSFS",
+        "logistic": "FFFFFFFSSSSFFSFFFFSSFSFFSSFS",
+    }
+    for mode, outcomes in expected.items():
+        matrix = generate_matrix(8, SyntheticWorldConfig(judge_mode=mode), seed=3)
+        assert matrix.labels == (True,) + (False,) * 7
+        assert "".join(code[matrix.outcomes[pair]] for pair in sorted(matrix.outcomes)) == outcomes
+    flat = generate_matrix(8, SyntheticWorldConfig(theta_std=0.0), seed=3)
+    assert set(flat.outcomes.values()) == {MATRIX_TIE}  # equal thetas tie in fixed mode
+
+
 def test_perfect_judge_matrix_is_transitive():
     matrix = generate_matrix(12, SyntheticWorldConfig(judge_accuracy=1.0), seed=8)
     wins = {i: 0 for i in range(12)}
