@@ -24,22 +24,23 @@ config = RunConfig(
 )
 print(f"planned budget: {compute_budget(config.n, config.k, config.generations, config.final_k)} calls")
 
-trace_path = Path(tempfile.mkdtemp()) / "run.trace.jsonl"
-selected, trace = run_pipeline(config, trace_path=trace_path)
+with tempfile.TemporaryDirectory() as scratch:
+    trace_path = Path(scratch) / "run.trace.jsonl"
+    selected, trace = run_pipeline(config, trace_path=trace_path)
 
-summary = trace.records_of_kind("summary")[0]["payload"]
-print(f"actual: {summary['primary_calls']} primary + {summary['retry_calls']} retry calls, "
-      f"{summary['barriers']} sequential barriers")
-print(f"selected: {selected.id} (origin {selected.origin})")
-print(f"selected hidden quality: {parse_theta(selected.content):+.3f}")
-print()
+    summary = trace.records_of_kind("summary")[0]["payload"]
+    print(f"actual: {summary['primary_calls']} primary + {summary['retry_calls']} retry calls, "
+          f"{summary['barriers']} sequential barriers")
+    print(f"selected: {selected.id} (origin {selected.origin})")
+    print(f"selected hidden quality: {parse_theta(selected.content):+.3f}")
+    print()
 
-# The trace alone is enough to reconstruct every generation.
-result = replay(trace_path)
-print("generation-by-generation hidden quality (replayed from disk):")
-for state in result.states:
-    thetas = [parse_theta(c.content) for c in state.members]
-    print(f"  gen {state.generation}: mean {statistics.mean(thetas):+.3f}  "
-          f"best {max(thetas):+.3f}  judgments {len(state.judgments)}")
-print(f"replayed selection: {result.selected_id}")
-assert result.selected_id == selected.id
+    # The trace alone is enough to reconstruct every generation.
+    result = replay(trace_path)
+    print("generation-by-generation hidden quality (replayed from disk):")
+    for state in result.states:
+        thetas = [parse_theta(c.content) for c in state.members]
+        print(f"  gen {state.generation}: mean {statistics.mean(thetas):+.3f}  "
+              f"best {max(thetas):+.3f}  judgments {len(state.judgments)}")
+    print(f"replayed selection: {result.selected_id}")
+    assert result.selected_id == selected.id

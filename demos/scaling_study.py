@@ -39,7 +39,8 @@ for cell in optimal_frontier(cells):
     print(f"  B={cell.budget:>3}: n={cell.n:>2} with m={cell.m:>2} rounds "
           f"-> top-1 accept {cell.top1_accuracy:.3f}")
 
-out = Path(tempfile.mkdtemp()) / "grid.csv"
-write_grid_csv(cells, out, config_echo={"pool": 60, "seed": 9})
-print(f"\nfull grid written to {out}")
-print(out.read_text().splitlines()[0])
+with tempfile.TemporaryDirectory() as scratch:
+    out = Path(scratch) / "grid.csv"
+    write_grid_csv(cells, out, config_echo={"pool": 60, "seed": 9})
+    print(f"\nfull grid written to {out}")
+    print(out.read_text().splitlines()[0])

@@ -1,12 +1,18 @@
 """Rating estimation tests: solve curve, MAP against a grid oracle, bootstrap."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from btevolve.elo import (
     ProblemOutcome,
+    _map_rows,
     bootstrap_ci,
     estimate,
     load_outcomes,
@@ -24,6 +30,16 @@ def grid_map(outcomes, prior_mean=3100.0, prior_std=500.0, lo=1000.0, hi=5000.0)
         p = np.clip(p, 1e-300, 1 - 1e-16)
         total += outcome.successes * np.log(p) + (outcome.trials - outcome.successes) * np.log1p(-p)
     return float(grid[int(np.argmax(total))])
+
+
+def bisection_map(ratings, wins, trials, prior_mean=3100.0, prior_std=500.0, lo=1000.0, hi=5000.0):
+    """Independent oracle: 64 bisection steps on the log posterior's derivative."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        p = 1.0 / (1.0 + 10.0 ** ((ratings - mid) / 400.0))
+        slope = math.log(10.0) / 400.0 * np.sum(wins - trials * p) - (mid - prior_mean) / prior_std**2
+        lo, hi = (mid, hi) if slope > 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def test_solve_probability_symmetry_and_anchors():
@@ -90,6 +106,28 @@ def test_outcome_validation():
         bootstrap_ci([ProblemOutcome(3000.0, 1, 2)], resamples=0)
 
 
+@pytest.mark.parametrize("fit", [map_estimate, bootstrap_ci])
+@pytest.mark.parametrize(
+    "settings",
+    [{"prior_std": 0.0}, {"prior_std": -5.0}, {"bounds": (5000.0, 1000.0)}],
+    ids=["zero-prior-std", "negative-prior-std", "reversed-bounds"],
+)
+def test_prior_and_bounds_are_checked(fit, settings):
+    with pytest.raises(ValueError):
+        fit([ProblemOutcome(3000.0, 1, 2)], **settings)
+
+
+@pytest.mark.parametrize("prior", [(3100.0, 5000.0), (2000.0, 1e6)], ids=["prior-outside", "prior-inside"])
+def test_map_pinned_to_a_bound_lands_exactly_on_it(prior):
+    # every problem solved (failed) far below (above) the interval; a start
+    # inside the interval must not creep toward the bound by bisection
+    prior_mean, prior_std = prior
+    solved = [ProblemOutcome(1000.0, 5, 5)] * 20
+    assert map_estimate(solved, prior_mean, prior_std, (1000.0, 3000.0)) == 3000.0
+    failed = [ProblemOutcome(3000.0, 0, 5)] * 20
+    assert map_estimate(failed, 4000.0 - prior_mean, prior_std, (1000.0, 3000.0)) == 1000.0
+
+
 def make_dataset(seed, true_rating=3100.0, problems=40):
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -116,6 +154,45 @@ def test_bootstrap_interval_brackets_map():
     assert fit.ci_high - fit.ci_low < 600  # sane width for 40 problems
     payload = fit.to_dict()
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_bootstrap_matches_a_loop_over_resamples():
+    outcomes = make_dataset(21)
+    ratings = np.array([o.problem_rating for o in outcomes])
+    wins = np.array([o.successes for o in outcomes], dtype=np.float64)
+    trials = np.array([o.trials for o in outcomes], dtype=np.float64)
+    rng = np.random.default_rng(8)
+    maps = []
+    for _ in range(200):
+        idx = rng.integers(0, len(outcomes), len(outcomes))
+        maps.append(bisection_map(ratings[idx], wins[idx], trials[idx]))
+    low, high = np.percentile(maps, [2.5, 97.5], method="linear")
+    assert bootstrap_ci(outcomes, resamples=200, seed=8) == pytest.approx((low, high), abs=1e-6)
+
+
+def test_rating_solve_converges_within_twenty_newton_steps():
+    # the benchmark's shape: 73 Bernoulli outcomes over a wide rating range, 1000 resamples
+    rng = np.random.default_rng(73)
+    ratings = rng.uniform(800.0, 3600.0, 73)
+    wins = (rng.random(73) < 1.0 / (1.0 + 10.0 ** ((ratings - 2500.0) / 400.0))).astype(np.float64)
+    trials = np.ones(73)
+    picks = rng.integers(0, 73, size=(1000, 73))
+    stack = ratings[picks], wins[picks], trials[picks]
+    maps = _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    for row in (0, 1, 999):
+        assert maps[row] == pytest.approx(bisection_map(*(a[row] for a in stack)), abs=1e-6)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0), max_steps=2)
+
+
+def test_importing_the_package_does_not_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, btevolve; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_load_outcomes_csv_and_jsonl(tmp_path):
