@@ -5,7 +5,8 @@ whose final non-empty line is exactly "VERDICT: YES" or "VERDICT: NO"
 (trailing whitespace tolerated, nothing else).  Self-refine loops a single
 review-and-rewrite call per candidate per round.  The diagnostic measures a
 judge's pairwise accuracy and per-class pointwise recalls on labeled
-accepted/rejected pairs.
+accepted/rejected pairs.  Each `parallelism` argument is a limit on
+concurrent backend calls or a pipeline.TaskPool to share across calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .backends import Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from .pipeline import derive_seed, run_parallel
+from .pipeline import TaskPool, derive_seed, task_pool
 from .population import ORIGIN_MUTATED, Candidate
 
 logger = logging.getLogger(__name__)
@@ -69,7 +70,7 @@ def pointwise_score(
     seed: int = 0,
     template: str = prompts.POINTWISE_TEMPLATE,
     temperature: float = 1.0,
-    parallelism: int = 1,
+    parallelism: int | TaskPool = 1,
 ) -> PointwiseVerdict:
     """Collect `votes` independent YES/NO verdicts; malformed replies are discarded."""
     if votes < 1:
@@ -82,7 +83,8 @@ def pointwise_score(
         )
         return parse_verdict_line(backend.complete(request))
 
-    results = run_parallel([lambda i=i: vote_task(i) for i in range(votes)], parallelism)
+    with task_pool(parallelism) as pool:
+        results = pool.run([lambda i=i: vote_task(i) for i in range(votes)])
     valid = [r for r in results if r is not None]
     verdict = PointwiseVerdict(candidate.id, sum(valid), len(valid))
     if verdict.flagged:
@@ -113,7 +115,7 @@ def self_refine(
     template: str = prompts.SELF_REFINE_TEMPLATE,
     system_prompt: str = prompts.GENERATION_SYSTEM_PROMPT,
     temperature: float = 1.0,
-    parallelism: int = 1,
+    parallelism: int | TaskPool = 1,
 ) -> list[Candidate]:
     """Each candidate reviews and rewrites itself once per round.
 
@@ -124,29 +126,28 @@ def self_refine(
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     current = list(candidates)
-    for round_no in range(1, rounds + 1):
 
-        def refine_task(slot: int):
-            member = current[slot]
-            prompt = template.replace("{problem}", problem).replace("{code}", member.content)
-            request = CompletionRequest(
-                user_prompt=prompt,
-                system_prompt=system_prompt,
-                temperature=temperature,
-                seed=derive_seed(seed, 1, round_no, slot),
-            )
-            content = backend.complete(request)
-            return Candidate(
-                id=f"{member.id}-r{round_no}",
-                content=content,
-                generation=member.generation + 1,
-                origin=ORIGIN_MUTATED,
-                parent_id=member.id,
-            )
-
-        current = run_parallel(
-            [lambda slot=slot: refine_task(slot) for slot in range(len(current))], parallelism
+    def refine_task(round_no: int, slot: int):
+        member = current[slot]
+        prompt = template.replace("{problem}", problem).replace("{code}", member.content)
+        request = CompletionRequest(
+            user_prompt=prompt,
+            system_prompt=system_prompt,
+            temperature=temperature,
+            seed=derive_seed(seed, 1, round_no, slot),
         )
+        content = backend.complete(request)
+        return Candidate(
+            id=f"{member.id}-r{round_no}",
+            content=content,
+            generation=member.generation + 1,
+            origin=ORIGIN_MUTATED,
+            parent_id=member.id,
+        )
+
+    with task_pool(parallelism) as pool:
+        for round_no in range(1, rounds + 1):
+            current = pool.run([lambda r=round_no, slot=slot: refine_task(r, slot) for slot in range(len(current))])
     return current
 
 
@@ -201,7 +202,7 @@ def judge_diagnostic(
     seed: int = 0,
     comparison_template: str = prompts.COMPARISON_TEMPLATE,
     pointwise_template: str = prompts.POINTWISE_TEMPLATE,
-    parallelism: int = 1,
+    parallelism: int | TaskPool = 1,
 ) -> DiagnosticReport:
     """Judge quality on labeled pairs.
 
@@ -243,7 +244,8 @@ def judge_diagnostic(
         rejected_correct = classify(pair.rejected, 1) is False
         return pairwise_correct, accepted_correct, rejected_correct
 
-    results = run_parallel([lambda p=p: diagnose_task(p) for p in range(len(pairs))], parallelism)
+    with task_pool(parallelism) as pool:
+        results = pool.run([lambda p=p: diagnose_task(p) for p in range(len(pairs))])
     count = len(results)
     pairwise = sum(r[0] for r in results) / count
     on_accepted = sum(r[1] for r in results) / count

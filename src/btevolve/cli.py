@@ -25,7 +25,7 @@ import yaml
 from . import baselines, elo, scaling
 from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
 from .errors import BackendError, ConfigError
-from .pipeline import RunConfig, derive_seed, make_backend, run_pipeline, sample_candidates
+from .pipeline import RunConfig, TaskPool, derive_seed, make_backend, run_pipeline, sample_candidates
 from .population import FeedbackStrategy
 
 _RUN_KEYS = {
@@ -169,19 +169,22 @@ def _cmd_simulate(args) -> int:
     pairing = config.get("pairing", scaling.PAIRING_RANDOM)
     budgets = config.get("budgets")
     populations = config.get("populations")
-    if not budgets or not populations:
+    if not (isinstance(budgets, list) and budgets and isinstance(populations, list) and populations):
         raise ConfigError("simulate config needs budgets and populations lists")
     if config.get("matrix"):
-        matrix = scaling.load_matrix(config["matrix"])
+        try:
+            matrix = scaling.load_matrix(config["matrix"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad matrix file: {exc}") from exc
     else:
         try:
             world = SyntheticWorldConfig(**config.get("world", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad world options: {exc}") from exc
-        matrix = scaling.generate_matrix(config.get("pool_size", 40), world, seed)
-    for n in populations:
-        if not 2 <= n <= matrix.pool_size:
-            raise ConfigError(f"population {n} out of range for pool of {matrix.pool_size}")
+        pool_size = config.get("pool_size", 40)
+        if not isinstance(pool_size, int) or pool_size < 2:
+            raise ConfigError("pool_size must be an integer of at least 2")
+        matrix = scaling.generate_matrix(pool_size, world, seed)
 
     cells = scaling.sweep_grid(matrix, budgets, populations, trials, seed, lam=lam, pairing=pairing)
     echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing}
@@ -259,17 +262,16 @@ def _cmd_baseline(args) -> int:
     rounds = config.get("rounds", 6)
     backend = _diagnostic_backend(config, args)
 
-    candidates = sample_candidates(backend, problem, n, seed, parallelism=args.parallelism)
-    calls = n
-    if mode == "self-refine":
-        candidates = baselines.self_refine(
-            candidates, rounds, problem, backend, seed=seed, parallelism=args.parallelism
-        )
-        calls += n * rounds
-    verdicts = [
-        baselines.pointwise_score(c, problem, votes, backend, seed=derive_seed(seed, 9, i), parallelism=args.parallelism)
-        for i, c in enumerate(candidates)
-    ]
+    with TaskPool(args.parallelism) as pool:
+        candidates = sample_candidates(backend, problem, n, seed, parallelism=pool)
+        calls = n
+        if mode == "self-refine":
+            candidates = baselines.self_refine(candidates, rounds, problem, backend, seed=seed, parallelism=pool)
+            calls += n * rounds
+        verdicts = [
+            baselines.pointwise_score(c, problem, votes, backend, seed=derive_seed(seed, 9, i), parallelism=pool)
+            for i, c in enumerate(candidates)
+        ]
     calls += n * votes
     top = max(v.yes_votes for v in verdicts)
     tied = [i for i, v in enumerate(verdicts) if v.yes_votes == top]

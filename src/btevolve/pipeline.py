@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -199,25 +200,57 @@ def _dump_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def run_parallel(tasks, parallelism: int) -> list:
-    """Run no-arg callables, returning results in submission order.
+class TaskPool:
+    """The worker threads of one run, shared by every batch of backend calls.
 
-    The first task to raise stops the batch: tasks not yet started are
-    cancelled, the running ones are waited for, and the exception of the
-    earliest-submitted failed task is raised.
+    At parallelism 1 there are no threads and tasks run inline.  `close`, or
+    leaving the `with` block, shuts the threads down and cancels tasks not
+    yet started, so a run that ends, or aborts, takes its threads (and any
+    per-thread backend connections) with it.
     """
-    if parallelism <= 1:
-        return [task() for task in tasks]
-    pool = ThreadPoolExecutor(max_workers=parallelism)
-    try:
-        futures = [pool.submit(task) for task in tasks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for future in futures:
-        if not future.cancelled() and future.exception() is not None:
-            raise future.exception()
-    return [future.result() for future in futures]
+
+    def __init__(self, parallelism: int = 1) -> None:
+        self._executor = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+
+    def __enter__(self) -> TaskPool:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+
+    def run(self, tasks) -> list:
+        """Run one batch of no-arg callables, returning results in submission order.
+
+        The first task to raise stops the batch: its tasks not yet started
+        are cancelled, the running ones are waited for, and the exception of
+        the earliest-submitted failed task is raised.
+        """
+        if self._executor is None:
+            return [task() for task in tasks]
+        futures = [self._executor.submit(task) for task in tasks]
+        if wait(futures, return_when=FIRST_EXCEPTION).not_done:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+        for future in futures:
+            if not future.cancelled() and future.exception() is not None:
+                raise future.exception()
+        return [future.result() for future in futures]
+
+
+@contextmanager
+def task_pool(parallelism: int | TaskPool):
+    """`parallelism` as a TaskPool: a shared pool as it is, or, for an
+    integer, a pool of that size closed when the block ends."""
+    if isinstance(parallelism, TaskPool):
+        yield parallelism
+    else:
+        with TaskPool(parallelism) as pool:
+            yield pool
 
 
 def _judge_pair(
@@ -289,12 +322,13 @@ def sample_candidates(
     problem: str,
     n: int,
     seed: int,
-    parallelism: int = 1,
+    parallelism: int | TaskPool = 1,
     templates: PromptTemplates = PromptTemplates(),
     temperature: float = 1.0,
 ) -> list[Candidate]:
     """Generation 0: n independent samples `g0-s000`, `g0-s001`, ..., sample i
-    drawn with seed derive_seed(seed, 0, 0, i)."""
+    drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
+    concurrent calls or a TaskPool to run them on."""
     user_prompt = templates.generation_user.replace("{problem}", problem)
 
     def sample_task(i: int) -> Candidate:
@@ -307,7 +341,8 @@ def sample_candidates(
         content = _complete_candidate(backend, request, f"sampling candidate {i}")
         return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
 
-    return run_parallel([lambda i=i: sample_task(i) for i in range(n)], parallelism)
+    with task_pool(parallelism) as pool:
+        return pool.run([lambda i=i: sample_task(i) for i in range(n)])
 
 
 def run_pipeline(
@@ -318,7 +353,8 @@ def run_pipeline(
 ) -> tuple[Candidate, RunTrace]:
     """Run the full loop and return (selected candidate, trace).
 
-    Any exception aborts the run after flushing the trace through the last
+    Every batch of backend calls runs on one TaskPool of `parallelism`
+    threads, which lives exactly as long as the run.  Any exception aborts the run after flushing the trace through the last
     completed batch plus an abort record naming the error and its type; the
     exception is then re-raised unchanged.  Backend failures, and empty
     sampling or mutation replies, surface as a BackendError with round/pair
@@ -359,7 +395,7 @@ def run_pipeline(
             (lambda p=p, i=i, j=j, r=round_no: _judge_pair(backend, config, members[i], members[j], r, p))
             for p, (i, j) in enumerate(plan.pairs)
         ]
-        results = run_parallel(tasks, parallelism)
+        results = pool.run(tasks)
         primary_calls += len(results)
         for p, (judgment, retries) in enumerate(results):
             retry_calls += retries
@@ -372,11 +408,12 @@ def run_pipeline(
         trace.append("score-fit", state.generation, round_no, _score_payload(state))
         return state
 
+    pool = TaskPool(parallelism)
     try:
         # generation 0: sample n candidates
         round_no = 1
         samples = sample_candidates(
-            backend, config.problem, n, config.seed, parallelism, config.templates, config.temperature_generate
+            backend, config.problem, n, config.seed, pool, config.templates, config.temperature_generate
         )
         state = GenerationState(0, tuple(samples))
         primary_calls += n
@@ -424,7 +461,7 @@ def run_pipeline(
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
 
             survivors = [i for i in range(n) if i not in discards]
-            children = run_parallel([lambda i=i: mutate_task(i) for i in survivors], parallelism)
+            children = pool.run([lambda i=i: mutate_task(i) for i in survivors])
             primary_calls += len(children)
             next_state = assemble_next_generation(state, elites, discards, children)
             for member in next_state.members:
@@ -464,6 +501,8 @@ def run_pipeline(
         trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
         trace.flush()
         raise
+    finally:
+        pool.close()
 
 
 @dataclass

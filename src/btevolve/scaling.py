@@ -6,18 +6,25 @@ cell (budget B, population n) then draws n candidates, spends the remaining
 budget on m = floor(2(B - n)/n) rounds of pairwise comparisons by looking
 outcomes up in the matrix, fits scores, and checks whether the top-ranked
 candidate is labeled accepted.
+
+A cell's trials are drawn one by one from their own seeds, then fitted
+together: every trial is one row of a single btrank.fit_bt_rows solve, which
+fits each row exactly as fit_bt fits it alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .backends import SyntheticWorldConfig, judge_outcome
-from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, rank
+# fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
+# the simulation itself fits through fit_bt_rows
+from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
+from .errors import ConfigError
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
@@ -26,6 +33,8 @@ MATRIX_OUTCOMES = (FIRST_WINS, SECOND_WINS, MATRIX_TIE)
 
 # judge verdict ("A" is the lower pool index) -> matrix outcome
 _MATRIX_OUTCOME = {"A": FIRST_WINS, "B": SECOND_WINS, "TIE": MATRIX_TIE}
+# matrix outcome -> win weights (first over second, second over first)
+_WIN_WEIGHTS = {FIRST_WINS: (1.0, 0.0), SECOND_WINS: (0.0, 1.0), MATRIX_TIE: (0.5, 0.5)}
 # matrix outcome -> record outcome, for records shown in pool order and reversed
 _IN_ORDER = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
 _REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
@@ -43,11 +52,16 @@ def _pair_order(pool_size: int):
 
 @dataclass(frozen=True)
 class JudgmentMatrix:
-    """Every unordered pool pair judged once, plus per-candidate accept labels."""
+    """Every unordered pool pair judged once, plus per-candidate accept labels.
+
+    `wins` is the same matrix as a dense read-only (pool, pool) array:
+    wins[i, j] is i's win weight over j (1, 0, or 0.5 each for a tie).
+    """
 
     pool_size: int
     outcomes: dict
     labels: tuple[bool, ...]
+    wins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pool_size < 2:
@@ -57,9 +71,13 @@ class JudgmentMatrix:
         expected = set(_pair_order(self.pool_size))
         if set(self.outcomes) != expected:
             raise ValueError("outcomes must cover every unordered pair exactly once")
-        for pair, outcome in self.outcomes.items():
+        wins = np.zeros((self.pool_size, self.pool_size))
+        for (i, j), outcome in self.outcomes.items():
             if outcome not in MATRIX_OUTCOMES:
-                raise ValueError(f"unknown outcome {outcome!r} for pair {pair}")
+                raise ValueError(f"unknown outcome {outcome!r} for pair {(i, j)}")
+            wins[i, j], wins[j, i] = _WIN_WEIGHTS[outcome]
+        wins.flags.writeable = False
+        object.__setattr__(self, "wins", wins)
 
     def record(self, left: int, right: int, left_index: int, right_index: int) -> ComparisonRecord:
         """Look up the (left, right) pool pair as a record over local indices."""
@@ -115,6 +133,34 @@ class SimCell:
     trials_with_accepted: int = 0
 
 
+def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, pairing: str) -> None:
+    """Reject a grid any of whose cells could not be simulated."""
+    if pairing not in (PAIRING_RANDOM, PAIRING_ROUND_ROBIN):
+        raise ConfigError(f"unknown pairing mode {pairing!r}")
+    if not _is_int(trials) or trials < 1:
+        raise ConfigError("trials must be a positive integer")
+    if not (isinstance(lam, (int, float)) and lam > 0):
+        raise ConfigError("lambda must be positive")
+    if not all(_is_int(budget) for budget in budgets):
+        raise ConfigError("budgets must be integers")
+    for n in populations:
+        if not _is_int(n) or not 2 <= n <= pool_size:
+            raise ConfigError(f"population {n} out of range for pool of {pool_size}")
+        if n % 2 != 0:
+            raise ConfigError(f"population {n} must be even to schedule perfect matchings")
+        if pairing == PAIRING_ROUND_ROBIN:
+            for budget in budgets:
+                m = (2 * (budget - n)) // n
+                if m > n - 1:
+                    raise ConfigError(
+                        f"round-robin pairing supports at most n-1={n - 1} rounds, got m={m} at budget {budget}"
+                    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def simulate_cell(
     matrix: JudgmentMatrix,
     budget: int,
@@ -130,46 +176,39 @@ def simulate_cell(
     m rounds of perfect matchings (random by default; `round-robin` takes
     the first m rounds of the 1-factorization, which needs m <= n-1).  Seeds
     are derived per (seed, budget, n, trial), so cells and trials can be
-    computed in any order.
+    computed in any order.  All trials are fitted in one fit_bt_rows solve,
+    and each picks its top candidate as rank does.  A cell that cannot be
+    simulated raises ConfigError.
     """
-    if not 2 <= n <= matrix.pool_size:
-        raise ValueError(f"population {n} out of range for pool of {matrix.pool_size}")
-    if n % 2 != 0:
-        raise ValueError("population must be even to schedule perfect matchings")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if pairing not in (PAIRING_RANDOM, PAIRING_ROUND_ROBIN):
-        raise ValueError(f"unknown pairing mode {pairing!r}")
+    _check_grid(matrix.pool_size, [budget], [n], trials, lam, pairing)
     m = (2 * (budget - n)) // n
     if m < 1:
         return SimCell(budget, n, m, trials, 0.0, False)
-    if pairing == PAIRING_ROUND_ROBIN:
-        if m > n - 1:
-            raise ValueError(f"round-robin pairing supports at most n-1={n - 1} rounds, got m={m}")
-        schedule = round_robin_schedule(n)[:m]
 
-    hits = 0
-    with_accepted = 0
+    samples = np.empty((trials, n), dtype=np.intp)
+    # pairs[t, p] is trial t's p-th compared pair (local indices), round by round
+    if pairing == PAIRING_RANDOM:
+        pairs = np.empty((trials, m * n // 2, 2), dtype=np.intp)
+        lineups = np.tile(np.arange(n), (m, 1))
+    else:
+        pairs = np.broadcast_to(np.reshape(round_robin_schedule(n)[:m], (-1, 2)), (trials, m * n // 2, 2))
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
-        sample = np.sort(rng.permutation(matrix.pool_size)[:n])
-        if any(matrix.labels[int(c)] for c in sample):
-            with_accepted += 1
-        records = []
+        samples[trial] = np.sort(rng.permutation(matrix.pool_size)[:n])
         if pairing == PAIRING_RANDOM:
-            rounds = (
-                [(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(n // 2)]
-                for perm in (rng.permutation(n) for _ in range(m))
-            )
-        else:
-            rounds = iter(schedule)
-        for round_pairs in rounds:
-            for a, b in round_pairs:
-                records.append(matrix.record(int(sample[a]), int(sample[b]), a, b))
-        scores = fit_bt(records, n, lam=lam)
-        top_local = rank(scores)[0]
-        if matrix.labels[int(sample[top_local])]:
-            hits += 1
+            # one shuffle per row draws the same stream as one permutation(n) per round
+            pairs[trial] = rng.permuted(lineups, axis=1).reshape(-1, 2)
+
+    # each pair (a, b) becomes a win of a over b and one of b over a, weighted
+    # from the matrix; fit_bt_rows drops the zero weight of a decisive pair,
+    # leaving the entries fit_bt would build from the pair's record
+    trial_index = np.arange(trials)
+    members = samples[trial_index[:, None, None], pairs]
+    weights = matrix.wins[members, members[:, :, ::-1]].reshape(trials, -1)
+    scores, _, _ = fit_bt_rows(pairs.reshape(trials, -1), pairs[:, :, ::-1].reshape(trials, -1), weights, n, lam=lam)
+    labels = np.asarray(matrix.labels)
+    hits = int(labels[samples[trial_index, top_candidates(scores)]].sum())
+    with_accepted = int(labels[samples].any(axis=1).sum())
     return SimCell(budget, n, m, trials, hits / trials, True, hits, with_accepted)
 
 
@@ -182,7 +221,12 @@ def sweep_grid(
     lam: float = 0.01,
     pairing: str = PAIRING_RANDOM,
 ) -> list[SimCell]:
-    """Simulate every (budget, population) combination, row-major by budget."""
+    """Simulate every (budget, population) combination, row-major by budget.
+
+    The whole grid is checked before any cell runs: a cell that could not be
+    simulated raises ConfigError.
+    """
+    _check_grid(matrix.pool_size, budgets, populations, trials, lam, pairing)
     return [
         simulate_cell(matrix, budget, n, trials, seed, lam=lam, pairing=pairing)
         for budget in budgets

@@ -2,6 +2,7 @@
 
 import json
 import os
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
@@ -20,7 +21,7 @@ from btevolve.backends import (
 from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE
 from btevolve.errors import BackendError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from btevolve.pipeline import derive_seed
+from btevolve.pipeline import RunConfig, compute_budget, derive_seed, run_pipeline
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE
 from conftest import sampled
 
@@ -201,6 +202,56 @@ def http_server():
 def keep_alive_server():
     # one thread per connection, so a connection held open blocks nothing
     yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveScript))
+
+
+class _SyntheticReplies(BaseHTTPRequestHandler):
+    """Keep-alive stand-in model: answers like the synthetic backend and records
+    the client address of every request."""
+
+    protocol_version = "HTTP/1.1"
+    backend = SyntheticBackend()
+    lock = threading.Lock()
+    peers = []
+
+    def setup(self):
+        super().setup()
+        # a keep-alive client otherwise waits on delayed ACKs between requests
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        with _SyntheticReplies.lock:
+            # the wire carries no seed, so each request gets the next one
+            seed = len(_SyntheticReplies.peers)
+            _SyntheticReplies.peers.append(self.client_address)
+        request = CompletionRequest(body["user"], body["system"], body["temperature"], seed)
+        data = json.dumps({"text": self.backend.complete(request)}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_run_keeps_one_connection_per_worker():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SyntheticReplies)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _SyntheticReplies.peers = []
+    try:
+        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
+        config = RunConfig(problem="Sort the list.")
+        run_pipeline(config, backend=backend, parallelism=2)
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert len(_SyntheticReplies.peers) == compute_budget(config.n, config.k, config.generations, config.final_k)
+    # one pool for the whole run: its two threads keep their sessions across barriers
+    assert len(set(_SyntheticReplies.peers)) <= 2
 
 
 def test_http_success_and_payload_shape(http_server):

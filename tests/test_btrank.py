@@ -12,10 +12,13 @@ from btevolve.btrank import (
     RIGHT_WINS,
     TIE,
     ComparisonRecord,
+    ScoreVector,
     bt_gradient,
     bt_objective,
     fit_bt,
+    fit_bt_rows,
     rank,
+    top_candidates,
 )
 
 # fixed instance used for the grid-oracle comparison; 8 candidates, 16 outcomes
@@ -258,6 +261,158 @@ def test_max_iterations_bounds_newton_steps():
     fit = fit_bt(records_of(FIXED_RECORDS), 8, max_iterations=1)
     assert fit.iterations == 1
     assert not fit.converged
+
+
+def stack_rows(instances, n):
+    """(rows, entries) arrays for fit_bt_rows, padded with zero weights, from triple lists."""
+    width = 2 * max(len(triples) for triples in instances)
+    winners = np.zeros((len(instances), width), dtype=int)
+    losers = np.zeros_like(winners)
+    weights = np.zeros(winners.shape)
+    for row, triples in enumerate(instances):
+        col = 0
+        for i, j, outcome in triples:
+            entries = {LEFT_WINS: [(i, j, 1.0)], RIGHT_WINS: [(j, i, 1.0)], TIE: [(i, j, 0.5), (j, i, 0.5)]}[outcome]
+            for winner, loser, weight in entries:
+                winners[row, col], losers[row, col], weights[row, col] = winner, loser, weight
+                col += 1
+    return winners, losers, weights
+
+
+def triples_of(rng, n, k):
+    return [(r.left, r.right, r.outcome) for r in regular_records(rng, n, k)]
+
+
+def test_stacked_rows_fit_exactly_as_alone():
+    # a mixed stack: different edge counts, an all-tie row, a disconnected row,
+    # a row with no comparisons, and rows that converge after different step counts
+    rng = np.random.default_rng(29)
+    n = 8
+    instances = [triples_of(rng, n, k) for k in (1, 3, 7, 2, 5)]
+    instances += [
+        [(i, (i + 1) % n, TIE) for i in range(n)],
+        [(0, 1, LEFT_WINS), (1, 2, LEFT_WINS), (3, 4, RIGHT_WINS), (5, 6, TIE)],
+        [],
+        [(0, i, LEFT_WINS) for i in range(1, n)] * 3,
+    ]
+    scores, converged, iterations = fit_bt_rows(*stack_rows(instances, n), n)
+    assert scores.shape == (len(instances), n)
+    assert len(set(iterations.tolist())) >= 3
+    for row, triples in enumerate(instances):
+        alone = fit_bt(records_of(triples), n)
+        assert scores[row].tobytes() == alone.scores.tobytes()
+        assert converged[row] == alone.converged
+        assert iterations[row] == alone.iterations
+    assert converged.all()
+    assert np.max(np.abs(scores[5])) <= 1e-12  # all ties
+    assert abs(float(np.sum(scores[6]))) <= 1e-12  # disconnected
+    assert iterations[7] == 0 and not scores[7].any()  # no comparisons
+
+
+def test_stacked_line_search_rows_fit_exactly_as_alone():
+    # heavy weights and a weak penalty: the first two rows halve their Newton step
+    # (once and three times), each in different iterations, and the third never does
+    winners = [[0, 1, 4, 3, 4, 0], [2, 1, 2, 3, 4, 3], [0, 1, 2, 3, 4, 0]]
+    losers = [[3, 4, 2, 2, 0, 0], [4, 0, 0, 1, 3, 1], [1, 2, 3, 4, 0, 2]]
+    weights = [
+        [0.772, 0.148, 160.062, 948.987, 1837.755, 0.0],
+        [754.291, 1726.24, 996.426, 274.582, 7.125, 1209.282],
+        [1.0, 1.0, 0.5, 1.0, 1.0, 0.0],
+    ]
+    scores, converged, iterations = fit_bt_rows(winners, losers, weights, 5, lam=1e-3)
+    assert converged.all()
+    for row in range(3):
+        alone = fit_bt_rows(winners[row : row + 1], losers[row : row + 1], weights[row : row + 1], 5, lam=1e-3)
+        assert scores[row].tobytes() == alone[0][0].tobytes()
+        assert iterations[row] == alone[2][0]
+
+
+def reference_fit(winners, losers, weights, n, lam):
+    """fit_bt's documented damped Newton for one comparison set, written out plainly."""
+    w, l, wt = (np.asarray(a) for a in (winners, losers, weights))
+
+    def objective(s):
+        return float(np.dot(wt, -np.logaddexp(0.0, -(s[w] - s[l]))) - 0.5 * lam * np.dot(s, s))
+
+    def gradient(s):
+        e = wt * (1.0 - 1.0 / (1.0 + np.exp(-(s[w] - s[l]))))
+        return np.bincount(w, e, n) - np.bincount(l, e, n) - lam * s
+
+    def negated_hessian(s):
+        p = 1.0 / (1.0 + np.exp(-(s[w] - s[l])))
+        h = np.zeros((n, n))
+        for i, j, c in zip(w, l, wt * p * (1.0 - p)):
+            h[i, j] -= c
+            h[j, i] -= c
+            h[i, i] += c
+            h[j, j] += c
+        return h + lam * np.eye(n)
+
+    s, iterations = np.zeros(n), 0
+    while np.max(np.abs(gradient(s))) > 0.5e-8 and iterations < 500:
+        step = np.linalg.solve(negated_hessian(s), gradient(s))
+        decrement, scale = float(np.dot(gradient(s), step)), 1.0
+        if decrement > 1e-8:
+            while objective(s + scale * step) < objective(s) + 0.25 * scale * decrement and scale > 2.0**-30:
+                scale *= 0.5
+        s, iterations = s + scale * step, iterations + 1
+    return s - s.mean(), iterations
+
+
+def test_stacked_rows_follow_the_reference_newton_path():
+    # the rows of the line-search stack above, one that halves its tenth step
+    # after nine full ones, and random sets: every row takes the reference's
+    # steps, so it stops after as many and at the same point
+    rng = np.random.default_rng(37)
+    winners = [[0, 1, 4, 3, 4, 0], [2, 1, 2, 3, 4, 3], [0, 1, 2, 3, 4, 0], [1, 0, 2, 2, 0, 0]]
+    losers = [[3, 4, 2, 2, 0, 0], [4, 0, 0, 1, 3, 1], [1, 2, 3, 4, 0, 2], [2, 4, 3, 4, 3, 1]]
+    weights = [
+        [0.772, 0.148, 160.062, 948.987, 1837.755, 0.0],
+        [754.291, 1726.24, 996.426, 274.582, 7.125, 1209.282],
+        [1.0, 1.0, 0.5, 1.0, 1.0, 0.0],
+        [0.257, 452.586, 1064.958, 0.379, 2918.723, 641.187],
+    ]
+    for _ in range(5):
+        w = rng.integers(0, 5, 6)
+        winners.append(w.tolist())
+        losers.append(((w + rng.integers(1, 5, 6)) % 5).tolist())
+        weights.append(rng.choice([0.5, 1.0, 2.0], 6).tolist())
+    scores, _, iterations = fit_bt_rows(winners, losers, weights, 5, lam=1e-3)
+    for row in range(len(winners)):
+        expected, steps = reference_fit(winners[row], losers[row], weights[row], 5, 1e-3)
+        assert iterations[row] == steps
+        assert np.max(np.abs(scores[row] - expected)) <= 1e-12
+
+
+def test_stacked_max_iterations_bounds_every_row():
+    rng = np.random.default_rng(31)
+    instances = [triples_of(rng, 8, k) for k in (1, 4, 7)] + [FIXED_RECORDS]
+    for limit in (0, 1, 2):
+        scores, converged, iterations = fit_bt_rows(*stack_rows(instances, 8), 8, max_iterations=limit)
+        assert (iterations <= limit).all()
+        for row, triples in enumerate(instances):
+            alone = fit_bt(records_of(triples), 8, max_iterations=limit)
+            assert scores[row].tobytes() == alone.scores.tobytes()
+            assert (converged[row], iterations[row]) == (alone.converged, alone.iterations)
+    assert not converged[3]
+
+
+def test_stacked_rows_validation():
+    winners, losers, weights = stack_rows([FIXED_RECORDS], 8)
+    with pytest.raises(ValueError, match="out of range"):
+        fit_bt_rows(winners, losers, weights, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        fit_bt_rows(winners, losers, -weights, 8)
+    with pytest.raises(ValueError, match="one shape"):
+        fit_bt_rows(winners[0], losers[0], weights[0], 8)
+    with pytest.raises(ValueError):
+        fit_bt_rows(winners, losers, weights, 8, lam=0.0)
+
+
+def test_top_candidates_is_rank_head_per_row():
+    stack = np.array([[0.5, 1.0, 1.0, -2.0], [1.0, 1.0 + 4e-16, 1.0 - 3e-16, 0.0], [-1.0, 0.0, 2.0, 2.0 + 1e-6]])
+    heads = [rank(ScoreVector(row, 0.01, True, 0))[0] for row in stack]
+    assert top_candidates(stack).tolist() == heads == [1, 0, 3]
 
 
 def test_record_validation():

@@ -140,6 +140,52 @@ def test_simulate_needs_grid_lists(tmp_path):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"populations": [4, 5]}, "even"),
+        ({"trials": 0}, "trials"),
+        ({"pairing": "zigzag"}, "pairing"),
+        # m = 2*(36-4)/4 = 16 > n-1 = 3
+        ({"pairing": "round-robin", "budgets": [8, 36]}, "round-robin"),
+        ({"populations": [4, 14]}, "out of range"),
+        ({"lambda": 0}, "lambda"),
+        ({"budgets": 18}, "lists"),
+        ({"pool_size": 1}, "pool_size"),
+    ],
+    ids=[
+        "odd-population",
+        "no-trials",
+        "unknown-pairing",
+        "round-robin-too-many-rounds",
+        "population-above-pool",
+        "zero-lambda",
+        "budgets-not-a-list",
+        "pool-below-two",
+    ],
+)
+def test_simulate_bad_grid_is_a_config_error(tmp_path, change, message):
+    config = write_config(
+        tmp_path, "sim.yaml", {"pool_size": 12, "budgets": [18, 36], "populations": [4], "trials": 5, **change}
+    )
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli("simulate", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert message in error["message"]
+    assert not out.exists()
+
+
+def test_simulate_bad_matrix_file_is_a_config_error(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"pool_size": 3, "labels": [True], "outcomes": ["tie"] * 3}), encoding="utf-8")
+    config = write_config(tmp_path, "sim.yaml", {"matrix": str(matrix), "budgets": [10], "populations": [2]})
+    code, _, err = run_cli("simulate", "--config", str(config))
+    assert code == 2
+    assert "label" in json.loads(err)["message"]
+
+
 def test_elo_symmetric_fixture(tmp_path):
     outcomes = tmp_path / "outcomes.csv"
     outcomes.write_text("problem_rating,solved\n3100,true\n3100,false\n", encoding="utf-8")

@@ -13,6 +13,7 @@ from btevolve.errors import BackendError, ConfigError, ReplayError
 from btevolve.pipeline import (
     RunConfig,
     RunTrace,
+    TaskPool,
     compute_budget,
     derive_seed,
     replay,
@@ -319,6 +320,27 @@ def test_first_failure_cancels_pending_calls(tmp_path):
     assert backend.calls < config.n  # the 20 sampling calls did not all run
     kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
     assert kinds == ["config", "abort"]
+
+
+def test_task_pool_failure_stops_only_its_batch():
+    ran = []
+
+    def fail():
+        raise ValueError("first task failed")
+
+    def slow(i):
+        time.sleep(0.02)
+        ran.append(i)
+
+    with TaskPool(2) as pool:
+        with pytest.raises(ValueError, match="first task failed"):
+            pool.run([fail] + [lambda i=i: slow(i) for i in range(20)])
+        finished = len(ran)
+        time.sleep(0.2)
+        # the running tasks were waited for and the rest of the batch never starts
+        assert len(ran) == finished < 20
+        # the pool itself stays open for the next batch
+        assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
 
 
 def test_trace_flushes_incrementally(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from btevolve.backends import SyntheticWorldConfig
-from btevolve.btrank import LEFT_WINS, RIGHT_WINS, fit_bt, rank
+from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, fit_bt, rank
+from btevolve.errors import ConfigError
 from btevolve.scaling import (
     FIRST_WINS,
     MATRIX_TIE,
@@ -139,6 +140,88 @@ def test_simulate_cell_validation():
     with pytest.raises(ValueError, match="round-robin"):
         # m = 2*(40-8)/8 = 8 > n-1 = 7
         simulate_cell(matrix, 40, 8, 2, 0, pairing="round-robin")
+
+
+def test_sweep_grid_checks_every_cell_before_simulating(monkeypatch):
+    import btevolve.scaling as scaling
+
+    matrix = generate_matrix(12, WORLD, seed=1)
+    ran = []
+    monkeypatch.setattr(scaling, "simulate_cell", lambda *args, **kwargs: ran.append(args))
+    # the last population is odd: nothing may run before the grid is rejected
+    with pytest.raises(ConfigError, match="even"):
+        scaling.sweep_grid(matrix, [24, 48], [4, 6, 5], trials=3, seed=0)
+    # m = 2*(48-4)/4 = 22 > n-1 = 3 only in the last budget's cells
+    with pytest.raises(ConfigError, match="round-robin"):
+        scaling.sweep_grid(matrix, [8, 12, 48], [4], trials=3, seed=0, pairing="round-robin")
+    assert ran == []
+
+
+def test_judgment_matrix_win_weights():
+    matrix = JudgmentMatrix(3, {(0, 1): FIRST_WINS, (0, 2): SECOND_WINS, (1, 2): MATRIX_TIE}, (True, False, False))
+    assert matrix.wins.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.0, 0.5], [1.0, 0.5, 0.0]]
+    assert not matrix.wins.flags.writeable
+    assert "wins=" not in repr(matrix)
+    pool = generate_matrix(16, WORLD, seed=4)
+    for i in range(16):
+        for j in range(16):
+            if i != j:
+                assert pool.wins[i, j] + pool.wins[j, i] == 1.0
+                record = pool.record(i, j, 0, 1)
+                assert pool.wins[i, j] == {LEFT_WINS: 1.0, RIGHT_WINS: 0.0, TIE: 0.5}[record.outcome]
+
+
+# (budget, n, m, top1_hits, trials_with_accepted) of sweep_grid(budgets, populations,
+# trials=40, seed=11) on generate_matrix(12, SyntheticWorldConfig(judge_mode=mode), seed=5),
+# recorded with one fit_bt call per trial, before the trials were fitted together
+FROZEN_CELLS = {
+    ("fixed-accuracy", "random"): [
+        (10, 4, 3, 9, 15), (10, 6, 1, 0, 23), (10, 8, 0, 0, 0),
+        (20, 4, 8, 9, 12), (20, 6, 4, 9, 20), (20, 8, 3, 8, 25),
+        (40, 4, 18, 12, 18), (40, 6, 11, 7, 16), (40, 8, 8, 9, 25),
+    ],
+    ("fixed-accuracy", "round-robin"): [
+        (12, 6, 2, 9, 19), (12, 8, 1, 0, 28), (18, 6, 4, 12, 23),
+        (18, 8, 2, 11, 27), (20, 6, 4, 9, 20), (20, 8, 3, 15, 25),
+    ],
+    ("logistic", "random"): [
+        (10, 4, 3, 7, 15), (10, 6, 1, 1, 23), (10, 8, 0, 0, 0),
+        (20, 4, 8, 10, 12), (20, 6, 4, 6, 20), (20, 8, 3, 7, 25),
+        (40, 4, 18, 10, 18), (40, 6, 11, 9, 16), (40, 8, 8, 13, 25),
+    ],
+    ("logistic", "round-robin"): [
+        (12, 6, 2, 10, 19), (12, 8, 1, 0, 28), (18, 6, 4, 11, 23),
+        (18, 8, 2, 11, 27), (20, 6, 4, 11, 20), (20, 8, 3, 16, 25),
+    ],
+}
+GRIDS = {"random": ((10, 20, 40), (4, 6, 8)), "round-robin": ((12, 18, 20), (6, 8))}
+
+
+@pytest.mark.parametrize(("mode", "pairing"), sorted(FROZEN_CELLS))
+def test_simulate_cell_frozen_values(mode, pairing):
+    matrix = generate_matrix(12, SyntheticWorldConfig(judge_mode=mode), seed=5)
+    budgets, populations = GRIDS[pairing]
+    cells = sweep_grid(matrix, budgets, populations, trials=40, seed=11, pairing=pairing)
+    assert [(c.budget, c.n, c.m, c.top1_hits, c.trials_with_accepted) for c in cells] == FROZEN_CELLS[mode, pairing]
+
+
+def test_simulate_cell_matches_per_trial_fits():
+    # the documented per-trial scheme, fitted one trial at a time through records
+    matrix = generate_matrix(20, WORLD, seed=8)
+    for pairing, budget, n in (("random", 60, 8), ("random", 44, 4), ("round-robin", 18, 6)):
+        cell = simulate_cell(matrix, budget, n, trials=12, seed=3, pairing=pairing)
+        m = 2 * (budget - n) // n
+        hits = 0
+        for trial in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence([3, budget, n, trial]))
+            sample = np.sort(rng.permutation(20)[:n])
+            if pairing == "random":
+                rounds = [[(int(p[2 * i]), int(p[2 * i + 1])) for i in range(n // 2)] for p in (rng.permutation(n) for _ in range(m))]
+            else:
+                rounds = round_robin_schedule(n)[:m]
+            records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for pairs in rounds for a, b in pairs]
+            hits += matrix.labels[int(sample[rank(fit_bt(records, n))[0]])]
+        assert cell.top1_hits == hits
 
 
 def test_full_pool_round_robin_equals_direct_bt():
