@@ -21,7 +21,7 @@ from .backends import Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from .pipeline import TaskPool, derive_seed, task_pool
+from .pipeline import TaskPool, complete_candidate, derive_seed, task_pool
 from .population import ORIGIN_MUTATED, Candidate
 
 logger = logging.getLogger(__name__)
@@ -68,19 +68,15 @@ def pointwise_score(
     votes: int,
     backend: Backend,
     seed: int = 0,
-    template: str = prompts.POINTWISE_TEMPLATE,
-    temperature: float = 1.0,
     parallelism: int | TaskPool = 1,
 ) -> PointwiseVerdict:
     """Collect `votes` independent YES/NO verdicts; malformed replies are discarded."""
     if votes < 1:
         raise ValueError("votes must be at least 1")
-    prompt = template.replace("{problem}", problem).replace("{code}", candidate.content)
+    prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=problem, code=candidate.content)
 
     def vote_task(i: int):
-        request = CompletionRequest(
-            user_prompt=prompt, temperature=temperature, seed=derive_seed(seed, 0, i)
-        )
+        request = CompletionRequest(user_prompt=prompt, temperature=1.0, seed=derive_seed(seed, 0, i))
         return parse_verdict_line(backend.complete(request))
 
     with task_pool(parallelism) as pool:
@@ -112,16 +108,14 @@ def self_refine(
     problem: str,
     backend: Backend,
     seed: int = 0,
-    template: str = prompts.SELF_REFINE_TEMPLATE,
-    system_prompt: str = prompts.GENERATION_SYSTEM_PROMPT,
-    temperature: float = 1.0,
     parallelism: int | TaskPool = 1,
 ) -> list[Candidate]:
     """Each candidate reviews and rewrites itself once per round.
 
     Rounds are sequential per candidate (each sees its own latest version);
     candidates run independently.  Costs exactly len(candidates) * rounds
-    calls.
+    calls.  A failed call or an empty reply raises BackendError naming the
+    round and the candidate.
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
@@ -129,14 +123,13 @@ def self_refine(
 
     def refine_task(round_no: int, slot: int):
         member = current[slot]
-        prompt = template.replace("{problem}", problem).replace("{code}", member.content)
         request = CompletionRequest(
-            user_prompt=prompt,
-            system_prompt=system_prompt,
-            temperature=temperature,
+            user_prompt=prompts.render(prompts.SELF_REFINE_TEMPLATE, problem=problem, code=member.content),
+            system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
+            temperature=1.0,
             seed=derive_seed(seed, 1, round_no, slot),
         )
-        content = backend.complete(request)
+        content = complete_candidate(backend, request, f"refine round {round_no}, candidate {member.id}")
         return Candidate(
             id=f"{member.id}-r{round_no}",
             content=content,
@@ -200,8 +193,6 @@ def judge_diagnostic(
     pairs,
     backend: Backend,
     seed: int = 0,
-    comparison_template: str = prompts.COMPARISON_TEMPLATE,
-    pointwise_template: str = prompts.POINTWISE_TEMPLATE,
     parallelism: int | TaskPool = 1,
 ) -> DiagnosticReport:
     """Judge quality on labeled pairs.
@@ -220,9 +211,7 @@ def judge_diagnostic(
         pair = pairs[p]
         accepted = Candidate(f"pair{p:04d}-accepted", pair.accepted, 0, "sampled")
         rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, "sampled")
-        task = render_comparison_prompt(
-            pair.problem, accepted, rejected, derive_seed(seed, 0, p), template=comparison_template
-        )
+        task = render_comparison_prompt(pair.problem, accepted, rejected, derive_seed(seed, 0, p))
         reply = backend.complete(
             CompletionRequest(user_prompt=task.prompt_text, temperature=0.0, seed=derive_seed(seed, 1, p))
         )
@@ -233,7 +222,7 @@ def judge_diagnostic(
             pairwise_correct = False
 
         def classify(content: str, which: int) -> bool | None:
-            prompt = pointwise_template.replace("{problem}", pair.problem).replace("{code}", content)
+            prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=pair.problem, code=content)
             return parse_verdict_line(
                 backend.complete(
                     CompletionRequest(user_prompt=prompt, temperature=0.0, seed=derive_seed(seed, 2 + which, p))

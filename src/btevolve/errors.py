@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the integer check that config validation shares."""
+
+import numpy as np
+
+
+def is_int(value) -> bool:
+    """True for Python and numpy integers; bools and integral floats do not count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ConfigError(ValueError):

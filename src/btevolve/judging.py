@@ -80,11 +80,7 @@ def render_comparison_prompt(
     rng = np.random.default_rng(seed)
     left_first = bool(rng.random() < 0.5)
     first, second = (left, right) if left_first else (right, left)
-    text = (
-        template.replace("{problem}", problem)
-        .replace("{code_a}", first.content)
-        .replace("{code_b}", second.content)
-    )
+    text = prompts.render(template, problem=problem, code_a=first.content, code_b=second.content)
     return ComparisonTask(
         left_id=left.id,
         right_id=right.id,

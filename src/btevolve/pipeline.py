@@ -42,7 +42,7 @@ from .backends import (
     SyntheticWorldConfig,
 )
 from .btrank import ComparisonRecord, ScoreVector, fit_bt, rank
-from .errors import BackendError, ConfigError, JudgeParseError, ReplayError
+from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
 from .population import (
@@ -57,7 +57,7 @@ from .population import (
     select_discards,
     select_elites,
 )
-from .prompts import PromptTemplates
+from .prompts import PromptTemplates, render
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +80,7 @@ def derive_seed(root: int, *path: int) -> int:
 def compute_budget(n: int, k: int, t: int, m: int) -> int:
     """Primary backend calls for a full run: n + t*(n*k/2 + 3n/4) + n*m/2."""
     for name, value in (("n", n), ("k", k), ("t", t), ("m", m)):
-        if not isinstance(value, int) or value < 0:
+        if not is_int(value) or value < 0:
             raise ConfigError(f"{name} must be a non-negative integer")
     if n < 1:
         raise ConfigError("n must be positive")
@@ -120,6 +120,16 @@ class RunConfig:
     templates: PromptTemplates = PromptTemplates()
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "generations", "final_k", "seed", "parse_retries"):
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("lam", "temperature_generate", "temperature_judge"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.include_restart_license, bool):
+            raise ConfigError("include_restart_license must be true or false")
         if self.n < 4 or self.n % 4 != 0:
             raise ConfigError(f"population size n={self.n} must be a positive multiple of 4")
         if not 1 <= self.k <= self.n - 1:
@@ -132,9 +142,9 @@ class RunConfig:
             raise ConfigError(f"n*m={self.n * self.final_k} must be even")
         if self.generations < 0:
             raise ConfigError("generations must be non-negative")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ConfigError("lam must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.parse_retries < 0:
             raise ConfigError("parse_retries must be non-negative")
@@ -305,9 +315,9 @@ def _score_payload(state: GenerationState) -> dict:
     }
 
 
-def _complete_candidate(backend: Backend, request: CompletionRequest, context: str) -> str:
-    """One sampling or mutation call; a failure or an empty reply raises
-    BackendError prefixed with `context`."""
+def complete_candidate(backend: Backend, request: CompletionRequest, context: str) -> str:
+    """One call that yields a candidate (sampling, mutation or refinement);
+    a failure or an empty reply raises BackendError prefixed with `context`."""
     try:
         content = backend.complete(request)
     except BackendError as exc:
@@ -329,7 +339,7 @@ def sample_candidates(
     """Generation 0: n independent samples `g0-s000`, `g0-s001`, ..., sample i
     drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
     concurrent calls or a TaskPool to run them on."""
-    user_prompt = templates.generation_user.replace("{problem}", problem)
+    user_prompt = render(templates.generation_user, problem=problem)
 
     def sample_task(i: int) -> Candidate:
         request = CompletionRequest(
@@ -338,7 +348,7 @@ def sample_candidates(
             temperature=temperature,
             seed=derive_seed(seed, 0, _P_SAMPLE, i),
         )
-        content = _complete_candidate(backend, request, f"sampling candidate {i}")
+        content = complete_candidate(backend, request, f"sampling candidate {i}")
         return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
 
     with task_pool(parallelism) as pool:
@@ -457,7 +467,7 @@ def run_pipeline(
                     temperature=config.temperature_generate,
                     seed=derive_seed(config.seed, gen, _P_MUTATE, i),
                 )
-                content = _complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
+                content = complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
 
             survivors = [i for i in range(n) if i not in discards]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import prompts
 from .btrank import LEFT_WINS, RIGHT_WINS, ScoreVector, rank
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .judging import WINNER_A, WINNER_B, Judgment, rewrite_self_relative
 
 ORIGIN_SAMPLED = "sampled"
@@ -67,8 +67,8 @@ class FeedbackStrategy:
         if self.kind not in STRATEGIES:
             raise ConfigError(f"unknown feedback strategy {self.kind!r}")
         if self.kind == STRATEGY_PAIRWISE_K:
-            if self.k is None or self.k < 1:
-                raise ConfigError("pairwise-K needs k >= 1")
+            if not is_int(self.k) or self.k < 1:
+                raise ConfigError("pairwise-K needs an integer k >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,15 @@ def render_mutation_prompt(
     with_feedback_template: str = prompts.MUTATION_WITH_FEEDBACK_TEMPLATE,
     without_feedback_template: str = prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE,
 ) -> str:
-    """Render the mutation prompt; empty feedback selects the feedback-free variant."""
-    if feedback:
-        text = with_feedback_template.replace("{feedback_sections}", feedback)
-    else:
-        text = without_feedback_template
-    text = text.replace("{problem}", problem).replace("{code}", candidate.content)
+    """Render the mutation prompt; empty feedback selects the feedback-free variant.
+
+    Without the restart license its sentence is dropped from the template,
+    so problem, code and feedback text are never edited.
+    """
+    template = with_feedback_template if feedback else without_feedback_template
     if not include_restart_license:
-        text = text.replace(" " + prompts.RESTART_LICENSE_SENTENCE, "")
-    return text
+        template = template.replace(" " + prompts.RESTART_LICENSE_SENTENCE, "")
+    return prompts.render(template, problem=problem, code=candidate.content, feedback_sections=feedback)
 
 
 def assemble_next_generation(

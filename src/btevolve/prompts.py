@@ -1,13 +1,33 @@
-'''Prompt templates.
+"""Prompt templates and the one renderer that fills them.
 
 Placeholders ({problem}, {code}, {code_a}, {code_b}, {feedback_sections}) are
-substituted literally with str.replace, never str.format, so braces in problem
-statements or code survive untouched.  Rendering helpers live in `judging`
-(comparisons) and `population` (mutation); baselines ship their own defaults
-and accept replacements through config.
-'''
+filled by `render` in one pass over the template, never with str.format:
+inserted text is not rescanned, so problem, candidate and critique text reach
+the prompt verbatim, braces and placeholder names included.  A run's
+templates can be overridden through `PromptTemplates`; the baselines always
+use the defaults below.
+"""
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+
+_PLACEHOLDER_RE = re.compile(r"\{(problem|code|code_a|code_b|feedback_sections)\}")
+
+
+@lru_cache(maxsize=32)
+def _pieces(template: str) -> tuple[str, ...]:
+    # literal text at even indices, placeholder names at odd ones
+    return tuple(_PLACEHOLDER_RE.split(template))
+
+
+def render(template: str, **fields: str) -> str:
+    """Fill the placeholders named in `fields`; any other placeholder stays as it is."""
+    pieces = list(_pieces(template))
+    for i in range(1, len(pieces), 2):
+        pieces[i] = fields.get(pieces[i], "{" + pieces[i] + "}")
+    return "".join(pieces)
+
 
 GENERATION_SYSTEM_PROMPT = (
     "You are an expert competitive programmer.\n"

@@ -24,7 +24,7 @@ from .backends import SyntheticWorldConfig, judge_outcome
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
 # the simulation itself fits through fit_bt_rows
 from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
@@ -137,14 +137,14 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
     """Reject a grid any of whose cells could not be simulated."""
     if pairing not in (PAIRING_RANDOM, PAIRING_ROUND_ROBIN):
         raise ConfigError(f"unknown pairing mode {pairing!r}")
-    if not _is_int(trials) or trials < 1:
+    if not is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer")
     if not (isinstance(lam, (int, float)) and lam > 0):
         raise ConfigError("lambda must be positive")
-    if not all(_is_int(budget) for budget in budgets):
+    if not all(is_int(budget) for budget in budgets):
         raise ConfigError("budgets must be integers")
     for n in populations:
-        if not _is_int(n) or not 2 <= n <= pool_size:
+        if not is_int(n) or not 2 <= n <= pool_size:
             raise ConfigError(f"population {n} out of range for pool of {pool_size}")
         if n % 2 != 0:
             raise ConfigError(f"population {n} must be even to schedule perfect matchings")
@@ -155,10 +155,6 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
                     raise ConfigError(
                         f"round-robin pairing supports at most n-1={n - 1} rounds, got m={m} at budget {budget}"
                     )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def simulate_cell(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig, format_candidate
+from btevolve.errors import BackendError
 from btevolve.baselines import (
     LabeledPair,
     PointwiseVerdict,
@@ -17,7 +18,8 @@ from btevolve.baselines import (
     pointwise_top1_expected_accuracy,
     self_refine,
 )
-from conftest import CountingBackend, ScriptedBackend, sampled
+from btevolve.pipeline import derive_seed
+from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, sampled
 
 
 def test_parse_verdict_line_exact_final_line():
@@ -98,6 +100,22 @@ def test_self_refine_call_count_and_lineage():
     assert backend.calls == 12
     with pytest.raises(ValueError):
         self_refine(candidates, rounds=-1, problem="p", backend=backend)
+
+
+def test_self_refine_empty_reply_is_a_backend_error():
+    candidates = [sampled(f"c{i}", format_candidate(0.1 * i)) for i in range(3)]
+    backend = EmptyReplyBackend([derive_seed(5, 1, 2, 1)])
+    with pytest.raises(BackendError, match="^refine round 2, candidate c1-r1: empty completion$"):
+        self_refine(candidates, rounds=3, problem="p", backend=backend, seed=5)
+
+
+def test_baseline_prompts_insert_text_verbatim():
+    backend = ScriptedBackend(["VERDICT: YES", "fixed {code}"])
+    pointwise_score(sampled("c", "body {problem}"), "task {code}", votes=1, backend=backend)
+    self_refine([sampled("c", "body {problem}")], rounds=1, problem="task {code}", backend=backend)
+    for request in backend.requests:
+        assert "\ntask {code}\n" in request.user_prompt
+        assert "```cpp\nbody {problem}\n```" in request.user_prompt
 
 
 def test_self_refine_rounds_are_sequential():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from btevolve import pipeline
+from btevolve import cli, pipeline
 from btevolve.backends import format_candidate
 from btevolve.cli import main
 from btevolve.pipeline import derive_seed, replay
@@ -370,6 +370,56 @@ def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
     abort = json.loads((tmp_path / "o" / "problem.trace.jsonl").read_text().splitlines()[-1])
     assert abort["kind"] == "abort"
     assert abort["payload"]["type"] == "BackendError"
+
+
+def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
+    backend = EmptyReplyBackend([derive_seed(13, 1, 1, 2)])
+    monkeypatch.setattr(cli, "make_backend", lambda config: backend)
+    payload = {"mode": "self-refine", "problem": str(problem_file), "n": 4, "votes": 2, "rounds": 2, "seed": 13}
+    config = write_config(tmp_path, "refine.yaml", payload)
+    out = tmp_path / "refine.json"
+    code, _, err = run_cli("baseline", "--config", str(config), "--out", str(out))
+    assert code == 3
+    assert json.loads(err) == {"error": "backend", "message": "refine round 1, candidate g0-s002: empty completion"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"n": 8.0}, "n must be an integer"),
+        ({"generations": 1.5}, "generations must be an integer"),
+        ({"parse_retries": 0.5}, "parse_retries must be an integer"),
+        ({"final_k": True}, "final_k must be an integer"),
+        ({"temperature_judge": "0"}, "temperature_judge must be a number"),
+        ({"lambda": "0.01"}, "lam must be a number"),
+        ({"lambda": float("nan")}, "lam must be positive"),
+        ({"k": "2"}, "integer k"),
+        ({"feedback_strategy": {"kind": "pairwise-K", "k": 2.5}}, "integer k"),
+        ({"include_restart_license": "no"}, "include_restart_license"),
+    ],
+    ids=[
+        "float-n",
+        "fractional-generations",
+        "fractional-parse-retries",
+        "bool-final-k",
+        "string-temperature",
+        "string-lambda",
+        "nan-lambda",
+        "string-k",
+        "fractional-feedback-k",
+        "string-license",
+    ],
+)
+def test_run_mistyped_value_is_a_config_error(tmp_path, problem_file, change, message):
+    config = write_config(tmp_path, "run.yaml", {**small_run_config(problem_file), **change})
+    out = tmp_path / "o"
+    code, _, err = run_cli("run", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert message in error["message"]
+    assert not out.exists()
 
 
 def test_json_config_accepted(tmp_path, problem_file):

@@ -96,6 +96,21 @@ def test_render_prompt_contains_both_candidates_in_presented_order():
     assert second_body in task.prompt_text
 
 
+@pytest.mark.parametrize("problem", ["solve {code}", "solve {code_a} then {code_b}"])
+def test_render_prompt_inserts_placeholder_text_verbatim(problem):
+    left = sampled("L", "left {code_b} {problem}")
+    right = sampled("R", "right {code_a}")
+    shown_first = set()
+    for seed in range(8):
+        task = render_comparison_prompt(problem, left, right, seed=seed)
+        first, second = (left, right) if task.presented_first == "L" else (right, left)
+        shown_first.add(first.id)
+        text = task.prompt_text
+        assert f"## Problem Statement\n{problem}\n\n## Solution A\n```cpp\n{first.content}\n```\n\n" in text
+        assert f"## Solution B\n```cpp\n{second.content}\n```\n\nWhich solution" in text
+    assert shown_first == {"L", "R"}
+
+
 def test_render_prompt_rejects_empty_content():
     with pytest.raises(ValueError):
         render_comparison_prompt("p", sampled("L", ""), sampled("R", "x"), seed=0)

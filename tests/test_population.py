@@ -140,8 +140,32 @@ def test_render_mutation_prompt_restart_license_toggle():
 def test_braces_in_problem_survive_substitution():
     candidate = Candidate("c", "int main() { return {0}; }", 0, "sampled")
     text = render_mutation_prompt("use {braces} and {code}", candidate, "")
-    assert "use {braces} and {code}" not in text  # {code} placeholder got hit first
-    assert "int main() { return {0}; }" in text
+    assert text.startswith(
+        "## Problem\nuse {braces} and {code}\n\n## Solution\n```cpp\nint main() { return {0}; }\n```"
+    )
+
+
+def test_mutation_prompt_inserts_problem_code_and_feedback_verbatim():
+    code = "// " + prompts.RESTART_LICENSE_SENTENCE + "\nint x; // {feedback_sections}"
+    feedback = "### Wins (this solution was judged better):\n- Solution A uses {problem} and {code}"
+    text = render_mutation_prompt(
+        "mentions {code}", Candidate("c", code, 0, "sampled"), feedback, include_restart_license=False
+    )
+    assert text == (
+        "## Problem\nmentions {code}\n\n## Solution\n```cpp\n" + code + "\n```\n\n"
+        "## Pairwise Feedback\nThis solution was compared against other solutions multiple times:\n\n"
+        + feedback
+        + "\n\n## Task\nWrite a solution that maximizes the probability of Accepted.\n\n"
+        "Think briefly, then output your final solution as a single ```cpp ... ``` block."
+    )
+
+
+def test_critique_text_reaches_the_mutation_prompt_verbatim():
+    judgments = (Judgment("a", "b", LEFT_WINS, "Solution A cites {problem} and {code_b}", "fb", "a"),)
+    feedback = aggregate_feedback("a", judgments, FeedbackStrategy("pairwise-all"))
+    text = render_mutation_prompt("PROBLEM", Candidate("a", "CODE", 0, "sampled"), feedback)
+    assert "- this solution cites {problem} and {code_b}\n" in text
+    assert text.count("PROBLEM") == 1 and text.count("CODE") == 1
 
 
 def previous_state():

@@ -17,9 +17,27 @@ def test_comparison_template_markers():
         "fewer modifications",
     ):
         assert marker in t
-    # the JSON example's braces must survive replace-based substitution
-    rendered = t.replace("{problem}", "P").replace("{code_a}", "X").replace("{code_b}", "Y")
+    # the JSON example's braces must survive substitution
+    rendered = prompts.render(t, problem="P", code_a="X", code_b="Y")
     assert '"feedback_a"' in rendered and rendered.count("{") >= 1
+
+
+def test_render_fills_each_placeholder_in_one_pass():
+    template = "{problem}|{code}|{code_a}|{code_b}|{feedback_sections}|{other}|{code}"
+    fields = {
+        "problem": "p {code}",
+        "code": "c {problem}",
+        "code_a": "a {code_b}",
+        "code_b": "b {code_a}",
+        "feedback_sections": "f {problem}",
+    }
+    expected = "p {code}|c {problem}|a {code_b}|b {code_a}|f {problem}|{other}|c {problem}"
+    assert prompts.render(template, **fields) == expected
+
+
+def test_render_leaves_unsupplied_placeholders():
+    assert prompts.render("{problem} {code} {x}", problem="P") == "P {code} {x}"
+    assert prompts.render("a\\1 {problem}", problem="\\g<0> \\1") == "a\\1 \\g<0> \\1"
 
 
 def test_mutation_templates_markers():
