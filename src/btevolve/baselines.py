@@ -19,7 +19,7 @@ from pathlib import Path
 from . import prompts
 from .backends import Backend, CompletionRequest
 from .btrank import LEFT_WINS
-from .errors import JudgeParseError
+from .errors import ConfigError, JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
 from .pipeline import TaskPool, complete_candidate, derive_seed, task_pool
 from .population import ORIGIN_MUTATED, Candidate
@@ -72,7 +72,7 @@ def pointwise_score(
 ) -> PointwiseVerdict:
     """Collect `votes` independent YES/NO verdicts; malformed replies are discarded."""
     if votes < 1:
-        raise ValueError("votes must be at least 1")
+        raise ConfigError("votes must be at least 1")
     prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=problem, code=candidate.content)
 
     def vote_task(i: int):

@@ -24,7 +24,7 @@ import yaml
 
 from . import baselines, elo, scaling
 from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
-from .errors import BackendError, ConfigError
+from .errors import BackendError, ConfigError, is_int
 from .pipeline import RunConfig, TaskPool, derive_seed, make_backend, run_pipeline, sample_candidates
 from .population import FeedbackStrategy
 
@@ -260,6 +260,9 @@ def _cmd_baseline(args) -> int:
     n = config.get("n", 20)
     votes = config.get("votes", 14 if mode == "pointwise" else 8)
     rounds = config.get("rounds", 6)
+    for name, value, low in (("n", n, 1), ("votes", votes, 1), ("rounds", rounds, 0)):
+        if not is_int(value) or value < low:
+            raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
     backend = _diagnostic_backend(config, args)
 
     with TaskPool(args.parallelism) as pool:

@@ -11,8 +11,11 @@ comparisons and each generation's mutations, and one after the final round.
 Seed discipline: every randomized step uses a child seed derived from
 (root seed, round, purpose, index...) through numpy's SeedSequence, so no
 result depends on scheduling order; traces are byte-identical across
-parallelism limits.  Rounds are numbered 1..t for the evolution rounds and
-t+1 for the final comparison round.
+parallelism limits.  Batch sites (sampling, each pair's order and judge
+seeds, mutations) derive all their seeds up front in one `derive_seeds`
+pass, bit-identical to calling `derive_seed` per index.  Rounds are
+numbered 1..t for the evolution rounds and t+1 for the final comparison
+round.
 
 The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
@@ -25,8 +28,10 @@ barrier plus one abort record.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import operator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -75,6 +80,94 @@ _P_MUTATE = 5
 def derive_seed(root: int, *path: int) -> int:
     """Child seed for (root, round, purpose, index...), stable across platforms."""
     return int(np.random.SeedSequence([root, *path]).generate_state(1, np.uint64)[0])
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), replayed by derive_seeds
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_chain(start: int, mult: int, count: int) -> np.ndarray:
+    """start, start*mult, start*mult**2, ... modulo 2**32, as a (count, 1) column."""
+    chain = [start]
+    for _ in range(count - 1):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """Consecutive hashmix calls, one per row of the result: row r xors with
+    consts[r] and multiplies by consts[r + 1]; `values` broadcasts over rows."""
+    out = values ^ consts[:-1]
+    out *= consts[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words `x` with hashed words `y`, element by element."""
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _entropy_words(value) -> list[int]:
+    """An entropy integer as SeedSequence splits it: little-endian 32-bit words, at least one."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed path elements must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def derive_seeds(root: int, *path: int, indices) -> np.ndarray:
+    """derive_seed(root, *path, i) for every i in `indices`, bit for bit, as uint64.
+
+    One numpy pass replays SeedSequence's entropy mixing and
+    generate_state(1, uint64) on a (words, rows) uint32 array, with the
+    four pool lanes stacked so a batch costs a few dozen ufunc calls.  Each
+    index must be below 2**32, so that every row's entropy has the same
+    length.
+    """
+    prefix = [word for value in (root, *path) for word in _entropy_words(value)]
+    index = [operator.index(i) for i in indices]
+    if index and not (min(index) >= 0 and max(index) <= _MASK32):
+        raise ValueError("seed indices must lie in [0, 2**32)")
+    entropy = np.empty((len(prefix) + 1, len(index)), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = index
+    # mixing calls hashmix 4 times to fill the pool, 12 times to mix it and 4
+    # times per entropy word past the pool; call c uses constants c and c + 1
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, len(entropy) - _POOL_SIZE)
+    consts = _hash_chain(_INIT_A, _MULT_A, calls + 1)
+
+    with np.errstate(over="ignore"):
+        # fill the pool with the first words, hashing zeros past the end of the entropy
+        pool = np.zeros((_POOL_SIZE, len(index)), dtype=np.uint32)
+        pool[: len(entropy)] = entropy[:_POOL_SIZE]
+        pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
+        # every lane mixes into every other lane; a source lane is not
+        # changed while it is mixed into the other three
+        call = _POOL_SIZE
+        for src in range(_POOL_SIZE):
+            dst = [lane for lane in range(_POOL_SIZE) if lane != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[call : call + _POOL_SIZE]))
+            call += _POOL_SIZE - 1
+        # each remaining word mixes into all four lanes
+        for word in entropy[_POOL_SIZE:]:
+            pool = _mix(pool, _hashmix(word, consts[call : call + _POOL_SIZE + 1]))
+            call += _POOL_SIZE
+        # generate_state(1, uint64) hashes the first two lanes, low word first
+        low, high = _hashmix(pool[:2], _hash_chain(_INIT_B, _MULT_B, 3))
+    return high.astype(np.uint64) << np.uint64(32) | low
 
 
 def compute_budget(n: int, k: int, t: int, m: int) -> int:
@@ -270,17 +363,20 @@ def _judge_pair(
     right: Candidate,
     round_no: int,
     pair_index: int,
+    order_seed: int,
+    judge_seed: int,
 ) -> tuple[Judgment, int]:
     """One comparison with presentation randomization and parse-retry-then-tie.
 
+    `order_seed` and `judge_seed` are the pair's (round, order) and (round,
+    judge) child seeds; retry seeds are derived here, as retries are rare.
     Returns the canonical judgment plus how many retry calls were spent.
     """
-    order_seed = derive_seed(config.seed, round_no, _P_ORDER, pair_index)
     task = render_comparison_prompt(config.problem, left, right, order_seed, template=config.templates.comparison)
     retries_used = 0
     for attempt in range(config.parse_retries + 1):
         if attempt == 0:
-            seed = derive_seed(config.seed, round_no, _P_JUDGE, pair_index)
+            seed = judge_seed
         else:
             seed = derive_seed(config.seed, round_no, _P_RETRY, pair_index, attempt)
             retries_used += 1
@@ -340,13 +436,14 @@ def sample_candidates(
     drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
     concurrent calls or a TaskPool to run them on."""
     user_prompt = render(templates.generation_user, problem=problem)
+    seeds = derive_seeds(seed, 0, _P_SAMPLE, indices=range(n)).tolist()
 
     def sample_task(i: int) -> Candidate:
         request = CompletionRequest(
             user_prompt=user_prompt,
             system_prompt=templates.generation_system,
             temperature=temperature,
-            seed=derive_seed(seed, 0, _P_SAMPLE, i),
+            seed=seeds[i],
         )
         content = complete_candidate(backend, request, f"sampling candidate {i}")
         return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
@@ -401,8 +498,15 @@ def run_pipeline(
         nonlocal primary_calls, retry_calls
         members = state.members
         plan = sample_pairing(n, degree, derive_seed(config.seed, round_no, _P_PAIRING, 0))
+        pair_indices = range(len(plan.pairs))
+        order_seeds = derive_seeds(config.seed, round_no, _P_ORDER, indices=pair_indices).tolist()
+        judge_seeds = derive_seeds(config.seed, round_no, _P_JUDGE, indices=pair_indices).tolist()
         tasks = [
-            (lambda p=p, i=i, j=j, r=round_no: _judge_pair(backend, config, members[i], members[j], r, p))
+            (
+                lambda p=p, i=i, j=j, r=round_no: _judge_pair(
+                    backend, config, members[i], members[j], r, p, order_seeds[p], judge_seeds[p]
+                )
+            )
             for p, (i, j) in enumerate(plan.pairs)
         ]
         results = pool.run(tasks)
@@ -436,6 +540,7 @@ def run_pipeline(
             state = compare_and_score(state, config.k)
             elites = select_elites(state.scores, n)
             discards = select_discards(state.scores, n)
+            survivors = [i for i in range(n) if i not in discards]
             trace.append(
                 "routing",
                 state.generation,
@@ -443,14 +548,14 @@ def run_pipeline(
                 {
                     "elites": [state.members[i].id for i in sorted(elites)],
                     "discards": [state.members[i].id for i in sorted(discards)],
-                    "mutation_parents": [
-                        state.members[i].id for i in range(n) if i not in discards
-                    ],
+                    "mutation_parents": [state.members[i].id for i in survivors],
                 },
             )
             trace.flush()
 
-            def mutate_task(i: int, gen: int = t, source: GenerationState = state):
+            mutation_seeds = derive_seeds(config.seed, t, _P_MUTATE, indices=survivors).tolist()
+
+            def mutate_task(i: int, seed: int, gen: int = t, source: GenerationState = state):
                 member = source.members[i]
                 feedback = aggregate_feedback(member.id, source.judgments, config.feedback_strategy)
                 prompt = render_mutation_prompt(
@@ -465,13 +570,14 @@ def run_pipeline(
                     user_prompt=prompt,
                     system_prompt=config.templates.generation_system,
                     temperature=config.temperature_generate,
-                    seed=derive_seed(config.seed, gen, _P_MUTATE, i),
+                    seed=seed,
                 )
                 content = complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
 
-            survivors = [i for i in range(n) if i not in discards]
-            children = pool.run([lambda i=i: mutate_task(i) for i in survivors])
+            children = pool.run(
+                [lambda i=i, seed=seed: mutate_task(i, seed) for i, seed in zip(survivors, mutation_seeds)]
+            )
             primary_calls += len(children)
             next_state = assemble_next_generation(state, elites, discards, children)
             for member in next_state.members:

@@ -139,7 +139,7 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
         raise ConfigError(f"unknown pairing mode {pairing!r}")
     if not is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer")
-    if not (isinstance(lam, (int, float)) and lam > 0):
+    if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and lam > 0):
         raise ConfigError("lambda must be positive")
     if not all(is_int(budget) for budget in budgets):
         raise ConfigError("budgets must be integers")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig, format_candidate
-from btevolve.errors import BackendError
+from btevolve.errors import BackendError, ConfigError
 from btevolve.baselines import (
     LabeledPair,
     PointwiseVerdict,
@@ -50,7 +50,7 @@ def test_pointwise_score_flags_all_malformed():
     verdict = pointwise_score(sampled("c", "code"), "p", votes=2, backend=backend)
     assert verdict.flagged
     assert verdict.yes_votes == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         pointwise_score(sampled("c", "code"), "p", votes=0, backend=backend)
 
 

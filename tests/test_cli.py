@@ -150,6 +150,7 @@ def test_simulate_needs_grid_lists(tmp_path):
         ({"pairing": "round-robin", "budgets": [8, 36]}, "round-robin"),
         ({"populations": [4, 14]}, "out of range"),
         ({"lambda": 0}, "lambda"),
+        ({"lambda": True}, "lambda"),
         ({"budgets": 18}, "lists"),
         ({"pool_size": 1}, "pool_size"),
     ],
@@ -160,6 +161,7 @@ def test_simulate_needs_grid_lists(tmp_path):
         "round-robin-too-many-rounds",
         "population-above-pool",
         "zero-lambda",
+        "bool-lambda",
         "budgets-not-a-list",
         "pool-below-two",
     ],
@@ -303,6 +305,31 @@ def test_baseline_rejects_unknown_mode(tmp_path, problem_file):
     code, _, err = run_cli("baseline", "--config", str(config))
     assert code == 2
     assert "mode" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"n": 4.0}, "n must be an integer"),
+        ({"rounds": 1.5}, "rounds must be an integer"),
+        ({"votes": "3"}, "votes must be an integer"),
+        ({"n": -2}, "n must be an integer of at least 1"),
+        ({"votes": 0}, "votes must be an integer of at least 1"),
+    ],
+    ids=["float-n", "fractional-rounds", "string-votes", "negative-n", "zero-votes"],
+)
+def test_baseline_bad_count_is_a_config_error(tmp_path, problem_file, change, message):
+    config = write_config(
+        tmp_path, "base.yaml",
+        {"problem": str(problem_file), "mode": "self-refine", "n": 4, "votes": 3, "rounds": 1, "seed": 8, **change},
+    )
+    out = tmp_path / "baseline.json"
+    code, _, err = run_cli("baseline", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert message in error["message"]
+    assert not out.exists()
 
 
 def test_exit_codes_and_single_line_errors(tmp_path, problem_file):

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from btevolve import pipeline
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
 from btevolve.btrank import TIE
 from btevolve.errors import BackendError, ConfigError, ReplayError
@@ -16,6 +17,7 @@ from btevolve.pipeline import (
     TaskPool,
     compute_budget,
     derive_seed,
+    derive_seeds,
     replay,
     run_pipeline,
 )
@@ -39,6 +41,66 @@ def test_derive_seed_purpose_paths_distinct():
         for idx in range(10)
     }
     assert len(seeds) == 4 * 6 * 10
+
+
+def _scalar_seeds(root, *path, indices):
+    return [derive_seed(root, *path, i) for i in indices]
+
+
+def test_derive_seeds_matches_derive_seed_for_random_roots():
+    rng = np.random.default_rng(17)
+    small = [int(r) for r in rng.integers(0, 2**31, size=6)]
+    large = [int(r) for r in rng.integers(2**32, 2**63, size=6)] + [int(r) << 40 for r in small]
+    for root in small + large:
+        path = (int(rng.integers(0, 5)), int(rng.integers(0, 6)))
+        indices = [int(i) for i in rng.integers(0, 500, size=int(rng.integers(1, 40)))]
+        seeds = derive_seeds(root, *path, indices=indices)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == _scalar_seeds(root, *path, indices=indices)
+
+
+@pytest.mark.parametrize("root", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize(
+    "path",
+    [(), (3,), (1, 2), (2**32, 5), (0, 2**64 - 1), (4, 2**32 - 1, 7), (1, 2, 3, 4, 5)],
+)
+def test_derive_seeds_matches_derive_seed_at_edges(root, path):
+    for indices in ([0, 2**32 - 1], [9, 2, 40, 2, 0], range(3, 30, 4), []):
+        assert derive_seeds(root, *path, indices=indices).tolist() == _scalar_seeds(root, *path, indices=indices)
+
+
+@pytest.mark.parametrize(
+    "root, path, indices",
+    [(-1, (0, 0), [0]), (5, (0, -2), [0]), (5, (0, 0), [3, -1]), (5, (0, 0), [2**32])],
+)
+def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
+    with pytest.raises(ValueError):
+        derive_seeds(root, *path, indices=indices)
+    if min(root, *path, *indices) < 0:  # SeedSequence rejects a negative element too
+        with pytest.raises(ValueError):
+            derive_seed(root, *path, *indices)
+
+
+def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
+    # the hot path stays batched: scalar derivations are one pairing seed per
+    # compared generation, batched ones are sampling, then order + judge +
+    # mutation per generation, then order + judge for the final round
+    calls = {"scalar": 0, "batched": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "derive_seed", counted("scalar", pipeline.derive_seed))
+    monkeypatch.setattr(pipeline, "derive_seeds", counted("batched", pipeline.derive_seeds))
+    config = RunConfig(problem="toy problem")
+    _, trace = run_pipeline(config)
+    t = config.generations
+    assert trace.records_of_kind("summary")[0]["payload"]["retry_calls"] == 0
+    assert calls == {"scalar": t + 1, "batched": 1 + 3 * t + 2}
 
 
 def test_budget_formula():
