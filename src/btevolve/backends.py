@@ -206,6 +206,29 @@ def judge_outcome(theta_a: float, theta_b: float, world: SyntheticWorldConfig, r
     return "A" if (rng.random() < world.judge_accuracy) == better_a else "B"
 
 
+# the synthetic judge's reply for each verdict, built once
+_JUDGE_REPLIES = {
+    winner: json.dumps({"feedback_a": feedback_a, "feedback_b": feedback_b, "winner": winner})
+    for winner, feedback_a, feedback_b in (
+        (
+            "A",
+            "Solution A handles the decisive cases more convincingly.",
+            "Solution B looks more fragile than Solution A on edge inputs.",
+        ),
+        (
+            "B",
+            "Solution A looks more fragile than Solution B on edge inputs.",
+            "Solution B handles the decisive cases more convincingly.",
+        ),
+        (
+            "TIE",
+            "Solution A and Solution B appear equally likely to be Accepted.",
+            "Solution A and Solution B appear equally likely to be Accepted.",
+        ),
+    )
+}
+
+
 class SyntheticBackend:
     """Deterministic test double dispatching on the prompt's structure."""
 
@@ -234,17 +257,7 @@ class SyntheticBackend:
         b_start = prompt.index("## Solution B")
         theta_a = parse_theta(prompt[a_start:b_start])
         theta_b = parse_theta(prompt[b_start:])
-        winner = judge_outcome(theta_a, theta_b, self.world, np.random.default_rng(seed))
-        if winner == "A":
-            feedback_a = "Solution A handles the decisive cases more convincingly."
-            feedback_b = "Solution B looks more fragile than Solution A on edge inputs."
-        elif winner == "B":
-            feedback_a = "Solution A looks more fragile than Solution B on edge inputs."
-            feedback_b = "Solution B handles the decisive cases more convincingly."
-        else:
-            feedback_a = "Solution A and Solution B appear equally likely to be Accepted."
-            feedback_b = "Solution A and Solution B appear equally likely to be Accepted."
-        return json.dumps({"feedback_a": feedback_a, "feedback_b": feedback_b, "winner": winner})
+        return _JUDGE_REPLIES[judge_outcome(theta_a, theta_b, self.world, np.random.default_rng(seed))]
 
     def _pointwise(self, prompt: str, seed: int) -> str:
         theta = parse_theta(prompt[prompt.index("## Solution") :])

@@ -154,7 +154,8 @@ class LabeledPair:
 
 
 def load_pairs(path: str | Path) -> list[LabeledPair]:
-    """JSON lines with fields problem, accepted, rejected; bad lines are skipped."""
+    """JSON lines with string fields problem, accepted, rejected, the two
+    solutions non-empty; other lines are skipped."""
     pairs = []
     skipped = 0
     with open(path, encoding="utf-8") as handle:
@@ -163,8 +164,12 @@ def load_pairs(path: str | Path) -> list[LabeledPair]:
                 continue
             try:
                 row = json.loads(line)
-                pairs.append(LabeledPair(row["problem"], row["accepted"], row["rejected"]))
+                texts = (row["problem"], row["accepted"], row["rejected"])
             except (ValueError, KeyError, TypeError):
+                texts = None
+            if texts and all(isinstance(text, str) for text in texts) and texts[1] and texts[2]:
+                pairs.append(LabeledPair(*texts))
+            else:
                 skipped += 1
     if skipped:
         logger.warning("skipped %d malformed pair lines", skipped)

@@ -87,9 +87,16 @@ def _backend_spec(section, override: str | None) -> tuple[str, dict]:
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
-def _run_config(config: dict, problem_text: str, args) -> RunConfig:
-    backend_kind, backend_options = _backend_spec(config.get("backend"), args.backend)
+def _seed_of(config: dict, args) -> int:
+    """--seed, else the config's seed (default 0); a non-negative integer."""
     seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
+    backend_kind, backend_options = _backend_spec(config.get("backend"), args.backend)
     k = config.get("k", 4)
     return RunConfig(
         problem=problem_text,
@@ -127,11 +134,11 @@ def _cmd_run(args) -> int:
     else:
         problems = [problem_path]
 
-    base_seed = args.seed if args.seed is not None else config.get("seed", 0)
+    base_seed = _seed_of(config, args)
     results = []
     for index, path in enumerate(problems):
         problem_text = path.read_text(encoding="utf-8")
-        run_config = _run_config(config, problem_text, args)
+        run_config = _run_config(config, problem_text, base_seed, args)
         if len(problems) > 1:
             # isolated per-problem stream derived from the batch seed
             run_config = replace(run_config, seed=derive_seed(base_seed, index))
@@ -163,7 +170,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config, _SIMULATE_KEYS)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed_of(config, args)
     trials = config.get("trials", 500)
     lam = config.get("lambda", 0.01)
     pairing = config.get("pairing", scaling.PAIRING_RANDOM)
@@ -201,7 +208,7 @@ def _cmd_elo(args) -> int:
     config = _load_config(args.config, _ELO_KEYS)
     if "outcomes" not in config:
         raise ConfigError("elo config needs an outcomes file")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed_of(config, args)
     bounds = tuple(config.get("bounds", list(elo.DEFAULT_BOUNDS)))
     if len(bounds) != 2:
         raise ConfigError("bounds must be [low, high]")
@@ -233,11 +240,22 @@ def _cmd_diagnose(args) -> int:
     config = _load_config(args.config, _DIAGNOSE_KEYS)
     if "pairs" not in config:
         raise ConfigError("diagnose config needs a pairs file")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed_of(config, args)
     pairs = baselines.load_pairs(config["pairs"])
     if not pairs:
         raise ConfigError(f"no usable pairs in {config['pairs']}")
     backend = _diagnostic_backend(config, args)
+    if isinstance(backend, SyntheticBackend):
+        # the synthetic judge reads each text's latent quality from its theta= marker
+        for p, pair in enumerate(pairs):
+            for side in ("accepted", "rejected"):
+                try:
+                    parse_theta(getattr(pair, side))
+                except ValueError:
+                    raise ConfigError(
+                        f"pair {p} in {config['pairs']}: {side} text has no theta= marker, "
+                        "which the synthetic backend needs"
+                    ) from None
     report = baselines.judge_diagnostic(pairs, backend, seed=seed, parallelism=args.parallelism)
     out_path = Path(args.out or "diagnostic.json")
     _write_json(out_path, {**report.to_dict(), "config": {**config, "seed": seed}})
@@ -256,7 +274,7 @@ def _cmd_baseline(args) -> int:
     if "problem" not in config:
         raise ConfigError("baseline config needs a problem path")
     problem = Path(config["problem"]).read_text(encoding="utf-8")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    seed = _seed_of(config, args)
     n = config.get("n", 20)
     votes = config.get("votes", 14 if mode == "pointwise" else 8)
     rounds = config.get("rounds", 6)

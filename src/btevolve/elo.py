@@ -4,8 +4,8 @@ A model with rating R solves a problem of rating R_p with probability
 1 / (1 + 10^((R_p - R) / 400)).  The rating estimate is the MAP under a
 Gaussian prior within a bounded interval, found by a bracketed Newton solve
 on the log posterior's derivative; uncertainty comes from a seeded bootstrap
-over problems with percentile confidence bounds, every resample solved in
-the same vectorised pass.
+over problems with percentile confidence bounds, the resamples solved in
+vectorised blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ DEFAULT_PRIOR_MEAN = 3100.0
 DEFAULT_PRIOR_STD = 500.0
 DEFAULT_BOUNDS = (1000.0, 5000.0)
 DEFAULT_RESAMPLES = 1000
+# (resamples, problems) elements per bootstrap block: each block's arrays
+# stay at 64 KB, where one whole-bootstrap pass at the defaults made
+# megabyte temporaries whose page faults came and went with the heap layout
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -178,10 +182,14 @@ def bootstrap_ci(
     _check_prior(prior_mean, prior_std, bounds)
     ratings, wins, trials = _outcome_arrays(outcomes)
     count = len(ratings)
-    # one draw for every resample: the same stream as one integers(0, count, count) call per resample
-    picks = np.random.default_rng(seed).integers(0, count, size=(resamples, count))
-    estimates = _map_rows(ratings[picks], wins[picks], trials[picks], prior_mean, prior_std, bounds)
-    low, high = np.percentile(estimates, [2.5, 97.5], method="linear")
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ELEMENTS // count)
+    estimates = []
+    for start in range(0, resamples, rows):
+        # one draw per block: the same stream as one integers(0, count, count) call per resample
+        picks = rng.integers(0, count, size=(min(rows, resamples - start), count))
+        estimates.append(_map_rows(ratings[picks], wins[picks], trials[picks], prior_mean, prior_std, bounds))
+    low, high = np.percentile(np.concatenate(estimates), [2.5, 97.5], method="linear")
     return float(low), float(high)
 
 

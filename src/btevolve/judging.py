@@ -73,12 +73,19 @@ def render_comparison_prompt(
     right: "Candidate",
     seed: int,
     template: str = prompts.COMPARISON_TEMPLATE,
+    *,
+    left_first: bool | None = None,
 ) -> ComparisonTask:
-    """Render the comparison prompt with a seed-determined presentation order."""
+    """Render the comparison prompt with a seed-determined presentation order.
+
+    Left goes first iff default_rng(seed).random() < 0.5; a caller that has
+    already drawn that order (pipeline.seed_uniforms does it for a whole
+    round) passes it as `left_first`.
+    """
     if not left.content or not right.content:
         raise ValueError("both candidates must have non-empty content")
-    rng = np.random.default_rng(seed)
-    left_first = bool(rng.random() < 0.5)
+    if left_first is None:
+        left_first = bool(np.random.default_rng(seed).random() < 0.5)
     first, second = (left, right) if left_first else (right, left)
     text = prompts.render(template, problem=problem, code_a=first.content, code_b=second.content)
     return ComparisonTask(

@@ -13,9 +13,11 @@ Seed discipline: every randomized step uses a child seed derived from
 result depends on scheduling order; traces are byte-identical across
 parallelism limits.  Batch sites (sampling, each pair's order and judge
 seeds, mutations) derive all their seeds up front in one `derive_seeds`
-pass, bit-identical to calling `derive_seed` per index.  Rounds are
-numbered 1..t for the evolution rounds and t+1 for the final comparison
-round.
+pass, bit-identical to calling `derive_seed` per index, and each
+comparison round draws every pair's presentation order from its order
+seed in one `seed_uniforms` pass, bit-identical to
+`default_rng(order_seed).random()` per pair.  Rounds are numbered 1..t
+for the evolution rounds and t+1 for the final comparison round.
 
 The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
@@ -82,7 +84,7 @@ def derive_seed(root: int, *path: int) -> int:
     return int(np.random.SeedSequence([root, *path]).generate_state(1, np.uint64)[0])
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), replayed by derive_seeds
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), replayed by _seed_state
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -128,22 +130,16 @@ def _entropy_words(value) -> list[int]:
     return words
 
 
-def derive_seeds(root: int, *path: int, indices) -> np.ndarray:
-    """derive_seed(root, *path, i) for every i in `indices`, bit for bit, as uint64.
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(n_words, uint32) for every column
+    of a (words, rows) uint32 entropy array, as an (n_words, rows) array.
 
-    One numpy pass replays SeedSequence's entropy mixing and
-    generate_state(1, uint64) on a (words, rows) uint32 array, with the
-    four pool lanes stacked so a batch costs a few dozen ufunc calls.  Each
-    index must be below 2**32, so that every row's entropy has the same
-    length.
+    Replays the entropy mixing on all rows at once, with the four pool lanes
+    stacked so a batch costs a few dozen ufunc calls.  Every row's entropy
+    has the same length; zero words past the end of an entropy shorter than
+    the pool change nothing, as SeedSequence hashes zeros there.
     """
-    prefix = [word for value in (root, *path) for word in _entropy_words(value)]
-    index = [operator.index(i) for i in indices]
-    if index and not (min(index) >= 0 and max(index) <= _MASK32):
-        raise ValueError("seed indices must lie in [0, 2**32)")
-    entropy = np.empty((len(prefix) + 1, len(index)), dtype=np.uint32)
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    entropy[-1] = index
+    rows = entropy.shape[1]
     # mixing calls hashmix 4 times to fill the pool, 12 times to mix it and 4
     # times per entropy word past the pool; call c uses constants c and c + 1
     calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, len(entropy) - _POOL_SIZE)
@@ -151,7 +147,7 @@ def derive_seeds(root: int, *path: int, indices) -> np.ndarray:
 
     with np.errstate(over="ignore"):
         # fill the pool with the first words, hashing zeros past the end of the entropy
-        pool = np.zeros((_POOL_SIZE, len(index)), dtype=np.uint32)
+        pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
         pool[: len(entropy)] = entropy[:_POOL_SIZE]
         pool = _hashmix(pool, consts[: _POOL_SIZE + 1])
         # every lane mixes into every other lane; a source lane is not
@@ -165,9 +161,62 @@ def derive_seeds(root: int, *path: int, indices) -> np.ndarray:
         for word in entropy[_POOL_SIZE:]:
             pool = _mix(pool, _hashmix(word, consts[call : call + _POOL_SIZE + 1]))
             call += _POOL_SIZE
-        # generate_state(1, uint64) hashes the first two lanes, low word first
-        low, high = _hashmix(pool[:2], _hash_chain(_INIT_B, _MULT_B, 3))
-    return high.astype(np.uint64) << np.uint64(32) | low
+        # generate_state hashes the pool lanes in turn, cycling past the fourth
+        lanes = pool[np.arange(n_words) % _POOL_SIZE]
+        return _hashmix(lanes, _hash_chain(_INIT_B, _MULT_B, n_words + 1))
+
+
+def _uint64_words(state: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 state rows read as uint64 rows, low word first."""
+    return state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]
+
+
+def derive_seeds(root: int, *path: int, indices) -> np.ndarray:
+    """derive_seed(root, *path, i) for every i in `indices`, bit for bit, as uint64.
+
+    One `_seed_state` pass over every index; each index must be below
+    2**32, so that every row's entropy has the same length.
+    """
+    prefix = [word for value in (root, *path) for word in _entropy_words(value)]
+    index = [operator.index(i) for i in indices]
+    if index and not (min(index) >= 0 and max(index) <= _MASK32):
+        raise ValueError("seed indices must lie in [0, 2**32)")
+    entropy = np.empty((len(prefix) + 1, len(index)), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-1] = index
+    return _uint64_words(_seed_state(entropy, 2))[0]
+
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def seed_uniforms(seeds) -> np.ndarray:
+    """np.random.default_rng(s).random() for every seed in `seeds`, bit for bit.
+
+    One `_seed_state` pass draws each seed's generate_state(4, uint64), the
+    words PCG64 seeds from.  Every seed enters as two entropy words: a zero
+    high word below 2**32 changes nothing, as SeedSequence hashes zeros
+    past the end of its entropy.  PCG64's seeding (two LCG steps) and its
+    first step and XSL-RR output then run on Python ints, and the top 53
+    bits give the double.  Seeds must lie in [0, 2**64).
+    """
+    values = [operator.index(s) for s in seeds]
+    if values and not (min(values) >= 0 and max(values) <= _MASK64):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    entropy = np.array([[v & _MASK32 for v in values], [v >> 32 for v in values]], dtype=np.uint32)
+    words = _uint64_words(_seed_state(entropy, 8)).tolist()
+    out = []
+    for high, low, inc_high, inc_low in zip(*words):
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        # seeding: state = inc, state = (state + seed) * M + inc; then the draw's own step
+        state = (((inc + (high << 64 | low)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
+        folded = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        out.append(((folded >> rot | folded << (64 - rot)) & _MASK64) >> 11)
+    return np.array(out, dtype=np.float64) * 2.0**-53
 
 
 def compute_budget(n: int, k: int, t: int, m: int) -> int:
@@ -299,8 +348,11 @@ class RunTrace:
         return [record for record in self.records if record["kind"] == kind]
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 class TaskPool:
@@ -364,15 +416,19 @@ def _judge_pair(
     round_no: int,
     pair_index: int,
     order_seed: int,
+    left_first: bool,
     judge_seed: int,
 ) -> tuple[Judgment, int]:
     """One comparison with presentation randomization and parse-retry-then-tie.
 
     `order_seed` and `judge_seed` are the pair's (round, order) and (round,
-    judge) child seeds; retry seeds are derived here, as retries are rare.
-    Returns the canonical judgment plus how many retry calls were spent.
+    judge) child seeds, and `left_first` the order drawn from `order_seed`;
+    retry seeds are derived here, as retries are rare.  Returns the
+    canonical judgment plus how many retry calls were spent.
     """
-    task = render_comparison_prompt(config.problem, left, right, order_seed, template=config.templates.comparison)
+    task = render_comparison_prompt(
+        config.problem, left, right, order_seed, template=config.templates.comparison, left_first=left_first
+    )
     retries_used = 0
     for attempt in range(config.parse_retries + 1):
         if attempt == 0:
@@ -500,11 +556,12 @@ def run_pipeline(
         plan = sample_pairing(n, degree, derive_seed(config.seed, round_no, _P_PAIRING, 0))
         pair_indices = range(len(plan.pairs))
         order_seeds = derive_seeds(config.seed, round_no, _P_ORDER, indices=pair_indices).tolist()
+        left_first = (seed_uniforms(order_seeds) < 0.5).tolist()
         judge_seeds = derive_seeds(config.seed, round_no, _P_JUDGE, indices=pair_indices).tolist()
         tasks = [
             (
                 lambda p=p, i=i, j=j, r=round_no: _judge_pair(
-                    backend, config, members[i], members[j], r, p, order_seeds[p], judge_seeds[p]
+                    backend, config, members[i], members[j], r, p, order_seeds[p], left_first[p], judge_seeds[p]
                 )
             )
             for p, (i, j) in enumerate(plan.pairs)
@@ -554,10 +611,15 @@ def run_pipeline(
             trace.flush()
 
             mutation_seeds = derive_seeds(config.seed, t, _P_MUTATE, indices=survivors).tolist()
+            # each member's judgments, left and right sides, in judging order
+            judged = {member.id: [] for member in state.members}
+            for judgment in state.judgments:
+                judged[judgment.left_id].append(judgment)
+                judged[judgment.right_id].append(judgment)
 
             def mutate_task(i: int, seed: int, gen: int = t, source: GenerationState = state):
                 member = source.members[i]
-                feedback = aggregate_feedback(member.id, source.judgments, config.feedback_strategy)
+                feedback = aggregate_feedback(member.id, judged[member.id], config.feedback_strategy)
                 prompt = render_mutation_prompt(
                     config.problem,
                     member,

@@ -134,14 +134,15 @@ def test_self_refine_rounds_are_sequential():
 def test_load_pairs_skips_malformed(tmp_path, caplog):
     path = tmp_path / "pairs.jsonl"
     good = {"problem": "p", "accepted": "a", "rejected": "r"}
+    bad = [{"problem": "p"}, {**good, "accepted": 5}, {**good, "rejected": ""}, ["p", "a", "r"]]
     path.write_text(
-        json.dumps(good) + "\n" + "{broken\n" + json.dumps({"problem": "p"}) + "\n\n",
+        json.dumps(good) + "\n" + "{broken\n" + "".join(json.dumps(row) + "\n" for row in bad) + "\n",
         encoding="utf-8",
     )
     with caplog.at_level("WARNING"):
         pairs = load_pairs(path)
     assert pairs == [LabeledPair("p", "a", "r")]
-    assert "skipped 2" in caplog.text
+    assert "skipped 5" in caplog.text
 
 
 def synthetic_pairs(count, gap=1.6, seed=0):

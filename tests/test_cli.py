@@ -470,3 +470,77 @@ def test_feedback_strategy_shorthand_and_mapping(tmp_path, problem_file):
     assert run_cli("run", "--config", str(config), "--out", str(out))[0] == 0
     echo = json.loads((out / "problem.selection.json").read_text())["config"]
     assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 2}
+
+
+def _seed_case_config(tmp_path, problem_file, command):
+    """A config that `command` runs to exit 0 on the synthetic backend, seed aside."""
+    if command == "baseline":
+        return {"problem": str(problem_file), "mode": "pointwise", "n": 4, "votes": 1}
+    if command == "diagnose":
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(
+            json.dumps({"problem": "p", "accepted": format_candidate(2.0), "rejected": format_candidate(0.0)}) + "\n",
+            encoding="utf-8",
+        )
+        return {"pairs": str(pairs)}
+    return {"pool_size": 12, "budgets": [18], "populations": [4], "trials": 2}
+
+
+@pytest.mark.parametrize(
+    ("command", "config_seed", "flag_seed"),
+    [
+        ("baseline", 1.5, None),
+        ("baseline", None, "-1"),
+        ("diagnose", -3, None),
+        ("diagnose", "7", None),
+        ("simulate", -1, None),
+        ("simulate", 2.5, None),
+    ],
+    ids=[
+        "baseline-fractional",
+        "baseline-flag-negative",
+        "diagnose-negative",
+        "diagnose-string",
+        "simulate-negative",
+        "simulate-fractional",
+    ],
+)
+def test_bad_seed_is_a_config_error(tmp_path, problem_file, command, config_seed, flag_seed):
+    payload = _seed_case_config(tmp_path, problem_file, command)
+    if config_seed is not None:
+        payload["seed"] = config_seed
+    config = write_config(tmp_path, "cfg.yaml", payload)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "seed must be a non-negative integer" in error["message"]
+    assert not out.exists()
+    # the same config with a good seed runs
+    payload["seed"] = 4
+    write_config(tmp_path, "cfg.yaml", payload)
+    assert run_cli(command, "--config", str(config), "--out", str(out))[0] == 0
+
+
+@pytest.mark.parametrize("side", ["accepted", "rejected"])
+def test_diagnose_synthetic_needs_theta_markers(tmp_path, side):
+    pairs = tmp_path / "pairs.jsonl"
+    rows = [
+        {"problem": f"p{i}", "accepted": format_candidate(2.0), "rejected": format_candidate(0.0)}
+        for i in range(4)
+    ]
+    rows[2][side] = "THETA: 2.0"
+    rows[3][side] = "no marker either"
+    pairs.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = write_config(tmp_path, "diag.yaml", {"pairs": str(pairs), "seed": 1})
+    out = tmp_path / "diag.json"
+    code, _, err = run_cli("diagnose", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"pair 2 in {pairs}: {side} text has no theta= marker")
+    assert not out.exists()

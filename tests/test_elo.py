@@ -170,6 +170,18 @@ def test_bootstrap_matches_a_loop_over_resamples():
     assert bootstrap_ci(outcomes, resamples=200, seed=8) == pytest.approx((low, high), abs=1e-6)
 
 
+def test_blocked_bootstrap_equals_one_pass_over_all_resamples():
+    # 73 problems split 1000 resamples into blocks of 112 and a last one of 104
+    outcomes = make_dataset(5, problems=73)
+    ratings = np.array([o.problem_rating for o in outcomes])
+    wins = np.array([o.successes for o in outcomes], dtype=np.float64)
+    trials = np.array([o.trials for o in outcomes], dtype=np.float64)
+    picks = np.random.default_rng(12).integers(0, 73, size=(1000, 73))
+    maps = _map_rows(ratings[picks], wins[picks], trials[picks], 3100.0, 500.0, (1000.0, 5000.0))
+    low, high = np.percentile(maps, [2.5, 97.5], method="linear")
+    assert bootstrap_ci(outcomes, 3100.0, 500.0, (1000.0, 5000.0), resamples=1000, seed=12) == (low, high)
+
+
 def test_rating_solve_converges_within_twenty_newton_steps():
     # the benchmark's shape: 73 Bernoulli outcomes over a wide rating range, 1000 resamples
     rng = np.random.default_rng(73)

@@ -126,6 +126,17 @@ def test_presentation_order_is_balanced():
     assert 0.45 <= first_left / 1000 <= 0.55
 
 
+def test_given_order_replaces_the_seed_draw():
+    left = sampled("L", "l")
+    right = sampled("R", "r")
+    for seed in range(20):
+        drawn = render_comparison_prompt("p", left, right, seed=seed)
+        left_first = drawn.presented_first == "L"
+        assert render_comparison_prompt("p", left, right, seed=seed, left_first=left_first) == drawn
+        flipped = render_comparison_prompt("p", left, right, seed=seed, left_first=not left_first)
+        assert flipped.presented_first != drawn.presented_first
+
+
 def test_canonicalize_all_orientations():
     # (presented_first, winner) -> expected outcome
     cases = [

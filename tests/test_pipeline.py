@@ -20,6 +20,7 @@ from btevolve.pipeline import (
     derive_seeds,
     replay,
     run_pipeline,
+    seed_uniforms,
 )
 from btevolve.population import FeedbackStrategy
 from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
@@ -101,6 +102,40 @@ def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
     t = config.generations
     assert trace.records_of_kind("summary")[0]["payload"]["retry_calls"] == 0
     assert calls == {"scalar": t + 1, "batched": 1 + 3 * t + 2}
+
+
+def test_seed_uniforms_matches_default_rng():
+    rng = np.random.default_rng(23)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += [int(s) for s in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
+    seeds += [int(s) for s in rng.integers(0, 2**32, size=200)]
+    uniforms = seed_uniforms(seeds)
+    assert uniforms.dtype == np.float64
+    assert uniforms.tolist() == [np.random.default_rng(s).random() for s in seeds]
+    batch = derive_seeds(9, 2, 2, indices=range(50))  # uint64 input, as the pipeline draws it
+    assert seed_uniforms(batch).tolist() == [np.random.default_rng(s).random() for s in batch.tolist()]
+    assert seed_uniforms([]).tolist() == []
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, 2**64], [2**70, 5]])
+def test_seed_uniforms_rejects_out_of_range_seeds(seeds):
+    with pytest.raises(ValueError):
+        seed_uniforms(seeds)
+
+
+def test_run_draws_presentation_orders_once_per_round(monkeypatch):
+    # one seed_uniforms call per comparison round: T evolution rounds plus the final round
+    calls = []
+
+    def counted(seeds):
+        calls.append(len(seeds))
+        return seed_uniforms(seeds)
+
+    monkeypatch.setattr(pipeline, "seed_uniforms", counted)
+    config = RunConfig(problem="toy problem")
+    run_pipeline(config)
+    n, t = config.n, config.generations
+    assert calls == [n * config.k // 2] * t + [n * config.final_k // 2]
 
 
 def test_budget_formula():
