@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -93,6 +94,16 @@ def _seed_of(config: dict, args) -> int:
     if not is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
+
+
+def _is_finite_number(value) -> bool:
+    """A finite int or float from a config; bools do not count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
@@ -209,18 +220,21 @@ def _cmd_elo(args) -> int:
     if "outcomes" not in config:
         raise ConfigError("elo config needs an outcomes file")
     seed = _seed_of(config, args)
-    bounds = tuple(config.get("bounds", list(elo.DEFAULT_BOUNDS)))
-    if len(bounds) != 2:
-        raise ConfigError("bounds must be [low, high]")
+    prior_mean = config.get("prior_mean", elo.DEFAULT_PRIOR_MEAN)
+    prior_std = config.get("prior_std", elo.DEFAULT_PRIOR_STD)
+    bounds = config.get("bounds", list(elo.DEFAULT_BOUNDS))
+    resamples = config.get("resamples", elo.DEFAULT_RESAMPLES)
+    for name, value in (("prior_mean", prior_mean), ("prior_std", prior_std)):
+        if not _is_finite_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not (isinstance(bounds, list) and len(bounds) == 2 and all(_is_finite_number(b) for b in bounds)):
+        raise ConfigError(f"bounds must be [low, high], two finite numbers, got {bounds!r}")
+    if not is_int(resamples) or resamples < 1:
+        raise ConfigError(f"resamples must be an integer of at least 1, got {resamples!r}")
     try:
         outcomes = elo.load_outcomes(config["outcomes"])
         result = elo.estimate(
-            outcomes,
-            prior_mean=config.get("prior_mean", elo.DEFAULT_PRIOR_MEAN),
-            prior_std=config.get("prior_std", elo.DEFAULT_PRIOR_STD),
-            bounds=bounds,
-            resamples=config.get("resamples", elo.DEFAULT_RESAMPLES),
-            seed=seed,
+            outcomes, prior_mean=prior_mean, prior_std=prior_std, bounds=tuple(bounds), resamples=resamples, seed=seed
         )
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad outcomes data: {exc}") from exc

@@ -211,7 +211,7 @@ def load_outcomes(path: str | Path) -> list[ProblemOutcome]:
 
     CSV needs a header with `problem_rating` plus either `solved` (true/false)
     or `successes` and `trials`.  JSONL uses the same field names, one object
-    per line.
+    per line; a line that is not an object raises ValueError.
     """
     path = Path(path)
     rows: list[dict]
@@ -219,8 +219,15 @@ def load_outcomes(path: str | Path) -> list[ProblemOutcome]:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
     else:
+        rows = []
         with open(path, encoding="utf-8") as handle:
-            rows = [json.loads(line) for line in handle if line.strip()]
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError(f"line {number} of {path} is not a JSON object")
+                rows.append(row)
     outcomes = []
     for row in rows:
         rating = float(row["problem_rating"])

@@ -7,9 +7,11 @@ budget on m = floor(2(B - n)/n) rounds of pairwise comparisons by looking
 outcomes up in the matrix, fits scores, and checks whether the top-ranked
 candidate is labeled accepted.
 
-A cell's trials are drawn one by one from their own seeds, then fitted
-together: every trial is one row of a single btrank.fit_bt_rows solve, which
-fits each row exactly as fit_bt fits it alone.
+Every trial is drawn from its own seed, then fitted as one row of a
+btrank.fit_bt_rows solve, which fits each row exactly as fit_bt fits it
+alone.  A grid fits the feasible cells of one population together, in budget
+order, up to _STACK_ROWS rows per solve; cells of different populations are
+never stacked, since a padded population would change the bits of the fit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ _REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
 
 PAIRING_RANDOM = "random"
 PAIRING_ROUND_ROBIN = "round-robin"
+
+# most rows one stacked fit takes: a Newton step costs a fixed ~100 us of numpy
+# calls whatever the stack height, which a taller stack shares out, but past
+# ~64 rows the per-row Hessians and edge arrays outgrow the cache, and stacking
+# whole 500-trial cells was measured ~10% slower than fitting them one by one
+_STACK_ROWS = 64
 
 
 def _pair_order(pool_size: int):
@@ -157,6 +165,61 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
                     )
 
 
+def _draw_trial(pool_size: int, seed: int, budget: int, n: int, trial: int, lineups: np.ndarray | None):
+    """One trial's sorted sample of n pool indices and, given `lineups` (m rows
+    of 0..n-1), its m random perfect matchings as (m*n/2, 2) local pairs."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
+    sample = np.sort(rng.permutation(pool_size)[:n])
+    if lineups is None:
+        return sample, None
+    # one shuffle per row draws the same stream as one permutation(n) per round
+    return sample, rng.permuted(lineups, axis=1).reshape(-1, 2)
+
+
+def _simulate_stack(
+    matrix: JudgmentMatrix, budgets: list, n: int, trials: int, seed: int, lam: float, pairing: str
+) -> list[SimCell]:
+    """Simulate feasible cells of one population n, all fitted in one fit_bt_rows solve.
+
+    Row c*trials + t is trial t of budgets[c].  A cell with fewer rounds than
+    the widest fills its rows' tail with (0, 0) pairs, whose matrix weight
+    wins[x, x] is 0, so the solver drops them as padding.
+    """
+    rounds = [(2 * (budget - n)) // n for budget in budgets]
+    rows = len(budgets) * trials
+    samples = np.empty((rows, n), dtype=np.intp)
+    # pairs[r, p] is row r's p-th compared pair (local indices), round by round
+    pairs = np.empty((rows, max(rounds) * n // 2, 2), dtype=np.intp)
+    for c, (budget, m) in enumerate(zip(budgets, rounds)):
+        width = m * n // 2
+        block = pairs[c * trials : (c + 1) * trials]
+        block[:, width:] = 0
+        lineups = None
+        if pairing == PAIRING_RANDOM:
+            lineups = np.tile(np.arange(n), (m, 1))
+        else:
+            block[:, :width] = np.reshape(round_robin_schedule(n)[:m], (-1, 2))
+        for trial in range(trials):
+            samples[c * trials + trial], drawn = _draw_trial(matrix.pool_size, seed, budget, n, trial, lineups)
+            if drawn is not None:
+                block[trial, :width] = drawn
+
+    # each pair (a, b) becomes a win of a over b and one of b over a, weighted
+    # from the matrix; fit_bt_rows drops the zero weight of a decisive pair,
+    # leaving the entries fit_bt would build from the pair's record
+    row_index = np.arange(rows)
+    members = samples[row_index[:, None, None], pairs]
+    weights = matrix.wins[members, members[:, :, ::-1]].reshape(rows, -1)
+    scores, _, _ = fit_bt_rows(pairs.reshape(rows, -1), pairs[:, :, ::-1].reshape(rows, -1), weights, n, lam=lam)
+    labels = np.asarray(matrix.labels)
+    hits = labels[samples[row_index, top_candidates(scores)]].reshape(-1, trials).sum(axis=1)
+    with_accepted = labels[samples].any(axis=1).reshape(-1, trials).sum(axis=1)
+    return [
+        SimCell(budget, n, m, trials, int(h) / trials, True, int(h), int(a))
+        for budget, m, h, a in zip(budgets, rounds, hits, with_accepted)
+    ]
+
+
 def simulate_cell(
     matrix: JudgmentMatrix,
     budget: int,
@@ -180,32 +243,7 @@ def simulate_cell(
     m = (2 * (budget - n)) // n
     if m < 1:
         return SimCell(budget, n, m, trials, 0.0, False)
-
-    samples = np.empty((trials, n), dtype=np.intp)
-    # pairs[t, p] is trial t's p-th compared pair (local indices), round by round
-    if pairing == PAIRING_RANDOM:
-        pairs = np.empty((trials, m * n // 2, 2), dtype=np.intp)
-        lineups = np.tile(np.arange(n), (m, 1))
-    else:
-        pairs = np.broadcast_to(np.reshape(round_robin_schedule(n)[:m], (-1, 2)), (trials, m * n // 2, 2))
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
-        samples[trial] = np.sort(rng.permutation(matrix.pool_size)[:n])
-        if pairing == PAIRING_RANDOM:
-            # one shuffle per row draws the same stream as one permutation(n) per round
-            pairs[trial] = rng.permuted(lineups, axis=1).reshape(-1, 2)
-
-    # each pair (a, b) becomes a win of a over b and one of b over a, weighted
-    # from the matrix; fit_bt_rows drops the zero weight of a decisive pair,
-    # leaving the entries fit_bt would build from the pair's record
-    trial_index = np.arange(trials)
-    members = samples[trial_index[:, None, None], pairs]
-    weights = matrix.wins[members, members[:, :, ::-1]].reshape(trials, -1)
-    scores, _, _ = fit_bt_rows(pairs.reshape(trials, -1), pairs[:, :, ::-1].reshape(trials, -1), weights, n, lam=lam)
-    labels = np.asarray(matrix.labels)
-    hits = int(labels[samples[trial_index, top_candidates(scores)]].sum())
-    with_accepted = int(labels[samples].any(axis=1).sum())
-    return SimCell(budget, n, m, trials, hits / trials, True, hits, with_accepted)
+    return _simulate_stack(matrix, [budget], n, trials, seed, lam, pairing)[0]
 
 
 def sweep_grid(
@@ -220,14 +258,26 @@ def sweep_grid(
     """Simulate every (budget, population) combination, row-major by budget.
 
     The whole grid is checked before any cell runs: a cell that could not be
-    simulated raises ConfigError.
+    simulated raises ConfigError.  Each distinct cell is simulated once, with
+    the same result simulate_cell gives it: the feasible cells of one
+    population are fitted together, in budget order, _STACK_ROWS // trials
+    cells (at least one) per solve.
     """
     _check_grid(matrix.pool_size, budgets, populations, trials, lam, pairing)
-    return [
-        simulate_cell(matrix, budget, n, trials, seed, lam=lam, pairing=pairing)
-        for budget in budgets
-        for n in populations
-    ]
+    per_stack = max(1, _STACK_ROWS // trials)
+    cells = {}
+    for n in dict.fromkeys(populations):
+        feasible = []
+        for budget in dict.fromkeys(budgets):
+            m = (2 * (budget - n)) // n
+            if m < 1:
+                cells[budget, n] = SimCell(budget, n, m, trials, 0.0, False)
+            else:
+                feasible.append(budget)
+        for start in range(0, len(feasible), per_stack):
+            for cell in _simulate_stack(matrix, feasible[start : start + per_stack], n, trials, seed, lam, pairing):
+                cells[cell.budget, n] = cell
+    return [cells[budget, n] for budget in budgets for n in populations]
 
 
 def optimal_frontier(cells) -> list[SimCell]:
@@ -259,11 +309,10 @@ def load_matrix(path: str | Path) -> JudgmentMatrix:
     outcomes_list = payload["outcomes"]
     if len(outcomes_list) != len(pairs):
         raise ValueError(f"expected {len(pairs)} outcomes for pool of {pool_size}, got {len(outcomes_list)}")
-    return JudgmentMatrix(
-        pool_size=pool_size,
-        outcomes=dict(zip(pairs, outcomes_list)),
-        labels=tuple(bool(x) for x in payload["labels"]),
-    )
+    labels = payload["labels"]
+    if not all(isinstance(label, bool) for label in labels):
+        raise ValueError("matrix labels must be JSON booleans (true/false)")
+    return JudgmentMatrix(pool_size=pool_size, outcomes=dict(zip(pairs, outcomes_list)), labels=tuple(labels))
 
 
 def write_grid_csv(cells, path: str | Path, config_echo: dict | None = None) -> None:

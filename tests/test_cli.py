@@ -188,6 +188,19 @@ def test_simulate_bad_matrix_file_is_a_config_error(tmp_path):
     assert "label" in json.loads(err)["message"]
 
 
+def test_simulate_non_boolean_matrix_labels_are_a_config_error(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(
+        json.dumps({"pool_size": 3, "labels": ["false", "no", 0], "outcomes": ["tie"] * 3}), encoding="utf-8"
+    )
+    config = write_config(tmp_path, "sim.yaml", {"matrix": str(matrix), "budgets": [10], "populations": [2]})
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli("simulate", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "booleans" in json.loads(err)["message"]
+    assert not out.exists()
+
+
 def test_elo_symmetric_fixture(tmp_path):
     outcomes = tmp_path / "outcomes.csv"
     outcomes.write_text("problem_rating,solved\n3100,true\n3100,false\n", encoding="utf-8")
@@ -201,6 +214,55 @@ def test_elo_symmetric_fixture(tmp_path):
     assert payload["rating"] == pytest.approx(3100.0, abs=1e-3)
     assert payload["config"]["seed"] == 1
     assert "rating 3100.0" in stdout
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"bounds": ["a", "b"]}, "bounds"),
+        ({"bounds": 5}, "bounds"),
+        ({"bounds": [1000.0, float("inf")]}, "bounds"),
+        ({"prior_std": "500"}, "prior_std"),
+        ({"prior_mean": None}, "prior_mean"),
+        ({"prior_mean": True}, "prior_mean"),
+        ({"resamples": 1.5}, "resamples"),
+        ({"resamples": True}, "resamples"),
+        ({"resamples": 0}, "resamples"),
+    ],
+    ids=[
+        "string-bounds",
+        "scalar-bounds",
+        "infinite-bound",
+        "string-prior-std",
+        "null-prior-mean",
+        "bool-prior-mean",
+        "fractional-resamples",
+        "bool-resamples",
+        "zero-resamples",
+    ],
+)
+def test_elo_mistyped_value_is_a_config_error(tmp_path, change, message):
+    outcomes = tmp_path / "outcomes.csv"
+    outcomes.write_text("problem_rating,solved\n3100,true\n3100,false\n", encoding="utf-8")
+    config = write_config(tmp_path, "elo.yaml", {"outcomes": str(outcomes), "resamples": 50, "seed": 1, **change})
+    out = tmp_path / "elo.json"
+    code, _, err = run_cli("elo", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert message in error["message"]
+    assert not out.exists()
+
+
+def test_elo_non_object_jsonl_line_is_a_config_error(tmp_path):
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_text('{"problem_rating": 3100, "solved": true}\n\n[1, 2]\n', encoding="utf-8")
+    config = write_config(tmp_path, "elo.yaml", {"outcomes": str(outcomes), "resamples": 20})
+    code, _, err = run_cli("elo", "--config", str(config), "--out", str(tmp_path / "elo.json"))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "line 3" in error["message"]
 
 
 def test_diagnose_reports_and_echoes(tmp_path):

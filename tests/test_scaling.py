@@ -147,7 +147,7 @@ def test_sweep_grid_checks_every_cell_before_simulating(monkeypatch):
 
     matrix = generate_matrix(12, WORLD, seed=1)
     ran = []
-    monkeypatch.setattr(scaling, "simulate_cell", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(scaling, "_simulate_stack", lambda *args, **kwargs: ran.append(args))
     # the last population is odd: nothing may run before the grid is rejected
     with pytest.raises(ConfigError, match="even"):
         scaling.sweep_grid(matrix, [24, 48], [4, 6, 5], trials=3, seed=0)
@@ -205,23 +205,66 @@ def test_simulate_cell_frozen_values(mode, pairing):
     assert [(c.budget, c.n, c.m, c.top1_hits, c.trials_with_accepted) for c in cells] == FROZEN_CELLS[mode, pairing]
 
 
+def per_trial_cell(matrix, budget, n, trials, seed, pairing):
+    """(top1_hits, trials_with_accepted) by the documented per-trial scheme,
+    fitted one trial at a time through records."""
+    m = 2 * (budget - n) // n
+    hits = with_accepted = 0
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
+        sample = np.sort(rng.permutation(matrix.pool_size)[:n])
+        if pairing == "random":
+            rounds = [[(int(p[2 * i]), int(p[2 * i + 1])) for i in range(n // 2)] for p in (rng.permutation(n) for _ in range(m))]
+        else:
+            rounds = round_robin_schedule(n)[:m]
+        records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for pairs in rounds for a, b in pairs]
+        hits += matrix.labels[int(sample[rank(fit_bt(records, n))[0]])]
+        with_accepted += any(matrix.labels[int(i)] for i in sample)
+    return hits, with_accepted
+
+
 def test_simulate_cell_matches_per_trial_fits():
-    # the documented per-trial scheme, fitted one trial at a time through records
     matrix = generate_matrix(20, WORLD, seed=8)
     for pairing, budget, n in (("random", 60, 8), ("random", 44, 4), ("round-robin", 18, 6)):
         cell = simulate_cell(matrix, budget, n, trials=12, seed=3, pairing=pairing)
-        m = 2 * (budget - n) // n
-        hits = 0
-        for trial in range(12):
-            rng = np.random.default_rng(np.random.SeedSequence([3, budget, n, trial]))
-            sample = np.sort(rng.permutation(20)[:n])
-            if pairing == "random":
-                rounds = [[(int(p[2 * i]), int(p[2 * i + 1])) for i in range(n // 2)] for p in (rng.permutation(n) for _ in range(m))]
-            else:
-                rounds = round_robin_schedule(n)[:m]
-            records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for pairs in rounds for a, b in pairs]
-            hits += matrix.labels[int(sample[rank(fit_bt(records, n))[0]])]
-        assert cell.top1_hits == hits
+        assert (cell.top1_hits, cell.trials_with_accepted) == per_trial_cell(matrix, budget, n, 12, 3, pairing)
+
+
+# each grid repeats a budget and a population and has an infeasible cell
+STACKED_GRIDS = {"random": ([8, 30, 60, 30], [4, 8, 4]), "round-robin": ([6, 12, 18, 12, 20], [6, 8, 6])}
+
+
+@pytest.mark.parametrize("pairing", sorted(STACKED_GRIDS))
+@pytest.mark.parametrize(("trials", "per_stack"), [(15, 4), (30, 2)])
+def test_sweep_grid_stacks_match_per_trial_fits(monkeypatch, pairing, trials, per_stack):
+    import btevolve.scaling as scaling
+
+    stacks = []
+    simulate_stack = scaling._simulate_stack
+
+    def recording(matrix, budgets, n, *args):
+        stacks.append((n, list(budgets)))
+        return simulate_stack(matrix, budgets, n, *args)
+
+    monkeypatch.setattr(scaling, "_simulate_stack", recording)
+    matrix = generate_matrix(16, WORLD, seed=6)
+    budgets, populations = STACKED_GRIDS[pairing]
+    cells = sweep_grid(matrix, budgets, populations, trials=trials, seed=4, pairing=pairing)
+    monkeypatch.undo()
+    assert [(c.budget, c.n) for c in cells] == [(b, n) for b in budgets for n in populations]
+    for cell in cells:
+        assert cell.m == 2 * (cell.budget - cell.n) // cell.n
+        if cell.m < 1:
+            assert not cell.feasible and cell.top1_hits == 0
+            continue
+        assert (cell.top1_hits, cell.trials_with_accepted) == per_trial_cell(matrix, cell.budget, cell.n, trials, 4, pairing)
+        assert cell == simulate_cell(matrix, cell.budget, cell.n, trials, 4, pairing=pairing)
+    # each population's distinct feasible budgets in grid order, at most
+    # 64 // trials cells per stack, and each distinct cell fitted once
+    for n in dict.fromkeys(populations):
+        feasible = [b for b in dict.fromkeys(budgets) if 2 * (b - n) // n >= 1]
+        runs = [chunk for size, chunk in stacks if size == n]
+        assert runs == [feasible[i : i + per_stack] for i in range(0, len(feasible), per_stack)]
 
 
 def test_full_pool_round_robin_equals_direct_bt():
@@ -279,6 +322,19 @@ def test_load_matrix_rejects_wrong_length(tmp_path):
     payload["outcomes"] = payload["outcomes"][:-1]
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="expected"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("labels", [["false", "no", 0], [True, False, 1], [True, None, False]])
+def test_load_matrix_rejects_non_boolean_labels(tmp_path, labels):
+    path = tmp_path / "matrix.json"
+    save_matrix(JudgmentMatrix(3, {(0, 1): FIRST_WINS, (0, 2): SECOND_WINS, (1, 2): MATRIX_TIE}, (True, False, False)), path)
+    import json
+
+    payload = json.loads(path.read_text())
+    payload["labels"] = labels
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="JSON booleans"):
         load_matrix(path)
 
 
