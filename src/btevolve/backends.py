@@ -1,10 +1,11 @@
 """Completion backends: a real HTTP endpoint and a deterministic synthetic world.
 
 The synthetic backend stands in for the model during tests and simulations.
-Each candidate it emits embeds a latent quality theta; it recognizes the
-pipeline's prompt shapes (generation, pairwise judging, mutation, pointwise
-scoring, self-refine) and answers from theta plus the request seed, so whole
-runs are reproducible and ground truth stays available to the harness.
+Each candidate it emits embeds a latent quality theta; it reads each prompt
+back through the template that rendered it (`prompts.parse`) and answers
+from the theta in its candidate fields plus the request seed, never from the
+problem text, so whole runs are reproducible and ground truth stays
+available to the harness.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Protocol
 import numpy as np
 import requests
 
+from . import prompts
 from .errors import BackendError
 
 logger = logging.getLogger(__name__)
@@ -230,50 +232,50 @@ _JUDGE_REPLIES = {
 
 
 class SyntheticBackend:
-    """Deterministic test double dispatching on the prompt's structure."""
+    """Deterministic test double answering each prompt from the template it matches."""
 
     def __init__(self, world: SyntheticWorldConfig | None = None) -> None:
         self.world = world if world is not None else SyntheticWorldConfig()
 
     def complete(self, request: CompletionRequest) -> str:
         seed = 0 if request.seed is None else request.seed
-        prompt = request.user_prompt
-        if "## Solution A" in prompt and "## Solution B" in prompt:
-            return self._judge(prompt, seed)
-        if "VERDICT:" in prompt:
-            return self._pointwise(prompt, seed)
-        if "## Current Solution" in prompt:
-            return self._refine(prompt, seed)
-        if "## Solution" in prompt:
-            return self._mutate(prompt, seed)
-        return format_candidate(self._draw_theta(seed))
-
-    def _draw_theta(self, seed: int) -> float:
+        for template, answer in _PROMPT_TABLE:
+            fields = prompts.parse(template, request.user_prompt)
+            if fields is not None:
+                return answer(self, fields, seed)
+        # anything else is a generation prompt
         rng = np.random.default_rng(seed)
-        return float(rng.normal(self.world.theta_mean, self.world.theta_std))
+        return format_candidate(float(rng.normal(self.world.theta_mean, self.world.theta_std)))
 
-    def _judge(self, prompt: str, seed: int) -> str:
-        a_start = prompt.index("## Solution A")
-        b_start = prompt.index("## Solution B")
-        theta_a = parse_theta(prompt[a_start:b_start])
-        theta_b = parse_theta(prompt[b_start:])
+    def _judge(self, fields: dict, seed: int) -> str:
+        theta_a = parse_theta(fields["code_a"])
+        theta_b = parse_theta(fields["code_b"])
         return _JUDGE_REPLIES[judge_outcome(theta_a, theta_b, self.world, np.random.default_rng(seed))]
 
-    def _pointwise(self, prompt: str, seed: int) -> str:
-        theta = parse_theta(prompt[prompt.index("## Solution") :])
-        accepted = theta >= self.world.acceptance_threshold
-        rng = np.random.default_rng(seed)
-        if accepted:
-            say_yes = rng.random() < self.world.pointwise_recall_accepted
+    def _pointwise(self, fields: dict, seed: int) -> str:
+        draw = np.random.default_rng(seed).random()
+        if parse_theta(fields["code"]) >= self.world.acceptance_threshold:
+            say_yes = draw < self.world.pointwise_recall_accepted
         else:
-            say_yes = rng.random() >= self.world.pointwise_recall_rejected
-        return f"Synthetic assessment of the solution.\nVERDICT: {'YES' if say_yes else 'NO'}"
+            say_yes = draw >= self.world.pointwise_recall_rejected
+        return "Synthetic assessment of the solution.\n" + (prompts.VERDICT_YES if say_yes else prompts.VERDICT_NO)
 
-    def _mutate(self, prompt: str, seed: int) -> str:
-        parent = parse_theta(prompt[prompt.index("## Solution") :])
-        feedback_present = "## Pairwise Feedback" in prompt
+    def _mutate(self, fields: dict, seed: int) -> str:
+        # self-refine is a mutation without feedback
+        parent = parse_theta(fields["code"])
+        feedback_present = "feedback_sections" in fields
         return format_candidate(synthetic_mutate(parent, feedback_present, self.world, seed))
 
-    def _refine(self, prompt: str, seed: int) -> str:
-        parent = parse_theta(prompt[prompt.index("## Current Solution") :])
-        return format_candidate(synthetic_mutate(parent, False, self.world, seed))
+
+# The prompts the synthetic world answers, tried in order: a feedback-free
+# mutation template closes with its feedback variant's closing literal, so it
+# goes first; no other two templates share an opening and a closing.
+_PROMPT_TABLE = (
+    (prompts.COMPARISON_TEMPLATE, SyntheticBackend._judge),
+    (prompts.POINTWISE_TEMPLATE, SyntheticBackend._pointwise),
+    (prompts.SELF_REFINE_TEMPLATE, SyntheticBackend._mutate),
+    (prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
+    (prompts.MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
+    (prompts.MUTATION_WITH_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
+    (prompts.MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
+)

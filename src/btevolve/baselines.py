@@ -26,9 +26,6 @@ from .population import ORIGIN_MUTATED, Candidate
 
 logger = logging.getLogger(__name__)
 
-VERDICT_YES = "VERDICT: YES"
-VERDICT_NO = "VERDICT: NO"
-
 
 @dataclass(frozen=True)
 class PointwiseVerdict:
@@ -54,9 +51,9 @@ def parse_verdict_line(reply: str) -> bool | None:
         if not line.strip():
             continue
         line = line.rstrip()
-        if line == VERDICT_YES:
+        if line == prompts.VERDICT_YES:
             return True
-        if line == VERDICT_NO:
+        if line == prompts.VERDICT_NO:
             return False
         return None
     return None

@@ -244,12 +244,6 @@ def _cmd_elo(args) -> int:
     return 0
 
 
-def _diagnostic_backend(config: dict, args):
-    kind, options = _backend_spec(config.get("backend"), args.backend)
-    run_config = RunConfig(problem="-", backend=kind, backend_options=options)
-    return make_backend(run_config)
-
-
 def _cmd_diagnose(args) -> int:
     config = _load_config(args.config, _DIAGNOSE_KEYS)
     if "pairs" not in config:
@@ -258,7 +252,7 @@ def _cmd_diagnose(args) -> int:
     pairs = baselines.load_pairs(config["pairs"])
     if not pairs:
         raise ConfigError(f"no usable pairs in {config['pairs']}")
-    backend = _diagnostic_backend(config, args)
+    backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
     if isinstance(backend, SyntheticBackend):
         # the synthetic judge reads each text's latent quality from its theta= marker
         for p, pair in enumerate(pairs):
@@ -295,7 +289,7 @@ def _cmd_baseline(args) -> int:
     for name, value, low in (("n", n, 1), ("votes", votes, 1), ("rounds", rounds, 0)):
         if not is_int(value) or value < low:
             raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
-    backend = _diagnostic_backend(config, args)
+    backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
 
     with TaskPool(args.parallelism) as pool:
         candidates = sample_candidates(backend, problem, n, seed, parallelism=pool)

@@ -72,7 +72,6 @@ def render_comparison_prompt(
     left: "Candidate",
     right: "Candidate",
     seed: int,
-    template: str = prompts.COMPARISON_TEMPLATE,
     *,
     left_first: bool | None = None,
 ) -> ComparisonTask:
@@ -87,7 +86,7 @@ def render_comparison_prompt(
     if left_first is None:
         left_first = bool(np.random.default_rng(seed).random() < 0.5)
     first, second = (left, right) if left_first else (right, left)
-    text = prompts.render(template, problem=problem, code_a=first.content, code_b=second.content)
+    text = prompts.render(prompts.COMPARISON_TEMPLATE, problem=problem, code_a=first.content, code_b=second.content)
     return ComparisonTask(
         left_id=left.id,
         right_id=right.id,

@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import prompts
 from .backends import (
     Backend,
     CompletionRequest,
@@ -64,7 +65,6 @@ from .population import (
     select_discards,
     select_elites,
 )
-from .prompts import PromptTemplates, render
 
 logger = logging.getLogger(__name__)
 
@@ -259,7 +259,6 @@ class RunConfig:
     temperature_judge: float = 0.0
     backend: str = "synthetic"
     backend_options: dict = field(default_factory=dict)
-    templates: PromptTemplates = PromptTemplates()
 
     def __post_init__(self) -> None:
         for name in ("n", "k", "generations", "final_k", "seed", "parse_retries"):
@@ -301,11 +300,12 @@ class RunConfig:
         return asdict(self)
 
 
-def make_backend(config: RunConfig) -> Backend:
+def make_backend(kind: str, options: dict) -> Backend:
+    """The backend of `kind` ("synthetic" or "http") built from its config options."""
     try:
-        if config.backend == "synthetic":
-            return SyntheticBackend(SyntheticWorldConfig(**config.backend_options))
-        return HttpBackend(**config.backend_options)
+        if kind == "synthetic":
+            return SyntheticBackend(SyntheticWorldConfig(**options))
+        return HttpBackend(**options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad backend options: {exc}") from exc
 
@@ -365,6 +365,8 @@ class TaskPool:
     """
 
     def __init__(self, parallelism: int = 1) -> None:
+        if not is_int(parallelism) or parallelism < 1:
+            raise ConfigError(f"parallelism must be an integer of at least 1, got {parallelism!r}")
         self._executor = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
 
     def __enter__(self) -> TaskPool:
@@ -426,9 +428,7 @@ def _judge_pair(
     retry seeds are derived here, as retries are rare.  Returns the
     canonical judgment plus how many retry calls were spent.
     """
-    task = render_comparison_prompt(
-        config.problem, left, right, order_seed, template=config.templates.comparison, left_first=left_first
-    )
+    task = render_comparison_prompt(config.problem, left, right, order_seed, left_first=left_first)
     retries_used = 0
     for attempt in range(config.parse_retries + 1):
         if attempt == 0:
@@ -485,19 +485,18 @@ def sample_candidates(
     n: int,
     seed: int,
     parallelism: int | TaskPool = 1,
-    templates: PromptTemplates = PromptTemplates(),
     temperature: float = 1.0,
 ) -> list[Candidate]:
     """Generation 0: n independent samples `g0-s000`, `g0-s001`, ..., sample i
     drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
-    concurrent calls or a TaskPool to run them on."""
-    user_prompt = render(templates.generation_user, problem=problem)
+    concurrent calls or a TaskPool to run them on.  The user prompt is the
+    problem itself."""
     seeds = derive_seeds(seed, 0, _P_SAMPLE, indices=range(n)).tolist()
 
     def sample_task(i: int) -> Candidate:
         request = CompletionRequest(
-            user_prompt=user_prompt,
-            system_prompt=templates.generation_system,
+            user_prompt=problem,
+            system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
             temperature=temperature,
             seed=seeds[i],
         )
@@ -523,10 +522,9 @@ def run_pipeline(
     sampling or mutation replies, surface as a BackendError with round/pair
     context attached.
     """
-    if parallelism < 1:
-        raise ConfigError("parallelism must be at least 1")
     if backend is None:
-        backend = make_backend(config)
+        backend = make_backend(config.backend, config.backend_options)
+    pool = TaskPool(parallelism)  # rejects a bad parallelism before the trace file is created
     trace = RunTrace(trace_path)
     trace.append("config", -1, 0, config.echo())
     trace.flush()
@@ -579,13 +577,10 @@ def run_pipeline(
         trace.append("score-fit", state.generation, round_no, _score_payload(state))
         return state
 
-    pool = TaskPool(parallelism)
     try:
         # generation 0: sample n candidates
         round_no = 1
-        samples = sample_candidates(
-            backend, config.problem, n, config.seed, pool, config.templates, config.temperature_generate
-        )
+        samples = sample_candidates(backend, config.problem, n, config.seed, pool, config.temperature_generate)
         state = GenerationState(0, tuple(samples))
         primary_calls += n
         for member in state.members:
@@ -621,16 +616,11 @@ def run_pipeline(
                 member = source.members[i]
                 feedback = aggregate_feedback(member.id, judged[member.id], config.feedback_strategy)
                 prompt = render_mutation_prompt(
-                    config.problem,
-                    member,
-                    feedback,
-                    include_restart_license=config.include_restart_license,
-                    with_feedback_template=config.templates.mutation_with_feedback,
-                    without_feedback_template=config.templates.mutation_without_feedback,
+                    config.problem, member, feedback, include_restart_license=config.include_restart_license
                 )
                 request = CompletionRequest(
                     user_prompt=prompt,
-                    system_prompt=config.templates.generation_system,
+                    system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
                     temperature=config.temperature_generate,
                     seed=seed,
                 )

@@ -163,17 +163,15 @@ def render_mutation_prompt(
     candidate: Candidate,
     feedback: str,
     include_restart_license: bool = True,
-    with_feedback_template: str = prompts.MUTATION_WITH_FEEDBACK_TEMPLATE,
-    without_feedback_template: str = prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE,
 ) -> str:
-    """Render the mutation prompt; empty feedback selects the feedback-free variant.
-
-    Without the restart license its sentence is dropped from the template,
-    so problem, code and feedback text are never edited.
-    """
-    template = with_feedback_template if feedback else without_feedback_template
-    if not include_restart_license:
-        template = template.replace(" " + prompts.RESTART_LICENSE_SENTENCE, "")
+    """Render the mutation prompt; empty feedback selects the feedback-free
+    variant, and without the restart license its sentence is left out."""
+    template = {
+        (True, True): prompts.MUTATION_WITH_FEEDBACK_TEMPLATE,
+        (True, False): prompts.MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE,
+        (False, True): prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE,
+        (False, False): prompts.MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE,
+    }[bool(feedback), bool(include_restart_license)]
     return prompts.render(template, problem=problem, code=candidate.content, feedback_sections=feedback)
 
 

@@ -1,15 +1,15 @@
-"""Prompt templates and the one renderer that fills them.
+"""The fixed prompt set, the one renderer that fills it and its inverse.
 
 Placeholders ({problem}, {code}, {code_a}, {code_b}, {feedback_sections}) are
 filled by `render` in one pass over the template, never with str.format:
 inserted text is not rescanned, so problem, candidate and critique text reach
-the prompt verbatim, braces and placeholder names included.  A run's
-templates can be overridden through `PromptTemplates`; the baselines always
-use the defaults below.
+the prompt verbatim, braces and placeholder names included.  `parse` reads a
+rendered prompt back into its fields through the same template, which is how
+the synthetic backend tells prompts apart; no other module knows the prompt
+format.
 """
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 _PLACEHOLDER_RE = re.compile(r"\{(problem|code|code_a|code_b|feedback_sections)\}")
@@ -29,12 +29,33 @@ def render(template: str, **fields: str) -> str:
     return "".join(pieces)
 
 
+def parse(template: str, text: str) -> dict[str, str] | None:
+    """The fields `render(template, **fields)` filled to give `text`, or None.
+
+    `text` must start with the template's first literal and end with its last;
+    fields are split right to left at each literal's last occurrence, which is
+    exact while no field but the first (the problem, here) holds a literal.
+    """
+    pieces = _pieces(template)
+    head, tail = pieces[0], pieces[-1]
+    start, end = len(head), len(text) - len(tail)
+    if end < start or not text.startswith(head) or not text.endswith(tail):
+        return None
+    fields = {}
+    for i in range(len(pieces) - 3, 1, -2):
+        at = text.rfind(pieces[i], start, end)
+        if at < 0:
+            return None
+        fields[pieces[i + 1]] = text[at + len(pieces[i]) : end]
+        end = at
+    fields[pieces[1]] = text[start:end]
+    return fields
+
+
 GENERATION_SYSTEM_PROMPT = (
     "You are an expert competitive programmer.\n"
     "Output your solution as a single ```cpp ... ``` block, preceded by brief reasoning."
 )
-
-GENERATION_USER_TEMPLATE = "{problem}"
 
 COMPARISON_TEMPLATE = '''You are a competitive programming expert.
 
@@ -102,6 +123,10 @@ RESTART_LICENSE_SENTENCE = (
     "if the current one is fundamentally flawed."
 )
 
+_LICENSE = " " + RESTART_LICENSE_SENTENCE
+MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE = MUTATION_WITH_FEEDBACK_TEMPLATE.replace(_LICENSE, "")
+MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE = MUTATION_WITHOUT_FEEDBACK_TEMPLATE.replace(_LICENSE, "")
+
 WINS_HEADER = "### Wins (this solution was judged better):"
 TIES_HEADER = "### Ties (judged equally likely to be Accepted):"
 LOSSES_HEADER = "### Losses (this solution was judged worse):"
@@ -120,16 +145,9 @@ Is this solution likely to receive an Accepted verdict from an online judge, pro
 
 Think briefly, then end your reply with a final line of exactly VERDICT: YES or VERDICT: NO.'''
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    """The full template set a run uses; any member can be overridden in config."""
-
-    generation_system: str = GENERATION_SYSTEM_PROMPT
-    generation_user: str = GENERATION_USER_TEMPLATE
-    comparison: str = COMPARISON_TEMPLATE
-    mutation_with_feedback: str = MUTATION_WITH_FEEDBACK_TEMPLATE
-    mutation_without_feedback: str = MUTATION_WITHOUT_FEEDBACK_TEMPLATE
-
+# the final reply lines the pointwise prompt asks for
+VERDICT_YES = "VERDICT: YES"
+VERDICT_NO = "VERDICT: NO"
 
 SELF_REFINE_TEMPLATE = '''## Problem
 {problem}

@@ -22,7 +22,8 @@ from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE
 from btevolve.errors import BackendError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
 from btevolve.pipeline import RunConfig, compute_budget, derive_seed, run_pipeline
-from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE
+from btevolve.population import render_mutation_prompt
+from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
 from conftest import sampled
 
 
@@ -120,9 +121,7 @@ def test_pointwise_recalls():
     backend = SyntheticBackend(world)
 
     def verdict(theta, seed):
-        prompt = POINTWISE_TEMPLATE.replace("{problem}", "p").replace(
-            "{code}", format_candidate(theta)
-        )
+        prompt = render(POINTWISE_TEMPLATE, problem="p", code=format_candidate(theta))
         return backend.complete(CompletionRequest(prompt, seed=seed)).endswith("VERDICT: YES")
 
     yes_on_accepted = sum(verdict(1.0, s) for s in range(1500)) / 1500
@@ -136,9 +135,9 @@ def test_mutation_shift_and_feedback_bonus():
         mutation_shift_mean=0.3, mutation_shift_std=0.05, feedback_bonus=0.25
     )
     backend = SyntheticBackend(world)
-    base = format_candidate(0.5)
-    plain_prompt = f"## Problem\np\n\n## Solution\n```cpp\n{base}\n```\n\n## Task\nrewrite"
-    fed_prompt = plain_prompt.replace("## Task", "## Pairwise Feedback\nstuff\n\n## Task")
+    base = sampled("c", format_candidate(0.5))
+    plain_prompt = render_mutation_prompt("p", base, "")
+    fed_prompt = render_mutation_prompt("p", base, "stuff")
     for seed in (1, 2, 3):
         plain = parse_theta(backend.complete(CompletionRequest(plain_prompt, seed=seed)))
         fed = parse_theta(backend.complete(CompletionRequest(fed_prompt, seed=seed)))
@@ -149,7 +148,7 @@ def test_mutation_shift_and_feedback_bonus():
 def test_refine_prompt_mutates_without_bonus():
     world = SyntheticWorldConfig(mutation_shift_mean=0.1, mutation_shift_std=0.02, feedback_bonus=0.9)
     backend = SyntheticBackend(world)
-    prompt = SELF_REFINE_TEMPLATE.replace("{problem}", "p").replace("{code}", format_candidate(0.0))
+    prompt = render(SELF_REFINE_TEMPLATE, problem="p", code=format_candidate(0.0))
     child = parse_theta(backend.complete(CompletionRequest(prompt, seed=5)))
     assert child == pytest.approx(synthetic_mutate(0.0, False, world, 5), abs=1e-9)
 

@@ -451,7 +451,7 @@ def test_backend_failure_exit_code(tmp_path, problem_file):
 
 def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
     backend = EmptyReplyBackend([derive_seed(13, 0, 0, 3)])
-    monkeypatch.setattr(pipeline, "make_backend", lambda config: backend)
+    monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: backend)
     config = write_config(tmp_path, "run.yaml", small_run_config(problem_file))
     code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
     assert code == 3
@@ -463,7 +463,7 @@ def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
 
 def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
     backend = EmptyReplyBackend([derive_seed(13, 1, 1, 2)])
-    monkeypatch.setattr(cli, "make_backend", lambda config: backend)
+    monkeypatch.setattr(cli, "make_backend", lambda kind, options: backend)
     payload = {"mode": "self-refine", "problem": str(problem_file), "n": 4, "votes": 2, "rounds": 2, "seed": 13}
     config = write_config(tmp_path, "refine.yaml", payload)
     out = tmp_path / "refine.json"
@@ -586,6 +586,24 @@ def test_bad_seed_is_a_config_error(tmp_path, problem_file, command, config_seed
     payload["seed"] = 4
     write_config(tmp_path, "cfg.yaml", payload)
     assert run_cli(command, "--config", str(config), "--out", str(out))[0] == 0
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "baseline", "diagnose"])
+def test_non_positive_parallelism_is_a_config_error(tmp_path, problem_file, command, parallelism):
+    if command == "run":
+        payload = small_run_config(problem_file)
+    else:
+        payload = _seed_case_config(tmp_path, problem_file, command)
+    config = write_config(tmp_path, "cfg.yaml", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--config", str(config), "--out", str(out), "--parallelism", parallelism)
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "parallelism must be an integer of at least 1" in error["message"]
+    # no output, and for run not even a trace file
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("side", ["accepted", "rejected"])

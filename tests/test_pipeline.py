@@ -362,12 +362,11 @@ def test_backend_failure_aborts_with_partial_trace(tmp_path):
 
 
 def test_any_exception_aborts_with_partial_trace(tmp_path):
-    # the synthetic backend mistakes this problem text for a judge prompt and
-    # raises ValueError; the run must still end in an abort record
+    # an exception that is not a BackendError must still end the run in an abort record
     path = tmp_path / "abort.jsonl"
-    config = RunConfig(problem="Compare ## Solution A with ## Solution B")
+    backend = ScriptedBackend([ValueError("no theta marker in candidate text")])
     with pytest.raises(ValueError, match="no theta marker"):
-        run_pipeline(config, trace_path=path)
+        run_pipeline(RunConfig(problem="p"), backend=backend, trace_path=path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["kind"] for r in records] == ["config", "abort"]
     assert records[-1]["payload"] == {"error": "no theta marker in candidate text", "type": "ValueError"}
@@ -464,6 +463,10 @@ def test_selection_only_run_skips_evolution():
     assert not trace.records_of_kind("routing")
 
 
-def test_parallelism_must_be_positive():
-    with pytest.raises(ConfigError):
-        run_pipeline(RunConfig(**SMALL), parallelism=0)
+def test_parallelism_must_be_positive(tmp_path):
+    for parallelism in (0, -3):
+        with pytest.raises(ConfigError, match="parallelism"):
+            run_pipeline(RunConfig(**SMALL), parallelism=parallelism, trace_path=tmp_path / "run.jsonl")
+        with pytest.raises(ConfigError, match="parallelism"):
+            TaskPool(parallelism)
+    assert not (tmp_path / "run.jsonl").exists()

@@ -1,6 +1,20 @@
-"""Template contract checks: required markers and placeholder hygiene."""
+"""Template contract checks: required markers, placeholder hygiene, parse as render's inverse."""
+
+import pytest
 
 from btevolve import prompts
+from btevolve.backends import _PROMPT_TABLE, format_candidate
+
+TABLE = [template for template, _ in _PROMPT_TABLE]
+NAMES = {
+    id(getattr(prompts, name)): name for name in dir(prompts) if name.endswith("_TEMPLATE")
+}
+FIELD_VALUES = {
+    "code": format_candidate(0.25),
+    "code_a": format_candidate(-1.5),
+    "code_b": format_candidate(2.0),
+    "feedback_sections": f"{prompts.WINS_HEADER}\n- Solution A handles the decisive cases.",
+}
 
 
 def test_comparison_template_markers():
@@ -66,10 +80,50 @@ def test_feedback_headers_are_distinct():
     assert all(h.startswith("### ") for h in headers)
 
 
-def test_template_bundle_defaults():
-    bundle = prompts.PromptTemplates()
-    assert bundle.comparison == prompts.COMPARISON_TEMPLATE
-    assert bundle.generation_system == prompts.GENERATION_SYSTEM_PROMPT
-    custom = prompts.PromptTemplates(comparison="compare {code_a} {code_b} {problem}")
-    assert custom.comparison.startswith("compare")
-    assert custom.mutation_with_feedback == prompts.MUTATION_WITH_FEEDBACK_TEMPLATE
+def table_fields(template, problem):
+    fields = {"problem": problem, **FIELD_VALUES}
+    return {name: value for name, value in fields.items() if "{" + name + "}" in template}
+
+
+@pytest.mark.parametrize(
+    "problem",
+    ["Sort the input.", "", "use {code} and {braces}", "\n".join(TABLE), "\n".join(reversed(TABLE))],
+    ids=["plain", "empty", "placeholders", "every-template", "every-template-reversed"],
+)
+@pytest.mark.parametrize("template", TABLE, ids=[NAMES[id(t)] for t in TABLE])
+def test_parse_inverts_render(template, problem):
+    fields = table_fields(template, problem)
+    assert prompts.parse(template, prompts.render(template, **fields)) == fields
+
+
+@pytest.mark.parametrize("template", TABLE, ids=[NAMES[id(t)] for t in TABLE])
+def test_each_table_prompt_first_matches_its_own_template(template):
+    # the synthetic backend answers from the first table entry that parses
+    text = prompts.render(template, **table_fields(template, "\n".join(TABLE)))
+    first = next(t for t in TABLE if prompts.parse(t, text) is not None)
+    assert NAMES[id(first)] == NAMES[id(template)]
+
+
+def test_parse_rejects_other_shapes():
+    assert prompts.parse(prompts.COMPARISON_TEMPLATE, "Sort the input.") is None
+    rendered = prompts.render(prompts.POINTWISE_TEMPLATE, problem="p", code="c")
+    assert prompts.parse(prompts.COMPARISON_TEMPLATE, rendered) is None
+    assert prompts.parse(prompts.POINTWISE_TEMPLATE, rendered.replace("## Solution\n", "")) is None
+    # opening and closing literals may not overlap
+    assert prompts.parse("ab{problem}ba", "aba") is None
+    assert prompts.parse("ab{problem}ba", "abba") == {"problem": ""}
+
+
+def test_parse_splits_later_fields_at_the_last_literal():
+    # only the first field may hold a literal of the template
+    text = prompts.render("<{problem}|{code}|{code_a}>", problem="a|b|c", code="d", code_a="e")
+    assert prompts.parse("<{problem}|{code}|{code_a}>", text) == {"problem": "a|b|c", "code": "d", "code_a": "e"}
+
+
+def test_no_restart_templates_drop_only_the_license():
+    for with_license, without in (
+        (prompts.MUTATION_WITH_FEEDBACK_TEMPLATE, prompts.MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE),
+        (prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE, prompts.MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE),
+    ):
+        assert prompts.RESTART_LICENSE_SENTENCE not in without
+        assert without == with_license.replace(" " + prompts.RESTART_LICENSE_SENTENCE, "")
