@@ -17,13 +17,15 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-import requests
 
 from . import prompts
 from .errors import BackendError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +60,8 @@ class HttpBackend:
     object with a string `text`, fail immediately.  Each thread keeps its own
     `requests.Session`, so calls reuse keep-alive connections.  The auth
     token is read from the environment at call time so configs never hold
-    secrets.
+    secrets.  `requests` is imported on the first call, so importing
+    btevolve for offline work does not load it.
     """
 
     def __init__(
@@ -77,12 +80,16 @@ class HttpBackend:
         self._local = threading.local()
 
     def _session(self) -> requests.Session:
+        import requests
+
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
         return session
 
     def complete(self, request: CompletionRequest) -> str:
+        import requests
+
         headers = {}
         if self.auth_token_env:
             token = os.environ.get(self.auth_token_env)

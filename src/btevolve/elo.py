@@ -107,8 +107,11 @@ def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: i
     is strictly decreasing.  A row whose g does not change sign over
     `bounds` has its MAP exactly on a bound.  Every other row runs Newton
     steps on g (curvature c^2 * sum(t p (1 - p)) + 1 / sigma^2) inside a
-    bracket that shrinks on the sign of g; a step leaving the bracket
-    bisects instead, and a row is frozen once its step is at most 1e-9.
+    bracket that shrinks on the sign of g.  As in rtsafe, a step leaving the
+    bracket or longer than half the row's move before last bisects instead:
+    where the curvature fades, plain Newton steps can hop between the
+    bracket's ends for hundreds of steps.  A row is frozen once it moves at
+    most 1e-9.
     """
     scale = math.log(10.0) / 400.0
     precision = 1.0 / prior_std**2
@@ -131,6 +134,9 @@ def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: i
     # the solve works on compacted copies of the live rows: gathering them from the full stack every step is slower
     rows, low, high = tuple(a[live] for a in rows), low[live], high[live]
     rating = np.clip(float(prior_mean), low, high)
+    # the last two moves of each row, as rtsafe keeps them, both starting at the bracket width
+    last = high - low
+    before_last = last.copy()
     for _ in range(max_steps):
         if live.size == 0:
             return result
@@ -138,16 +144,22 @@ def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: i
         rising = slope > 0
         low = np.where(rising, rating, low)
         high = np.where(rising, high, rating)
-        nxt = rating + slope / curvature
+        step = slope / curvature
+        nxt = rating + step
         # strict: a converged row's next point is a bracket end, and bisecting it would undo the step
-        outside = (nxt < low) | (nxt > high)
-        nxt[outside] = 0.5 * (low[outside] + high[outside])
-        done = np.abs(nxt - rating) <= 1e-9
-        result[live[done]] = nxt[done]
-        rating = nxt
-        if done.any():
+        bisect = (nxt < low) | (nxt > high) | (np.abs(step) > 0.5 * before_last)
+        # the masked updates below run only when some row needs them: they cost
+        # as much as the arithmetic on these short arrays
+        if np.count_nonzero(bisect):
+            nxt[bisect] = 0.5 * (low[bisect] + high[bisect])
+        moved = np.abs(nxt - rating)
+        done = moved <= 1e-9
+        rating, before_last, last = nxt, last, moved
+        if np.count_nonzero(done):
+            result[live[done]] = nxt[done]
             keep = ~done
             live, rating, low, high = live[keep], rating[keep], low[keep], high[keep]
+            before_last, last = before_last[keep], last[keep]
             rows = tuple(a[keep] for a in rows)
     if live.size:
         raise RuntimeError(f"rating solve did not converge in {max_steps} steps for {live.size} rows")

@@ -16,8 +16,11 @@ seeds, mutations) derive all their seeds up front in one `derive_seeds`
 pass, bit-identical to calling `derive_seed` per index, and each
 comparison round draws every pair's presentation order from its order
 seed in one `seed_uniforms` pass, bit-identical to
-`default_rng(order_seed).random()` per pair.  Rounds are numbered 1..t
-for the evolution rounds and t+1 for the final comparison round.
+`default_rng(order_seed).random()` per pair.  Both replay SeedSequence
+on a whole batch at once; `pcg64_seeds` adds PCG64's seeding, which
+`seed_uniforms` and the scaling simulator's trial seeding share.  Rounds
+are numbered 1..t for the evolution rounds and t+1 for the final
+comparison round.
 
 The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
@@ -193,26 +196,38 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+def pcg64_seeds(entropy: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64's states and increments once seeded from SeedSequence(column),
+    for every column of a (words, rows) uint32 entropy array, bit for bit.
+
+    One `_seed_state` pass draws each column's generate_state(4, uint64), the
+    words PCG64 seeds from: the seed's high and low halves, then the
+    increment's.  PCG64's seeding (state = inc, then state = (state + seed)
+    * M + inc) runs on Python ints.  Every column's entropy has the same
+    length, as in `_seed_state`.
+    """
+    high, low, inc_high, inc_low = _uint64_words(_seed_state(entropy, 8)).tolist()
+    incs = [(h << 65 | l << 1 | 1) & _MASK128 for h, l in zip(inc_high, inc_low)]
+    states = [((inc + (h << 64 | l)) * _PCG_MULT + inc) & _MASK128 for h, l, inc in zip(high, low, incs)]
+    return states, incs
+
+
 def seed_uniforms(seeds) -> np.ndarray:
     """np.random.default_rng(s).random() for every seed in `seeds`, bit for bit.
 
-    One `_seed_state` pass draws each seed's generate_state(4, uint64), the
-    words PCG64 seeds from.  Every seed enters as two entropy words: a zero
-    high word below 2**32 changes nothing, as SeedSequence hashes zeros
-    past the end of its entropy.  PCG64's seeding (two LCG steps) and its
-    first step and XSL-RR output then run on Python ints, and the top 53
-    bits give the double.  Seeds must lie in [0, 2**64).
+    Every seed enters `pcg64_seeds` as two entropy words: a zero high word
+    below 2**32 changes nothing, as SeedSequence hashes zeros past the end of
+    its entropy.  Each generator's first step and XSL-RR output run on Python
+    ints, and the top 53 bits give the double.  Seeds must lie in [0, 2**64).
     """
     values = [operator.index(s) for s in seeds]
     if values and not (min(values) >= 0 and max(values) <= _MASK64):
         raise ValueError("seeds must lie in [0, 2**64)")
-    entropy = np.array([[v & _MASK32 for v in values], [v >> 32 for v in values]], dtype=np.uint32)
-    words = _uint64_words(_seed_state(entropy, 8)).tolist()
+    words = np.array(values, dtype=np.uint64)
+    entropy = np.array([words & np.uint64(_MASK32), words >> np.uint64(32)], dtype=np.uint32)
     out = []
-    for high, low, inc_high, inc_low in zip(*words):
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        # seeding: state = inc, state = (state + seed) * M + inc; then the draw's own step
-        state = (((inc + (high << 64 | low)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
+    for state, inc in zip(*pcg64_seeds(entropy)):
+        state = (state * _PCG_MULT + inc) & _MASK128
         folded = ((state >> 64) ^ state) & _MASK64
         rot = state >> 122
         out.append(((folded >> rot | folded << (64 - rot)) & _MASK64) >> 11)

@@ -7,11 +7,15 @@ budget on m = floor(2(B - n)/n) rounds of pairwise comparisons by looking
 outcomes up in the matrix, fits scores, and checks whether the top-ranked
 candidate is labeled accepted.
 
-Every trial is drawn from its own seed, then fitted as one row of a
-btrank.fit_bt_rows solve, which fits each row exactly as fit_bt fits it
-alone.  A grid fits the feasible cells of one population together, in budget
-order, up to _STACK_ROWS rows per solve; cells of different populations are
-never stacked, since a padded population would change the bits of the fit.
+Every trial draws from its own seed, SeedSequence([seed, B, n, t]); the
+trials of a stack of cells are seeded in one replay of numpy's seeding
+(pipeline.pcg64_seeds), and one generator takes each trial's state in turn,
+so the draws are bit for bit those of default_rng on that seed.  Each trial
+is then one row of a btrank.fit_bt_rows solve, with its repeated
+comparisons of one pair summed into one weighted entry, so its scores equal
+fit_bt's on the trial alone up to rounding.  A grid fits the feasible cells
+of one population together, in budget order, up to _STACK_ROWS rows per
+solve; cells of different populations are never stacked.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .backends import SyntheticWorldConfig, judge_outcome
 # the simulation itself fits through fit_bt_rows
 from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
 from .errors import ConfigError, is_int
+from .pipeline import _entropy_words, pcg64_seeds
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
@@ -145,8 +150,9 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
     """Reject a grid any of whose cells could not be simulated."""
     if pairing not in (PAIRING_RANDOM, PAIRING_ROUND_ROBIN):
         raise ConfigError(f"unknown pairing mode {pairing!r}")
-    if not is_int(trials) or trials < 1:
-        raise ConfigError("trials must be a positive integer")
+    if not is_int(trials) or not 1 <= trials <= 2**32:
+        # a trial's index is one word of its seed's entropy
+        raise ConfigError("trials must be an integer in [1, 2**32]")
     if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and lam > 0):
         raise ConfigError("lambda must be positive")
     if not all(is_int(budget) for budget in budgets):
@@ -165,58 +171,101 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
                     )
 
 
-def _draw_trial(pool_size: int, seed: int, budget: int, n: int, trial: int, lineups: np.ndarray | None):
-    """One trial's sorted sample of n pool indices and, given `lineups` (m rows
-    of 0..n-1), its m random perfect matchings as (m*n/2, 2) local pairs."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
-    sample = np.sort(rng.permutation(pool_size)[:n])
-    if lineups is None:
-        return sample, None
-    # one shuffle per row draws the same stream as one permutation(n) per round
-    return sample, rng.permuted(lineups, axis=1).reshape(-1, 2)
+def _trial_seeds(seed: int, budgets: list, n: int, trials: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of default_rng(SeedSequence([seed, budgets[c], n, t]))
+    for row c*trials + t, bit for bit, over distinct `budgets`.
+
+    The budgets whose entropy has one length (a seed or budget of 2**32 or
+    more adds words) share one `pcg64_seeds` replay over all their trials.
+    """
+    by_length: dict[int, list[int]] = {}
+    for budget in budgets:
+        by_length.setdefault(len(_entropy_words(budget)), []).append(budget)
+    seeded = {}
+    for group in by_length.values():
+        words = np.array([_entropy_words(seed) + _entropy_words(b) + _entropy_words(n) for b in group], dtype=np.uint32)
+        entropy = np.empty((words.shape[1] + 1, len(group), trials), dtype=np.uint32)
+        entropy[:-1] = words.T[:, :, None]
+        entropy[-1] = np.arange(trials)
+        states = list(zip(*pcg64_seeds(entropy.reshape(len(entropy), -1))))
+        for k, budget in enumerate(group):
+            seeded[budget] = states[k * trials : (k + 1) * trials]
+    return [state for budget in budgets for state in seeded[budget]]
+
+
+def _draw_trials(
+    pool_size: int, budgets: list, n: int, trials: int, seed: int, pairing: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every trial's sorted sample of n pool indices, as (rows, n), and its
+    compared pairs (local indices, round by round), as (rows, pairs, 2).
+
+    Row c*trials + t is trial t of budgets[c].  One generator takes each
+    trial's seeded state in turn, so it draws what default_rng(SeedSequence(
+    [seed, budget, n, t])) draws: the sample and, under random pairing, the
+    m perfect matchings.  A cell with fewer rounds than the widest fills its
+    rows' tail with (0, 0) pairs.
+    """
+    rounds = [(2 * (budget - n)) // n for budget in budgets]
+    samples = np.empty((len(budgets) * trials, n), dtype=np.intp)
+    pairs = np.zeros((len(samples), max(rounds) * n // 2, 2), dtype=np.intp)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    seeded = iter(_trial_seeds(seed, budgets, n, trials))
+    for c, m in enumerate(rounds):
+        block = pairs[c * trials : (c + 1) * trials, : m * n // 2]
+        lineups = np.tile(np.arange(n), (m, 1))
+        if pairing == PAIRING_ROUND_ROBIN:
+            block[:] = np.reshape(round_robin_schedule(n)[:m], (-1, 2))
+        for trial in range(trials):
+            state, inc = next(seeded)
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            samples[c * trials + trial] = np.sort(rng.permutation(pool_size)[:n])
+            if pairing == PAIRING_RANDOM:
+                # one shuffle per row draws the same stream as one permutation(n) per round
+                block[trial] = rng.permuted(lineups, axis=1).reshape(-1, 2)
+    return samples, pairs
+
+
+def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: float) -> np.ndarray:
+    """The (rows, n) BT scores of every trial, fitted in one fit_bt_rows solve.
+
+    Each pair (a, b) is a win of a over b and one of b over a, weighted from
+    the matrix (a (0, 0) pair weighs wins[x, x] = 0).  A row's repeated
+    (winner, loser) entries are summed into one entry, so the solver runs
+    over distinct pairs only (it drops the zero weights left over), and the
+    scores equal each trial's fit_bt up to rounding.
+    """
+    rows, n = samples.shape
+    row_index = np.arange(rows)[:, None, None]
+    members = samples[row_index, pairs]
+    # entry (w, l) of row r is bin r*n*n + w*n + l: both orientations of every pair
+    bins = (row_index * n + pairs) * n + pairs[:, :, ::-1]
+    summed = np.bincount(bins.ravel(), weights=wins[members, members[:, :, ::-1]].ravel(), minlength=rows * n * n)
+    local = np.arange(n * n)
+    shape = (rows, n * n)
+    scores, _, _ = fit_bt_rows(
+        np.broadcast_to(local // n, shape), np.broadcast_to(local % n, shape), summed.reshape(shape), n, lam=lam
+    )
+    return scores
 
 
 def _simulate_stack(
     matrix: JudgmentMatrix, budgets: list, n: int, trials: int, seed: int, lam: float, pairing: str
 ) -> list[SimCell]:
-    """Simulate feasible cells of one population n, all fitted in one fit_bt_rows solve.
-
-    Row c*trials + t is trial t of budgets[c].  A cell with fewer rounds than
-    the widest fills its rows' tail with (0, 0) pairs, whose matrix weight
-    wins[x, x] is 0, so the solver drops them as padding.
-    """
-    rounds = [(2 * (budget - n)) // n for budget in budgets]
-    rows = len(budgets) * trials
-    samples = np.empty((rows, n), dtype=np.intp)
-    # pairs[r, p] is row r's p-th compared pair (local indices), round by round
-    pairs = np.empty((rows, max(rounds) * n // 2, 2), dtype=np.intp)
-    for c, (budget, m) in enumerate(zip(budgets, rounds)):
-        width = m * n // 2
-        block = pairs[c * trials : (c + 1) * trials]
-        block[:, width:] = 0
-        lineups = None
-        if pairing == PAIRING_RANDOM:
-            lineups = np.tile(np.arange(n), (m, 1))
-        else:
-            block[:, :width] = np.reshape(round_robin_schedule(n)[:m], (-1, 2))
-        for trial in range(trials):
-            samples[c * trials + trial], drawn = _draw_trial(matrix.pool_size, seed, budget, n, trial, lineups)
-            if drawn is not None:
-                block[trial, :width] = drawn
-
-    # each pair (a, b) becomes a win of a over b and one of b over a, weighted
-    # from the matrix; fit_bt_rows drops the zero weight of a decisive pair,
-    # leaving the entries fit_bt would build from the pair's record
-    row_index = np.arange(rows)
-    members = samples[row_index[:, None, None], pairs]
-    weights = matrix.wins[members, members[:, :, ::-1]].reshape(rows, -1)
-    scores, _, _ = fit_bt_rows(pairs.reshape(rows, -1), pairs[:, :, ::-1].reshape(rows, -1), weights, n, lam=lam)
+    """Simulate feasible cells of one population n, all fitted in one fit_bt_rows solve."""
+    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, trials, seed, pairing)
+    scores = _fit_trials(matrix.wins, samples, pairs, lam)
     labels = np.asarray(matrix.labels)
-    hits = labels[samples[row_index, top_candidates(scores)]].reshape(-1, trials).sum(axis=1)
+    hits = labels[samples[np.arange(len(samples)), top_candidates(scores)]].reshape(-1, trials).sum(axis=1)
     with_accepted = labels[samples].any(axis=1).reshape(-1, trials).sum(axis=1)
     return [
-        SimCell(budget, n, m, trials, int(h) / trials, True, int(h), int(a))
-        for budget, m, h, a in zip(budgets, rounds, hits, with_accepted)
+        SimCell(budget, n, (2 * (budget - n)) // n, trials, int(h) / trials, True, int(h), int(a))
+        for budget, h, a in zip(budgets, hits, with_accepted)
     ]
 
 

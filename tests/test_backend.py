@@ -3,6 +3,8 @@
 import json
 import os
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
@@ -25,6 +27,8 @@ from btevolve.pipeline import RunConfig, compute_budget, derive_seed, run_pipeli
 from btevolve.population import render_mutation_prompt
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
 from conftest import sampled
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def judge_once(backend, theta_left, theta_right, seed):
@@ -350,3 +354,18 @@ def test_http_sessions_are_per_thread(keep_alive_server):
     worker.join(timeout=5)
     assert not worker.is_alive()
     assert len({seen["peer"] for seen in script.seen}) == 2
+
+
+def test_requests_is_imported_only_when_a_request_is_sent():
+    # offline commands (simulate, elo) import btevolve without paying for requests and urllib3
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, btevolve\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))\n"
+        "btevolve.HttpBackend('http://127.0.0.1:9')._session()\n"
+        "print('requests' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True
+    )
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

@@ -197,6 +197,37 @@ def test_rating_solve_converges_within_twenty_newton_steps():
         _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0), max_steps=2)
 
 
+# one bootstrap resample of the benchmark's elo workload (seed 902, op 5, row
+# 853: 24 of 73 solved), ratings rounded to 0.01: Newton's steps inside the
+# bracket hopped between its two ends, each pair of hops shrinking it only a
+# little, and the solve raised after 100 steps
+HOPPING_RATINGS = [
+    3583.38, 2402.39, 3519.9, 3428.04, 3578.39, 1423.19, 2312.46, 2298.21, 2154.03, 3053.76, 2818.62, 1423.19, 2574.17,
+    2392.97, 3519.9, 2771.72, 2290.78, 1597.04, 1878.66, 838.6, 2229.44, 1174.08, 3230.18, 2392.97, 2480.6, 1859.55,
+    2818.62, 1912.86, 937.26, 838.6, 2818.62, 3447.19, 2229.44, 2295.21, 2203.89, 2502.49, 1912.86, 3578.39, 2502.49,
+    2289.7, 2522.78, 2574.17, 1859.55, 2295.21, 1423.19, 2353.74, 2006.53, 2818.62, 3447.19, 2353.74, 2181.47, 2006.53,
+    1800.27, 2310.93, 1912.86, 2402.39, 3519.9, 2353.74, 811.93, 2229.44, 3519.9, 948.3, 2402.39, 2574.17, 2421.75,
+    2298.21, 2154.03, 3428.04, 1878.66, 3053.76, 3418.48, 2402.39, 1597.04,
+]
+HOPPING_SOLVED = "0000010100010000011101000101110000101001001010100001001000100100010010001"
+
+
+def test_rating_solve_bisects_when_newton_hops_between_bracket_ends():
+    ratings = np.array(HOPPING_RATINGS)
+    wins = np.array([float(flag) for flag in HOPPING_SOLVED])
+    trials = np.ones(len(ratings))
+    oracle = bisection_map(ratings, wins, trials)
+    maps = _map_rows(ratings[None], wins[None], trials[None], 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    assert maps[0] == pytest.approx(oracle, abs=1e-6)
+    outcomes = [ProblemOutcome.bernoulli(r, flag == "1") for r, flag in zip(HOPPING_RATINGS, HOPPING_SOLVED)]
+    assert map_estimate(outcomes) == maps[0]
+    # stacked between rows that stop at other steps, each row keeps its own result
+    flipped = 1.0 - wins
+    alone = _map_rows(ratings[None], flipped[None], trials[None], 3100.0, 500.0, (1000.0, 5000.0))[0]
+    stack = np.stack([ratings] * 3), np.stack([flipped, wins, flipped]), np.ones((3, len(ratings)))
+    assert _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0)).tolist() == [alone, maps[0], alone]
+
+
 def test_importing_the_package_does_not_import_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

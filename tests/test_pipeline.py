@@ -18,6 +18,7 @@ from btevolve.pipeline import (
     compute_budget,
     derive_seed,
     derive_seeds,
+    pcg64_seeds,
     replay,
     run_pipeline,
     seed_uniforms,
@@ -115,6 +116,18 @@ def test_seed_uniforms_matches_default_rng():
     batch = derive_seeds(9, 2, 2, indices=range(50))  # uint64 input, as the pipeline draws it
     assert seed_uniforms(batch).tolist() == [np.random.default_rng(s).random() for s in batch.tolist()]
     assert seed_uniforms([]).tolist() == []
+
+
+@pytest.mark.parametrize("words", [1, 2, 4, 5, 7])
+def test_pcg64_seeds_match_seed_sequence(words):
+    # entropy shorter than, as long as and longer than SeedSequence's pool of 4 words
+    entropy = np.random.default_rng(words).integers(0, 2**32, size=(words, 40), dtype=np.uint32)
+    entropy[:, 0] = 0
+    entropy[:, 1] = 2**32 - 1
+    states, incs = pcg64_seeds(entropy)
+    expected = [np.random.PCG64(np.random.SeedSequence(column)).state["state"] for column in entropy.T]
+    assert states == [state["state"] for state in expected]
+    assert incs == [state["inc"] for state in expected]
 
 
 @pytest.mark.parametrize("seeds", [[-1], [3, 2**64], [2**70, 5]])

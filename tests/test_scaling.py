@@ -1,10 +1,12 @@
 """Scaling-simulation tests: schedules, matrix lookups, cell semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from btevolve.backends import SyntheticWorldConfig
-from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, fit_bt, rank
+from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, fit_bt, rank, top_candidates
 from btevolve.errors import ConfigError
 from btevolve.scaling import (
     FIRST_WINS,
@@ -12,6 +14,9 @@ from btevolve.scaling import (
     SECOND_WINS,
     JudgmentMatrix,
     SimCell,
+    _draw_trials,
+    _fit_trials,
+    _trial_seeds,
     generate_matrix,
     load_matrix,
     optimal_frontier,
@@ -135,6 +140,8 @@ def test_simulate_cell_validation():
         simulate_cell(matrix, 24, 10, 2, 0)  # larger than pool
     with pytest.raises(ValueError):
         simulate_cell(matrix, 24, 4, 0, 0)  # no trials
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        simulate_cell(matrix, 24, 4, 2**32 + 1, 0)  # a trial index past one entropy word
     with pytest.raises(ValueError):
         simulate_cell(matrix, 24, 4, 2, 0, pairing="zigzag")
     with pytest.raises(ValueError, match="round-robin"):
@@ -265,6 +272,114 @@ def test_sweep_grid_stacks_match_per_trial_fits(monkeypatch, pairing, trials, pe
         feasible = [b for b in dict.fromkeys(budgets) if 2 * (b - n) // n >= 1]
         runs = [chunk for size, chunk in stacks if size == n]
         assert runs == [feasible[i : i + per_stack] for i in range(0, len(feasible), per_stack)]
+
+
+def seeded_rng(seed, budget, n, trial):
+    return np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
+
+
+# seeds, budgets and populations on both sides of 2**32 and 2**64, so that one
+# stack mixes entropy lengths; the first case is a one-trial stack
+@pytest.mark.parametrize(
+    ("seed", "budgets", "n", "trials"),
+    [
+        (0, [24], 4, 1),
+        (11, [10, 20, 40], 6, 7),
+        (2**32 + 5, [30, 2**32, 60, 2**64 + 1, 2**32 - 1], 8, 5),
+        (2**64 - 1, [2**40, 12], 2**32 + 2, 3),
+    ],
+)
+def test_trial_seeds_match_seed_sequence(seed, budgets, n, trials):
+    expected = []
+    for budget in budgets:
+        for trial in range(trials):
+            state = seeded_rng(seed, budget, n, trial).bit_generator.state["state"]
+            expected.append((state["state"], state["inc"]))
+    assert _trial_seeds(seed, budgets, n, trials) == expected
+
+
+@pytest.mark.parametrize("pairing", ["random", "round-robin"])
+@pytest.mark.parametrize(("seed", "budgets", "trials"), [(0, [12], 1), (2**32 + 5, [10, 16, 12], 6), (2**70 + 1, [16, 12], 4)])
+def test_draw_trials_match_default_rng(pairing, seed, budgets, trials):
+    pool, n = 14, 6
+    samples, pairs = _draw_trials(pool, budgets, n, trials, seed, pairing)
+    rounds = [2 * (budget - n) // n for budget in budgets]
+    assert samples.shape == (len(budgets) * trials, n)
+    assert pairs.shape == (len(budgets) * trials, max(rounds) * n // 2, 2)
+    for c, (budget, m) in enumerate(zip(budgets, rounds)):
+        for trial in range(trials):
+            rng = seeded_rng(seed, budget, n, trial)
+            row = c * trials + trial
+            assert samples[row].tolist() == np.sort(rng.permutation(pool)[:n]).tolist()
+            if pairing == "random":
+                schedule = [rng.permutation(n).reshape(-1, 2).tolist() for _ in range(m)]
+            else:
+                schedule = round_robin_schedule(n)[:m]
+            expected = [list(pair) for pairs_of_round in schedule for pair in pairs_of_round]
+            assert pairs[row].tolist() == expected + [[0, 0]] * (pairs.shape[1] - len(expected))
+
+
+def tied_matrix(pool_size, seed):
+    """A generated matrix with every third pair turned into a tie."""
+    matrix = generate_matrix(pool_size, WORLD, seed=seed)
+    outcomes = {pair: MATRIX_TIE if k % 3 == 0 else outcome for k, (pair, outcome) in enumerate(sorted(matrix.outcomes.items()))}
+    return JudgmentMatrix(pool_size, outcomes, matrix.labels)
+
+
+SUMMED_FIT_CASES = [
+    (generate_matrix(40, WORLD, seed=1), "random", [30, 60, 120], 4),
+    (generate_matrix(40, SyntheticWorldConfig(judge_mode="logistic"), seed=2), "random", [60, 120], 20),
+    (tied_matrix(24, 3), "random", [24, 48], 8),
+    (tied_matrix(24, 4), "round-robin", [12, 16, 20], 6),
+]
+
+
+@pytest.mark.parametrize(("matrix", "pairing", "budgets", "n"), SUMMED_FIT_CASES)
+def test_summed_fits_agree_with_per_trial_fits(matrix, pairing, budgets, n):
+    lam = 0.01
+    # both fits stop once their gradient max-norm is within 0.5e-8 (fit_bt's
+    # default tolerance / 2); the objective is lam-strongly concave, so each
+    # stopping point lies within sqrt(n) * 0.5e-8 / lam of the optimum
+    bound = 2 * math.sqrt(n) * 0.5e-8 / lam
+    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 15, 5, pairing)
+    scores = _fit_trials(matrix.wins, samples, pairs, lam)
+    for row, (sample, row_pairs) in enumerate(zip(samples.tolist(), pairs.tolist())):
+        records = [matrix.record(sample[a], sample[b], a, b) for a, b in row_pairs if a != b]
+        alone = fit_bt(records, n, lam=lam)
+        assert np.max(np.abs(scores[row] - alone.scores)) <= bound
+        assert top_candidates(scores[row : row + 1])[0] == rank(alone)[0]
+
+
+def test_fit_trials_sums_repeated_pairs(monkeypatch):
+    import btevolve.scaling as scaling
+
+    seen = []
+    fit_bt_rows = scaling.fit_bt_rows
+
+    def recording(winners, losers, weights, n, lam):
+        seen.append((np.asarray(winners), np.asarray(losers), np.asarray(weights)))
+        return fit_bt_rows(winners, losers, weights, n, lam=lam)
+
+    monkeypatch.setattr(scaling, "fit_bt_rows", recording)
+    matrix = tied_matrix(24, 5)
+    n, budgets = 4, [40, 120]
+    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 6, 9, "random")
+    _fit_trials(matrix.wins, samples, pairs, 0.01)
+    [(winners, losers, weights)] = seen
+    for row in range(len(samples)):
+        # one entry per ordered (winner, loser) pair, holding the row's summed wins of it
+        entries = list(zip(winners[row].tolist(), losers[row].tolist()))
+        assert len(entries) == len(set(entries)) == n * n
+        expected = np.zeros((n, n))
+        for a, b in pairs[row].tolist():
+            if a != b:
+                expected[a, b] += matrix.wins[samples[row, a], samples[row, b]]
+                expected[b, a] += matrix.wins[samples[row, b], samples[row, a]]
+        got = np.zeros((n, n))
+        got[winners[row], losers[row]] = weights[row]
+        assert got.tolist() == expected.tolist()
+    # every compared pair carries one unit of win weight, padding none
+    assert weights.sum(axis=1).tolist() == [2 * (b - n) // n * n // 2 for b in budgets for _ in range(6)]
 
 
 def test_full_pool_round_robin_equals_direct_bt():
