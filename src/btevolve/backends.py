@@ -2,7 +2,8 @@
 
 The synthetic backend stands in for the model during tests and simulations.
 Each candidate it emits embeds a latent quality theta; it reads each prompt
-back through the template that rendered it (`prompts.parse`) and answers
+back through the template that rendered it (`prompts.parse`), chosen among
+the templates of the request's purpose, and answers
 from the theta in its candidate fields plus the request seed, never from the
 problem text, so whole runs are reproducible and ground truth stays
 available to the harness.
@@ -32,19 +33,32 @@ logger = logging.getLogger(__name__)
 JUDGE_MODE_FIXED = "fixed-accuracy"
 JUDGE_MODE_LOGISTIC = "logistic"
 
+# what a completion call is for; the prompt of each is rendered from its own templates
+PURPOSE_GENERATE = "generate"
+PURPOSE_JUDGE = "judge"
+PURPOSE_MUTATE = "mutate"
+PURPOSE_POINTWISE = "pointwise"
+PURPOSE_REFINE = "refine"
+PURPOSES = (PURPOSE_GENERATE, PURPOSE_JUDGE, PURPOSE_MUTATE, PURPOSE_POINTWISE, PURPOSE_REFINE)
+
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call; `seed` is honored by the synthetic backend only."""
+    """One completion call; `seed` and `purpose` are honored by the synthetic
+    backend only.  A `purpose` of None leaves the synthetic backend to tell
+    the prompt's kind from the prompt itself."""
 
     user_prompt: str
     system_prompt: str | None = None
     temperature: float = 1.0
     seed: int | None = None
+    purpose: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError(f"temperature {self.temperature} out of range [0, 2]")
+        if self.purpose is not None and self.purpose not in PURPOSES:
+            raise ValueError(f"unknown purpose {self.purpose!r}")
 
 
 class Backend(Protocol):
@@ -239,18 +253,26 @@ _JUDGE_REPLIES = {
 
 
 class SyntheticBackend:
-    """Deterministic test double answering each prompt from the template it matches."""
+    """Deterministic test double answering each prompt from the template it matches.
+
+    A request with a purpose is parsed only with that purpose's templates, and
+    a generation request with none: it is answered as a generation even when
+    the problem is itself a whole rendered prompt.  A request without one is
+    tried against every template, and one matching none is a generation.
+    """
 
     def __init__(self, world: SyntheticWorldConfig | None = None) -> None:
         self.world = world if world is not None else SyntheticWorldConfig()
 
     def complete(self, request: CompletionRequest) -> str:
         seed = 0 if request.seed is None else request.seed
-        for template, answer in _PROMPT_TABLE:
+        purpose = request.purpose
+        for template, answer in _PROMPT_TABLE if purpose is None else _PURPOSE_TABLES[purpose]:
             fields = prompts.parse(template, request.user_prompt)
             if fields is not None:
                 return answer(self, fields, seed)
-        # anything else is a generation prompt
+        if purpose not in (None, PURPOSE_GENERATE):
+            raise BackendError(f"the {purpose} prompt matches none of its templates")
         rng = np.random.default_rng(seed)
         return format_candidate(float(rng.normal(self.world.theta_mean, self.world.theta_std)))
 
@@ -274,15 +296,21 @@ class SyntheticBackend:
         return format_candidate(synthetic_mutate(parent, feedback_present, self.world, seed))
 
 
-# The prompts the synthetic world answers, tried in order: a feedback-free
-# mutation template closes with its feedback variant's closing literal, so it
-# goes first; no other two templates share an opening and a closing.
-_PROMPT_TABLE = (
-    (prompts.COMPARISON_TEMPLATE, SyntheticBackend._judge),
-    (prompts.POINTWISE_TEMPLATE, SyntheticBackend._pointwise),
-    (prompts.SELF_REFINE_TEMPLATE, SyntheticBackend._mutate),
-    (prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
-    (prompts.MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
-    (prompts.MUTATION_WITH_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
-    (prompts.MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
-)
+# The prompts the synthetic world answers, by purpose, each tried in order: a
+# feedback-free mutation template closes with its feedback variant's closing
+# literal, so it goes first; no other two templates share an opening and a
+# closing.  A generation prompt is the problem itself, so it has no template.
+_PURPOSE_TABLES = {
+    PURPOSE_JUDGE: ((prompts.COMPARISON_TEMPLATE, SyntheticBackend._judge),),
+    PURPOSE_POINTWISE: ((prompts.POINTWISE_TEMPLATE, SyntheticBackend._pointwise),),
+    PURPOSE_REFINE: ((prompts.SELF_REFINE_TEMPLATE, SyntheticBackend._mutate),),
+    PURPOSE_MUTATE: (
+        (prompts.MUTATION_WITHOUT_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
+        (prompts.MUTATION_WITHOUT_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
+        (prompts.MUTATION_WITH_FEEDBACK_TEMPLATE, SyntheticBackend._mutate),
+        (prompts.MUTATION_WITH_FEEDBACK_NO_RESTART_TEMPLATE, SyntheticBackend._mutate),
+    ),
+    PURPOSE_GENERATE: (),
+}
+# every template, for requests without a purpose
+_PROMPT_TABLE = tuple(entry for table in _PURPOSE_TABLES.values() for entry in table)

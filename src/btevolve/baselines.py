@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import prompts
-from .backends import Backend, CompletionRequest
+from .backends import PURPOSE_JUDGE, PURPOSE_POINTWISE, PURPOSE_REFINE, Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import ConfigError, JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
@@ -73,7 +73,9 @@ def pointwise_score(
     prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=problem, code=candidate.content)
 
     def vote_task(i: int):
-        request = CompletionRequest(user_prompt=prompt, temperature=1.0, seed=derive_seed(seed, 0, i))
+        request = CompletionRequest(
+            user_prompt=prompt, temperature=1.0, seed=derive_seed(seed, 0, i), purpose=PURPOSE_POINTWISE
+        )
         return parse_verdict_line(backend.complete(request))
 
     with task_pool(parallelism) as pool:
@@ -125,6 +127,7 @@ def self_refine(
             system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
             temperature=1.0,
             seed=derive_seed(seed, 1, round_no, slot),
+            purpose=PURPOSE_REFINE,
         )
         content = complete_candidate(backend, request, f"refine round {round_no}, candidate {member.id}")
         return Candidate(
@@ -215,7 +218,9 @@ def judge_diagnostic(
         rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, "sampled")
         task = render_comparison_prompt(pair.problem, accepted, rejected, derive_seed(seed, 0, p))
         reply = backend.complete(
-            CompletionRequest(user_prompt=task.prompt_text, temperature=0.0, seed=derive_seed(seed, 1, p))
+            CompletionRequest(
+                user_prompt=task.prompt_text, temperature=0.0, seed=derive_seed(seed, 1, p), purpose=PURPOSE_JUDGE
+            )
         )
         try:
             judgment = canonicalize(task, *parse_judge_reply(reply))
@@ -227,7 +232,12 @@ def judge_diagnostic(
             prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=pair.problem, code=content)
             return parse_verdict_line(
                 backend.complete(
-                    CompletionRequest(user_prompt=prompt, temperature=0.0, seed=derive_seed(seed, 2 + which, p))
+                    CompletionRequest(
+                        user_prompt=prompt,
+                        temperature=0.0,
+                        seed=derive_seed(seed, 2 + which, p),
+                        purpose=PURPOSE_POINTWISE,
+                    )
                 )
             )
 

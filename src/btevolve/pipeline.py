@@ -11,16 +11,18 @@ comparisons and each generation's mutations, and one after the final round.
 Seed discipline: every randomized step uses a child seed derived from
 (root seed, round, purpose, index...) through numpy's SeedSequence, so no
 result depends on scheduling order; traces are byte-identical across
-parallelism limits.  Batch sites (sampling, each pair's order and judge
-seeds, mutations) derive all their seeds up front in one `derive_seeds`
-pass, bit-identical to calling `derive_seed` per index, and each
-comparison round draws every pair's presentation order from its order
-seed in one `seed_uniforms` pass, bit-identical to
-`default_rng(order_seed).random()` per pair.  Both replay SeedSequence
-on a whole batch at once; `pcg64_seeds` adds PCG64's seeding, which
-`seed_uniforms` and the scaling simulator's trial seeding share.  Rounds
-are numbered 1..t for the evolution rounds and t+1 for the final
-comparison round.
+parallelism limits.  Rounds are numbered 1..t for the evolution rounds and
+t+1 for the final comparison round.  `seed_schedule` derives every seed of
+rounds 1..t+1 up front (each round's pairing seed, each pair's order and
+judge seeds, each member's mutation seed) in one `_seed_state` pass over
+all their (round, purpose, index) columns, and draws every pair's
+presentation order in one `seed_uniforms` call over all order seeds; each
+is bit-identical to `derive_seed` and `default_rng(order_seed).random()`
+per index.  Sampling derives its n seeds in one `derive_seeds` pass, and a
+parse retry derives its seed through `derive_seed` when it happens.  Both
+passes replay SeedSequence on a whole batch at once; `pcg64_seeds` adds
+PCG64's seeding, which `seed_uniforms` and the scaling simulator's trial
+seeding share.
 
 The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
@@ -40,12 +42,16 @@ import operator
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import prompts
 from .backends import (
+    PURPOSE_GENERATE,
+    PURPOSE_JUDGE,
+    PURPOSE_MUTATE,
     Backend,
     CompletionRequest,
     HttpBackend,
@@ -234,6 +240,60 @@ def seed_uniforms(seeds) -> np.ndarray:
     return np.array(out, dtype=np.float64) * 2.0**-53
 
 
+@dataclass(frozen=True)
+class RoundSeeds:
+    """The seeds of one comparison round: derive_seed(root, round, purpose, i)
+    for its pairing (i = 0), each pair's order and judge seeds, and each
+    member's mutation seed (none in the final round).  `left_first[p]` is
+    default_rng(order[p]).random() < 0.5."""
+
+    pairing: int
+    order: list[int]
+    left_first: list[bool]
+    judge: list[int]
+    mutate: list[int]
+
+
+def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> list[RoundSeeds]:
+    """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round.
+
+    Rounds 1..generations compare n*k/2 pairs and mutate n members; round
+    generations+1 compares n*final_k/2 pairs.  All seeds come from one
+    `_seed_state` pass over every (round, purpose, index) column and all
+    orders from one `seed_uniforms` call, bit-identical to `derive_seed` and
+    `default_rng(order_seed).random()` per index.  A round or index of 2**32
+    or more would take SeedSequence a second entropy word, so it raises
+    ConfigError rather than wrap in the uint32 columns.
+    """
+    if generations + 1 > _MASK32 or max(n, n * k // 2, n * final_k // 2) > _MASK32 + 1:
+        raise ConfigError("seed schedule: a round or index reaches 2**32")
+    sizes = [(n * k // 2, n)] * generations + [(n * final_k // 2, 0)]
+    purposes = (_P_PAIRING, _P_ORDER, _P_JUDGE, _P_MUTATE)
+    counts = np.array([(1, pairs, pairs, mutations) for pairs, mutations in sizes]).ravel()
+    starts = np.cumsum(counts) - counts
+    prefix = _entropy_words(root)
+    entropy = np.empty((len(prefix) + 3, counts.sum()), dtype=np.uint32)
+    entropy[:-3] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[-3] = np.arange(1, len(sizes) + 1).repeat(len(purposes)).repeat(counts)
+    entropy[-2] = np.tile(purposes, len(sizes)).repeat(counts)
+    entropy[-1] = np.arange(entropy.shape[1]) - starts.repeat(counts)
+    seeds = _uint64_words(_seed_state(entropy, 2))[0]
+
+    left_first = iter((seed_uniforms(seeds[entropy[-2] == _P_ORDER].tolist()) < 0.5).tolist())
+    seeds = iter(seeds.tolist())
+    # keyword arguments are evaluated in order, so each field takes the next columns
+    return [
+        RoundSeeds(
+            pairing=next(seeds),
+            order=list(islice(seeds, pairs)),
+            left_first=list(islice(left_first, pairs)),
+            judge=list(islice(seeds, pairs)),
+            mutate=list(islice(seeds, mutations)),
+        )
+        for pairs, mutations in sizes
+    ]
+
+
 def compute_budget(n: int, k: int, t: int, m: int) -> int:
     """Primary backend calls for a full run: n + t*(n*k/2 + 3n/4) + n*m/2."""
     for name, value in (("n", n), ("k", k), ("t", t), ("m", m)):
@@ -347,17 +407,15 @@ class RunTrace:
         )
 
     def flush(self) -> None:
-        if self.path is None:
-            self._flushed = len(self.records)
-            return
-        if self._flushed < len(self.records):
+        """Append the records not yet written to the trace file in one write."""
+        if self.path is not None and self._flushed < len(self.records):
+            text = _dump_records(self.records[self._flushed :])
             with open(self.path, "a", encoding="utf-8") as sink:
-                for record in self.records[self._flushed :]:
-                    sink.write(_dump_record(record) + "\n")
+                sink.write(text)
         self._flushed = len(self.records)
 
     def to_jsonl(self) -> str:
-        return "".join(_dump_record(record) + "\n" for record in self.records)
+        return _dump_records(self.records)
 
     def records_of_kind(self, kind: str) -> list[dict]:
         return [record for record in self.records if record["kind"] == kind]
@@ -366,8 +424,9 @@ class RunTrace:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dump_record(record: dict) -> str:
-    return _ENCODER.encode(record)
+def _dump_records(records: list[dict]) -> str:
+    """Records as JSON lines, each ending in a newline."""
+    return "".join([_ENCODER.encode(record) + "\n" for record in records])
 
 
 class TaskPool:
@@ -455,6 +514,7 @@ def _judge_pair(
             user_prompt=task.prompt_text,
             temperature=config.temperature_judge,
             seed=seed,
+            purpose=PURPOSE_JUDGE,
         )
         try:
             reply = backend.complete(request)
@@ -514,6 +574,7 @@ def sample_candidates(
             system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
             temperature=temperature,
             seed=seeds[i],
+            purpose=PURPOSE_GENERATE,
         )
         content = complete_candidate(backend, request, f"sampling candidate {i}")
         return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
@@ -561,20 +622,16 @@ def run_pipeline(
         )
         trace.flush()
 
-    def compare_and_score(state: GenerationState, degree: int) -> GenerationState:
+    def compare_and_score(state: GenerationState, degree: int, seeds: RoundSeeds) -> GenerationState:
         """Pair the generation at the given degree, judge and trace every pair,
         then fit and trace the scores."""
         nonlocal primary_calls, retry_calls
         members = state.members
-        plan = sample_pairing(n, degree, derive_seed(config.seed, round_no, _P_PAIRING, 0))
-        pair_indices = range(len(plan.pairs))
-        order_seeds = derive_seeds(config.seed, round_no, _P_ORDER, indices=pair_indices).tolist()
-        left_first = (seed_uniforms(order_seeds) < 0.5).tolist()
-        judge_seeds = derive_seeds(config.seed, round_no, _P_JUDGE, indices=pair_indices).tolist()
+        plan = sample_pairing(n, degree, seeds.pairing)
         tasks = [
             (
                 lambda p=p, i=i, j=j, r=round_no: _judge_pair(
-                    backend, config, members[i], members[j], r, p, order_seeds[p], left_first[p], judge_seeds[p]
+                    backend, config, members[i], members[j], r, p, seeds.order[p], seeds.left_first[p], seeds.judge[p]
                 )
             )
             for p, (i, j) in enumerate(plan.pairs)
@@ -593,6 +650,7 @@ def run_pipeline(
         return state
 
     try:
+        schedule = seed_schedule(config.seed, n, config.k, t_total, config.final_k)
         # generation 0: sample n candidates
         round_no = 1
         samples = sample_candidates(backend, config.problem, n, config.seed, pool, config.temperature_generate)
@@ -604,7 +662,7 @@ def run_pipeline(
 
         for t in range(1, t_total + 1):
             round_no = t
-            state = compare_and_score(state, config.k)
+            state = compare_and_score(state, config.k, schedule[t - 1])
             elites = select_elites(state.scores, n)
             discards = select_discards(state.scores, n)
             survivors = [i for i in range(n) if i not in discards]
@@ -620,7 +678,7 @@ def run_pipeline(
             )
             trace.flush()
 
-            mutation_seeds = derive_seeds(config.seed, t, _P_MUTATE, indices=survivors).tolist()
+            mutation_seeds = [schedule[t - 1].mutate[i] for i in survivors]
             # each member's judgments, left and right sides, in judging order
             judged = {member.id: [] for member in state.members}
             for judgment in state.judgments:
@@ -638,6 +696,7 @@ def run_pipeline(
                     system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
                     temperature=config.temperature_generate,
                     seed=seed,
+                    purpose=PURPOSE_MUTATE,
                 )
                 content = complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
                 return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
@@ -654,7 +713,7 @@ def run_pipeline(
 
         # final round: dense comparisons over the last generation, then pick the top
         round_no = t_total + 1
-        state = compare_and_score(state, config.final_k)
+        state = compare_and_score(state, config.final_k, schedule[t_total])
         order = rank(state.scores)
         selected = state.members[order[0]]
         trace.append(
@@ -697,24 +756,42 @@ class ReplayResult:
     config: dict | None
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
+
+
 def _parse_trace_lines(lines) -> list[dict]:
+    """The records of JSONL trace lines, skipping blank ones.
+
+    A line that `raw_decode` reads to its end is taken as decoded; any other
+    goes through json.loads, which accepts or rejects it, and words the error.
+    """
     records = []
     for idx, line in enumerate(lines):
-        if not line.strip():
-            continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
+            record, end = _RAW_DECODE(line)
+        except (ValueError, TypeError):
+            end = None
+        if end is None or end != len(line):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ReplayError(f"record {idx}: expected an object")
-        missing = {"kind", "generation", "round", "payload", "schema_version"} - record.keys()
-        if missing:
-            raise ReplayError(f"record {idx}: missing fields {sorted(missing)}")
+        if not record.keys() >= _RECORD_FIELDS:
+            raise ReplayError(f"record {idx}: missing fields {sorted(_RECORD_FIELDS - record.keys())}")
         if record["schema_version"] != SCHEMA_VERSION:
             raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
         records.append(record)
     return records
+
+
+def _judgment(pair_index=None, retries=None, **fields) -> Judgment:
+    """The Judgment of a judgment record's payload, less its trace-only fields."""
+    return Judgment(**fields)
 
 
 def replay(source) -> ReplayResult:
@@ -749,8 +826,7 @@ def replay(source) -> ReplayResult:
             elif kind == "candidate":
                 candidates.setdefault(generation, []).append(Candidate(**payload))
             elif kind == "judgment":
-                fields = {k: v for k, v in payload.items() if k not in ("pair_index", "retries")}
-                judgments.setdefault(generation, []).append(Judgment(**fields))
+                judgments.setdefault(generation, []).append(_judgment(**payload))
             elif kind == "score-fit":
                 fits[generation] = ScoreVector(
                     scores=np.asarray(payload["scores"], dtype=np.float64),

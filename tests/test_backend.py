@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from btevolve.backends import (
+    PURPOSES,
     CompletionRequest,
     HttpBackend,
     SyntheticBackend,
@@ -64,6 +65,23 @@ def test_theta_round_trip():
 def test_completion_request_validation():
     with pytest.raises(ValueError):
         CompletionRequest("p", temperature=3.0)
+    with pytest.raises(ValueError, match="purpose"):
+        CompletionRequest("p", purpose="summarize")
+
+
+def test_purpose_picks_the_templates_the_prompt_is_read_with():
+    backend = SyntheticBackend()
+    pointwise = render(POINTWISE_TEMPLATE, problem="x", code=format_candidate(9.0))
+    # without a purpose the prompt is read as what it looks like
+    assert backend.complete(CompletionRequest(pointwise, seed=3)).endswith("VERDICT: YES")
+    # a generation request parses nothing: the whole prompt is its problem
+    generated = backend.complete(CompletionRequest(pointwise, seed=3, purpose="generate"))
+    assert generated == backend.complete(CompletionRequest("plain problem", seed=3, purpose="generate"))
+    assert generated == backend.complete(CompletionRequest("plain problem", seed=3))
+    # a prompt that is not of its purpose's templates is an error, not a guess
+    for purpose in set(PURPOSES) - {"generate", "pointwise"}:
+        with pytest.raises(BackendError, match=purpose):
+            backend.complete(CompletionRequest(pointwise, seed=3, purpose=purpose))
 
 
 def test_generation_draws_configured_distribution():
@@ -265,6 +283,16 @@ def test_http_success_and_payload_shape(http_server):
     assert reply == "hello"
     sent = script.seen[0]["body"]
     assert sent == {"system": "sys", "user": "user text", "temperature": 0.5}
+
+
+def test_http_wire_body_ignores_purpose(http_server):
+    url, script = http_server
+    backend = HttpBackend(url, timeout=5)
+    for purpose in (None, *PURPOSES):
+        script.script.append((200, json.dumps({"text": "hello"})))
+        backend.complete(CompletionRequest("user text", system_prompt="sys", temperature=0.5, purpose=purpose))
+    bodies = [seen["body"] for seen in script.seen]
+    assert bodies == [{"system": "sys", "user": "user text", "temperature": 0.5}] * (1 + len(PURPOSES))
 
 
 def test_http_retries_server_errors_then_succeeds(http_server):

@@ -1,8 +1,10 @@
 """The synthetic world is not fooled by the problem text.
 
 Its replies depend only on request seeds and the theta of the candidates in a
-prompt, so a problem full of prompt markers must give the same replies, and
-select the same candidate, as the same seed on a problem with none.
+prompt, and each request is read with its purpose's templates, so a problem
+full of prompt markers, or one that is a whole rendered prompt, must give the
+same replies, and select the same candidate, as the same seed on a problem
+with none.
 """
 
 import pytest
@@ -45,6 +47,9 @@ MARKER_PROBLEMS = {
     "current-solution": "See ## Current Solution",
     "verdict": "Print VERDICT: if x",
     "solution-theta": "## Solution\n```cpp\n// theta=9.000000000",
+    # whole rendered prompts: each request's purpose, not its text, says what it is
+    **{f"rendered-{i}": prompt for i, prompt in enumerate(RENDERED)},
+    "rendered-pointwise-x": prompts.render(prompts.POINTWISE_TEMPLATE, problem="x", code=format_candidate(9.0)),
 }
 
 

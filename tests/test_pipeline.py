@@ -21,6 +21,7 @@ from btevolve.pipeline import (
     pcg64_seeds,
     replay,
     run_pipeline,
+    seed_schedule,
     seed_uniforms,
 )
 from btevolve.population import FeedbackStrategy
@@ -83,26 +84,100 @@ def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
             derive_seed(root, *path, *indices)
 
 
-def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
-    # the hot path stays batched: scalar derivations are one pairing seed per
-    # compared generation, batched ones are sampling, then order + judge +
-    # mutation per generation, then order + judge for the final round
-    calls = {"scalar": 0, "batched": 0}
+def _expected_schedule(root, n, k, generations, final_k):
+    """seed_schedule's fields, one derive_seed and one default_rng per seed."""
+    rounds = []
+    for r in range(1, generations + 2):
+        pairs, mutations = (n * k // 2, n) if r <= generations else (n * final_k // 2, 0)
+        order = _scalar_seeds(root, r, 2, indices=range(pairs))
+        rounds.append(
+            (
+                derive_seed(root, r, 1, 0),
+                order,
+                [np.random.default_rng(s).random() < 0.5 for s in order],
+                _scalar_seeds(root, r, 3, indices=range(pairs)),
+                _scalar_seeds(root, r, 5, indices=range(mutations)),
+            )
+        )
+    return rounds
 
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
 
-        return wrapper
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 3, 2, 5), (8, 2, 0, 3), (8, 7, 1, 7), (12, 4, 2, 1), (4, 1, 3, 1)],
+    ids=["small", "generations-0", "k-n-1", "final-k-1", "n-4"],
+)
+def test_seed_schedule_matches_derive_seed(shape):
+    roots = [0, 2**32 - 1, 2**32, 2**64 + 5]
+    roots += [int(r) for r in np.random.default_rng(sum(shape)).integers(0, 2**63, size=4)]
+    for root in roots:
+        schedule = seed_schedule(root, *shape)
+        got = [(s.pairing, s.order, s.left_first, s.judge, s.mutate) for s in schedule]
+        assert got == _expected_schedule(root, *shape), root
 
-    monkeypatch.setattr(pipeline, "derive_seed", counted("scalar", pipeline.derive_seed))
-    monkeypatch.setattr(pipeline, "derive_seeds", counted("batched", pipeline.derive_seeds))
-    config = RunConfig(problem="toy problem")
-    _, trace = run_pipeline(config)
-    t = config.generations
+
+def test_seed_schedule_rejects_a_path_word_of_2_to_the_32():
+    # a round of 2**32 would need a second SeedSequence word, so it raises
+    # before any column is built
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        seed_schedule(3, 4, 1, 2**32 - 1, 1)
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        seed_schedule(3, 2**32 + 4, 1, 1, 1)  # mutation index 2**32
+
+
+def test_seed_schedule_round_of_2_to_the_32_aborts_the_run(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    config = RunConfig(problem="p", n=4, k=1, generations=2**32 - 1, final_k=1)
+    with pytest.raises(ConfigError):
+        run_pipeline(config, trace_path=path)
+    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+    assert kinds == ["config", "abort"]
+
+
+def _count_seed_calls(monkeypatch, generations):
+    """Run the default config at `generations` and count the seeding calls it makes."""
+    calls = {"_seed_state": 0, "seed_uniforms": [], "derive_seed": 0}
+
+    def counted_state(entropy, n_words):
+        calls["_seed_state"] += 1
+        return seed_state(entropy, n_words)
+
+    def counted_uniforms(seeds):
+        calls["seed_uniforms"].append(len(seeds))
+        return seed_uniforms(seeds)
+
+    def counted_scalar(*args):
+        calls["derive_seed"] += 1
+        return derive_seed(*args)
+
+    seed_state = pipeline._seed_state
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_seed_state", counted_state)
+        patch.setattr(pipeline, "seed_uniforms", counted_uniforms)
+        patch.setattr(pipeline, "derive_seed", counted_scalar)
+        config = RunConfig(problem="toy problem", generations=generations)
+        _, trace = run_pipeline(config)
     assert trace.records_of_kind("summary")[0]["payload"]["retry_calls"] == 0
-    assert calls == {"scalar": t + 1, "batched": 1 + 3 * t + 2}
+    return config, calls
+
+
+def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
+    # whatever T is: one SeedSequence replay for sampling, one for the whole
+    # seed schedule and one for PCG64 under the single seed_uniforms call;
+    # no scalar derivation without retries
+    for generations in (0, 1, 3):
+        _, calls = _count_seed_calls(monkeypatch, generations)
+        assert (calls["_seed_state"], calls["derive_seed"]) == (3, 0), generations
+
+
+def test_run_draws_presentation_orders_once_per_round(monkeypatch):
+    # each comparison round's orders are drawn once, all T evolution rounds
+    # and the final round together in a single seed_uniforms call
+    for generations in (0, 1, 3):
+        config, calls = _count_seed_calls(monkeypatch, generations)
+        n = config.n
+        expected = generations * n * config.k // 2 + n * config.final_k // 2
+        assert calls["seed_uniforms"] == [expected], generations
 
 
 def test_seed_uniforms_matches_default_rng():
@@ -134,21 +209,6 @@ def test_pcg64_seeds_match_seed_sequence(words):
 def test_seed_uniforms_rejects_out_of_range_seeds(seeds):
     with pytest.raises(ValueError):
         seed_uniforms(seeds)
-
-
-def test_run_draws_presentation_orders_once_per_round(monkeypatch):
-    # one seed_uniforms call per comparison round: T evolution rounds plus the final round
-    calls = []
-
-    def counted(seeds):
-        calls.append(len(seeds))
-        return seed_uniforms(seeds)
-
-    monkeypatch.setattr(pipeline, "seed_uniforms", counted)
-    config = RunConfig(problem="toy problem")
-    run_pipeline(config)
-    n, t = config.n, config.generations
-    assert calls == [n * config.k // 2] * t + [n * config.final_k // 2]
 
 
 def test_budget_formula():
@@ -287,6 +347,87 @@ def test_replay_rejects_corruption(tmp_path):
         replay(lines + [json.dumps(unknown)])
     with pytest.raises(ReplayError, match="empty"):
         replay([])
+
+
+def test_replay_rejects_a_judgment_payload_that_is_not_an_object():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "judgment")
+    lines[at] = json.dumps(dict(json.loads(lines[at]), payload=[1, 2]))
+    with pytest.raises(ReplayError, match=f"record {at}: bad judgment payload"):
+        replay(lines)
+
+
+def _parse_per_line(lines):
+    """Trace lines parsed with json.loads each: the reference for replay's parse."""
+    records = []
+    for idx, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
+        if not isinstance(record, dict):
+            raise ReplayError(f"record {idx}: expected an object")
+        missing = {"kind", "generation", "round", "payload", "schema_version"} - record.keys()
+        if missing:
+            raise ReplayError(f"record {idx}: missing fields {sorted(missing)}")
+        if record["schema_version"] != pipeline.SCHEMA_VERSION:
+            raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
+        records.append(record)
+    return records
+
+
+def _records_or_error(parse, lines):
+    try:
+        return parse(lines)
+    except ReplayError as exc:
+        return f"ReplayError: {exc}"
+
+
+LINE_EDITS = {
+    "leading-spaces": lambda line: "  " + line,
+    "leading-tab": lambda line: "\t" + line,
+    "trailing-spaces": lambda line: line + "   ",
+    "trailing-tabs": lambda line: line + "\t \t",
+    "trailing-crlf": lambda line: line + "\r\n",
+    "trailing-form-feed": lambda line: line + "\x0c",
+    "leading-form-feed": lambda line: "\x0c" + line,
+    "bom": lambda line: "\ufeff" + line,
+    "two-objects": lambda line: line + line,
+    "two-objects-spaced": lambda line: line + " " + line,
+    "truncated": lambda line: line[:-1],
+    "array": lambda line: "[" + line + "]",
+    "number": lambda line: "5",
+    "missing-field": lambda line: line.replace('"round":', '"rnd":'),
+    "bad-version": lambda line: line.replace('"schema_version":1', '"schema_version":2'),
+    "bytes": lambda line: line.encode(),
+    "bytes-bom": lambda line: "\ufeff".encode() + line.encode(),
+}
+BLANK_LINES = ["", " ", "\t", "\x0c", " \x0c\t", "\ufeff"]
+
+
+@pytest.mark.parametrize("edit", sorted(LINE_EDITS))
+def test_replay_parse_matches_json_loads_per_line(edit):
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    change = LINE_EDITS[edit]
+    for edited in ([change(line) for line in lines], lines[:3] + [change(lines[3])] + lines[4:]):
+        expected = _records_or_error(_parse_per_line, edited)
+        assert _records_or_error(pipeline._parse_trace_lines, edited) == expected
+        if not isinstance(expected, str):
+            assert replay(edited).selected_id == replay(lines).selected_id
+
+
+def test_replay_parse_skips_blank_lines_like_json_loads_per_line():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    for blank in BLANK_LINES:
+        edited = [blank] + [item for line in lines for item in (line, blank)]
+        expected = _records_or_error(_parse_per_line, edited)
+        assert _records_or_error(pipeline._parse_trace_lines, edited) == expected
+    assert _parse_per_line(["", " ", "\x0c"]) == pipeline._parse_trace_lines(["", " ", "\x0c"]) == []
 
 
 def test_traces_byte_identical_across_parallelism(tmp_path):
