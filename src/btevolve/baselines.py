@@ -21,8 +21,9 @@ from .backends import PURPOSE_JUDGE, PURPOSE_POINTWISE, PURPOSE_REFINE, Backend,
 from .btrank import LEFT_WINS
 from .errors import ConfigError, JudgeParseError
 from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from .pipeline import TaskPool, complete_candidate, derive_seed, task_pool
+from .pipeline import TaskPool, complete_candidate, task_pool
 from .population import ORIGIN_MUTATED, Candidate
+from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 

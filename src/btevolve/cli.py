@@ -26,8 +26,9 @@ import yaml
 from . import baselines, elo, scaling
 from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
 from .errors import BackendError, ConfigError, is_int
-from .pipeline import RunConfig, TaskPool, derive_seed, make_backend, run_pipeline, sample_candidates
+from .pipeline import RunConfig, TaskPool, make_backend, run_pipeline, sample_candidates
 from .population import FeedbackStrategy
+from .seeds import derive_seed
 
 _RUN_KEYS = {
     "problem", "n", "k", "generations", "final_k", "lambda", "seed",
@@ -58,8 +59,6 @@ def _load_config(path: str, allowed: set) -> dict:
 
 
 def _strategy_from(value, default_k: int) -> FeedbackStrategy:
-    if value is None:
-        return FeedbackStrategy("pairwise-K", default_k)
     if isinstance(value, str):
         kind = value
         k = default_k if kind == "pairwise-K" else None
@@ -109,6 +108,7 @@ def _is_finite_number(value) -> bool:
 def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
     backend_kind, backend_options = _backend_spec(config.get("backend"), args.backend)
     k = config.get("k", 4)
+    strategy = config.get("feedback_strategy")
     return RunConfig(
         problem=problem_text,
         n=config.get("n", 20),
@@ -117,7 +117,7 @@ def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
         final_k=config.get("final_k", 10),
         lam=config.get("lambda", 0.01),
         seed=seed,
-        feedback_strategy=_strategy_from(config.get("feedback_strategy"), k),
+        feedback_strategy=None if strategy is None else _strategy_from(strategy, k),
         parse_retries=config.get("parse_retries", 1),
         include_restart_license=config.get("include_restart_license", True),
         temperature_generate=config.get("temperature_generate", 1.0),

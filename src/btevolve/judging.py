@@ -78,7 +78,7 @@ def render_comparison_prompt(
     """Render the comparison prompt with a seed-determined presentation order.
 
     Left goes first iff default_rng(seed).random() < 0.5; a caller that has
-    already drawn that order (pipeline.seed_uniforms does it for a whole
+    already drawn that order (seeds.seed_uniforms does it for a whole
     round) passes it as `left_first`.
     """
     if not left.content or not right.content:

@@ -9,7 +9,7 @@ candidate is labeled accepted.
 
 Every trial draws from its own seed, SeedSequence([seed, B, n, t]); the
 trials of a stack of cells are seeded in one replay of numpy's seeding
-(pipeline.pcg64_seeds), and one generator takes each trial's state in turn,
+(seeds.pcg64_seeds), and one generator takes each trial's state in turn,
 so the draws are bit for bit those of default_rng on that seed.  Each trial
 is then one row of a btrank.fit_bt_rows solve, with its repeated
 comparisons of one pair summed into one weighted entry, so its scores equal
@@ -31,7 +31,7 @@ from .backends import SyntheticWorldConfig, judge_outcome
 # the simulation itself fits through fit_bt_rows
 from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
 from .errors import ConfigError, is_int
-from .pipeline import _entropy_words, pcg64_seeds
+from .seeds import pcg64_seeds
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
@@ -155,8 +155,9 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
         raise ConfigError("trials must be an integer in [1, 2**32]")
     if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and lam > 0):
         raise ConfigError("lambda must be positive")
-    if not all(is_int(budget) for budget in budgets):
-        raise ConfigError("budgets must be integers")
+    if not all(is_int(budget) and budget < 2**32 for budget in budgets):
+        # a budget is one word of its trials' seed entropy
+        raise ConfigError("budgets must be integers below 2**32")
     for n in populations:
         if not is_int(n) or not 2 <= n <= pool_size:
             raise ConfigError(f"population {n} out of range for pool of {pool_size}")
@@ -173,24 +174,10 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
 
 def _trial_seeds(seed: int, budgets: list, n: int, trials: int) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) of default_rng(SeedSequence([seed, budgets[c], n, t]))
-    for row c*trials + t, bit for bit, over distinct `budgets`.
-
-    The budgets whose entropy has one length (a seed or budget of 2**32 or
-    more adds words) share one `pcg64_seeds` replay over all their trials.
-    """
-    by_length: dict[int, list[int]] = {}
-    for budget in budgets:
-        by_length.setdefault(len(_entropy_words(budget)), []).append(budget)
-    seeded = {}
-    for group in by_length.values():
-        words = np.array([_entropy_words(seed) + _entropy_words(b) + _entropy_words(n) for b in group], dtype=np.uint32)
-        entropy = np.empty((words.shape[1] + 1, len(group), trials), dtype=np.uint32)
-        entropy[:-1] = words.T[:, :, None]
-        entropy[-1] = np.arange(trials)
-        states = list(zip(*pcg64_seeds(entropy.reshape(len(entropy), -1))))
-        for k, budget in enumerate(group):
-            seeded[budget] = states[k * trials : (k + 1) * trials]
-    return [state for budget in budgets for state in seeded[budget]]
+    for row c*trials + t, bit for bit, in one `pcg64_seeds` replay; every
+    budget lies in [0, 2**32)."""
+    budget_column = np.repeat(np.asarray(budgets, dtype=np.int64), trials)
+    return list(zip(*pcg64_seeds(seed, budget_column, n, np.tile(np.arange(trials), len(budgets)))))
 
 
 def _draw_trials(
@@ -288,11 +275,7 @@ def simulate_cell(
     and each picks its top candidate as rank does.  A cell that cannot be
     simulated raises ConfigError.
     """
-    _check_grid(matrix.pool_size, [budget], [n], trials, lam, pairing)
-    m = (2 * (budget - n)) // n
-    if m < 1:
-        return SimCell(budget, n, m, trials, 0.0, False)
-    return _simulate_stack(matrix, [budget], n, trials, seed, lam, pairing)[0]
+    return sweep_grid(matrix, [budget], [n], trials, seed, lam, pairing)[0]
 
 
 def sweep_grid(

@@ -153,6 +153,8 @@ def test_simulate_needs_grid_lists(tmp_path):
         ({"lambda": True}, "lambda"),
         ({"budgets": 18}, "lists"),
         ({"pool_size": 1}, "pool_size"),
+        # a budget of 2**32 would take a (trials, >= 2**32, 2) pair array
+        ({"budgets": [18, 2**32]}, "2**32"),
     ],
     ids=[
         "odd-population",
@@ -164,6 +166,7 @@ def test_simulate_needs_grid_lists(tmp_path):
         "bool-lambda",
         "budgets-not-a-list",
         "pool-below-two",
+        "budget-of-2-to-the-32",
     ],
 )
 def test_simulate_bad_grid_is_a_config_error(tmp_path, change, message):
@@ -483,7 +486,7 @@ def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
         ({"temperature_judge": "0"}, "temperature_judge must be a number"),
         ({"lambda": "0.01"}, "lam must be a number"),
         ({"lambda": float("nan")}, "lam must be positive"),
-        ({"k": "2"}, "integer k"),
+        ({"k": "2"}, "k must be an integer"),
         ({"feedback_strategy": {"kind": "pairwise-K", "k": 2.5}}, "integer k"),
         ({"include_restart_license": "no"}, "include_restart_license"),
     ],
@@ -532,6 +535,16 @@ def test_feedback_strategy_shorthand_and_mapping(tmp_path, problem_file):
     assert run_cli("run", "--config", str(config), "--out", str(out))[0] == 0
     echo = json.loads((out / "problem.selection.json").read_text())["config"]
     assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 2}
+
+
+def test_default_feedback_strategy_is_the_library_default(tmp_path, problem_file):
+    # an unset strategy is pairwise-K with K = k, from the CLI and RunConfig alike
+    config = write_config(tmp_path, "k6.yaml", dict(small_run_config(problem_file), k=6))
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(config), "--out", str(out))[0] == 0
+    echo = json.loads((out / "problem.selection.json").read_text())["config"]
+    library = pipeline.RunConfig(problem="p", n=8, k=6, final_k=5).echo()
+    assert echo["feedback_strategy"] == library["feedback_strategy"] == {"kind": "pairwise-K", "k": 6}
 
 
 def _seed_case_config(tmp_path, problem_file, command):

@@ -7,24 +7,13 @@ import time
 import numpy as np
 import pytest
 
-from btevolve import pipeline
+from btevolve import pipeline, seeds
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
 from btevolve.btrank import TIE
 from btevolve.errors import BackendError, ConfigError, ReplayError
-from btevolve.pipeline import (
-    RunConfig,
-    RunTrace,
-    TaskPool,
-    compute_budget,
-    derive_seed,
-    derive_seeds,
-    pcg64_seeds,
-    replay,
-    run_pipeline,
-    seed_schedule,
-    seed_uniforms,
-)
+from btevolve.pipeline import RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
 from btevolve.population import FeedbackStrategy
+from btevolve.seeds import derive_seed, derive_seeds, pcg64_seeds, seed_schedule, seed_uniforms
 from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
 SMALL = dict(problem="toy problem", n=8, k=3, generations=2, final_k=5, seed=31)
@@ -57,9 +46,9 @@ def test_derive_seeds_matches_derive_seed_for_random_roots():
     for root in small + large:
         path = (int(rng.integers(0, 5)), int(rng.integers(0, 6)))
         indices = [int(i) for i in rng.integers(0, 500, size=int(rng.integers(1, 40)))]
-        seeds = derive_seeds(root, *path, indices=indices)
-        assert seeds.dtype == np.uint64
-        assert seeds.tolist() == _scalar_seeds(root, *path, indices=indices)
+        batch = derive_seeds(root, *path, np.array(indices))
+        assert batch.dtype == np.uint64
+        assert batch.tolist() == _scalar_seeds(root, *path, indices=indices)
 
 
 @pytest.mark.parametrize("root", [0, 2**32 - 1, 2**32, 2**64 - 1])
@@ -69,7 +58,8 @@ def test_derive_seeds_matches_derive_seed_for_random_roots():
 )
 def test_derive_seeds_matches_derive_seed_at_edges(root, path):
     for indices in ([0, 2**32 - 1], [9, 2, 40, 2, 0], range(3, 30, 4), []):
-        assert derive_seeds(root, *path, indices=indices).tolist() == _scalar_seeds(root, *path, indices=indices)
+        column = np.array(indices, dtype=np.int64)
+        assert derive_seeds(root, *path, column).tolist() == _scalar_seeds(root, *path, indices=indices)
 
 
 @pytest.mark.parametrize(
@@ -78,7 +68,7 @@ def test_derive_seeds_matches_derive_seed_at_edges(root, path):
 )
 def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
     with pytest.raises(ValueError):
-        derive_seeds(root, *path, indices=indices)
+        derive_seeds(root, *path, np.array(indices))
     if min(root, *path, *indices) < 0:  # SeedSequence rejects a negative element too
         with pytest.raises(ValueError):
             derive_seed(root, *path, *indices)
@@ -142,18 +132,18 @@ def _count_seed_calls(monkeypatch, generations):
         calls["_seed_state"] += 1
         return seed_state(entropy, n_words)
 
-    def counted_uniforms(seeds):
-        calls["seed_uniforms"].append(len(seeds))
-        return seed_uniforms(seeds)
+    def counted_uniforms(values):
+        calls["seed_uniforms"].append(len(values))
+        return seed_uniforms(values)
 
     def counted_scalar(*args):
         calls["derive_seed"] += 1
         return derive_seed(*args)
 
-    seed_state = pipeline._seed_state
+    seed_state = seeds._seed_state
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_seed_state", counted_state)
-        patch.setattr(pipeline, "seed_uniforms", counted_uniforms)
+        patch.setattr(seeds, "_seed_state", counted_state)
+        patch.setattr(seeds, "seed_uniforms", counted_uniforms)
         patch.setattr(pipeline, "derive_seed", counted_scalar)
         config = RunConfig(problem="toy problem", generations=generations)
         _, trace = run_pipeline(config)
@@ -188,7 +178,7 @@ def test_seed_uniforms_matches_default_rng():
     uniforms = seed_uniforms(seeds)
     assert uniforms.dtype == np.float64
     assert uniforms.tolist() == [np.random.default_rng(s).random() for s in seeds]
-    batch = derive_seeds(9, 2, 2, indices=range(50))  # uint64 input, as the pipeline draws it
+    batch = derive_seeds(9, 2, 2, np.arange(50))  # uint64 input, as the pipeline draws it
     assert seed_uniforms(batch).tolist() == [np.random.default_rng(s).random() for s in batch.tolist()]
     assert seed_uniforms([]).tolist() == []
 
@@ -199,7 +189,7 @@ def test_pcg64_seeds_match_seed_sequence(words):
     entropy = np.random.default_rng(words).integers(0, 2**32, size=(words, 40), dtype=np.uint32)
     entropy[:, 0] = 0
     entropy[:, 1] = 2**32 - 1
-    states, incs = pcg64_seeds(entropy)
+    states, incs = pcg64_seeds(*entropy)
     expected = [np.random.PCG64(np.random.SeedSequence(column)).state["state"] for column in entropy.T]
     assert states == [state["state"] for state in expected]
     assert incs == [state["inc"] for state in expected]
@@ -255,7 +245,7 @@ def test_config_echo_is_json_ready():
     config = RunConfig(**SMALL)
     echo = config.echo()
     assert json.loads(json.dumps(echo)) == echo
-    assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 4}
+    assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 3}  # unset: K = k
     assert "parallelism" not in echo
 
 

@@ -142,6 +142,8 @@ def test_simulate_cell_validation():
         simulate_cell(matrix, 24, 4, 0, 0)  # no trials
     with pytest.raises(ConfigError, match=r"2\*\*32"):
         simulate_cell(matrix, 24, 4, 2**32 + 1, 0)  # a trial index past one entropy word
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        simulate_cell(matrix, 2**32, 4, 2, 0)  # a budget past one entropy word
     with pytest.raises(ValueError):
         simulate_cell(matrix, 24, 4, 2, 0, pairing="zigzag")
     with pytest.raises(ValueError, match="round-robin"):
@@ -278,15 +280,17 @@ def seeded_rng(seed, budget, n, trial):
     return np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
 
 
-# seeds, budgets and populations on both sides of 2**32 and 2**64, so that one
-# stack mixes entropy lengths; the first case is a one-trial stack
+# seeds and populations on both sides of 2**32 and 2**64, so that they take one
+# to three entropy words, and budgets up to 2**32 - 1, the most one word holds;
+# the first case is a one-trial stack
 @pytest.mark.parametrize(
     ("seed", "budgets", "n", "trials"),
     [
         (0, [24], 4, 1),
         (11, [10, 20, 40], 6, 7),
-        (2**32 + 5, [30, 2**32, 60, 2**64 + 1, 2**32 - 1], 8, 5),
-        (2**64 - 1, [2**40, 12], 2**32 + 2, 3),
+        (2**32 + 5, [30, 2**32 - 1, 60, 0, 2**31], 8, 5),
+        (2**64 - 1, [2**32 - 2, 12], 2**32 + 2, 3),
+        (2**64, [7, 2**32 - 1], 2**64 + 3, 2),
     ],
 )
 def test_trial_seeds_match_seed_sequence(seed, budgets, n, trials):
