@@ -35,6 +35,9 @@ _MIN_SCALE = 2.0**-30
 # grid step on which `rank` compares scores
 _RANK_RESOLUTION = 1e-9
 
+# ridge strength lam of the fit, the default of every function and config that takes one
+DEFAULT_LAM = 0.01
+
 
 @dataclass(frozen=True)
 class ComparisonRecord:
@@ -172,14 +175,14 @@ def _check_lam(lam: float) -> None:
         raise ValueError("lam must be positive")
 
 
-def bt_objective(scores, records, lam: float = 0.01) -> float:
+def bt_objective(scores, records, lam: float = DEFAULT_LAM) -> float:
     """Penalized log-likelihood of `scores` for the given comparison records."""
     s = np.asarray(scores, dtype=np.float64)
     _check_lam(lam)
     return float(_objective(s[None], _record_edges(records, len(s)), lam)[0])
 
 
-def bt_gradient(scores, records, lam: float = 0.01) -> np.ndarray:
+def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     """Gradient of bt_objective with respect to every score component.
 
     Component i receives +w*(1 - sigmoid(s_i - s_j)) for each (possibly
@@ -264,7 +267,7 @@ def fit_bt_rows(
     losers,
     weights,
     population_size: int,
-    lam: float = 0.01,
+    lam: float = DEFAULT_LAM,
     tolerance: float = 1e-8,
     max_iterations: int = 500,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,7 +304,7 @@ def fit_bt_rows(
 def fit_bt(
     records,
     population_size: int,
-    lam: float = 0.01,
+    lam: float = DEFAULT_LAM,
     tolerance: float = 1e-8,
     max_iterations: int = 500,
 ) -> ScoreVector:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,9 +24,10 @@ import yaml
 
 from . import baselines, elo, scaling
 from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
+from .btrank import DEFAULT_LAM
 from .errors import BackendError, ConfigError, is_int
 from .pipeline import RunConfig, TaskPool, make_backend, run_pipeline, sample_candidates
-from .population import FeedbackStrategy
+from .population import STRATEGY_PAIRWISE_K, FeedbackStrategy
 from .seeds import derive_seed
 
 _RUN_KEYS = {
@@ -58,11 +58,13 @@ def _load_config(path: str, allowed: set) -> dict:
     return config
 
 
-def _strategy_from(value, default_k: int) -> FeedbackStrategy:
+def _strategy_from(value) -> FeedbackStrategy | None:
+    """A file's feedback_strategy, a kind or a {kind, k} mapping; null or a
+    bare "pairwise-K" leaves it unset, which RunConfig reads as K = k."""
+    if value is None or value == STRATEGY_PAIRWISE_K:
+        return None
     if isinstance(value, str):
-        kind = value
-        k = default_k if kind == "pairwise-K" else None
-        return FeedbackStrategy(kind, k)
+        return FeedbackStrategy(value)
     if isinstance(value, dict):
         kind = value.get("kind")
         if not isinstance(kind, str):
@@ -75,7 +77,7 @@ def _backend_spec(section, override: str | None) -> tuple[str, dict]:
     section = dict(section or {})
     kind = override or section.pop("kind", "synthetic")
     if kind == "synthetic":
-        options = section.get("world", {}) if not override or "world" in section else {}
+        options = section.get("world", {})
         if not isinstance(options, dict):
             raise ConfigError("backend.world must be a mapping")
         return "synthetic", options
@@ -95,36 +97,15 @@ def _seed_of(config: dict, args) -> int:
     return seed
 
 
-def _is_finite_number(value) -> bool:
-    """A finite int or float from a config; bools do not count."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
+    """The RunConfig of a run file: only the keys it sets, `lambda` as `lam`,
+    so every default is RunConfig's own."""
     backend_kind, backend_options = _backend_spec(config.get("backend"), args.backend)
-    k = config.get("k", 4)
-    strategy = config.get("feedback_strategy")
-    return RunConfig(
-        problem=problem_text,
-        n=config.get("n", 20),
-        k=k,
-        generations=config.get("generations", 3),
-        final_k=config.get("final_k", 10),
-        lam=config.get("lambda", 0.01),
-        seed=seed,
-        feedback_strategy=None if strategy is None else _strategy_from(strategy, k),
-        parse_retries=config.get("parse_retries", 1),
-        include_restart_license=config.get("include_restart_license", True),
-        temperature_generate=config.get("temperature_generate", 1.0),
-        temperature_judge=config.get("temperature_judge", 0.0),
-        backend=backend_kind,
-        backend_options=backend_options,
-    )
+    fields = {"lam" if key == "lambda" else key: value for key, value in config.items()}
+    fields.update(problem=problem_text, seed=seed, backend=backend_kind, backend_options=backend_options)
+    if "feedback_strategy" in fields:
+        fields["feedback_strategy"] = _strategy_from(fields["feedback_strategy"])
+    return RunConfig(**fields)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -183,7 +164,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config, _SIMULATE_KEYS)
     seed = _seed_of(config, args)
     trials = config.get("trials", 500)
-    lam = config.get("lambda", 0.01)
+    lam = config.get("lambda", DEFAULT_LAM)
     pairing = config.get("pairing", scaling.PAIRING_RANDOM)
     budgets = config.get("budgets")
     populations = config.get("populations")
@@ -220,22 +201,12 @@ def _cmd_elo(args) -> int:
     if "outcomes" not in config:
         raise ConfigError("elo config needs an outcomes file")
     seed = _seed_of(config, args)
-    prior_mean = config.get("prior_mean", elo.DEFAULT_PRIOR_MEAN)
-    prior_std = config.get("prior_std", elo.DEFAULT_PRIOR_STD)
-    bounds = config.get("bounds", list(elo.DEFAULT_BOUNDS))
-    resamples = config.get("resamples", elo.DEFAULT_RESAMPLES)
-    for name, value in (("prior_mean", prior_mean), ("prior_std", prior_std)):
-        if not _is_finite_number(value):
-            raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if not (isinstance(bounds, list) and len(bounds) == 2 and all(_is_finite_number(b) for b in bounds)):
-        raise ConfigError(f"bounds must be [low, high], two finite numbers, got {bounds!r}")
-    if not is_int(resamples) or resamples < 1:
-        raise ConfigError(f"resamples must be an integer of at least 1, got {resamples!r}")
+    settings = {key: value for key, value in config.items() if key not in ("outcomes", "seed")}
     try:
         outcomes = elo.load_outcomes(config["outcomes"])
-        result = elo.estimate(
-            outcomes, prior_mean=prior_mean, prior_std=prior_std, bounds=tuple(bounds), resamples=resamples, seed=seed
-        )
+        result = elo.estimate(outcomes, seed=seed, **settings)
+    except ConfigError:
+        raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad outcomes data: {exc}") from exc
     out_path = Path(args.out or "elo.json")

@@ -5,7 +5,8 @@ A model with rating R solves a problem of rating R_p with probability
 Gaussian prior within a bounded interval, found by a bracketed Newton solve
 on the log posterior's derivative; uncertainty comes from a seeded bootstrap
 over problems with percentile confidence bounds, the resamples solved in
-vectorised blocks.
+vectorised blocks.  A prior, bounds or resample count that is not a valid
+number raises ConfigError.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ConfigError, is_int
 
 DEFAULT_PRIOR_MEAN = 3100.0
 DEFAULT_PRIOR_STD = 500.0
@@ -90,13 +94,24 @@ def _outcome_arrays(outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ratings, wins, trials
 
 
+def _is_finite_number(value) -> bool:
+    """A finite real number that fits a float; bools do not count."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _check_prior(prior_mean: float, prior_std: float, bounds: tuple[float, float]) -> None:
-    if not np.isfinite(prior_mean):
-        raise ValueError("prior_mean must be finite")
-    if not (np.isfinite(prior_std) and prior_std > 0):
-        raise ValueError("prior_std must be positive")
-    if not (np.isfinite(bounds[0]) and np.isfinite(bounds[1]) and bounds[0] < bounds[1]):
-        raise ValueError("bounds must be an increasing interval")
+    """Raise ConfigError unless the prior is finite with prior_std > 0 and bounds are two finite, increasing numbers."""
+    for name, value in (("prior_mean", prior_mean), ("prior_std", prior_std)):
+        if not _is_finite_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not prior_std > 0:
+        raise ConfigError(f"prior_std must be positive, got {prior_std!r}")
+    pair = tuple(bounds) if isinstance(bounds, (tuple, list, np.ndarray)) else ()
+    if not (len(pair) == 2 and all(map(_is_finite_number, pair)) and pair[0] < pair[1]):
+        raise ConfigError(f"bounds must be [low, high], two finite numbers with low < high, got {bounds!r}")
 
 
 def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: int = 100) -> np.ndarray:
@@ -189,8 +204,8 @@ def bootstrap_ci(
     """Percentile bootstrap interval: resample problems with replacement,
     refit the MAP each time, take the 2.5th and 97.5th percentiles with
     linear interpolation.  Deterministic given the seed."""
-    if resamples < 1:
-        raise ValueError("resamples must be at least 1")
+    if not is_int(resamples) or resamples < 1:
+        raise ConfigError(f"resamples must be an integer of at least 1, got {resamples!r}")
     _check_prior(prior_mean, prior_std, bounds)
     ratings, wins, trials = _outcome_arrays(outcomes)
     count = len(ratings)

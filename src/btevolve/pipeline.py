@@ -42,7 +42,7 @@ from .backends import (
     SyntheticBackend,
     SyntheticWorldConfig,
 )
-from .btrank import ComparisonRecord, ScoreVector, fit_bt, rank
+from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
@@ -85,7 +85,10 @@ def compute_budget(n: int, k: int, t: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run's outputs.
+    """Everything that determines a run's outputs, and the home of every run default.
+
+    `feedback_strategy` None is unset: runs and `echo` read it as pairwise-K
+    with K = k, so it follows k through `dataclasses.replace`.
 
     Execution limits (parallelism) are deliberately not part of the config:
     they must not change results, and the config echo embedded in outputs
@@ -97,9 +100,9 @@ class RunConfig:
     k: int = 4
     generations: int = 3
     final_k: int = 10
-    lam: float = 0.01
+    lam: float = DEFAULT_LAM
     seed: int = 0
-    feedback_strategy: FeedbackStrategy | None = None  # None: pairwise-K with K = k
+    feedback_strategy: FeedbackStrategy | None = None
     parse_retries: int = 1
     include_restart_license: bool = True
     temperature_generate: float = 1.0
@@ -122,8 +125,8 @@ class RunConfig:
             raise ConfigError(f"population size n={self.n} must be a positive multiple of 4")
         if not 1 <= self.k <= self.n - 1:
             raise ConfigError(f"comparison degree k={self.k} out of range for n={self.n}")
-        if self.feedback_strategy is None:
-            object.__setattr__(self, "feedback_strategy", FeedbackStrategy(STRATEGY_PAIRWISE_K, self.k))
+        if not isinstance(self.feedback_strategy, (FeedbackStrategy, type(None))):
+            raise ConfigError(f"feedback_strategy must be a FeedbackStrategy or None, got {self.feedback_strategy!r}")
         if (self.n * self.k) % 2 != 0:
             raise ConfigError(f"n*k={self.n * self.k} must be even")
         if not 1 <= self.final_k <= self.n - 1:
@@ -144,9 +147,13 @@ class RunConfig:
             if not 0.0 <= getattr(self, name) <= 2.0:
                 raise ConfigError(f"{name} out of range [0, 2]")
 
+    def strategy(self) -> FeedbackStrategy:
+        """The feedback strategy as set, or pairwise-K with K = k when unset."""
+        return self.feedback_strategy or FeedbackStrategy(STRATEGY_PAIRWISE_K, self.k)
+
     def echo(self) -> dict:
         """JSON-ready copy of the resolved config, embedded in every artifact."""
-        return asdict(self)
+        return {**asdict(self), "feedback_strategy": asdict(self.strategy())}
 
 
 def make_backend(kind: str, options: dict) -> Backend:
@@ -380,6 +387,7 @@ def run_pipeline(
     trace.flush()
 
     n, t_total = config.n, config.generations
+    strategy = config.strategy()
     primary_calls = 0
     retry_calls = 0
     barriers = 0
@@ -461,7 +469,7 @@ def run_pipeline(
 
             def mutate_task(i: int, seed: int, gen: int = t, source: GenerationState = state):
                 member = source.members[i]
-                feedback = aggregate_feedback(member.id, judged[member.id], config.feedback_strategy)
+                feedback = aggregate_feedback(member.id, judged[member.id], strategy)
                 prompt = render_mutation_prompt(
                     config.problem, member, feedback, include_restart_license=config.include_restart_license
                 )

@@ -29,7 +29,7 @@ import numpy as np
 from .backends import SyntheticWorldConfig, judge_outcome
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
 # the simulation itself fits through fit_bt_rows
-from .btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
+from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
 from .errors import ConfigError, is_int
 from .seeds import pcg64_seeds
 
@@ -262,7 +262,7 @@ def simulate_cell(
     n: int,
     trials: int,
     seed: int,
-    lam: float = 0.01,
+    lam: float = DEFAULT_LAM,
     pairing: str = PAIRING_RANDOM,
 ) -> SimCell:
     """Estimate top-1 accept accuracy for one (budget, population) cell.
@@ -284,7 +284,7 @@ def sweep_grid(
     populations,
     trials: int,
     seed: int,
-    lam: float = 0.01,
+    lam: float = DEFAULT_LAM,
     pairing: str = PAIRING_RANDOM,
 ) -> list[SimCell]:
     """Simulate every (budget, population) combination, row-major by budget.

@@ -19,6 +19,7 @@ from btevolve.elo import (
     map_estimate,
     solve_probability,
 )
+from btevolve.errors import ConfigError
 
 
 def grid_map(outcomes, prior_mean=3100.0, prior_std=500.0, lo=1000.0, hi=5000.0):
@@ -114,6 +115,31 @@ def test_outcome_validation():
 )
 def test_prior_and_bounds_are_checked(fit, settings):
     with pytest.raises(ValueError):
+        fit([ProblemOutcome(3000.0, 1, 2)], **settings)
+
+
+MISTYPED_SETTINGS = {
+    "bool-prior-mean": {"prior_mean": True},
+    "three-bounds": {"bounds": (1000.0, 5000.0, 7.0)},
+    "bool-resamples": {"resamples": True},
+    "string-prior-std": {"prior_std": "500"},
+    "null-prior-mean": {"prior_mean": None},
+    "fractional-resamples": {"resamples": 1.5},
+}
+
+
+@pytest.mark.parametrize(
+    ("fit", "settings"),
+    [
+        pytest.param(fit, settings, id=f"{fit.__name__}-{name}")
+        for name, settings in MISTYPED_SETTINGS.items()
+        for fit in (map_estimate, bootstrap_ci, estimate)
+        if not (fit is map_estimate and "resamples" in settings)  # map_estimate takes no resamples
+    ],
+)
+def test_mistyped_settings_are_config_errors(fit, settings):
+    (name,) = settings
+    with pytest.raises(ConfigError, match=name):
         fit([ProblemOutcome(3000.0, 1, 2)], **settings)
 
 

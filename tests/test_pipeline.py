@@ -3,6 +3,7 @@
 import json
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,20 @@ def test_config_echo_is_json_ready():
     assert json.loads(json.dumps(echo)) == echo
     assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 3}  # unset: K = k
     assert "parallelism" not in echo
+
+
+def test_replaced_k_carries_the_unset_feedback_strategy():
+    # unset stays unset through dataclasses.replace, so K follows the new k
+    replaced = replace(RunConfig(problem="p"), k=6)
+    direct = RunConfig(problem="p", k=6)
+    assert replaced.echo() == direct.echo()
+    assert replaced.echo()["feedback_strategy"] == {"kind": "pairwise-K", "k": 6}
+    assert run_pipeline(replaced)[1].to_jsonl() == run_pipeline(direct)[1].to_jsonl()
+
+
+def test_feedback_strategy_must_be_a_strategy_or_unset():
+    with pytest.raises(ConfigError, match="feedback_strategy"):
+        RunConfig(problem="p", feedback_strategy="none")
 
 
 def test_full_run_trace_structure():
