@@ -5,7 +5,14 @@ whose final non-empty line is exactly "VERDICT: YES" or "VERDICT: NO"
 (trailing whitespace tolerated, nothing else).  Self-refine loops a single
 review-and-rewrite call per candidate per round.  The diagnostic measures a
 judge's pairwise accuracy and per-class pointwise recalls on labeled
-accepted/rejected pairs.  Each `parallelism` argument is a limit on
+accepted/rejected pairs.
+
+Each call goes through one function per kind: the run's candidate call
+(pipeline.complete_candidate) for refinement, the run's comparison call
+(pipeline._judge_pair) for the diagnostic's pairwise judgment, and
+`_verdict` here for every YES/NO vote.  A failed call raises BackendError
+naming the call: the refine round and candidate, the vote and candidate,
+or the diagnostic pair.  Each `parallelism` argument is a limit on
 concurrent backend calls or a pipeline.TaskPool to share across calls.
 """
 
@@ -13,16 +20,16 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from . import prompts
-from .backends import PURPOSE_JUDGE, PURPOSE_POINTWISE, PURPOSE_REFINE, Backend, CompletionRequest
+from .backends import PURPOSE_POINTWISE, PURPOSE_REFINE, Backend, CompletionRequest
 from .btrank import LEFT_WINS
-from .errors import ConfigError, JudgeParseError
-from .judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from .pipeline import TaskPool, complete_candidate, task_pool
-from .population import ORIGIN_MUTATED, Candidate
+from .errors import BackendError, ConfigError
+from .pipeline import TaskPool, _judge_pair, complete_candidate, task_pool
+from .population import ORIGIN_MUTATED, ORIGIN_SAMPLED, Candidate
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -60,6 +67,17 @@ def parse_verdict_line(reply: str) -> bool | None:
     return None
 
 
+def _verdict(backend: Backend, prompt: str, temperature: float, seed: int, context: str) -> bool | None:
+    """The verdict call: YES/NO for a rendered pointwise prompt, None for a
+    malformed reply.  A failure raises BackendError prefixed with `context`."""
+    request = CompletionRequest(user_prompt=prompt, temperature=temperature, seed=seed, purpose=PURPOSE_POINTWISE)
+    try:
+        reply = backend.complete(request)
+    except BackendError as exc:
+        raise BackendError(f"{context}: {exc}") from exc
+    return parse_verdict_line(reply)
+
+
 def pointwise_score(
     candidate: Candidate,
     problem: str,
@@ -73,14 +91,11 @@ def pointwise_score(
         raise ConfigError("votes must be at least 1")
     prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=problem, code=candidate.content)
 
-    def vote_task(i: int):
-        request = CompletionRequest(
-            user_prompt=prompt, temperature=1.0, seed=derive_seed(seed, 0, i), purpose=PURPOSE_POINTWISE
-        )
-        return parse_verdict_line(backend.complete(request))
+    def vote(i: int) -> bool | None:
+        return _verdict(backend, prompt, 1.0, derive_seed(seed, 0, i), f"pointwise vote {i}, candidate {candidate.id}")
 
     with task_pool(parallelism) as pool:
-        results = pool.run([lambda i=i: vote_task(i) for i in range(votes)])
+        results = pool.map(vote, range(votes))
     valid = [r for r in results if r is not None]
     verdict = PointwiseVerdict(candidate.id, sum(valid), len(valid))
     if verdict.flagged:
@@ -119,29 +134,19 @@ def self_refine(
     """
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
+
+    def refine(round_no: int, slot: int, member: Candidate) -> Candidate:
+        prompt = prompts.render(prompts.SELF_REFINE_TEMPLATE, problem=problem, code=member.content)
+        refine_seed = derive_seed(seed, 1, round_no, slot)
+        context = f"refine round {round_no}, candidate {member.id}"
+        content = complete_candidate(backend, prompt, PURPOSE_REFINE, 1.0, refine_seed, context)
+        generation = member.generation + 1
+        return Candidate(f"{member.id}-r{round_no}", content, generation, ORIGIN_MUTATED, parent_id=member.id)
+
     current = list(candidates)
-
-    def refine_task(round_no: int, slot: int):
-        member = current[slot]
-        request = CompletionRequest(
-            user_prompt=prompts.render(prompts.SELF_REFINE_TEMPLATE, problem=problem, code=member.content),
-            system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
-            temperature=1.0,
-            seed=derive_seed(seed, 1, round_no, slot),
-            purpose=PURPOSE_REFINE,
-        )
-        content = complete_candidate(backend, request, f"refine round {round_no}, candidate {member.id}")
-        return Candidate(
-            id=f"{member.id}-r{round_no}",
-            content=content,
-            generation=member.generation + 1,
-            origin=ORIGIN_MUTATED,
-            parent_id=member.id,
-        )
-
     with task_pool(parallelism) as pool:
         for round_no in range(1, rounds + 1):
-            current = pool.run([lambda r=round_no, slot=slot: refine_task(r, slot) for slot in range(len(current))])
+            current = pool.map(partial(refine, round_no), range(len(current)), current)
     return current
 
 
@@ -186,13 +191,7 @@ class DiagnosticReport:
     pair_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "pairwise_accuracy": self.pairwise_accuracy,
-            "pointwise_accuracy_on_accepted": self.pointwise_accuracy_on_accepted,
-            "pointwise_accuracy_on_rejected": self.pointwise_accuracy_on_rejected,
-            "pointwise_joint": self.pointwise_joint,
-            "pair_count": self.pair_count,
-        }
+        return asdict(self)
 
 
 def judge_diagnostic(
@@ -213,44 +212,24 @@ def judge_diagnostic(
     if not pairs:
         raise ValueError("need at least one labeled pair")
 
-    def diagnose_task(p: int):
-        pair = pairs[p]
-        accepted = Candidate(f"pair{p:04d}-accepted", pair.accepted, 0, "sampled")
-        rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, "sampled")
-        task = render_comparison_prompt(pair.problem, accepted, rejected, derive_seed(seed, 0, p))
-        reply = backend.complete(
-            CompletionRequest(
-                user_prompt=task.prompt_text, temperature=0.0, seed=derive_seed(seed, 1, p), purpose=PURPOSE_JUDGE
-            )
+    def diagnose(p: int, pair: LabeledPair) -> tuple[bool, bool, bool]:
+        accepted = Candidate(f"pair{p:04d}-accepted", pair.accepted, 0, ORIGIN_SAMPLED)
+        rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, ORIGIN_SAMPLED)
+        order_seed, judge_seed = derive_seed(seed, 0, p), derive_seed(seed, 1, p)
+        where = "diagnostic comparison"
+        judgment, _ = _judge_pair(
+            backend, pair.problem, accepted, rejected, order_seed, None, judge_seed, 0.0, 0, (), where, p
         )
-        try:
-            judgment = canonicalize(task, *parse_judge_reply(reply))
-            pairwise_correct = judgment.outcome == LEFT_WINS
-        except JudgeParseError:
-            pairwise_correct = False
-
-        def classify(content: str, which: int) -> bool | None:
-            prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=pair.problem, code=content)
-            return parse_verdict_line(
-                backend.complete(
-                    CompletionRequest(
-                        user_prompt=prompt,
-                        temperature=0.0,
-                        seed=derive_seed(seed, 2 + which, p),
-                        purpose=PURPOSE_POINTWISE,
-                    )
-                )
-            )
-
-        accepted_correct = classify(pair.accepted, 0) is True
-        rejected_correct = classify(pair.rejected, 1) is False
-        return pairwise_correct, accepted_correct, rejected_correct
+        verdicts = []
+        for which, member in enumerate((accepted, rejected)):
+            prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=pair.problem, code=member.content)
+            context = f"diagnostic verdict, pair {p} ({member.id})"
+            verdicts.append(_verdict(backend, prompt, 0.0, derive_seed(seed, 2 + which, p), context))
+        return judgment.outcome == LEFT_WINS, verdicts[0] is True, verdicts[1] is False
 
     with task_pool(parallelism) as pool:
-        results = pool.run([lambda p=p: diagnose_task(p) for p in range(len(pairs))])
+        results = pool.map(diagnose, range(len(pairs)), pairs)
     count = len(results)
-    pairwise = sum(r[0] for r in results) / count
-    on_accepted = sum(r[1] for r in results) / count
-    on_rejected = sum(r[2] for r in results) / count
+    pairwise, on_accepted, on_rejected = (sum(column) / count for column in zip(*results))
     joint = sum(r[1] and r[2] for r in results) / count
     return DiagnosticReport(pairwise, on_accepted, on_rejected, joint, count)

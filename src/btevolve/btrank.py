@@ -16,10 +16,14 @@ gives it alone.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import ConfigError
 
 LEFT_WINS = "left-wins"
 RIGHT_WINS = "right-wins"
@@ -170,15 +174,17 @@ def _record_edges(records, population_size: int) -> _Edges:
     return _row_edges(np.zeros(len(winners), dtype=np.intp), winners, losers, weights, population_size)
 
 
-def _check_lam(lam: float) -> None:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+def check_lam(lam: float, name: str = "lam") -> None:
+    """Reject a ridge strength that is not a finite positive number; `name`
+    is what the ConfigError calls it."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {lam!r}")
 
 
 def bt_objective(scores, records, lam: float = DEFAULT_LAM) -> float:
     """Penalized log-likelihood of `scores` for the given comparison records."""
     s = np.asarray(scores, dtype=np.float64)
-    _check_lam(lam)
+    check_lam(lam)
     return float(_objective(s[None], _record_edges(records, len(s)), lam)[0])
 
 
@@ -190,7 +196,7 @@ def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     minus lam*s_i from the penalty.
     """
     s = np.asarray(scores, dtype=np.float64)[None]
-    _check_lam(lam)
+    check_lam(lam)
     edges = _record_edges(records, s.shape[1])
     return _gradient(s, _win_probabilities(s, edges), edges, lam)[0]
 
@@ -285,7 +291,7 @@ def fit_bt_rows(
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
-    _check_lam(lam)
+    check_lam(lam)
     winners = np.asarray(winners, dtype=np.intp)
     losers = np.asarray(losers, dtype=np.intp)
     weights = np.asarray(weights, dtype=np.float64)
@@ -327,7 +333,7 @@ def fit_bt(
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
-    _check_lam(lam)
+    check_lam(lam)
     edges = _record_edges(records, population_size)
     scores, converged, iterations = _solve(edges, 1, population_size, lam, tolerance, max_iterations)
     return ScoreVector(scores[0], lam, bool(converged[0]), int(iterations[0]))

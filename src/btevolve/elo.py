@@ -46,6 +46,9 @@ class ProblemOutcome:
     def __post_init__(self) -> None:
         if not np.isfinite(self.problem_rating):
             raise ValueError("problem_rating must be finite")
+        for name in ("successes", "trials"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.successes <= self.trials:

@@ -42,7 +42,7 @@ from .backends import (
     SyntheticBackend,
     SyntheticWorldConfig,
 )
-from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, fit_bt, rank
+from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
@@ -127,16 +127,11 @@ class RunConfig:
             raise ConfigError(f"comparison degree k={self.k} out of range for n={self.n}")
         if not isinstance(self.feedback_strategy, (FeedbackStrategy, type(None))):
             raise ConfigError(f"feedback_strategy must be a FeedbackStrategy or None, got {self.feedback_strategy!r}")
-        if (self.n * self.k) % 2 != 0:
-            raise ConfigError(f"n*k={self.n * self.k} must be even")
         if not 1 <= self.final_k <= self.n - 1:
             raise ConfigError(f"final degree m={self.final_k} out of range for n={self.n}")
-        if (self.n * self.final_k) % 2 != 0:
-            raise ConfigError(f"n*m={self.n * self.final_k} must be even")
         if self.generations < 0:
             raise ConfigError("generations must be non-negative")
-        if not self.lam > 0:
-            raise ConfigError("lam must be positive")
+        check_lam(self.lam)
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.parse_retries < 0:
@@ -213,10 +208,11 @@ def _dump_records(records: list[dict]) -> str:
 class TaskPool:
     """The worker threads of one run, shared by every batch of backend calls.
 
-    At parallelism 1 there are no threads and tasks run inline.  `close`, or
-    leaving the `with` block, shuts the threads down and cancels tasks not
-    yet started, so a run that ends, or aborts, takes its threads (and any
-    per-thread backend connections) with it.
+    A batch is one `map` of a call function over its items.  At parallelism
+    1 there are no threads and calls run inline.  `close`, or leaving the
+    `with` block, shuts the threads down and cancels calls not yet started,
+    so a run that ends, or aborts, takes its threads (and any per-thread
+    backend connections) with it.
     """
 
     def __init__(self, parallelism: int = 1) -> None:
@@ -234,16 +230,17 @@ class TaskPool:
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
 
-    def run(self, tasks) -> list:
-        """Run one batch of no-arg callables, returning results in submission order.
+    def map(self, fn, *iterables) -> list:
+        """`fn` over the zipped items of `iterables`, as one batch, returning
+        results in item order.
 
-        The first task to raise stops the batch: its tasks not yet started
+        The first call to raise stops the batch: its calls not yet started
         are cancelled, the running ones are waited for, and the exception of
-        the earliest-submitted failed task is raised.
+        the earliest failed item is raised.
         """
         if self._executor is None:
-            return [task() for task in tasks]
-        futures = [self._executor.submit(task) for task in tasks]
+            return list(map(fn, *iterables))
+        futures = [self._executor.submit(fn, *args) for args in zip(*iterables)]
         if wait(futures, return_when=FIRST_EXCEPTION).not_done:
             for future in futures:
                 future.cancel()
@@ -267,49 +264,44 @@ def task_pool(parallelism: int | TaskPool):
 
 def _judge_pair(
     backend: Backend,
-    config: RunConfig,
+    problem: str,
     left: Candidate,
     right: Candidate,
-    round_no: int,
-    pair_index: int,
     order_seed: int,
-    left_first: bool,
+    left_first: bool | None,
     judge_seed: int,
+    temperature: float,
+    retries: int,
+    retry_root: tuple,
+    where: str,
+    index: int,
 ) -> tuple[Judgment, int]:
-    """One comparison with presentation randomization and parse-retry-then-tie.
+    """The comparison call: render, request, parse and canonicalize one pair.
 
-    `order_seed` and `judge_seed` are the pair's (round, order) and (round,
-    judge) child seeds, and `left_first` the order drawn from `order_seed`;
-    retry seeds are derived here, as retries are rare.  Returns the
+    The presentation order is drawn from `order_seed` unless `left_first`
+    was drawn ahead of time.  A reply that does not parse is retried up to
+    `retries` times, attempt a with seed derive_seed(*retry_root, index, a),
+    and then becomes a degraded tie.  A backend failure raises BackendError
+    naming `where`, the pair `index` and both candidates.  Returns the
     canonical judgment plus how many retry calls were spent.
     """
-    task = render_comparison_prompt(config.problem, left, right, order_seed, left_first=left_first)
-    retries_used = 0
-    for attempt in range(config.parse_retries + 1):
-        if attempt == 0:
-            seed = judge_seed
-        else:
-            seed = derive_seed(config.seed, round_no, _P_RETRY, pair_index, attempt)
-            retries_used += 1
-        request = CompletionRequest(
-            user_prompt=task.prompt_text,
-            temperature=config.temperature_judge,
-            seed=seed,
-            purpose=PURPOSE_JUDGE,
-        )
+    task = render_comparison_prompt(problem, left, right, order_seed, left_first=left_first)
+    seed = judge_seed
+    for attempt in range(retries + 1):
+        if attempt:
+            seed = derive_seed(*retry_root, index, attempt)
+        request = CompletionRequest(task.prompt_text, temperature=temperature, seed=seed, purpose=PURPOSE_JUDGE)
         try:
             reply = backend.complete(request)
         except BackendError as exc:
-            raise BackendError(
-                f"comparison round {round_no}, pair {pair_index} ({left.id} vs {right.id}): {exc}"
-            ) from exc
+            raise BackendError(f"{where}, pair {index} ({left.id} vs {right.id}): {exc}") from exc
         try:
             winner, feedback_a, feedback_b = parse_judge_reply(reply)
         except JudgeParseError:
             continue
-        return canonicalize(task, winner, feedback_a, feedback_b), retries_used
-    logger.warning("pair %d in round %d degraded to a tie after %d retries", pair_index, round_no, retries_used)
-    return degraded_tie(task), retries_used
+        return canonicalize(task, winner, feedback_a, feedback_b), attempt
+    logger.warning("%s, pair %d degraded to a tie after %d retries", where, index, retries)
+    return degraded_tie(task), retries
 
 
 def _score_payload(state: GenerationState) -> dict:
@@ -323,9 +315,12 @@ def _score_payload(state: GenerationState) -> dict:
     }
 
 
-def complete_candidate(backend: Backend, request: CompletionRequest, context: str) -> str:
-    """One call that yields a candidate (sampling, mutation or refinement);
-    a failure or an empty reply raises BackendError prefixed with `context`."""
+def complete_candidate(backend: Backend, prompt: str, purpose: str, temperature: float, seed: int, context: str) -> str:
+    """The candidate call (sampling, mutation or refinement): `prompt` under
+    the generation system prompt.  A failure or an empty reply raises
+    BackendError prefixed with `context`."""
+    system = prompts.GENERATION_SYSTEM_PROMPT
+    request = CompletionRequest(prompt, system, temperature=temperature, seed=seed, purpose=purpose)
     try:
         content = backend.complete(request)
     except BackendError as exc:
@@ -347,21 +342,15 @@ def sample_candidates(
     drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
     concurrent calls or a TaskPool to run them on.  The user prompt is the
     problem itself."""
-    seeds = derive_seeds(seed, 0, _P_SAMPLE, np.arange(n)).tolist()
 
-    def sample_task(i: int) -> Candidate:
-        request = CompletionRequest(
-            user_prompt=problem,
-            system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
-            temperature=temperature,
-            seed=seeds[i],
-            purpose=PURPOSE_GENERATE,
+    def sample(i: int, sample_seed: int) -> Candidate:
+        content = complete_candidate(
+            backend, problem, PURPOSE_GENERATE, temperature, sample_seed, f"sampling candidate {i}"
         )
-        content = complete_candidate(backend, request, f"sampling candidate {i}")
         return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
 
     with task_pool(parallelism) as pool:
-        return pool.run([lambda i=i: sample_task(i) for i in range(n)])
+        return pool.map(sample, range(n), derive_seeds(seed, 0, _P_SAMPLE, np.arange(n)).tolist())
 
 
 def run_pipeline(
@@ -410,15 +399,18 @@ def run_pipeline(
         nonlocal primary_calls, retry_calls
         members = state.members
         plan = sample_pairing(n, degree, seeds.pairing)
-        tasks = [
-            (
-                lambda p=p, i=i, j=j, r=round_no: _judge_pair(
-                    backend, config, members[i], members[j], r, p, seeds.order[p], seeds.left_first[p], seeds.judge[p]
-                )
+        temperature, parse_retries = config.temperature_judge, config.parse_retries
+        retry_root = (config.seed, round_no, _P_RETRY)
+        where = f"comparison round {round_no}"
+
+        def judge(p: int, pair: tuple[int, int], order_seed: int, left_first: bool, judge_seed: int):
+            left, right = members[pair[0]], members[pair[1]]
+            return _judge_pair(
+                backend, config.problem, left, right, order_seed, left_first, judge_seed,
+                temperature, parse_retries, retry_root, where, p,
             )
-            for p, (i, j) in enumerate(plan.pairs)
-        ]
-        results = pool.run(tasks)
+
+        results = pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.order, seeds.left_first, seeds.judge)
         primary_calls += len(results)
         for p, (judgment, retries) in enumerate(results):
             retry_calls += retries
@@ -444,7 +436,8 @@ def run_pipeline(
 
         for t in range(1, t_total + 1):
             round_no = t
-            state = compare_and_score(state, config.k, schedule[t - 1])
+            seeds = schedule[t - 1]
+            state = compare_and_score(state, config.k, seeds)
             elites = select_elites(state.scores, n)
             discards = select_discards(state.scores, n)
             survivors = [i for i in range(n) if i not in discards]
@@ -460,32 +453,24 @@ def run_pipeline(
             )
             trace.flush()
 
-            mutation_seeds = [schedule[t - 1].mutate[i] for i in survivors]
             # each member's judgments, left and right sides, in judging order
             judged = {member.id: [] for member in state.members}
             for judgment in state.judgments:
                 judged[judgment.left_id].append(judgment)
                 judged[judgment.right_id].append(judgment)
 
-            def mutate_task(i: int, seed: int, gen: int = t, source: GenerationState = state):
-                member = source.members[i]
+            def mutate(i: int) -> Candidate:
+                member = state.members[i]
                 feedback = aggregate_feedback(member.id, judged[member.id], strategy)
                 prompt = render_mutation_prompt(
                     config.problem, member, feedback, include_restart_license=config.include_restart_license
                 )
-                request = CompletionRequest(
-                    user_prompt=prompt,
-                    system_prompt=prompts.GENERATION_SYSTEM_PROMPT,
-                    temperature=config.temperature_generate,
-                    seed=seed,
-                    purpose=PURPOSE_MUTATE,
-                )
-                content = complete_candidate(backend, request, f"mutation round {gen}, member {member.id}")
-                return Candidate(f"g{gen}-mut{i:03d}", content, gen, ORIGIN_MUTATED, parent_id=member.id)
+                context = f"mutation round {t}, member {member.id}"
+                temperature = config.temperature_generate
+                content = complete_candidate(backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
+                return Candidate(f"g{t}-mut{i:03d}", content, t, ORIGIN_MUTATED, parent_id=member.id)
 
-            children = pool.run(
-                [lambda i=i, seed=seed: mutate_task(i, seed) for i, seed in zip(survivors, mutation_seeds)]
-            )
+            children = pool.map(mutate, survivors)
             primary_calls += len(children)
             next_state = assemble_next_generation(state, elites, discards, children)
             for member in next_state.members:

@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .backends import SyntheticWorldConfig, judge_outcome
+from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, check_lam, fit_bt_rows, top_candidates
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
 # the simulation itself fits through fit_bt_rows
-from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, fit_bt, fit_bt_rows, top_candidates  # noqa: F401
+from .btrank import fit_bt  # noqa: F401
 from .errors import ConfigError, is_int
 from .seeds import pcg64_seeds
 
@@ -153,8 +154,7 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
     if not is_int(trials) or not 1 <= trials <= 2**32:
         # a trial's index is one word of its seed's entropy
         raise ConfigError("trials must be an integer in [1, 2**32]")
-    if isinstance(lam, bool) or not (isinstance(lam, (int, float)) and lam > 0):
-        raise ConfigError("lambda must be positive")
+    check_lam(lam, "lambda")
     if not all(is_int(budget) and budget < 2**32 for budget in budgets):
         # a budget is one word of its trials' seed entropy
         raise ConfigError("budgets must be integers below 2**32")

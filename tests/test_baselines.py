@@ -19,7 +19,7 @@ from btevolve.baselines import (
     self_refine,
 )
 from btevolve.pipeline import derive_seed
-from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, sampled
+from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply, sampled
 
 
 def test_parse_verdict_line_exact_final_line():
@@ -52,6 +52,12 @@ def test_pointwise_score_flags_all_malformed():
     assert verdict.yes_votes == 0
     with pytest.raises(ConfigError):
         pointwise_score(sampled("c", "code"), "p", votes=0, backend=backend)
+
+
+def test_pointwise_vote_failure_names_the_vote_and_candidate():
+    backend = ScriptedBackend(["VERDICT: YES", BackendError("upstream 503")])
+    with pytest.raises(BackendError, match="^pointwise vote 1, candidate c: upstream 503$"):
+        pointwise_score(sampled("c", "code"), "p", votes=2, backend=backend)
 
 
 def enumeration_oracle(verdicts, accepted):
@@ -198,3 +204,35 @@ def test_diagnostic_parallelism_invariant():
     serial = judge_diagnostic(pairs, SyntheticBackend(world), seed=9, parallelism=1)
     threaded = judge_diagnostic(pairs, SyntheticBackend(world), seed=9, parallelism=6)
     assert serial == threaded
+
+
+LABELED = LabeledPair("p", format_candidate(1.0), format_candidate(-1.0))
+
+
+@pytest.mark.parametrize(
+    ("replies", "message"),
+    [
+        (
+            [BackendError("down")],
+            r"^diagnostic comparison, pair 0 \(pair0000-accepted vs pair0000-rejected\): down$",
+        ),
+        ([judge_reply("A"), BackendError("down")], r"^diagnostic verdict, pair 0 \(pair0000-accepted\): down$"),
+        (
+            [judge_reply("A"), "VERDICT: YES", BackendError("down")],
+            r"^diagnostic verdict, pair 0 \(pair0000-rejected\): down$",
+        ),
+    ],
+    ids=["comparison", "accepted-verdict", "rejected-verdict"],
+)
+def test_diagnostic_call_failure_names_the_pair(replies, message):
+    with pytest.raises(BackendError, match=message):
+        judge_diagnostic([LABELED], ScriptedBackend(replies))
+
+
+def test_diagnostic_unparseable_judge_reply_is_incorrect_without_retry():
+    backend = ScriptedBackend(["no verdict object", "VERDICT: YES", "VERDICT: NO"])
+    report = judge_diagnostic([LABELED], backend)
+    assert len(backend.requests) == 3
+    assert [request.purpose for request in backend.requests] == ["judge", "pointwise", "pointwise"]
+    assert report.pairwise_accuracy == 0.0
+    assert report.pointwise_joint == 1.0

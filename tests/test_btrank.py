@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btevolve.errors import ConfigError
 from btevolve.btrank import (
     LEFT_WINS,
     RIGHT_WINS,
@@ -407,6 +408,21 @@ def test_stacked_rows_validation():
         fit_bt_rows(winners[0], losers[0], weights[0], 8)
     with pytest.raises(ValueError):
         fit_bt_rows(winners, losers, weights, 8, lam=0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "minus-inf", "bool"])
+def test_every_lam_taker_rejects_non_finite_or_non_positive(lam):
+    records = records_of([(0, 1, LEFT_WINS)])
+    winners, losers, weights = stack_rows([FIXED_RECORDS], 8)
+    fits = (
+        lambda: fit_bt(records, 2, lam=lam),
+        lambda: fit_bt_rows(winners, losers, weights, 8, lam=lam),
+        lambda: bt_objective([0.0, 0.0], records, lam=lam),
+        lambda: bt_gradient([0.0, 0.0], records, lam=lam),
+    )
+    for fit in fits:
+        with pytest.raises(ConfigError, match="lam must be positive and finite"):
+            fit()
 
 
 def test_top_candidates_is_rank_head_per_row():

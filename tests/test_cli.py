@@ -151,6 +151,7 @@ def test_simulate_needs_grid_lists(tmp_path):
         ({"populations": [4, 14]}, "out of range"),
         ({"lambda": 0}, "lambda"),
         ({"lambda": True}, "lambda"),
+        ({"lambda": float("inf")}, "lambda"),
         ({"budgets": 18}, "lists"),
         ({"pool_size": 1}, "pool_size"),
         # a budget of 2**32 would take a (trials, >= 2**32, 2) pair array
@@ -164,6 +165,7 @@ def test_simulate_needs_grid_lists(tmp_path):
         "population-above-pool",
         "zero-lambda",
         "bool-lambda",
+        "infinite-lambda",
         "budgets-not-a-list",
         "pool-below-two",
         "budget-of-2-to-the-32",
@@ -486,6 +488,7 @@ def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
         ({"temperature_judge": "0"}, "temperature_judge must be a number"),
         ({"lambda": "0.01"}, "lam must be a number"),
         ({"lambda": float("nan")}, "lam must be positive"),
+        ({"lambda": float("inf")}, "lam must be positive"),
         ({"k": "2"}, "k must be an integer"),
         ({"feedback_strategy": {"kind": "pairwise-K", "k": 2.5}}, "integer k"),
         ({"include_restart_license": "no"}, "include_restart_license"),
@@ -498,6 +501,7 @@ def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
         "string-temperature",
         "string-lambda",
         "nan-lambda",
+        "infinite-lambda",
         "string-k",
         "fractional-feedback-k",
         "string-license",

@@ -107,6 +107,21 @@ def test_outcome_validation():
         bootstrap_ci([ProblemOutcome(3000.0, 1, 2)], resamples=0)
 
 
+@pytest.mark.parametrize(
+    ("successes", "trials"),
+    [(True, 1.5), (1, 1.5), (1.0, 2), (1, True)],
+    ids=["bool-and-fraction", "fraction", "float", "bool"],
+)
+def test_outcome_counts_must_be_integers(successes, trials):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ProblemOutcome(3000.0, successes, trials)
+
+
+def test_outcome_accepts_numpy_integer_counts():
+    outcome = ProblemOutcome(3000.0, np.int64(1), np.int32(2))
+    assert map_estimate([outcome]) == map_estimate([ProblemOutcome(3000.0, 1, 2)])
+
+
 @pytest.mark.parametrize("fit", [map_estimate, bootstrap_ci])
 @pytest.mark.parametrize(
     "settings",

@@ -242,6 +242,12 @@ def test_run_config_validation():
         RunConfig(problem="p", generations=-1)
 
 
+@pytest.mark.parametrize("lam", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_run_config_rejects_non_finite_lam(lam):
+    with pytest.raises(ConfigError, match="lam must be positive"):
+        RunConfig(problem="p", lam=lam)
+
+
 def test_config_echo_is_json_ready():
     config = RunConfig(**SMALL)
     echo = config.echo()
@@ -580,22 +586,21 @@ def test_first_failure_cancels_pending_calls(tmp_path):
 def test_task_pool_failure_stops_only_its_batch():
     ran = []
 
-    def fail():
-        raise ValueError("first task failed")
-
-    def slow(i):
+    def task(i):
+        if i == 0:
+            raise ValueError("first task failed")
         time.sleep(0.02)
         ran.append(i)
 
     with TaskPool(2) as pool:
         with pytest.raises(ValueError, match="first task failed"):
-            pool.run([fail] + [lambda i=i: slow(i) for i in range(20)])
+            pool.map(task, range(21))
         finished = len(ran)
         time.sleep(0.2)
         # the running tasks were waited for and the rest of the batch never starts
         assert len(ran) == finished < 20
         # the pool itself stays open for the next batch
-        assert pool.run([lambda: 1, lambda: 2]) == [1, 2]
+        assert pool.map(abs, [-1, 2]) == [1, 2]
 
 
 def test_trace_flushes_incrementally(tmp_path):
