@@ -27,7 +27,7 @@ from pathlib import Path
 from . import prompts
 from .backends import PURPOSE_POINTWISE, PURPOSE_REFINE, Backend, CompletionRequest
 from .btrank import LEFT_WINS
-from .errors import BackendError, ConfigError
+from .errors import BackendError, check_count
 from .pipeline import TaskPool, _judge_pair, complete_candidate, task_pool
 from .population import ORIGIN_MUTATED, ORIGIN_SAMPLED, Candidate
 from .seeds import derive_seed
@@ -87,8 +87,7 @@ def pointwise_score(
     parallelism: int | TaskPool = 1,
 ) -> PointwiseVerdict:
     """Collect `votes` independent YES/NO verdicts; malformed replies are discarded."""
-    if votes < 1:
-        raise ConfigError("votes must be at least 1")
+    check_count("votes", votes, 1)
     prompt = prompts.render(prompts.POINTWISE_TEMPLATE, problem=problem, code=candidate.content)
 
     def vote(i: int) -> bool | None:
@@ -132,8 +131,7 @@ def self_refine(
     calls.  A failed call or an empty reply raises BackendError naming the
     round and the candidate.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
+    check_count("rounds", rounds, 0)
 
     def refine(round_no: int, slot: int, member: Candidate) -> Candidate:
         prompt = prompts.render(prompts.SELF_REFINE_TEMPLATE, problem=problem, code=member.content)

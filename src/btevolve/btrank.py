@@ -16,14 +16,12 @@ gives it alone.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_real
 
 LEFT_WINS = "left-wins"
 RIGHT_WINS = "right-wins"
@@ -177,7 +175,7 @@ def _record_edges(records, population_size: int) -> _Edges:
 def check_lam(lam: float, name: str = "lam") -> None:
     """Reject a ridge strength that is not a finite positive number; `name`
     is what the ConfigError calls it."""
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not 0 < lam < math.inf:
+    if not (is_finite_real(lam) and lam > 0):
         raise ConfigError(f"{name} must be positive and finite, got {lam!r}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,16 +25,13 @@ import yaml
 from . import baselines, elo, scaling
 from .backends import SyntheticBackend, SyntheticWorldConfig, parse_theta
 from .btrank import DEFAULT_LAM
-from .errors import BackendError, ConfigError, is_int
+from .errors import BackendError, ConfigError, check_count, is_int
 from .pipeline import RunConfig, TaskPool, make_backend, run_pipeline, sample_candidates
 from .population import STRATEGY_PAIRWISE_K, FeedbackStrategy
 from .seeds import derive_seed
 
-_RUN_KEYS = {
-    "problem", "n", "k", "generations", "final_k", "lambda", "seed",
-    "feedback_strategy", "parse_retries", "include_restart_license",
-    "temperature_generate", "temperature_judge", "backend",
-}
+# a run file sets RunConfig's fields, `lambda` for `lam`, and its backend as one section
+_RUN_KEYS = {field.name for field in fields(RunConfig)} - {"lam", "backend_options"} | {"lambda"}
 _SIMULATE_KEYS = {
     "pool_size", "budgets", "populations", "trials", "lambda", "seed",
     "matrix", "world", "pairing",
@@ -101,11 +98,11 @@ def _run_config(config: dict, problem_text: str, seed: int, args) -> RunConfig:
     """The RunConfig of a run file: only the keys it sets, `lambda` as `lam`,
     so every default is RunConfig's own."""
     backend_kind, backend_options = _backend_spec(config.get("backend"), args.backend)
-    fields = {"lam" if key == "lambda" else key: value for key, value in config.items()}
-    fields.update(problem=problem_text, seed=seed, backend=backend_kind, backend_options=backend_options)
-    if "feedback_strategy" in fields:
-        fields["feedback_strategy"] = _strategy_from(fields["feedback_strategy"])
-    return RunConfig(**fields)
+    settings = {"lam" if key == "lambda" else key: value for key, value in config.items()}
+    settings.update(problem=problem_text, seed=seed, backend=backend_kind, backend_options=backend_options)
+    if "feedback_strategy" in settings:
+        settings["feedback_strategy"] = _strategy_from(settings["feedback_strategy"])
+    return RunConfig(**settings)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -180,10 +177,7 @@ def _cmd_simulate(args) -> int:
             world = SyntheticWorldConfig(**config.get("world", {}))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad world options: {exc}") from exc
-        pool_size = config.get("pool_size", 40)
-        if not isinstance(pool_size, int) or pool_size < 2:
-            raise ConfigError("pool_size must be an integer of at least 2")
-        matrix = scaling.generate_matrix(pool_size, world, seed)
+        matrix = scaling.generate_matrix(config.get("pool_size", 40), world, seed)
 
     cells = scaling.sweep_grid(matrix, budgets, populations, trials, seed, lam=lam, pairing=pairing)
     echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing}
@@ -257,9 +251,9 @@ def _cmd_baseline(args) -> int:
     n = config.get("n", 20)
     votes = config.get("votes", 14 if mode == "pointwise" else 8)
     rounds = config.get("rounds", 6)
+    # checked here too, so a bad value fails before any backend call
     for name, value, low in (("n", n, 1), ("votes", votes, 1), ("rounds", rounds, 0)):
-        if not is_int(value) or value < low:
-            raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+        check_count(name, value, low)
     backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
 
     with TaskPool(args.parallelism) as pool:
@@ -280,10 +274,7 @@ def _cmd_baseline(args) -> int:
         "mode": mode,
         "calls": calls,
         "selected": {"id": candidates[pick].id, "content": candidates[pick].content},
-        "verdicts": [
-            {"candidate_id": v.candidate_id, "yes_votes": v.yes_votes, "total_votes": v.total_votes}
-            for v in verdicts
-        ],
+        "verdicts": [asdict(v) for v in verdicts],
         "seed": seed,
         "config": {**config, "seed": seed, "votes": votes},
     }

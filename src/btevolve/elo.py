@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, is_int
+from .errors import ConfigError, check_count, is_finite_real, is_int
 
 DEFAULT_PRIOR_MEAN = 3100.0
 DEFAULT_PRIOR_STD = 500.0
@@ -44,8 +43,8 @@ class ProblemOutcome:
     trials: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.problem_rating):
-            raise ValueError("problem_rating must be finite")
+        if not is_finite_real(self.problem_rating):
+            raise ValueError(f"problem_rating must be a finite number, got {self.problem_rating!r}")
         for name in ("successes", "trials"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -71,16 +70,7 @@ class EloEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "rating": self.rating,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "prior_mean": self.prior_mean,
-            "prior_std": self.prior_std,
-            "bounds": list(self.bounds),
-            "resamples": self.resamples,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "bounds": list(self.bounds)}
 
 
 def solve_probability(model_rating: float, problem_rating: float) -> float:
@@ -97,23 +87,15 @@ def _outcome_arrays(outcomes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ratings, wins, trials
 
 
-def _is_finite_number(value) -> bool:
-    """A finite real number that fits a float; bools do not count."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _check_prior(prior_mean: float, prior_std: float, bounds: tuple[float, float]) -> None:
     """Raise ConfigError unless the prior is finite with prior_std > 0 and bounds are two finite, increasing numbers."""
     for name, value in (("prior_mean", prior_mean), ("prior_std", prior_std)):
-        if not _is_finite_number(value):
+        if not is_finite_real(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if not prior_std > 0:
         raise ConfigError(f"prior_std must be positive, got {prior_std!r}")
     pair = tuple(bounds) if isinstance(bounds, (tuple, list, np.ndarray)) else ()
-    if not (len(pair) == 2 and all(map(_is_finite_number, pair)) and pair[0] < pair[1]):
+    if not (len(pair) == 2 and all(map(is_finite_real, pair)) and pair[0] < pair[1]):
         raise ConfigError(f"bounds must be [low, high], two finite numbers with low < high, got {bounds!r}")
 
 
@@ -207,8 +189,7 @@ def bootstrap_ci(
     """Percentile bootstrap interval: resample problems with replacement,
     refit the MAP each time, take the 2.5th and 97.5th percentiles with
     linear interpolation.  Deterministic given the seed."""
-    if not is_int(resamples) or resamples < 1:
-        raise ConfigError(f"resamples must be an integer of at least 1, got {resamples!r}")
+    check_count("resamples", resamples, 1)
     _check_prior(prior_mean, prior_std, bounds)
     ratings, wins, trials = _outcome_arrays(outcomes)
     count = len(ratings)
@@ -241,11 +222,13 @@ def load_outcomes(path: str | Path) -> list[ProblemOutcome]:
 
     CSV needs a header with `problem_rating` plus either `solved` (true/false)
     or `successes` and `trials`.  JSONL uses the same field names, one object
-    per line; a line that is not an object raises ValueError.
+    per line, the rating a JSON number and the counts JSON integers; a line
+    that is not an object, or a value of another type, raises ValueError.
     """
     path = Path(path)
     rows: list[dict]
-    if path.suffix.lower() == ".csv":
+    from_csv = path.suffix.lower() == ".csv"
+    if from_csv:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
     else:
@@ -260,12 +243,14 @@ def load_outcomes(path: str | Path) -> list[ProblemOutcome]:
                 rows.append(row)
     outcomes = []
     for row in rows:
-        rating = float(row["problem_rating"])
+        # CSV fields are text; JSON values go to ProblemOutcome as they are, so its checks see their types
+        rating = float(row["problem_rating"]) if from_csv else row["problem_rating"]
         if "solved" in row and row["solved"] not in (None, ""):
             solved = row["solved"] if isinstance(row["solved"], bool) else _parse_bool(row["solved"])
             outcomes.append(ProblemOutcome.bernoulli(rating, solved))
         else:
-            outcomes.append(ProblemOutcome(rating, int(row["successes"]), int(row["trials"])))
+            counts = (row["successes"], row["trials"])
+            outcomes.append(ProblemOutcome(rating, *(map(int, counts) if from_csv else counts)))
     return outcomes
 
 

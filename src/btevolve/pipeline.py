@@ -43,7 +43,7 @@ from .backends import (
     SyntheticWorldConfig,
 )
 from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, check_lam, fit_bt, rank
-from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, is_int
+from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
 from .population import (
@@ -216,8 +216,7 @@ class TaskPool:
     """
 
     def __init__(self, parallelism: int = 1) -> None:
-        if not is_int(parallelism) or parallelism < 1:
-            raise ConfigError(f"parallelism must be an integer of at least 1, got {parallelism!r}")
+        check_count("parallelism", parallelism, 1)
         self._executor = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
 
     def __enter__(self) -> TaskPool:
@@ -342,6 +341,7 @@ def sample_candidates(
     drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
     concurrent calls or a TaskPool to run them on.  The user prompt is the
     problem itself."""
+    check_count("n", n, 1)
 
     def sample(i: int, sample_seed: int) -> Candidate:
         content = complete_candidate(
@@ -523,29 +523,19 @@ class ReplayResult:
     config: dict | None
 
 
-_RAW_DECODE = json.JSONDecoder().raw_decode
 _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
 
 
 def _parse_trace_lines(lines) -> list[dict]:
-    """The records of JSONL trace lines, skipping blank ones.
-
-    A line that `raw_decode` reads to its end is taken as decoded; any other
-    goes through json.loads, which accepts or rejects it, and words the error.
-    """
+    """The records of JSONL trace lines, skipping blank ones."""
     records = []
     for idx, line in enumerate(lines):
+        if not line.strip():
+            continue
         try:
-            record, end = _RAW_DECODE(line)
-        except (ValueError, TypeError):
-            end = None
-        if end is None or end != len(line):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ReplayError(f"record {idx}: expected an object")
         if not record.keys() >= _RECORD_FIELDS:

@@ -31,7 +31,7 @@ from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, c
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
 # the simulation itself fits through fit_bt_rows
 from .btrank import fit_bt  # noqa: F401
-from .errors import ConfigError, is_int
+from .errors import ConfigError, check_count, is_int
 from .seeds import pcg64_seeds
 
 FIRST_WINS = "first-wins"
@@ -123,6 +123,7 @@ def round_robin_schedule(pool_size: int) -> list[list[tuple[int, int]]]:
 
 def generate_matrix(pool_size: int, world: SyntheticWorldConfig, seed: int) -> JudgmentMatrix:
     """Draw a synthetic pool and judge every pair once under the world's judge."""
+    check_count("pool_size", pool_size, 2)
     rng = np.random.default_rng(seed)
     thetas = rng.normal(world.theta_mean, world.theta_std, size=pool_size)
     labels = tuple(bool(theta >= world.acceptance_threshold) for theta in thetas)

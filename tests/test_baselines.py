@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ def test_pointwise_score_flags_all_malformed():
     assert verdict.yes_votes == 0
     with pytest.raises(ConfigError):
         pointwise_score(sampled("c", "code"), "p", votes=0, backend=backend)
+
+
+@pytest.mark.parametrize("votes", [2.5, True], ids=["fraction", "bool"])
+def test_pointwise_score_rejects_non_integer_votes(votes):
+    backend = ScriptedBackend()
+    with pytest.raises(ConfigError, match=re.escape(f"votes must be an integer of at least 1, got {votes!r}")):
+        pointwise_score(sampled("c", "code"), "p", votes=votes, backend=backend)
+    assert backend.requests == []
 
 
 def test_pointwise_vote_failure_names_the_vote_and_candidate():
@@ -106,6 +115,13 @@ def test_self_refine_call_count_and_lineage():
     assert backend.calls == 12
     with pytest.raises(ValueError):
         self_refine(candidates, rounds=-1, problem="p", backend=backend)
+
+
+def test_self_refine_rejects_fractional_rounds():
+    backend = ScriptedBackend()
+    with pytest.raises(ConfigError, match=re.escape("rounds must be an integer of at least 0, got 1.5")):
+        self_refine([sampled("c", "code")], rounds=1.5, problem="p", backend=backend)
+    assert backend.requests == []
 
 
 def test_self_refine_empty_reply_is_a_backend_error():

@@ -270,6 +270,24 @@ def test_elo_non_object_jsonl_line_is_a_config_error(tmp_path):
     assert "line 3" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "row",
+    [{"problem_rating": 3100, "successes": 1.7, "trials": 2}, {"problem_rating": 3100, "successes": True, "trials": 1.9}],
+    ids=["fractional-successes", "bool-successes"],
+)
+def test_elo_non_integer_jsonl_counts_are_a_config_error(tmp_path, row):
+    outcomes = tmp_path / "outcomes.jsonl"
+    outcomes.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    config = write_config(tmp_path, "elo.yaml", {"outcomes": str(outcomes), "resamples": 20})
+    out = tmp_path / "elo.json"
+    code, _, err = run_cli("elo", "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "successes must be an integer" in error["message"]
+    assert not out.exists()
+
+
 def test_diagnose_reports_and_echoes(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     rng = np.random.default_rng(0)

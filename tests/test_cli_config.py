@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import yaml
 
+from btevolve import cli
 from btevolve.cli import main
 from btevolve.pipeline import RunConfig
 
@@ -42,6 +43,14 @@ def test_lambda_is_read_as_lam(tmp_path):
     echo = run_echo(tmp_path, n=8, k=3, generations=1, final_k=5, **{"lambda": 0.05})
     assert echo["lam"] == 0.05
     assert echo == RunConfig(problem=PROBLEM, n=8, k=3, generations=1, final_k=5, lam=0.05).echo()
+
+
+def test_run_keys_are_run_config_fields_with_lambda_for_lam():
+    assert cli._RUN_KEYS == {
+        "problem", "n", "k", "generations", "final_k", "lambda", "seed",
+        "feedback_strategy", "parse_retries", "include_restart_license",
+        "temperature_generate", "temperature_judge", "backend",
+    }
 
 
 def test_bare_pairwise_k_is_the_unset_strategy(tmp_path):

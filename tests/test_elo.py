@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,12 @@ def test_outcome_validation():
 def test_outcome_counts_must_be_integers(successes, trials):
     with pytest.raises(ValueError, match="must be an integer"):
         ProblemOutcome(3000.0, successes, trials)
+
+
+@pytest.mark.parametrize("rating", ["3000", True], ids=["string", "bool"])
+def test_outcome_rating_must_be_a_real_number(rating):
+    with pytest.raises(ValueError, match="problem_rating must be a finite number"):
+        ProblemOutcome(rating, 1, 1)
 
 
 def test_outcome_accepts_numpy_integer_counts():
@@ -308,6 +315,23 @@ def test_load_outcomes_csv_and_jsonl(tmp_path):
         ProblemOutcome(2500.0, 1, 1),
         ProblemOutcome(3300.0, 1, 4),
     ]
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ({"problem_rating": 3000, "successes": 1.7, "trials": 2}, "successes must be an integer, got 1.7"),
+        ({"problem_rating": 3000, "successes": True, "trials": 1.9}, "successes must be an integer, got True"),
+        ({"problem_rating": "3000", "solved": True}, "problem_rating must be a finite number, got '3000'"),
+    ],
+    ids=["fractional-successes", "bool-successes", "string-rating"],
+)
+def test_load_outcomes_passes_jsonl_values_as_they_are(tmp_path, row, message):
+    # a JSON number is not parsed, so it is never truncated into a count
+    path = tmp_path / "o.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_outcomes(path)
 
 
 def test_load_outcomes_rejects_bad_booleans(tmp_path):

@@ -1,6 +1,7 @@
 """Pipeline orchestration tests: budgets, traces, retries, replay, determinism."""
 
 import json
+import re
 import threading
 import time
 from dataclasses import replace
@@ -625,6 +626,14 @@ def test_selection_only_run_skips_evolution():
     assert summary["primary_calls"] == compute_budget(8, 3, 0, 5) == 28
     assert summary["barriers"] == 2
     assert not trace.records_of_kind("routing")
+
+
+@pytest.mark.parametrize("n", [0, 2.5], ids=["zero", "fraction"])
+def test_sample_candidates_rejects_bad_counts(n):
+    backend = ScriptedBackend()
+    with pytest.raises(ConfigError, match=re.escape(f"n must be an integer of at least 1, got {n!r}")):
+        pipeline.sample_candidates(backend, "p", n, seed=0)
+    assert backend.requests == []
 
 
 def test_parallelism_must_be_positive(tmp_path):

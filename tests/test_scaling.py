@@ -73,6 +73,12 @@ def test_generate_matrix_shape_and_determinism():
     assert other != matrix
 
 
+@pytest.mark.parametrize("pool_size", [2.5, True, 1], ids=["fraction", "bool", "one"])
+def test_generate_matrix_rejects_bad_pool_sizes(pool_size):
+    with pytest.raises(ConfigError, match="^pool_size must be an integer of at least 2"):
+        generate_matrix(pool_size, WORLD, seed=3)
+
+
 def test_generate_matrix_frozen_values():
     # pins the shared synthetic judge as the matrix generator draws it: outcomes
     # in canonical pair order, F/S/T for first-wins/second-wins/tie
