@@ -1,5 +1,8 @@
 """Completion backends: a real HTTP endpoint and a deterministic synthetic world.
 
+The HTTP backend sends each call as one JSON POST through the standard
+library's `http.client`, which it loads on its first call.
+
 The synthetic backend stands in for the model during tests and simulations.
 Each candidate it emits embeds a latent quality theta; it reads each prompt
 back through the template that rendered it (`prompts.parse`), chosen among
@@ -18,15 +21,13 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
 from . import prompts
 from .errors import BackendError
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -70,12 +71,14 @@ class HttpBackend:
 
     Transport failures (connection errors, timeouts, HTTP 429/5xx) are
     retried `transport_retries` times with exponential backoff starting at
-    `backoff_seconds`; other HTTP errors, and replies that are not a JSON
-    object with a string `text`, fail immediately.  Each thread keeps its own
-    `requests.Session`, so calls reuse keep-alive connections.  The auth
+    `backoff_seconds`; any other status outside 2xx (a redirect too), and
+    replies that are not a JSON object with a string `text`, fail
+    immediately.  Each thread keeps one keep-alive `http.client` connection:
+    one the server has closed while idle is reopened before it is used, and
+    one whose request fails is closed.  No proxy variables or `.netrc` are
+    read, and https is verified against the system trust store.  The auth
     token is read from the environment at call time so configs never hold
-    secrets.  `requests` is imported on the first call, so importing
-    btevolve for offline work does not load it.
+    secrets.
     """
 
     def __init__(
@@ -86,60 +89,72 @@ class HttpBackend:
         transport_retries: int = 2,
         backoff_seconds: float = 1.0,
     ) -> None:
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http or https URL with a host, got {base_url!r}")
         self.base_url = base_url
         self.auth_token_env = auth_token_env
         self.timeout = timeout
         self.transport_retries = transport_retries
         self.backoff_seconds = backoff_seconds
+        self._https = url.scheme == "https"
+        self._address = (url.hostname, url.port)  # a malformed port raises ValueError here
+        # spaces, control and non-ASCII characters are percent-encoded; escapes already there stay
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        import requests
-
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
-
     def complete(self, request: CompletionRequest) -> str:
-        import requests
+        # http.client and select load on the first call, so offline commands start without them
+        import http.client
+        import select
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         if self.auth_token_env:
             token = os.environ.get(self.auth_token_env)
             if token:
                 headers["Authorization"] = f"Bearer {token}"
-        body = {
-            "system": request.system_prompt,
-            "user": request.user_prompt,
-            "temperature": request.temperature,
-        }
+        body = json.dumps(
+            {"system": request.system_prompt, "user": request.user_prompt, "temperature": request.temperature}
+        ).encode("utf-8")
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection_class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
+            connection = self._local.connection = connection_class(*self._address, timeout=self.timeout)
         last_error: Exception | None = None
         for attempt in range(self.transport_retries + 1):
             if attempt:
                 time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
+            # an idle socket that reads as ready holds the server's close: reopen instead of failing
+            if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+                connection.close()
             try:
-                response = self._session().post(self.base_url, json=body, headers=headers, timeout=self.timeout)
-                if response.status_code == 429 or response.status_code >= 500:
-                    last_error = BackendError(f"HTTP {response.status_code} from {self.base_url}")
-                    logger.warning("retryable status %s (attempt %d)", response.status_code, attempt + 1)
-                    continue
-                response.raise_for_status()
-                payload = response.json()
-                if not isinstance(payload, dict):
-                    raise BackendError(f"endpoint reply is not a JSON object: {payload!r:.200}")
-                if "text" not in payload:
-                    raise BackendError(f"endpoint reply is missing 'text': {payload!r:.200}")
-                if not isinstance(payload["text"], str):
-                    raise BackendError(f"endpoint reply 'text' is not a string: {payload['text']!r:.200}")
-                return payload["text"]
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                # headers and body go out in one write, so no delayed ACK stalls the request
+                connection.request("POST", self._target, body, headers)
+                response = connection.getresponse()
+                reply = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
                 last_error = exc
                 logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
-            except requests.HTTPError as exc:
-                raise BackendError(f"HTTP error from {self.base_url}: {exc}") from exc
-            except ValueError as exc:  # not JSON
+                continue
+            if response.status == 429 or response.status >= 500:
+                last_error = BackendError(f"HTTP {response.status} from {self.base_url}")
+                logger.warning("retryable status %s (attempt %d)", response.status, attempt + 1)
+                continue
+            if not 200 <= response.status < 300:
+                raise BackendError(f"HTTP error from {self.base_url}: {response.status} {response.reason}")
+            try:
+                payload = json.loads(reply)
+            except ValueError as exc:
                 raise BackendError(f"endpoint reply is not JSON: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise BackendError(f"endpoint reply is not a JSON object: {payload!r:.200}")
+            if "text" not in payload:
+                raise BackendError(f"endpoint reply is missing 'text': {payload!r:.200}")
+            if not isinstance(payload["text"], str):
+                raise BackendError(f"endpoint reply 'text' is not a string: {payload['text']!r:.200}")
+            return payload["text"]
         raise BackendError(
             f"backend unavailable after {self.transport_retries + 1} attempts: {last_error}"
         ) from last_error

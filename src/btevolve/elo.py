@@ -221,18 +221,23 @@ def load_outcomes(path: str | Path) -> list[ProblemOutcome]:
     """Read outcomes from CSV or JSON lines.
 
     CSV needs a header with `problem_rating` plus either `solved` (true/false)
-    or `successes` and `trials`.  JSONL uses the same field names, one object
-    per line, the rating a JSON number and the counts JSON integers; a line
-    that is not an object, or a value of another type, raises ValueError.
+    or `successes` and `trials`; a row short of a header field raises
+    ValueError.  JSONL uses the same field names, one object per line, the
+    rating a JSON number and the counts JSON integers; a line that is not an
+    object, or a value of another type, raises ValueError.
     """
     path = Path(path)
-    rows: list[dict]
+    rows: list[dict] = []
     from_csv = path.suffix.lower() == ".csv"
     if from_csv:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
+            reader = csv.DictReader(handle)
+            for row in reader:
+                missing = [name for name, value in row.items() if value is None]
+                if missing:
+                    raise ValueError(f"line {reader.line_num} of {path} has no {', '.join(missing)}")
+                rows.append(row)
     else:
-        rows = []
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 if not line.strip():

@@ -68,11 +68,8 @@ SCHEMA_VERSION = 1
 
 def compute_budget(n: int, k: int, t: int, m: int) -> int:
     """Primary backend calls for a full run: n + t*(n*k/2 + 3n/4) + n*m/2."""
-    for name, value in (("n", n), ("k", k), ("t", t), ("m", m)):
-        if not is_int(value) or value < 0:
-            raise ConfigError(f"{name} must be a non-negative integer")
-    if n < 1:
-        raise ConfigError("n must be positive")
+    for name, value, low in (("n", n, 1), ("k", k, 0), ("t", t, 0), ("m", m, 0)):
+        check_count(name, value, low)
     if t > 0:
         if (n * k) % 2 != 0:
             raise ConfigError(f"n*k={n * k} comparisons per round do not split into pairs")

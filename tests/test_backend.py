@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
@@ -22,9 +23,9 @@ from btevolve.backends import (
     synthetic_mutate,
 )
 from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE
-from btevolve.errors import BackendError
+from btevolve.errors import BackendError, ConfigError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from btevolve.pipeline import RunConfig, compute_budget, derive_seed, run_pipeline
+from btevolve.pipeline import RunConfig, compute_budget, derive_seed, make_backend, run_pipeline
 from btevolve.population import render_mutation_prompt
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
 from conftest import sampled
@@ -203,6 +204,16 @@ class _KeepAliveScript(_Script):
     protocol_version = "HTTP/1.1"  # keeps the connection open between requests
 
 
+class _CloseAfterReply(_Script):
+    """Replies as HTTP/1.1 without `Connection: close`, then closes the connection anyway."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
 def _serve(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -223,6 +234,11 @@ def http_server():
 def keep_alive_server():
     # one thread per connection, so a connection held open blocks nothing
     yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _KeepAliveScript))
+
+
+@pytest.fixture()
+def closing_server():
+    yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _CloseAfterReply))
 
 
 class _SyntheticReplies(BaseHTTPRequestHandler):
@@ -384,16 +400,57 @@ def test_http_sessions_are_per_thread(keep_alive_server):
     assert len({seen["peer"] for seen in script.seen}) == 2
 
 
-def test_requests_is_imported_only_when_a_request_is_sent():
-    # offline commands (simulate, elo) import btevolve without paying for requests and urllib3
+def test_http_calls_need_no_requests_and_import_loads_no_http_client(http_server):
+    # offline commands (simulate, elo) import btevolve without paying for http.client
+    url, script = http_server
+    script.script.append((200, json.dumps({"text": "hello"})))
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, btevolve\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))\n"
-        "btevolve.HttpBackend('http://127.0.0.1:9')._session()\n"
-        "print('requests' in sys.modules)"
+        "import sys\n"
+        "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
+        "import btevolve\n"
+        "print('http.client' in sys.modules)\n"
+        f"print(btevolve.HttpBackend({url!r}, timeout=5).complete(btevolve.CompletionRequest('u')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True
     )
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    assert done.stdout.split("\n")[:2] == ["False", "hello"]
+    assert script.seen[0]["body"] == {"system": None, "user": "u", "temperature": 1.0}
+
+
+def test_http_reopens_a_connection_the_server_closed_while_idle(closing_server):
+    # without the idle check the second call would go out on the closed socket and fail
+    url, script = closing_server
+    script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
+    backend = HttpBackend(url, timeout=5, transport_retries=0)
+    replies = []
+    for _ in range(3):
+        replies.append(backend.complete(CompletionRequest("u")))
+        time.sleep(0.05)
+    assert replies == ["0", "1", "2"]
+    assert len({seen["peer"] for seen in script.seen}) == 3
+
+
+@pytest.mark.parametrize(
+    ("status", "body", "message"),
+    [(302, "{}", r"HTTP error from .*: 302"), (200, "<html>busy</html>", "not JSON")],
+    ids=["redirect", "not-json"],
+)
+def test_http_redirects_and_non_json_replies_fail_immediately(http_server, status, body, message):
+    url, script = http_server
+    script.script.extend([(status, body), (200, json.dumps({"text": "never"}))])
+    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    with pytest.raises(BackendError, match=message):
+        backend.complete(CompletionRequest("u"))
+    assert len(script.seen) == 1
+
+
+@pytest.mark.parametrize(
+    "base_url", ["example.invalid/v1", "ftp://example.invalid/v1", "http:///v1", "http://example.invalid:port/v1"]
+)
+def test_http_rejects_a_malformed_base_url(base_url):
+    with pytest.raises(ValueError):
+        HttpBackend(base_url)
+    with pytest.raises(ConfigError, match="bad backend options"):
+        make_backend("http", {"base_url": base_url})

@@ -270,6 +270,18 @@ def test_elo_non_object_jsonl_line_is_a_config_error(tmp_path):
     assert "line 3" in error["message"]
 
 
+def test_elo_short_csv_row_is_a_config_error(tmp_path):
+    outcomes = tmp_path / "outcomes.csv"
+    outcomes.write_text("problem_rating,successes,trials\n2400,1\n", encoding="utf-8")
+    config = write_config(tmp_path, "elo.yaml", {"outcomes": str(outcomes), "resamples": 20})
+    code, _, err = run_cli("elo", "--config", str(config), "--out", str(tmp_path / "elo.json"))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "line 2" in error["message"] and "trials" in error["message"]
+    assert not (tmp_path / "elo.json").exists()
+
+
 @pytest.mark.parametrize(
     "row",
     [{"problem_rating": 3100, "successes": 1.7, "trials": 2}, {"problem_rating": 3100, "successes": True, "trials": 1.9}],
@@ -470,6 +482,18 @@ def test_backend_failure_exit_code(tmp_path, problem_file):
     code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
     assert code == 3
     assert json.loads(err)["error"] == "backend"
+
+
+@pytest.mark.parametrize("base_url", ["example.invalid/v1", "ftp://example.invalid/v1"])
+def test_malformed_base_url_is_a_config_error(tmp_path, problem_file, base_url):
+    payload = dict(small_run_config(problem_file), backend={"kind": "http", "base_url": base_url})
+    config = write_config(tmp_path, "http.yaml", payload)
+    code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "base_url" in error["message"]
+    assert not (tmp_path / "o" / "problem.trace.jsonl").exists()
 
 
 def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):

@@ -334,6 +334,21 @@ def test_load_outcomes_passes_jsonl_values_as_they_are(tmp_path, row, message):
         load_outcomes(path)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("problem_rating,successes,trials\n2400,1\n", "line 2 of .* has no trials"),
+        ("successes,trials,problem_rating\n3,5,2800\n1,2\n", "line 3 of .* has no problem_rating"),
+    ],
+    ids=["no-trials", "no-rating"],
+)
+def test_load_outcomes_rejects_a_short_csv_row(tmp_path, text, message):
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        load_outcomes(path)
+
+
 def test_load_outcomes_rejects_bad_booleans(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("problem_rating,solved\n2400,maybe\n", encoding="utf-8")

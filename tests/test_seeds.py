@@ -1,9 +1,11 @@
-"""Seed scheme tests: the entropy parts every batched seed function takes."""
+"""Seed scheme tests: frozen derivations, the batched replays of SeedSequence
+and PCG64 against numpy itself, and the entropy parts they all take."""
 
 import numpy as np
 import pytest
 
-from btevolve.seeds import _entropy, derive_seed, derive_seeds, pcg64_seeds
+from btevolve.errors import ConfigError
+from btevolve.seeds import _entropy, derive_seed, derive_seeds, pcg64_seeds, seed_schedule, seed_uniforms
 
 
 @pytest.mark.parametrize(
@@ -38,3 +40,130 @@ def test_entropy_rejects_a_column_that_is_not_one_word_per_row(column):
         _entropy(5, column)
     with pytest.raises(ValueError):
         derive_seeds(5, column)
+
+
+def test_derive_seed_frozen_values():
+    # pins the derivation scheme; all production paths share this shape
+    assert derive_seed(0, 0, 0, 0) == 15793235383387715774
+    assert derive_seed(7, 1, 3, 2) == 4500710621912219148
+
+
+def test_derive_seed_purpose_paths_distinct():
+    seeds = {
+        derive_seed(5, r, purpose, idx)
+        for r in range(4)
+        for purpose in range(6)
+        for idx in range(10)
+    }
+    assert len(seeds) == 4 * 6 * 10
+
+
+def _scalar_seeds(root, *path, indices):
+    return [derive_seed(root, *path, i) for i in indices]
+
+
+def test_derive_seeds_matches_derive_seed_for_random_roots():
+    rng = np.random.default_rng(17)
+    small = [int(r) for r in rng.integers(0, 2**31, size=6)]
+    large = [int(r) for r in rng.integers(2**32, 2**63, size=6)] + [int(r) << 40 for r in small]
+    for root in small + large:
+        path = (int(rng.integers(0, 5)), int(rng.integers(0, 6)))
+        indices = [int(i) for i in rng.integers(0, 500, size=int(rng.integers(1, 40)))]
+        batch = derive_seeds(root, *path, np.array(indices))
+        assert batch.dtype == np.uint64
+        assert batch.tolist() == _scalar_seeds(root, *path, indices=indices)
+
+
+@pytest.mark.parametrize("root", [0, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize(
+    "path",
+    [(), (3,), (1, 2), (2**32, 5), (0, 2**64 - 1), (4, 2**32 - 1, 7), (1, 2, 3, 4, 5)],
+)
+def test_derive_seeds_matches_derive_seed_at_edges(root, path):
+    for indices in ([0, 2**32 - 1], [9, 2, 40, 2, 0], range(3, 30, 4), []):
+        column = np.array(indices, dtype=np.int64)
+        assert derive_seeds(root, *path, column).tolist() == _scalar_seeds(root, *path, indices=indices)
+
+
+@pytest.mark.parametrize(
+    "root, path, indices",
+    [(-1, (0, 0), [0]), (5, (0, -2), [0]), (5, (0, 0), [3, -1]), (5, (0, 0), [2**32])],
+)
+def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
+    with pytest.raises(ValueError):
+        derive_seeds(root, *path, np.array(indices))
+    if min(root, *path, *indices) < 0:  # SeedSequence rejects a negative element too
+        with pytest.raises(ValueError):
+            derive_seed(root, *path, *indices)
+
+
+def _expected_schedule(root, n, k, generations, final_k):
+    """seed_schedule's fields, one derive_seed and one default_rng per seed."""
+    rounds = []
+    for r in range(1, generations + 2):
+        pairs, mutations = (n * k // 2, n) if r <= generations else (n * final_k // 2, 0)
+        order = _scalar_seeds(root, r, 2, indices=range(pairs))
+        rounds.append(
+            (
+                derive_seed(root, r, 1, 0),
+                order,
+                [np.random.default_rng(s).random() < 0.5 for s in order],
+                _scalar_seeds(root, r, 3, indices=range(pairs)),
+                _scalar_seeds(root, r, 5, indices=range(mutations)),
+            )
+        )
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 3, 2, 5), (8, 2, 0, 3), (8, 7, 1, 7), (12, 4, 2, 1), (4, 1, 3, 1)],
+    ids=["small", "generations-0", "k-n-1", "final-k-1", "n-4"],
+)
+def test_seed_schedule_matches_derive_seed(shape):
+    roots = [0, 2**32 - 1, 2**32, 2**64 + 5]
+    roots += [int(r) for r in np.random.default_rng(sum(shape)).integers(0, 2**63, size=4)]
+    for root in roots:
+        schedule = seed_schedule(root, *shape)
+        got = [(s.pairing, s.order, s.left_first, s.judge, s.mutate) for s in schedule]
+        assert got == _expected_schedule(root, *shape), root
+
+
+def test_seed_schedule_rejects_a_path_word_of_2_to_the_32():
+    # a round of 2**32 would need a second SeedSequence word, so it raises
+    # before any column is built
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        seed_schedule(3, 4, 1, 2**32 - 1, 1)
+    with pytest.raises(ConfigError, match=r"2\*\*32"):
+        seed_schedule(3, 2**32 + 4, 1, 1, 1)  # mutation index 2**32
+
+
+def test_seed_uniforms_matches_default_rng():
+    rng = np.random.default_rng(23)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    seeds += [int(s) for s in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
+    seeds += [int(s) for s in rng.integers(0, 2**32, size=200)]
+    uniforms = seed_uniforms(seeds)
+    assert uniforms.dtype == np.float64
+    assert uniforms.tolist() == [np.random.default_rng(s).random() for s in seeds]
+    batch = derive_seeds(9, 2, 2, np.arange(50))  # uint64 input, as the pipeline draws it
+    assert seed_uniforms(batch).tolist() == [np.random.default_rng(s).random() for s in batch.tolist()]
+    assert seed_uniforms([]).tolist() == []
+
+
+@pytest.mark.parametrize("words", [1, 2, 4, 5, 7])
+def test_pcg64_seeds_match_seed_sequence(words):
+    # entropy shorter than, as long as and longer than SeedSequence's pool of 4 words
+    entropy = np.random.default_rng(words).integers(0, 2**32, size=(words, 40), dtype=np.uint32)
+    entropy[:, 0] = 0
+    entropy[:, 1] = 2**32 - 1
+    states, incs = pcg64_seeds(*entropy)
+    expected = [np.random.PCG64(np.random.SeedSequence(column)).state["state"] for column in entropy.T]
+    assert states == [state["state"] for state in expected]
+    assert incs == [state["inc"] for state in expected]
+
+
+@pytest.mark.parametrize("seeds", [[-1], [3, 2**64], [2**70, 5]])
+def test_seed_uniforms_rejects_out_of_range_seeds(seeds):
+    with pytest.raises(ValueError):
+        seed_uniforms(seeds)
