@@ -27,7 +27,7 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 
 from . import prompts
-from .errors import BackendError
+from .errors import BackendError, ConfigError, check_count, is_finite_real
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,10 @@ class HttpBackend:
     one whose request fails is closed.  No proxy variables or `.netrc` are
     read, and https is verified against the system trust store.  The auth
     token is read from the environment at call time so configs never hold
-    secrets.
+    secrets.  A `timeout` that is not a finite number above 0, a
+    `transport_retries` that is not an integer of at least 0, or a
+    `backoff_seconds` that is not a finite number of at least 0 raises
+    ConfigError.
     """
 
     def __init__(
@@ -92,6 +95,12 @@ class HttpBackend:
         url = urlsplit(base_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http or https URL with a host, got {base_url!r}")
+        # a timeout of 0 would make every socket non-blocking, so every call would fail as a transport failure
+        if not (is_finite_real(timeout) and timeout > 0):
+            raise ConfigError(f"timeout must be a finite number above 0, got {timeout!r}")
+        check_count("transport_retries", transport_retries, 0)
+        if not (is_finite_real(backoff_seconds) and backoff_seconds >= 0):
+            raise ConfigError(f"backoff_seconds must be a finite number of at least 0, got {backoff_seconds!r}")
         self.base_url = base_url
         self.auth_token_env = auth_token_env
         self.timeout = timeout

@@ -5,8 +5,13 @@ A model with rating R solves a problem of rating R_p with probability
 Gaussian prior within a bounded interval, found by a bracketed Newton solve
 on the log posterior's derivative; uncertainty comes from a seeded bootstrap
 over problems with percentile confidence bounds, the resamples solved in
-vectorised blocks.  A prior, bounds or resample count that is not a valid
-number raises ConfigError.
+vectorised blocks of rows of problem indices.  At the points every row
+shares (both bounds and the Newton start) the terms are computed once per
+problem and gathered, and `estimate` solves the full-data MAP as one more
+row of the first block; each row keeps the bits of a solve of its own, so
+`estimate` equals `map_estimate` and `bootstrap_ci` exactly.  A prior,
+bounds, resample count or seed that is not a valid number raises
+ConfigError.
 """
 
 from __future__ import annotations
@@ -26,9 +31,12 @@ DEFAULT_PRIOR_STD = 500.0
 DEFAULT_BOUNDS = (1000.0, 5000.0)
 DEFAULT_RESAMPLES = 1000
 # (resamples, problems) elements per bootstrap block: each block's arrays
-# stay at 64 KB, where one whole-bootstrap pass at the defaults made
-# megabyte temporaries whose page faults came and went with the heap layout
-_BLOCK_ELEMENTS = 8192
+# stay near 128 KB.  With the shared points evaluated per problem, much of a
+# block's cost is per Newton step, not per element, so this ran faster than
+# 64 KB blocks; 256 KB blocks ran slower, and one whole-bootstrap pass at the
+# defaults made megabyte temporaries whose page faults came and went with
+# the heap layout
+_BLOCK_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -99,10 +107,27 @@ def _check_prior(prior_mean: float, prior_std: float, bounds: tuple[float, float
         raise ConfigError(f"bounds must be [low, high], two finite numbers with low < high, got {bounds!r}")
 
 
-def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: int = 100) -> np.ndarray:
-    """MAP rating of every row of a (rows, problems) stack, to 1e-9 Elo.
+_SCALE = math.log(10.0) / 400.0  # c: P(solve) = 1 / (1 + exp(-c (r - R)))
 
-    The log posterior is strictly concave, so its derivative
+
+def _terms(rating, ratings, trials) -> tuple[np.ndarray, np.ndarray]:
+    """t tanh(c (r - R) / 2) and t tanh^2, element by element.
+
+    p = (1 + tanh(c (r - R) / 2)) / 2 never overflows, and it gives
+    w - t p = (w - t / 2) - t tanh / 2 and t p (1 - p) = (t - t tanh^2) / 4.
+    """
+    tanh = np.tanh(0.5 * _SCALE * (rating - ratings))
+    weighted = trials * tanh
+    return weighted, weighted * tanh
+
+
+def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_steps: int = 100) -> np.ndarray:
+    """MAP rating of every row of `picks`, to 1e-9 Elo.
+
+    `ratings`, `wins` and `trials` hold one entry per problem, and each row
+    of the (rows, k) index array `picks` names the k problems of one data
+    set: `np.arange(k)[None]` for the full data, one bootstrap resample per
+    row otherwise.  The log posterior is strictly concave, so its derivative
     g(r) = c * sum(w - t p) - (r - mu) / sigma^2, with c = ln(10) / 400,
     is strictly decreasing.  A row whose g does not change sign over
     `bounds` has its MAP exactly on a bound.  Every other row runs Newton
@@ -112,39 +137,50 @@ def _map_rows(ratings, wins, trials, prior_mean, prior_std, bounds, max_steps: i
     where the curvature fades, plain Newton steps can hop between the
     bracket's ends for hundreds of steps.  A row is frozen once it moves at
     most 1e-9.
+
+    Both bounds and the Newton start clip(mu) are points every row shares,
+    so there the terms of g and its curvature are computed once per problem
+    and gathered by `picks`; element by element they are the values an
+    evaluation on the gathered arrays computes, and each row sums them in
+    the same order, so every row keeps its bits.  Only the Newton steps
+    after the first evaluate row by row.
     """
-    scale = math.log(10.0) / 400.0
     precision = 1.0 / prior_std**2
 
-    def slope_and_curvature(rating, ratings, trials, excess, total):
-        # p = (1 + tanh(c (r - R) / 2)) / 2 never overflows; w - t p = (w - t / 2) - t tanh / 2
-        tanh = np.tanh(0.5 * scale * (rating[:, None] - ratings))
-        weighted = trials * tanh
-        slope = scale * (excess - 0.5 * weighted.sum(axis=1)) - (rating - prior_mean) * precision
-        curvature = 0.25 * scale**2 * (total - (weighted * tanh).sum(axis=1)) + precision
-        return slope, curvature
+    def slope(rating, excess, weighted_sum):
+        return _SCALE * (excess - 0.5 * weighted_sum) - (rating - prior_mean) * precision
 
-    rows = (ratings, trials, (wins - 0.5 * trials).sum(axis=1), trials.sum(axis=1))
-    low = np.full(ratings.shape[0], float(bounds[0]))
-    high = np.full(ratings.shape[0], float(bounds[1]))
-    at_high = slope_and_curvature(high, *rows)[0] >= 0
-    at_low = slope_and_curvature(low, *rows)[0] <= 0
+    excess = (wins - 0.5 * trials)[picks].sum(axis=1)
+    total = trials[picks].sum(axis=1)
+    # numpy scalars, not Python floats, so a float32 prior promotes as it does against an array
+    low, high = np.float64(bounds[0]), np.float64(bounds[1])
+    at_high = slope(high, excess, _terms(high, ratings, trials)[0][picks].sum(axis=1)) >= 0
+    at_low = slope(low, excess, _terms(low, ratings, trials)[0][picks].sum(axis=1)) <= 0
     result = np.where(at_high, high, low)
     live = np.flatnonzero(~(at_high | at_low))
     # the solve works on compacted copies of the live rows: gathering them from the full stack every step is slower
-    rows, low, high = tuple(a[live] for a in rows), low[live], high[live]
+    picks = picks[live]
+    rows = (ratings[picks], trials[picks], excess[live], total[live])
     rating = np.clip(float(prior_mean), low, high)
+    # every row starts at the same point, so the first step's sums are gathered like the bound checks'
+    sums = [a[picks].sum(axis=1) for a in _terms(rating, ratings, trials)]
+    low, high = np.full(live.size, low), np.full(live.size, high)
     # the last two moves of each row, as rtsafe keeps them, both starting at the bracket width
     last = high - low
     before_last = last.copy()
-    for _ in range(max_steps):
+    for step_index in range(max_steps):
         if live.size == 0:
             return result
-        slope, curvature = slope_and_curvature(rating, *rows)
-        rising = slope > 0
+        ratings_rows, trials_rows, excess, total = rows
+        if step_index:
+            sums = [a.sum(axis=1) for a in _terms(rating[:, None], ratings_rows, trials_rows)]
+        weighted_sum, squared_sum = sums
+        gradient = slope(rating, excess, weighted_sum)
+        curvature = 0.25 * _SCALE**2 * (total - squared_sum) + precision
+        rising = gradient > 0
         low = np.where(rising, rating, low)
         high = np.where(rising, high, rating)
-        step = slope / curvature
+        step = gradient / curvature
         nxt = rating + step
         # strict: a converged row's next point is a bracket end, and bisecting it would undo the step
         bisect = (nxt < low) | (nxt > high) | (np.abs(step) > 0.5 * before_last)
@@ -175,7 +211,32 @@ def map_estimate(
     """Posterior-maximizing rating over the bounded interval, to 1e-9 Elo."""
     _check_prior(prior_mean, prior_std, bounds)
     ratings, wins, trials = _outcome_arrays(outcomes)
-    return float(_map_rows(ratings[None], wins[None], trials[None], prior_mean, prior_std, bounds)[0])
+    return float(_map_rows(ratings, wins, trials, np.arange(len(ratings))[None], prior_mean, prior_std, bounds)[0])
+
+
+def _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map: bool):
+    """The full-data MAP (None unless `with_map`) and the percentile interval.
+
+    The full-data MAP is solved as one more row of the first block; rows
+    are solved independently, so it equals `map_estimate`.
+    """
+    check_count("resamples", resamples, 1)
+    check_count("seed", seed, 0)
+    _check_prior(prior_mean, prior_std, bounds)
+    ratings, wins, trials = _outcome_arrays(outcomes)
+    count = len(ratings)
+    rng = np.random.default_rng(seed)
+    rows = max(1, _BLOCK_ELEMENTS // count)
+    estimates = []
+    for start in range(0, resamples, rows):
+        # one draw per block: the same stream as one integers(0, count, count) call per resample
+        picks = rng.integers(0, count, size=(min(rows, resamples - start), count))
+        if with_map and start == 0:
+            picks = np.vstack((np.arange(count), picks))
+        estimates.append(_map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds))
+    maps = np.concatenate(estimates)
+    low, high = np.percentile(maps[1:] if with_map else maps, [2.5, 97.5], method="linear")
+    return (float(maps[0]) if with_map else None), float(low), float(high)
 
 
 def bootstrap_ci(
@@ -188,20 +249,8 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval: resample problems with replacement,
     refit the MAP each time, take the 2.5th and 97.5th percentiles with
-    linear interpolation.  Deterministic given the seed."""
-    check_count("resamples", resamples, 1)
-    _check_prior(prior_mean, prior_std, bounds)
-    ratings, wins, trials = _outcome_arrays(outcomes)
-    count = len(ratings)
-    rng = np.random.default_rng(seed)
-    rows = max(1, _BLOCK_ELEMENTS // count)
-    estimates = []
-    for start in range(0, resamples, rows):
-        # one draw per block: the same stream as one integers(0, count, count) call per resample
-        picks = rng.integers(0, count, size=(min(rows, resamples - start), count))
-        estimates.append(_map_rows(ratings[picks], wins[picks], trials[picks], prior_mean, prior_std, bounds))
-    low, high = np.percentile(np.concatenate(estimates), [2.5, 97.5], method="linear")
-    return float(low), float(high)
+    linear interpolation.  Deterministic given the seed, an integer >= 0."""
+    return _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map=False)[1:]
 
 
 def estimate(
@@ -212,8 +261,8 @@ def estimate(
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
 ) -> EloEstimate:
-    rating = map_estimate(outcomes, prior_mean, prior_std, bounds)
-    ci_low, ci_high = bootstrap_ci(outcomes, prior_mean, prior_std, bounds, resamples, seed)
+    """`map_estimate` and `bootstrap_ci` in one pass over the outcomes."""
+    rating, ci_low, ci_high = _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map=True)
     return EloEstimate(rating, ci_low, ci_high, prior_mean, prior_std, tuple(bounds), resamples, seed)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -454,3 +455,26 @@ def test_http_rejects_a_malformed_base_url(base_url):
         HttpBackend(base_url)
     with pytest.raises(ConfigError, match="bad backend options"):
         make_backend("http", {"base_url": base_url})
+
+
+HTTP_OPTION_ERRORS = {
+    "string-timeout": ({"timeout": "30"}, "timeout must be a finite number above 0, got '30'"),
+    "zero-timeout": ({"timeout": 0}, "timeout must be a finite number above 0, got 0"),
+    "infinite-timeout": ({"timeout": float("inf")}, "timeout must be a finite number above 0, got inf"),
+    "bool-timeout": ({"timeout": True}, "timeout must be a finite number above 0, got True"),
+    "string-retries": ({"transport_retries": "2"}, "transport_retries must be an integer of at least 0, got '2'"),
+    "negative-retries": ({"transport_retries": -1}, "transport_retries must be an integer of at least 0, got -1"),
+    "float-retries": ({"transport_retries": 2.0}, "transport_retries must be an integer of at least 0, got 2.0"),
+    "negative-backoff": ({"backoff_seconds": -1.0}, "backoff_seconds must be a finite number of at least 0, got -1.0"),
+    "nan-backoff": ({"backoff_seconds": float("nan")}, "backoff_seconds must be a finite number of at least 0, got nan"),
+    "null-backoff": ({"backoff_seconds": None}, "backoff_seconds must be a finite number of at least 0, got None"),
+}
+
+
+@pytest.mark.parametrize(("options", "message"), list(HTTP_OPTION_ERRORS.values()), ids=list(HTTP_OPTION_ERRORS))
+def test_http_rejects_bad_transport_options(options, message):
+    # checked when the backend is built, not on its first call
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        HttpBackend("http://127.0.0.1:9", **options)
+    with pytest.raises(ConfigError, match=re.escape(f"bad backend options: {message}")):
+        make_backend("http", {"base_url": "http://127.0.0.1:9", **options})

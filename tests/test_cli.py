@@ -496,6 +496,23 @@ def test_malformed_base_url_is_a_config_error(tmp_path, problem_file, base_url):
     assert not (tmp_path / "o" / "problem.trace.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "options",
+    [{"timeout": "30"}, {"timeout": 0}, {"transport_retries": "2"}, {"backoff_seconds": -1.0}],
+    ids=["string-timeout", "zero-timeout", "string-retries", "negative-backoff"],
+)
+def test_bad_http_transport_option_is_a_config_error(tmp_path, problem_file, options):
+    (name,) = options
+    payload = dict(small_run_config(problem_file), backend={"kind": "http", "base_url": "http://127.0.0.1:9", **options})
+    config = write_config(tmp_path, "http.yaml", payload)
+    code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert error["message"].startswith(f"bad backend options: {name} must be")
+    assert not (tmp_path / "o" / "problem.trace.jsonl").exists()
+
+
 def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
     backend = EmptyReplyBackend([derive_seed(13, 0, 0, 3)])
     monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: backend)

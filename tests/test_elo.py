@@ -14,6 +14,7 @@ import pytest
 from btevolve.elo import (
     ProblemOutcome,
     _map_rows,
+    _terms,
     bootstrap_ci,
     estimate,
     load_outcomes,
@@ -219,13 +220,13 @@ def test_bootstrap_matches_a_loop_over_resamples():
 
 
 def test_blocked_bootstrap_equals_one_pass_over_all_resamples():
-    # 73 problems split 1000 resamples into blocks of 112 and a last one of 104
+    # 73 problems split 1000 resamples into blocks of 224 and a last one of 104
     outcomes = make_dataset(5, problems=73)
     ratings = np.array([o.problem_rating for o in outcomes])
     wins = np.array([o.successes for o in outcomes], dtype=np.float64)
     trials = np.array([o.trials for o in outcomes], dtype=np.float64)
     picks = np.random.default_rng(12).integers(0, 73, size=(1000, 73))
-    maps = _map_rows(ratings[picks], wins[picks], trials[picks], 3100.0, 500.0, (1000.0, 5000.0))
+    maps = _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0))
     low, high = np.percentile(maps, [2.5, 97.5], method="linear")
     assert bootstrap_ci(outcomes, 3100.0, 500.0, (1000.0, 5000.0), resamples=1000, seed=12) == (low, high)
 
@@ -237,12 +238,11 @@ def test_rating_solve_converges_within_twenty_newton_steps():
     wins = (rng.random(73) < 1.0 / (1.0 + 10.0 ** ((ratings - 2500.0) / 400.0))).astype(np.float64)
     trials = np.ones(73)
     picks = rng.integers(0, 73, size=(1000, 73))
-    stack = ratings[picks], wins[picks], trials[picks]
-    maps = _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    maps = _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
     for row in (0, 1, 999):
-        assert maps[row] == pytest.approx(bisection_map(*(a[row] for a in stack)), abs=1e-6)
+        assert maps[row] == pytest.approx(bisection_map(*(a[picks[row]] for a in (ratings, wins, trials))), abs=1e-6)
     with pytest.raises(RuntimeError, match="did not converge"):
-        _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0), max_steps=2)
+        _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0), max_steps=2)
 
 
 # one bootstrap resample of the benchmark's elo workload (seed 902, op 5, row
@@ -265,15 +265,99 @@ def test_rating_solve_bisects_when_newton_hops_between_bracket_ends():
     wins = np.array([float(flag) for flag in HOPPING_SOLVED])
     trials = np.ones(len(ratings))
     oracle = bisection_map(ratings, wins, trials)
-    maps = _map_rows(ratings[None], wins[None], trials[None], 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    every = np.arange(len(ratings))
+    maps = _map_rows(ratings, wins, trials, every[None], 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
     assert maps[0] == pytest.approx(oracle, abs=1e-6)
     outcomes = [ProblemOutcome.bernoulli(r, flag == "1") for r, flag in zip(HOPPING_RATINGS, HOPPING_SOLVED)]
     assert map_estimate(outcomes) == maps[0]
     # stacked between rows that stop at other steps, each row keeps its own result
     flipped = 1.0 - wins
-    alone = _map_rows(ratings[None], flipped[None], trials[None], 3100.0, 500.0, (1000.0, 5000.0))[0]
-    stack = np.stack([ratings] * 3), np.stack([flipped, wins, flipped]), np.ones((3, len(ratings)))
-    assert _map_rows(*stack, 3100.0, 500.0, (1000.0, 5000.0)).tolist() == [alone, maps[0], alone]
+    alone = _map_rows(ratings, flipped, trials, every[None], 3100.0, 500.0, (1000.0, 5000.0))[0]
+    # the flipped outcomes are problems 0..k-1 and the observed ones k..2k-1
+    problems = np.concatenate([ratings] * 2), np.concatenate([flipped, wins]), np.ones(2 * len(ratings))
+    picks = np.stack([every, every + len(ratings), every])
+    assert _map_rows(*problems, picks, 3100.0, 500.0, (1000.0, 5000.0)).tolist() == [alone, maps[0], alone]
+
+
+def random_outcomes(rng, problems, max_trials=4, spread=(800.0, 5200.0)):
+    outcomes = []
+    for _ in range(problems):
+        trials = int(rng.integers(1, max_trials + 1))
+        outcomes.append(ProblemOutcome(float(rng.uniform(*spread)), int(rng.integers(0, trials + 1)), trials))
+    return outcomes
+
+
+def outcome_arrays(outcomes):
+    return (
+        np.array([o.problem_rating for o in outcomes]),
+        np.array([o.successes for o in outcomes], dtype=np.float64),
+        np.array([o.trials for o in outcomes], dtype=np.float64),
+    )
+
+
+def test_shared_point_terms_equal_the_gathered_evaluation():
+    # the solve evaluates the bounds and its start once per problem and
+    # gathers the terms by `picks`: element by element, and summed by row,
+    # they must be the bits an evaluation of every row at that point gives
+    rng = np.random.default_rng(19)
+    ratings, _, trials = outcome_arrays(random_outcomes(rng, 73))
+    picks = rng.integers(0, 73, size=(224, 73))
+    for point in (1000.0, 5000.0, 3100.0, float(rng.uniform(1000.0, 5000.0))):
+        shared = _terms(np.float64(point), ratings, trials)
+        full = _terms(np.full(len(picks), point)[:, None], ratings[picks], trials[picks])
+        for by_problem, by_row in zip(shared, full):
+            assert by_problem[picks].tobytes() == by_row.tobytes()
+            assert by_problem[picks].sum(axis=1).tobytes() == by_row.sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize(
+    ("prior", "bounds"),
+    [
+        ((3100.0, 500.0), (1000.0, 5000.0)),
+        ((4600.0, 5000.0), (2400.0, 2700.0)),
+        ((np.float32(2500.5), 80), (1500, 3000)),
+    ],
+    ids=["defaults", "narrow-bounds-prior-outside", "float32-and-int-prior"],
+)
+def test_each_bootstrap_row_is_the_map_of_its_own_resample(prior, bounds):
+    rng = np.random.default_rng(33)
+    outcomes = random_outcomes(rng, 30, spread=(1800.0, 3600.0))
+    picks = rng.integers(0, 30, size=(120, 30))
+    maps = _map_rows(*outcome_arrays(outcomes), picks, *prior, bounds)
+    alone = [map_estimate([outcomes[i] for i in row], *prior, bounds) for row in picks]
+    assert maps.tolist() == alone
+    if bounds == (2400.0, 2700.0):
+        assert {2400.0, 2700.0} <= set(alone) and any(2400.0 < m < 2700.0 for m in alone)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_estimate_is_map_estimate_and_bootstrap_ci_exactly(case):
+    rng = np.random.default_rng([41, case])
+    outcomes = random_outcomes(rng, int(rng.integers(1, 81)))
+    prior_mean, prior_std = float(rng.uniform(500.0, 5500.0)), float(rng.uniform(30.0, 3000.0))
+    bounds = tuple(sorted(rng.uniform(800.0, 5200.0, 2)))
+    if case == 0:  # every problem solved, prior above the interval: the MAP and every resample on the upper bound
+        outcomes = [ProblemOutcome(float(r), 3, 3) for r in rng.uniform(0.0, 400.0, 12)]
+        prior_mean = bounds[1] + 100.0
+    resamples, seed = int(rng.integers(1, 300)), int(rng.integers(2**32))
+    fit = estimate(outcomes, prior_mean, prior_std, bounds, resamples, seed)
+    rating = map_estimate(outcomes, prior_mean, prior_std, bounds)
+    ci = bootstrap_ci(outcomes, prior_mean, prior_std, bounds, resamples, seed)
+    assert (fit.rating, fit.ci_low, fit.ci_high) == (rating, *ci)
+    if case == 0:
+        assert (fit.rating, fit.ci_low, fit.ci_high) == (bounds[1],) * 3
+
+
+@pytest.mark.parametrize("fit", [bootstrap_ci, estimate])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=["negative", "fraction", "bool", "string", "null"])
+def test_bootstrap_seed_must_be_a_non_negative_integer(fit, seed):
+    with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer of at least 0, got {seed!r}")):
+        fit([ProblemOutcome(3000.0, 1, 2)], resamples=5, seed=seed)
+
+
+def test_bootstrap_accepts_a_numpy_integer_seed():
+    outcomes = make_dataset(2)
+    assert bootstrap_ci(outcomes, resamples=50, seed=np.uint64(7)) == bootstrap_ci(outcomes, resamples=50, seed=7)
 
 
 def test_importing_the_package_does_not_import_scipy():
