@@ -135,16 +135,21 @@ def _keep_rows(edges: _Edges, keep: np.ndarray, n: int) -> _Edges:
     )
 
 
-def _win_probabilities(s: np.ndarray, edges: _Edges) -> np.ndarray:
+def _differences(s: np.ndarray, edges: _Edges) -> np.ndarray:
+    """Every edge's loser-minus-winner score difference in the (rows, n) score stack `s`."""
     flat = s.ravel()
-    return 1.0 / (1.0 + np.exp(flat[edges.losers] - flat[edges.winners]))
+    return flat[edges.losers] - flat[edges.winners]
 
 
-def _objective(s: np.ndarray, edges: _Edges, lam: float) -> np.ndarray:
-    """Penalized log-likelihood of every row of the (rows, n) score stack `s`."""
-    flat = s.ravel()
+def _win_probabilities(differences: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(differences))
+
+
+def _objective(s: np.ndarray, differences: np.ndarray, edges: _Edges, lam: float) -> np.ndarray:
+    """Penalized log-likelihood of every row of the (rows, n) score stack `s`,
+    given its edges' `differences`."""
     # -log(sigmoid(d)) = log(1 + exp(-d)), computed stably for both signs
-    nll = np.logaddexp(0.0, flat[edges.losers] - flat[edges.winners])
+    nll = np.logaddexp(0.0, differences)
     return -np.bincount(edges.rows, weights=edges.weights * nll, minlength=len(s)) - 0.5 * lam * np.add.reduce(s * s, axis=1)
 
 
@@ -181,9 +186,10 @@ def check_lam(lam: float, name: str = "lam") -> None:
 
 def bt_objective(scores, records, lam: float = DEFAULT_LAM) -> float:
     """Penalized log-likelihood of `scores` for the given comparison records."""
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
-    return float(_objective(s[None], _record_edges(records, len(s)), lam)[0])
+    edges = _record_edges(records, s.shape[1])
+    return float(_objective(s, _differences(s, edges), edges, lam)[0])
 
 
 def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
@@ -196,7 +202,7 @@ def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
     edges = _record_edges(records, s.shape[1])
-    return _gradient(s, _win_probabilities(s, edges), edges, lam)[0]
+    return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 
 def _solve(
@@ -206,14 +212,17 @@ def _solve(
 
     The loop runs on small arrays, so it calls ufunc reductions and
     count_nonzero directly: the ndarray method wrappers (.sum, .any) cost
-    about as much as the arithmetic there.
+    about as much as the arithmetic there.  The full step's point s + step
+    and its edge differences are computed once per step: they are the line
+    search's first probe and, when no row halves its step, the next point,
+    whose win probabilities are taken from those same differences.
     """
     scores = np.zeros((rows, n))
     iterations = np.zeros(rows, dtype=np.intp)
     live = np.arange(rows)
     work = edges
     s = np.zeros((rows, n))
-    p = _win_probabilities(s, work)
+    p = _win_probabilities(_differences(s, work))
     grad = _gradient(s, p, work, lam)
     value = None  # objective at s, when the last line search already computed it
     for step_count in range(max_iterations + 1):
@@ -235,14 +244,16 @@ def _solve(
         step = np.linalg.solve(_hessian(p, work, lam, len(s), n), grad[:, :, None])[:, :, 0]
         decrement = np.add.reduce(grad * step, axis=1)
         search = decrement > _FLAT_DECREMENT
+        full = s + step
+        differences = _differences(full, work)
         if np.count_nonzero(search):
             # the searching rows halve in lockstep, so one scale serves them all;
             # `scales` keeps the scale each row stopped at, once any row halves
             if value is None:
-                value = _objective(s, work, lam)
+                value = _objective(s, _differences(s, work), work, lam)
             scale, scales = 1.0, None
+            trial = _objective(full, differences, work, lam)
             while True:
-                trial = _objective(s + scale * step, work, lam)
                 search &= trial < value + _ARMIJO * scale * decrement
                 if scale <= _MIN_SCALE or not np.count_nonzero(search):
                     break
@@ -250,20 +261,43 @@ def _solve(
                     scales = np.ones(len(s))
                 scale *= 0.5
                 scales[search] = scale
+                probe = s + scale * step
+                trial = _objective(probe, _differences(probe, work), work, lam)
             if scales is None:
                 value = trial  # every row takes its full step, the point of that first trial
             else:
                 step *= scales[:, None]
+                full = s + step
+                differences = _differences(full, work)
                 value = None
         else:
             value = None
-        s = s + step
-        p = _win_probabilities(s, work)
+        s = full
+        p = _win_probabilities(differences)
         grad = _gradient(s, p, work, lam)
     # the row means, bit for bit as .mean(axis=1) computes them, without its overhead
     scores -= scores.sum(axis=1, keepdims=True) / n
-    grad = _gradient(scores, _win_probabilities(scores, edges), edges, lam)
+    grad = _gradient(scores, _win_probabilities(_differences(scores, edges)), edges, lam)
     return scores, np.abs(grad).max(axis=1) <= tolerance, iterations
+
+
+def _fit_entries(
+    rows: np.ndarray,
+    winners: np.ndarray,
+    losers: np.ndarray,
+    weights: np.ndarray,
+    row_count: int,
+    population_size: int,
+    lam: float,
+    tolerance: float = 1e-8,
+    max_iterations: int = 500,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fit_bt_rows on flat, already checked win entries: entry e is a win of
+    candidate winners[e] over losers[e] in row rows[e] (of `row_count`) with
+    weight weights[e] > 0.  Each row's sums add its entries in the order they
+    are given, so a row's bits depend on that order alone."""
+    edges = _row_edges(rows, winners, losers, weights, population_size)
+    return _solve(edges, row_count, population_size, lam, tolerance, max_iterations)
 
 
 def fit_bt_rows(
@@ -280,12 +314,13 @@ def fit_bt_rows(
     `winners`, `losers` and `weights` are (rows, entries) arrays: entry e of
     row r is a win of candidate winners[r, e] over losers[r, e] (indices
     within the row, 0..population_size-1) with weight weights[r, e]; a tie
-    is two half-wins, and zero-weight entries are padding.  Every row is
-    fitted exactly as fit_bt fits it alone, down to the bits of its scores
-    and its `iterations`; a row leaves the Newton loop once it meets the
-    stopping test or after `max_iterations` steps.  Returns the
-    (rows, population_size) mean-centered scores plus the per-row
-    `converged` flags and Newton step counts.
+    is two half-wins, and zero-weight entries are padding.  Weights must be
+    finite and non-negative.  Every row is fitted exactly as fit_bt fits it
+    alone, down to the bits of its scores and its `iterations`; a row leaves
+    the Newton loop once it meets the stopping test or after
+    `max_iterations` steps.  Returns the (rows, population_size)
+    mean-centered scores plus the per-row `converged` flags and Newton step
+    counts.
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
@@ -295,14 +330,20 @@ def fit_bt_rows(
     weights = np.asarray(weights, dtype=np.float64)
     if winners.ndim != 2 or winners.shape != losers.shape or winners.shape != weights.shape:
         raise ValueError("winners, losers and weights must be (rows, entries) arrays of one shape")
-    if np.any((winners < 0) | (winners >= population_size) | (losers < 0) | (losers >= population_size)):
-        raise ValueError(f"candidate index out of range for population of {population_size}")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
+    if winners.size:
+        if min(winners.min(), losers.min()) < 0 or max(winners.max(), losers.max()) >= population_size:
+            raise ValueError(f"candidate index out of range for population of {population_size}")
+        # a NaN anywhere makes both reductions NaN
+        low, high = weights.min(), weights.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("weights must be finite")
+        if low < 0:
+            raise ValueError("weights must be non-negative")
     rows = np.broadcast_to(np.arange(len(winners))[:, None], winners.shape)
     used = weights > 0
-    edges = _row_edges(rows[used], winners[used], losers[used], weights[used], population_size)
-    return _solve(edges, len(winners), population_size, lam, tolerance, max_iterations)
+    return _fit_entries(
+        rows[used], winners[used], losers[used], weights[used], len(winners), population_size, lam, tolerance, max_iterations
+    )
 
 
 def fit_bt(

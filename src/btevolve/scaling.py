@@ -10,12 +10,16 @@ candidate is labeled accepted.
 Every trial draws from its own seed, SeedSequence([seed, B, n, t]); the
 trials of a stack of cells are seeded in one replay of numpy's seeding
 (seeds.pcg64_seeds), and one generator takes each trial's state in turn,
-so the draws are bit for bit those of default_rng on that seed.  Each trial
-is then one row of a btrank.fit_bt_rows solve, with its repeated
-comparisons of one pair summed into one weighted entry, so its scores equal
-fit_bt's on the trial alone up to rounding.  A grid fits the feasible cells
-of one population together, in budget order, up to _STACK_ROWS rows per
-solve; cells of different populations are never stacked.
+so the draws are bit for bit those of default_rng on that seed.  A trial
+whose sample is all accepted or all rejected is label-determined: whatever
+the fit ranks first carries that label, so its hit is read off the sample
+and it is not fitted.  Every mixed trial is one row of a btrank solve, with
+its repeated comparisons of one pair summed into one weighted entry and
+only the nonzero sums passed on, in the order fit_bt_rows would keep them;
+so its scores are bit for bit fit_bt_rows' on its summed pairs, and equal
+fit_bt's on the trial alone up to rounding.  A grid simulates the feasible
+cells of one population together, in budget order, up to _STACK_ROWS
+trials per stack; cells of different populations are never stacked.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .backends import SyntheticWorldConfig, judge_outcome
-from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, check_lam, fit_bt_rows, top_candidates
+from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, _fit_entries, check_lam, top_candidates
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
-# the simulation itself fits through fit_bt_rows
+# the simulation itself fits through btrank._fit_entries, fit_bt_rows' solver entry
 from .btrank import fit_bt  # noqa: F401
 from .errors import ConfigError, check_count, is_int
 from .seeds import pcg64_seeds
@@ -50,7 +54,8 @@ _REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
 PAIRING_RANDOM = "random"
 PAIRING_ROUND_ROBIN = "round-robin"
 
-# most rows one stacked fit takes: a Newton step costs a fixed ~100 us of numpy
+# most trials one stack draws; only its mixed trials reach the solve, so a fit
+# takes at most this many rows: a Newton step costs a fixed ~100 us of numpy
 # calls whatever the stack height, which a taller stack shares out, but past
 # ~64 rows the per-row Hessians and edge arrays outgrow the cache, and stacking
 # whole 500-trial cells was measured ~10% slower than fitting them one by one
@@ -212,21 +217,27 @@ def _draw_trials(
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            samples[c * trials + trial] = np.sort(rng.permutation(pool_size)[:n])
+            samples[c * trials + trial] = rng.permutation(pool_size)[:n]
             if pairing == PAIRING_RANDOM:
-                # one shuffle per row draws the same stream as one permutation(n) per round
-                block[trial] = rng.permuted(lineups, axis=1).reshape(-1, 2)
+                # one shuffle per row draws the same stream as one permutation(n)
+                # per round; a row's pairs are contiguous, so the (m, n) view
+                # takes the shuffled lineups in place
+                rng.permuted(lineups, axis=1, out=block[trial].reshape(m, n))
+    samples.sort(axis=1)
     return samples, pairs
 
 
 def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: float) -> np.ndarray:
-    """The (rows, n) BT scores of every trial, fitted in one fit_bt_rows solve.
+    """The (rows, n) BT scores of every trial, fitted in one btrank solve.
 
     Each pair (a, b) is a win of a over b and one of b over a, weighted from
     the matrix (a (0, 0) pair weighs wins[x, x] = 0).  A row's repeated
-    (winner, loser) entries are summed into one entry, so the solver runs
-    over distinct pairs only (it drops the zero weights left over), and the
-    scores equal each trial's fit_bt up to rounding.
+    (winner, loser) entries are summed into one bin, and the solver takes
+    the nonzero bins only, as flat (row, winner, loser) entries in bin
+    order: row by row, and within a row by winner, then loser, the order
+    fit_bt_rows keeps its positive (rows, n*n) entries in.  So the scores
+    are bit for bit fit_bt_rows' on the summed (rows, n*n) layout, and equal
+    each trial's fit_bt up to rounding.
     """
     rows, n = samples.shape
     row_index = np.arange(rows)[:, None, None]
@@ -234,26 +245,37 @@ def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: f
     # entry (w, l) of row r is bin r*n*n + w*n + l: both orientations of every pair
     bins = (row_index * n + pairs) * n + pairs[:, :, ::-1]
     summed = np.bincount(bins.ravel(), weights=wins[members, members[:, :, ::-1]].ravel(), minlength=rows * n * n)
-    local = np.arange(n * n)
-    shape = (rows, n * n)
-    scores, _, _ = fit_bt_rows(
-        np.broadcast_to(local // n, shape), np.broadcast_to(local % n, shape), summed.reshape(shape), n, lam=lam
-    )
+    # win weights are 0, 1/2 or 1, so a bin is nonzero exactly when it is positive
+    used = np.flatnonzero(summed)
+    row, cell = np.divmod(used, n * n)
+    winners, losers = np.divmod(cell, n)
+    scores, _, _ = _fit_entries(row, winners, losers, summed[used], rows, n, lam)
     return scores
 
 
 def _simulate_stack(
     matrix: JudgmentMatrix, budgets: list, n: int, trials: int, seed: int, lam: float, pairing: str
 ) -> list[SimCell]:
-    """Simulate feasible cells of one population n, all fitted in one fit_bt_rows solve."""
+    """Simulate feasible cells of one population n, fitting their mixed trials in one solve.
+
+    A trial whose sample is all accepted or all rejected picks a candidate
+    of that label whatever the fit ranks first, so its hit is that label
+    and it is not fitted; a stack with no mixed trial runs no solve.
+    """
     samples, pairs = _draw_trials(matrix.pool_size, budgets, n, trials, seed, pairing)
-    scores = _fit_trials(matrix.wins, samples, pairs, lam)
-    labels = np.asarray(matrix.labels)
-    hits = labels[samples[np.arange(len(samples)), top_candidates(scores)]].reshape(-1, trials).sum(axis=1)
-    with_accepted = labels[samples].any(axis=1).reshape(-1, trials).sum(axis=1)
+    sampled = np.asarray(matrix.labels)[samples]
+    with_accepted = sampled.any(axis=1)
+    # a label-determined trial hits exactly when its whole sample is accepted
+    hit = sampled.all(axis=1)
+    mixed = np.flatnonzero(hit != with_accepted)
+    if len(mixed):
+        top = top_candidates(_fit_trials(matrix.wins, samples[mixed], pairs[mixed], lam))
+        hit[mixed] = sampled[mixed, top]
+    hits = hit.reshape(-1, trials).sum(axis=1)
+    accepted = with_accepted.reshape(-1, trials).sum(axis=1)
     return [
         SimCell(budget, n, (2 * (budget - n)) // n, trials, int(h) / trials, True, int(h), int(a))
-        for budget, h, a in zip(budgets, hits, with_accepted)
+        for budget, h, a in zip(budgets, hits, accepted)
     ]
 
 
@@ -272,9 +294,12 @@ def simulate_cell(
     m rounds of perfect matchings (random by default; `round-robin` takes
     the first m rounds of the 1-factorization, which needs m <= n-1).  Seeds
     are derived per (seed, budget, n, trial), so cells and trials can be
-    computed in any order.  All trials are fitted in one fit_bt_rows solve,
-    and each picks its top candidate as rank does.  A cell that cannot be
-    simulated raises ConfigError.
+    computed in any order.  A trial whose sample holds one label only hits
+    exactly when that label is accepted, so it is not fitted; the mixed
+    trials are fitted in one btrank solve on their nonzero summed pairs,
+    each bit for bit as fit_bt_rows fits it, and each picks its top
+    candidate as rank does.  A cell that cannot be simulated raises
+    ConfigError.
     """
     return sweep_grid(matrix, [budget], [n], trials, seed, lam, pairing)[0]
 
@@ -293,8 +318,10 @@ def sweep_grid(
     The whole grid is checked before any cell runs: a cell that could not be
     simulated raises ConfigError.  Each distinct cell is simulated once, with
     the same result simulate_cell gives it: the feasible cells of one
-    population are fitted together, in budget order, _STACK_ROWS // trials
-    cells (at least one) per solve.
+    population are drawn together, in budget order, _STACK_ROWS // trials
+    cells (at least one) per stack, and a stack's mixed trials are fitted in
+    one solve (label-determined trials need none, so a stack without a
+    mixed trial runs no solve).
     """
     _check_grid(matrix.pool_size, budgets, populations, trials, lam, pairing)
     per_stack = max(1, _STACK_ROWS // trials)

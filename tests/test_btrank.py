@@ -410,6 +410,23 @@ def test_stacked_rows_validation():
         fit_bt_rows(winners, losers, weights, 8, lam=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+def test_stacked_rows_reject_non_finite_weights(bad):
+    # a NaN weight is not padding and an infinite one is not a heavy win:
+    # both are refused before any Newton step
+    winners, losers, weights = stack_rows([FIXED_RECORDS, FIXED_RECORDS[:3]], 8)
+    weights[1, 0] = bad
+    with pytest.raises(ValueError, match="weights must be finite"):
+        fit_bt_rows(winners, losers, weights, 8)
+
+
+def test_stacked_rows_accept_an_empty_stack():
+    # no entries to check: every row keeps the flat start
+    scores, converged, iterations = fit_bt_rows(np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)), 4)
+    assert scores.tolist() == [[0.0] * 4] * 3
+    assert converged.all() and not iterations.any()
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "minus-inf", "bool"])
 def test_every_lam_taker_rejects_non_finite_or_non_positive(lam):
     records = records_of([(0, 1, LEFT_WINS)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btevolve.backends import SyntheticWorldConfig
-from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, fit_bt, rank, top_candidates
+from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, fit_bt, fit_bt_rows, rank, top_candidates
 from btevolve.errors import ConfigError
 from btevolve.scaling import (
     FIRST_WINS,
@@ -360,36 +360,119 @@ def test_summed_fits_agree_with_per_trial_fits(matrix, pairing, budgets, n):
         assert top_candidates(scores[row : row + 1])[0] == rank(alone)[0]
 
 
-def test_fit_trials_sums_repeated_pairs(monkeypatch):
+def summed_wins(matrix, samples, pairs):
+    """Each row's (n, n) summed win weights, one compared pair at a time."""
+    rows, n = samples.shape
+    summed = np.zeros((rows, n, n))
+    for row in range(rows):
+        for a, b in pairs[row].tolist():
+            if a != b:
+                summed[row, a, b] += matrix.wins[samples[row, a], samples[row, b]]
+                summed[row, b, a] += matrix.wins[samples[row, b], samples[row, a]]
+    return summed
+
+
+def recording_fit_entries(monkeypatch):
+    """Spy on the solver entry the simulator fits through; returns the calls seen."""
     import btevolve.scaling as scaling
 
     seen = []
-    fit_bt_rows = scaling.fit_bt_rows
+    fit_entries = scaling._fit_entries
 
-    def recording(winners, losers, weights, n, lam):
-        seen.append((np.asarray(winners), np.asarray(losers), np.asarray(weights)))
-        return fit_bt_rows(winners, losers, weights, n, lam=lam)
+    def recording(rows, winners, losers, weights, row_count, n, lam):
+        seen.append((rows, winners, losers, weights, row_count))
+        return fit_entries(rows, winners, losers, weights, row_count, n, lam)
 
-    monkeypatch.setattr(scaling, "fit_bt_rows", recording)
+    monkeypatch.setattr(scaling, "_fit_entries", recording)
+    return seen
+
+
+def test_fit_trials_sums_repeated_pairs(monkeypatch):
+    seen = recording_fit_entries(monkeypatch)
     matrix = tied_matrix(24, 5)
     n, budgets = 4, [40, 120]
     samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 6, 9, "random")
     _fit_trials(matrix.wins, samples, pairs, 0.01)
-    [(winners, losers, weights)] = seen
+    [(rows, winners, losers, weights, row_count)] = seen
+    assert row_count == len(samples)
+    # entries come row by row, each row's in (winner, loser) order
+    keys = list(zip(rows.tolist(), winners.tolist(), losers.tolist()))
+    assert keys == sorted(keys)
+    expected = summed_wins(matrix, samples, pairs)
     for row in range(len(samples)):
-        # one entry per ordered (winner, loser) pair, holding the row's summed wins of it
-        entries = list(zip(winners[row].tolist(), losers[row].tolist()))
-        assert len(entries) == len(set(entries)) == n * n
-        expected = np.zeros((n, n))
-        for a, b in pairs[row].tolist():
-            if a != b:
-                expected[a, b] += matrix.wins[samples[row, a], samples[row, b]]
-                expected[b, a] += matrix.wins[samples[row, b], samples[row, a]]
+        # one entry per distinct ordered (winner, loser) pair, holding the row's summed wins of it
+        mine = rows == row
+        entries = list(zip(winners[mine].tolist(), losers[mine].tolist()))
+        assert len(entries) == len(set(entries)) == np.count_nonzero(expected[row])
+        assert (weights[mine] > 0).all()
         got = np.zeros((n, n))
-        got[winners[row], losers[row]] = weights[row]
-        assert got.tolist() == expected.tolist()
+        got[winners[mine], losers[mine]] = weights[mine]
+        assert got.tolist() == expected[row].tolist()
     # every compared pair carries one unit of win weight, padding none
-    assert weights.sum(axis=1).tolist() == [2 * (b - n) // n * n // 2 for b in budgets for _ in range(6)]
+    totals = np.bincount(rows, weights=weights, minlength=row_count)
+    assert totals.tolist() == [2 * (b - n) // n * n // 2 for b in budgets for _ in range(6)]
+
+
+DIRECT_EDGE_CASES = [
+    ("random", 4, [10, 30, 120]),
+    ("random", 8, [20, 60, 120]),
+    ("random", 20, [30, 60, 120]),
+    ("round-robin", 4, [6, 8, 10]),
+    ("round-robin", 8, [12, 24, 36]),
+    ("round-robin", 20, [40, 100, 210]),
+]
+
+
+@pytest.mark.parametrize(("pairing", "n", "budgets"), DIRECT_EDGE_CASES)
+def test_fit_trials_equals_fit_bt_rows_on_the_summed_layout(pairing, n, budgets):
+    # the (rows, n*n) layout of every ordered pair's summed wins, zero bins as
+    # padding, fitted by fit_bt_rows: the direct edges must give its exact bits
+    matrix = tied_matrix(40, n)
+    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 7, 13, pairing)
+    local = np.arange(n * n)
+    shape = (len(samples), n * n)
+    expected, _, _ = fit_bt_rows(
+        np.broadcast_to(local // n, shape),
+        np.broadcast_to(local % n, shape),
+        summed_wins(matrix, samples, pairs).reshape(shape),
+        n,
+        lam=0.01,
+    )
+    assert _fit_trials(matrix.wins, samples, pairs, 0.01).tobytes() == expected.tobytes()
+
+
+def relabeled(matrix, labels):
+    return JudgmentMatrix(matrix.pool_size, matrix.outcomes, tuple(labels))
+
+
+@pytest.mark.parametrize("pairing", ["random", "round-robin"])
+@pytest.mark.parametrize("labels", ["all-accepted", "all-rejected", "mixed"])
+def test_only_mixed_trials_are_fitted(monkeypatch, pairing, labels):
+    base = generate_matrix(16, WORLD, seed=12)
+    matrix = {
+        "all-accepted": relabeled(base, [True] * 16),
+        "all-rejected": relabeled(base, [False] * 16),
+        "mixed": relabeled(base, [i % 4 == 0 for i in range(16)]),
+    }[labels]
+    budgets, populations = {"random": ([12, 30, 60], [4, 8]), "round-robin": ([12, 18, 20], [6, 8])}[pairing]
+    trials = 20
+    seen = recording_fit_entries(monkeypatch)
+    cells = sweep_grid(matrix, budgets, populations, trials, seed=6, pairing=pairing)
+    monkeypatch.undo()
+    mixed = 0
+    for cell in cells:
+        assert cell.feasible
+        assert (cell.top1_hits, cell.trials_with_accepted) == per_trial_cell(matrix, cell.budget, cell.n, trials, 6, pairing)
+        for trial in range(trials):
+            sample = seeded_rng(6, cell.budget, cell.n, trial).permutation(matrix.pool_size)[: cell.n]
+            mixed += len({matrix.labels[i] for i in sample}) == 2
+    # the solver sees every mixed trial once and no other
+    assert sum(row_count for *_, row_count in seen) == mixed
+    if labels == "mixed":
+        assert 0 < mixed < len(cells) * trials
+    else:
+        assert seen == []
+        assert all(cell.top1_hits == cell.trials_with_accepted == (trials if labels == "all-accepted" else 0) for cell in cells)
 
 
 def test_full_pool_round_robin_equals_direct_bt():
