@@ -20,6 +20,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Protocol
 from urllib.parse import quote, urlsplit
@@ -75,7 +76,10 @@ class HttpBackend:
     replies that are not a JSON object with a string `text`, fail
     immediately.  Each thread keeps one keep-alive `http.client` connection:
     one the server has closed while idle is reopened before it is used, and
-    one whose request fails is closed.  No proxy variables or `.netrc` are
+    one whose request fails is closed.  A thread's connection is closed when
+    the thread ends (a run's worker threads end with its TaskPool), and
+    `close` closes the ones still held, such as the calling thread's; a
+    later call opens a new one.  No proxy variables or `.netrc` are
     read, and https is verified against the system trust store.  The auth
     token is read from the environment at call time so configs never hold
     secrets.  A `timeout` that is not a finite number above 0, a
@@ -112,6 +116,13 @@ class HttpBackend:
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
         self._local = threading.local()
+        # every live thread's connection; each leaves the set when its thread ends
+        self._connections: set = set()
+
+    def close(self) -> None:
+        """Close the connection of every thread that still holds one."""
+        for connection in list(self._connections):
+            connection.close()
 
     def complete(self, request: CompletionRequest) -> str:
         # http.client and select load on the first call, so offline commands start without them
@@ -126,10 +137,14 @@ class HttpBackend:
         body = json.dumps(
             {"system": request.system_prompt, "user": request.user_prompt, "temperature": request.temperature}
         ).encode("utf-8")
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
+        held = getattr(self._local, "held", None)
+        if held is None:
             connection_class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
-            connection = self._local.connection = connection_class(*self._address, timeout=self.timeout)
+            held = self._local.held = _Held(connection_class(*self._address, timeout=self.timeout))
+            self._connections.add(held.connection)
+            # the thread's local storage drops `held` when the thread ends, which closes its connection
+            weakref.finalize(held, _release, self._connections, held.connection)
+        connection = held.connection
         last_error: Exception | None = None
         for attempt in range(self.transport_retries + 1):
             if attempt:
@@ -167,6 +182,21 @@ class HttpBackend:
         raise BackendError(
             f"backend unavailable after {self.transport_retries + 1} attempts: {last_error}"
         ) from last_error
+
+
+class _Held:
+    """One thread's connection, kept in its thread-local storage."""
+
+    __slots__ = ("connection", "__weakref__")
+
+    def __init__(self, connection) -> None:
+        self.connection = connection
+
+
+def _release(connections: set, connection) -> None:
+    """Forget and close a connection whose thread has ended."""
+    connections.discard(connection)
+    connection.close()
 
 
 @dataclass(frozen=True)
@@ -287,6 +317,9 @@ class SyntheticBackend:
 
     def __init__(self, world: SyntheticWorldConfig | None = None) -> None:
         self.world = world if world is not None else SyntheticWorldConfig()
+
+    def close(self) -> None:
+        """Nothing to release; here so every backend `make_backend` builds can be closed."""
 
     def complete(self, request: CompletionRequest) -> str:
         seed = 0 if request.seed is None else request.seed

@@ -281,6 +281,18 @@ def _solve(
     return scores, np.abs(grad).max(axis=1) <= tolerance, iterations
 
 
+def _index_array(values) -> np.ndarray:
+    """`values` as an intp array of candidate indices; ValueError unless each is a whole number."""
+    array = np.asarray(values)
+    if array.dtype.kind in "iu":
+        return array.astype(np.intp, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught by the comparison
+        indices = array.astype(np.intp)
+    if not np.array_equal(indices, array):
+        raise ValueError("candidate indices must be whole numbers")
+    return indices
+
+
 def _fit_entries(
     rows: np.ndarray,
     winners: np.ndarray,
@@ -314,19 +326,20 @@ def fit_bt_rows(
     `winners`, `losers` and `weights` are (rows, entries) arrays: entry e of
     row r is a win of candidate winners[r, e] over losers[r, e] (indices
     within the row, 0..population_size-1) with weight weights[r, e]; a tie
-    is two half-wins, and zero-weight entries are padding.  Weights must be
-    finite and non-negative.  Every row is fitted exactly as fit_bt fits it
-    alone, down to the bits of its scores and its `iterations`; a row leaves
-    the Newton loop once it meets the stopping test or after
-    `max_iterations` steps.  Returns the (rows, population_size)
+    is two half-wins, and zero-weight entries are padding.  Indices must be
+    whole numbers and weights finite and non-negative; an entry of positive
+    weight must not pair a candidate with itself.  Every row is fitted
+    exactly as fit_bt fits it alone, down to the bits of its scores and its
+    `iterations`; a row leaves the Newton loop once it meets the stopping
+    test or after `max_iterations` steps.  Returns the (rows, population_size)
     mean-centered scores plus the per-row `converged` flags and Newton step
     counts.
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
     check_lam(lam)
-    winners = np.asarray(winners, dtype=np.intp)
-    losers = np.asarray(losers, dtype=np.intp)
+    winners = _index_array(winners)
+    losers = _index_array(losers)
     weights = np.asarray(weights, dtype=np.float64)
     if winners.ndim != 2 or winners.shape != losers.shape or winners.shape != weights.shape:
         raise ValueError("winners, losers and weights must be (rows, entries) arrays of one shape")
@@ -339,8 +352,10 @@ def fit_bt_rows(
             raise ValueError("weights must be finite")
         if low < 0:
             raise ValueError("weights must be non-negative")
-    rows = np.broadcast_to(np.arange(len(winners))[:, None], winners.shape)
     used = weights > 0
+    if np.any(used & (winners == losers)):
+        raise ValueError("self-comparison: an entry of positive weight pairs a candidate with itself")
+    rows = np.broadcast_to(np.arange(len(winners))[:, None], winners.shape)
     return _fit_entries(
         rows[used], winners[used], losers[used], weights[used], len(winners), population_size, lam, tolerance, max_iterations
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -229,7 +230,8 @@ def _cmd_diagnose(args) -> int:
                         f"pair {p} in {config['pairs']}: {side} text has no theta= marker, "
                         "which the synthetic backend needs"
                     ) from None
-    report = baselines.judge_diagnostic(pairs, backend, seed=seed, parallelism=args.parallelism)
+    with closing(backend):
+        report = baselines.judge_diagnostic(pairs, backend, seed=seed, parallelism=args.parallelism)
     out_path = Path(args.out or "diagnostic.json")
     _write_json(out_path, {**report.to_dict(), "config": {**config, "seed": seed}})
     print(
@@ -256,7 +258,7 @@ def _cmd_baseline(args) -> int:
         check_count(name, value, low)
     backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
 
-    with TaskPool(args.parallelism) as pool:
+    with closing(backend), TaskPool(args.parallelism) as pool:
         candidates = sample_candidates(backend, problem, n, seed, parallelism=pool)
         calls = n
         if mode == "self-refine":

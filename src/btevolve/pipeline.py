@@ -15,9 +15,11 @@ The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
 (config, summary, abort) carry generation -1; candidate records carry their
 own generation; judgment and score-fit records carry the generation of the
-population being compared.  Records are flushed to disk as each batch
-completes, so an aborted run keeps everything up to the last completed
-barrier plus one abort record.
+population being compared.  The trace file is emptied and opened once per
+run; the records of each batch are written and flushed at its barrier, so
+an aborted run keeps everything up to the last completed barrier plus one
+abort record, and the file is closed when the run ends or aborts.  A
+RunTrace made directly keeps its file open until its `close`.
 """
 
 from __future__ import annotations
@@ -159,14 +161,24 @@ def make_backend(kind: str, options: dict) -> Backend:
 
 
 class RunTrace:
-    """Append-only record log, optionally persisted as line-delimited JSON."""
+    """Append-only record log, optionally persisted as line-delimited JSON.
+
+    With a `path`, the file is emptied and opened for appending once, here;
+    every `flush` writes the records not yet written and flushes the file,
+    and `close` releases it.
+    """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.records: list[dict] = []
         self.path = Path(path) if path is not None else None
         self._flushed = 0
+        self._sink = None
         if self.path is not None:
+            # emptied through a handle of its own: ext4 starts writing back a file that one
+            # handle truncated and rewrote when that handle closes, and the next run's
+            # truncation of the same path then waits on that write
             self.path.write_text("")
+            self._sink = open(self.path, "a", encoding="utf-8")
 
     def append(self, kind: str, generation: int, round_index: int, payload: dict) -> None:
         self.records.append(
@@ -180,12 +192,16 @@ class RunTrace:
         )
 
     def flush(self) -> None:
-        """Append the records not yet written to the trace file in one write."""
-        if self.path is not None and self._flushed < len(self.records):
-            text = _dump_records(self.records[self._flushed :])
-            with open(self.path, "a", encoding="utf-8") as sink:
-                sink.write(text)
+        """Write the records not yet written to the trace file in one write, and flush it."""
+        if self._sink is not None and self._flushed < len(self.records):
+            self._sink.write(_dump_records(self.records[self._flushed :]))
+            self._sink.flush()
         self._flushed = len(self.records)
+
+    def close(self) -> None:
+        """Release the trace file; a later flush with records to write raises ValueError."""
+        if self._sink is not None:
+            self._sink.close()
 
     def to_jsonl(self) -> str:
         return _dump_records(self.records)
@@ -198,8 +214,26 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _dump_records(records: list[dict]) -> str:
-    """Records as JSON lines, each ending in a newline."""
-    return "".join([_ENCODER.encode(record) + "\n" for record in records])
+    """Records as JSON lines, each ending in a newline, exactly as
+    `_ENCODER.encode` writes each.
+
+    The C encoder `_ENCODER.encode` would build for every record is built
+    once per call instead, with a markers dict of its own: one shared across
+    calls could keep the entries a failed encode leaves behind.
+    """
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return "".join([_ENCODER.encode(record) + "\n" for record in records])
+    # markers, default, string encoder, indent, key and item separators, sort_keys,
+    # skipkeys, allow_nan: what JSONEncoder.iterencode passes for _ENCODER
+    encode = make_encoder(
+        {}, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    chunks: list[str] = []
+    for record in records:
+        chunks += encode(record, 0)
+        chunks.append("\n")
+    return "".join(chunks)
 
 
 class TaskPool:
@@ -207,9 +241,11 @@ class TaskPool:
 
     A batch is one `map` of a call function over its items.  At parallelism
     1 there are no threads and calls run inline.  `close`, or leaving the
-    `with` block, shuts the threads down and cancels calls not yet started,
-    so a run that ends, or aborts, takes its threads (and any per-thread
-    backend connections) with it.
+    `with` block, cancels calls not yet started and waits for the threads
+    to end, so a run that ends, or aborts, leaves no thread behind.  The
+    pool holds no backend connection: HttpBackend closes a thread's own
+    connection when the thread ends, and the calling thread's on
+    `HttpBackend.close`.
     """
 
     def __init__(self, parallelism: int = 1) -> None:
@@ -363,14 +399,14 @@ def run_pipeline(
     completed batch plus an abort record naming the error and its type; the
     exception is then re-raised unchanged.  Backend failures, and empty
     sampling or mutation replies, surface as a BackendError with round/pair
-    context attached.
+    context attached.  The trace file, and a backend built from the config
+    because none was passed, are closed when the run ends or aborts.
     """
-    if backend is None:
+    owned = backend is None
+    if owned:
         backend = make_backend(config.backend, config.backend_options)
     pool = TaskPool(parallelism)  # rejects a bad parallelism before the trace file is created
     trace = RunTrace(trace_path)
-    trace.append("config", -1, 0, config.echo())
-    trace.flush()
 
     n, t_total = config.n, config.generations
     strategy = config.strategy()
@@ -421,6 +457,8 @@ def run_pipeline(
         return state
 
     try:
+        trace.append("config", -1, 0, config.echo())
+        trace.flush()
         schedule = seed_schedule(config.seed, n, config.k, t_total, config.final_k)
         # generation 0: sample n candidates
         round_no = 1
@@ -509,6 +547,9 @@ def run_pipeline(
         raise
     finally:
         pool.close()
+        trace.close()
+        if owned:
+            backend.close()
 
 
 @dataclass

@@ -53,6 +53,9 @@ class EmptyReplyBackend:
             return ""
         return self.inner.complete(request)
 
+    def close(self):
+        self.inner.close()
+
 
 def judge_reply(winner, feedback_a="critique of A", feedback_b="critique of B"):
     return json.dumps({"feedback_a": feedback_a, "feedback_b": feedback_b, "winner": winner})

@@ -26,10 +26,11 @@ from btevolve.backends import (
 from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE
 from btevolve.errors import BackendError, ConfigError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
+from btevolve import pipeline
 from btevolve.pipeline import RunConfig, compute_budget, derive_seed, make_backend, run_pipeline
 from btevolve.population import render_mutation_prompt
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
-from conftest import sampled
+from conftest import judge_reply, sampled
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -290,6 +291,68 @@ def test_run_keeps_one_connection_per_worker():
     assert len(_SyntheticReplies.peers) == compute_budget(config.n, config.k, config.generations, config.final_k)
     # one pool for the whole run: its two threads keep their sessions across barriers
     assert len(set(_SyntheticReplies.peers)) <= 2
+
+
+def test_runs_sharing_a_backend_leave_no_idle_connections():
+    # each run's worker threads close their connections as its pool ends them;
+    # more workers than cores and frequent thread switches stress the shared set
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SyntheticReplies)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _SyntheticReplies.peers = []
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
+        config = RunConfig(problem="Sort the list.", n=8, k=2, generations=1, final_k=3)
+        for _ in range(3):
+            run_pipeline(config, backend=backend, parallelism=8)
+            assert not backend._connections
+    finally:
+        sys.setswitchinterval(switch_interval)
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert len(_SyntheticReplies.peers) == 3 * compute_budget(config.n, config.k, config.generations, config.final_k)
+    assert len(set(_SyntheticReplies.peers)) <= 3 * 8
+
+
+def test_run_closes_the_backend_it_builds(keep_alive_server, monkeypatch):
+    url, script = keep_alive_server
+    built = []
+
+    def make_and_keep(kind, options):
+        built.append(make_backend(kind, options))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "make_backend", make_and_keep)
+    options = {"base_url": url}
+    config = RunConfig(problem="p", n=4, k=1, generations=0, final_k=1, backend="http", backend_options=options)
+    script.script.extend([(200, json.dumps({"text": "candidate"}))] * 4)
+    script.script.extend([(200, json.dumps({"text": judge_reply("A")}))] * 2)
+    selected, _ = run_pipeline(config)
+    assert selected.content == "candidate"
+    (backend,) = built
+    (connection,) = backend._connections
+    assert connection.sock is None
+
+
+def test_http_close_closes_held_connections_and_a_later_call_reopens(keep_alive_server):
+    url, script = keep_alive_server
+    script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
+    backend = HttpBackend(url, timeout=5)
+    backend.complete(CompletionRequest("u"))
+    worker = threading.Thread(target=backend.complete, args=(CompletionRequest("u"),))
+    worker.start()
+    worker.join(timeout=5)
+    # the worker's connection closed as its thread ended; the main thread's is still held
+    (connection,) = backend._connections
+    assert connection.sock is not None
+    backend.close()
+    assert connection.sock is None
+    assert backend.complete(CompletionRequest("u")) == "2"
+    assert len({seen["peer"] for seen in script.seen}) == 3
+    backend.close()
 
 
 def test_http_success_and_payload_shape(http_server):

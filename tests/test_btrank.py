@@ -410,6 +410,28 @@ def test_stacked_rows_validation():
         fit_bt_rows(winners, losers, weights, 8, lam=0.0)
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.2, math.nan, math.inf], ids=["0.9", "1.2", "nan", "inf"])
+def test_stacked_rows_reject_fractional_indices(bad):
+    # truncation would fit 0.9 as candidate 0 and 1.2 as candidate 1
+    for side in (0, 1):
+        indices = [[[1, 0]], [[0, 1]]]
+        indices[side][0][0] = bad
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_bt_rows(*indices, [[1.0, 1.0]], 2)
+    # whole-number floats are indices like any other
+    assert fit_bt_rows([[0.0]], [[1.0]], [[1.0]], 2)[0].tolist() == fit_bt_rows([[0]], [[1]], [[1.0]], 2)[0].tolist()
+
+
+def test_stacked_rows_reject_weighted_self_comparisons():
+    with pytest.raises(ValueError, match="self-comparison"):
+        fit_bt_rows([[0, 1]], [[0, 1]], [[1.0, 1.0]], 2)
+    with pytest.raises(ValueError, match="self-comparison"):
+        fit_bt_rows([[0, 1]], [[1, 1]], [[1.0, 0.5]], 2)
+    # zero-weight self-pairs are padding, as stack_rows writes them
+    scores, _, _ = fit_bt_rows([[0, 0]], [[1, 0]], [[1.0, 0.0]], 2)
+    assert scores.tolist() == fit_bt_rows([[0]], [[1]], [[1.0]], 2)[0].tolist()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
 def test_stacked_rows_reject_non_finite_weights(bad):
     # a NaN weight is not padding and an infinite one is not a heavy win:

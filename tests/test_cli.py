@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from btevolve import cli, pipeline
-from btevolve.backends import format_candidate
+from btevolve.backends import SyntheticBackend, format_candidate
 from btevolve.cli import main
 from btevolve.pipeline import derive_seed, replay
 from conftest import EmptyReplyBackend
@@ -662,6 +662,28 @@ def test_bad_seed_is_a_config_error(tmp_path, problem_file, command, config_seed
     payload["seed"] = 4
     write_config(tmp_path, "cfg.yaml", payload)
     assert run_cli(command, "--config", str(config), "--out", str(out))[0] == 0
+
+
+class ClosingBackend(SyntheticBackend):
+    """The synthetic backend, counting its close calls."""
+
+    closed = 0
+
+    def close(self):
+        ClosingBackend.closed += 1
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("command", ["run", "baseline", "diagnose"])
+def test_commands_close_the_backend_they_build(tmp_path, problem_file, monkeypatch, command, parallelism):
+    monkeypatch.setattr(ClosingBackend, "closed", 0)
+    monkeypatch.setattr(cli, "make_backend", lambda kind, options: ClosingBackend())
+    monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: ClosingBackend())
+    payload = small_run_config(problem_file) if command == "run" else _seed_case_config(tmp_path, problem_file, command)
+    config = write_config(tmp_path, "cfg.yaml", payload)
+    code, _, _ = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"), "--parallelism", parallelism)
+    assert code == 0
+    assert ClosingBackend.closed == 1
 
 
 @pytest.mark.parametrize("parallelism", ["0", "-3"])

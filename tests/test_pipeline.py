@@ -1,9 +1,12 @@
 """Pipeline orchestration tests: budgets, traces, retries, replay, determinism."""
 
+import gc
 import json
+import math
 import re
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -509,6 +512,145 @@ def test_trace_flushes_incrementally(tmp_path):
     trace.flush()
     trace.flush()  # idempotent
     assert len(path.read_text().splitlines()) == 2
+    trace.close()
+    trace.append("barrier", -1, 0, {})
+    with pytest.raises(ValueError):
+        trace.flush()
+
+
+class SnapshotBackend:
+    """Synthetic replies; reads the trace file at every call and keeps each
+    content it has not seen just before, so one per batch, and raises
+    BackendError on the first call of batch `fail_batch`."""
+
+    def __init__(self, path, fail_batch=None):
+        self.inner = SyntheticBackend()
+        self.path = path
+        self.fail_batch = fail_batch
+        self.snapshots = []
+
+    def complete(self, request):
+        text = self.path.read_text(encoding="utf-8")
+        if not self.snapshots or text != self.snapshots[-1]:
+            self.snapshots.append(text)
+            if len(self.snapshots) - 1 == self.fail_batch:
+                raise BackendError("endpoint down")
+        return self.inner.complete(request)
+
+
+def test_every_batch_starts_from_the_records_flushed_so_far(tmp_path):
+    path = tmp_path / "run.jsonl"
+    backend = SnapshotBackend(path)
+    config = RunConfig(**SMALL)
+    _, trace = run_pipeline(config, backend=backend, trace_path=path)
+    # nothing is written while a batch runs, and something before each one
+    assert len(backend.snapshots) == 2 * config.generations + 2
+    for text in backend.snapshots:
+        flushed = trace.records[: text.count("\n")]
+        assert text == pipeline._dump_records(flushed)
+        assert flushed[-1]["kind"] in ("config", "barrier", "routing")
+    assert path.read_text(encoding="utf-8") == trace.to_jsonl()
+
+
+def test_abort_in_round_two_leaves_the_flushed_prefix_and_one_abort_record(tmp_path):
+    config = RunConfig(**SMALL)
+    _, clean = run_pipeline(config)
+    path = tmp_path / "abort.jsonl"
+    backend = SnapshotBackend(path, fail_batch=3)  # sampling, round 1's two batches, then round 2's comparisons
+    with pytest.raises(BackendError, match="^comparison round 2, pair 0 .*: endpoint down$") as failure:
+        run_pipeline(config, backend=backend, trace_path=path)
+    prefix = backend.snapshots[-1]
+    assert prefix == pipeline._dump_records(clean.records[: prefix.count("\n")])
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith(prefix)
+    (abort,) = text[len(prefix) :].splitlines()
+    assert json.loads(abort) == {
+        "kind": "abort",
+        "generation": -1,
+        "round": 2,
+        "payload": {"error": str(failure.value), "type": "BackendError"},
+        "schema_version": pipeline.SCHEMA_VERSION,
+    }
+
+
+def resource_warnings(run) -> list:
+    """The ResourceWarnings raised while `run` runs and its garbage is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_runs_leave_no_trace_file_open(tmp_path):
+    def finished():
+        run_pipeline(RunConfig(**SMALL), trace_path=tmp_path / "done.jsonl")
+
+    def aborted():
+        path = tmp_path / "abort.jsonl"
+        with pytest.raises(BackendError):
+            run_pipeline(RunConfig(**SMALL), backend=SnapshotBackend(path, fail_batch=2), trace_path=path)
+
+    def left_open():
+        RunTrace(tmp_path / "open.jsonl").flush()
+
+    assert resource_warnings(finished) == []
+    assert resource_warnings(aborted) == []
+    # the check sees a handle that is left open
+    assert resource_warnings(left_open)
+
+
+def default_records(**options) -> list[dict]:
+    return run_pipeline(RunConfig(problem="Sort the list.", backend_options=options))[1].records
+
+
+def dumps_each(records) -> str:
+    return "".join(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" for record in records)
+
+
+@pytest.fixture(params=["c-encoder", "python-encoder"])
+def encoder(request, monkeypatch):
+    if request.param == "python-encoder":
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    return request.param
+
+
+def test_dump_records_writes_what_json_dumps_writes(encoder):
+    awkward = {
+        "kind": "abort",
+        "generation": -1,
+        "round": 0,
+        "payload": {
+            "text": "na\u00efve \u2014 \u00e9t\u00e9 \U0001f600 \"q\"\n\t\\",
+            "values": [math.nan, math.inf, -math.inf, -0.0, 0.1],
+        },
+        "schema_version": 1,
+    }
+    runs = [default_records(), default_records(judge_mode="logistic")]
+    kinds = {"config", "candidate", "judgment", "barrier", "score-fit", "routing", "selection", "summary"}
+    assert all({r["kind"] for r in records} == kinds for records in runs)
+    for records in (*runs, [awkward]):
+        assert pipeline._dump_records(records) == dumps_each(records)
+        assert all(pipeline._dump_records([record]) == dumps_each([record]) for record in records)
+    assert "NaN,Infinity,-Infinity,-0.0" in pipeline._dump_records([awkward])
+
+
+def test_dump_records_fails_as_the_encoder_does(encoder):
+    cycle = {"payload": []}
+    cycle["payload"].append(cycle)
+    inner = {"bad": {1, 2}}
+    cases = [[{"kind": "x"}, cycle], [{"payload": inner}], [{"payload": {1: "a", "b": 2}}]]
+    for records in cases:
+        with pytest.raises((TypeError, ValueError)) as expected:
+            for record in records:
+                pipeline._ENCODER.encode(record)
+        with pytest.raises(type(expected.value)) as raised:
+            pipeline._dump_records(records)
+        assert str(raised.value) == str(expected.value)
+    # the failed calls leave nothing behind: the same containers encode once fixed
+    cycle["payload"].clear()
+    del inner["bad"]
+    assert pipeline._dump_records([cycle, {"payload": inner}]) == dumps_each([cycle, {"payload": inner}])
 
 
 def test_selection_only_run_skips_evolution():
