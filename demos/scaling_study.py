@@ -42,5 +42,5 @@ for cell in optimal_frontier(cells):
 with tempfile.TemporaryDirectory() as scratch:
     out = Path(scratch) / "grid.csv"
     write_grid_csv(cells, out, config_echo={"pool": 60, "seed": 9})
-    print(f"\nfull grid written to {out}")
+    print(f"\nfull grid written to {out.name}")
     print(out.read_text().splitlines()[0])

@@ -11,11 +11,13 @@ There is one solver, a damped Newton method that fits a whole stack of
 independent comparison sets at once (fit_bt_rows), dropping each row from
 the working stack once it stops.  fit_bt is its one-row case: every row of a
 stack gets exactly the scores, bit for bit, and the step count that fit_bt
-gives it alone.
+gives it alone.  A caller that reads only each row's top pick can have a
+row stop as soon as that pick is certain (_fit_entries' `picks_only`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +38,10 @@ _MIN_SCALE = 2.0**-30
 
 # grid step on which `rank` compares scores
 _RANK_RESOLUTION = 1e-9
+
+# factor on the distance bound behind a certain pick (see _certain_picks), a
+# margin for the rounding in the gradient and scores it is computed from
+_PICK_SAFETY = 1.01
 
 # ridge strength lam of the fit, the default of every function and config that takes one
 DEFAULT_LAM = 0.01
@@ -205,10 +211,29 @@ def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 
+def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float, tolerance: float) -> np.ndarray:
+    """Which rows of the (rows, n) score stack `s`, with gradient `grad`, have
+    the top pick the full solve would give them.
+
+    The objective is lam-strongly concave, so s lies within ||grad||_2 / lam
+    of the optimum s*, and the point the full solve stops at (every gradient
+    component within tolerance/2) within sqrt(n) * tolerance / (2 lam) of s*;
+    no score moves by more than the sum r of the two on the way there.  A top
+    score that leads the second by more than 2r, with _PICK_SAFETY on r and
+    two _RANK_RESOLUTION steps for rank's rounding, is therefore still the
+    one top score on rank's grid at the full solve's point.
+    """
+    top_two = np.partition(s, -2, axis=1)[:, -2:]
+    lead = top_two[:, 1] - top_two[:, 0]
+    radius = (np.sqrt(np.add.reduce(grad * grad, axis=1)) + 0.5 * math.sqrt(s.shape[1]) * tolerance) / lam
+    return lead > 2.0 * _PICK_SAFETY * radius + 2.0 * _RANK_RESOLUTION
+
+
 def _solve(
-    edges: _Edges, rows: int, n: int, lam: float, tolerance: float, max_iterations: int
+    edges: _Edges, rows: int, n: int, lam: float, tolerance: float, max_iterations: int, picks_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton on every row at once; see fit_bt_rows.
+    """Damped Newton on every row at once; see fit_bt_rows and, for
+    `picks_only`, _fit_entries.
 
     The loop runs on small arrays, so it calls ufunc reductions and
     count_nonzero directly: the ndarray method wrappers (.sum, .any) cost
@@ -227,6 +252,8 @@ def _solve(
     value = None  # objective at s, when the last line search already computed it
     for step_count in range(max_iterations + 1):
         done = np.maximum.reduce(np.abs(grad), axis=1) <= 0.5 * tolerance
+        if picks_only and step_count:
+            done |= _certain_picks(s, grad, lam, tolerance)
         if step_count == max_iterations:
             done[:] = True
         finished = np.count_nonzero(done)
@@ -303,13 +330,22 @@ def _fit_entries(
     lam: float,
     tolerance: float = 1e-8,
     max_iterations: int = 500,
+    picks_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """fit_bt_rows on flat, already checked win entries: entry e is a win of
     candidate winners[e] over losers[e] in row rows[e] (of `row_count`) with
     weight weights[e] > 0.  Each row's sums add its entries in the order they
-    are given, so a row's bits depend on that order alone."""
+    are given, so a row's bits depend on that order alone.
+
+    With `picks_only`, a row also stops once its top pick is certain: once
+    its top score leads the second by more than twice its distance bound to
+    the full solve's point (_certain_picks).  Such a row's scores are not
+    converged, but top_candidates picks from them what it picks from the
+    full solve's, provided the full solve meets its stopping test within
+    `max_iterations`; every other row keeps its full-solve bits.
+    """
     edges = _row_edges(rows, winners, losers, weights, population_size)
-    return _solve(edges, row_count, population_size, lam, tolerance, max_iterations)
+    return _solve(edges, row_count, population_size, lam, tolerance, max_iterations, picks_only)
 
 
 def fit_bt_rows(

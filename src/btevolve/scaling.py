@@ -8,18 +8,23 @@ outcomes up in the matrix, fits scores, and checks whether the top-ranked
 candidate is labeled accepted.
 
 Every trial draws from its own seed, SeedSequence([seed, B, n, t]); the
-trials of a stack of cells are seeded in one replay of numpy's seeding
-(seeds.pcg64_seeds), and one generator takes each trial's state in turn,
-so the draws are bit for bit those of default_rng on that seed.  A trial
-whose sample is all accepted or all rejected is label-determined: whatever
-the fit ranks first carries that label, so its hit is read off the sample
-and it is not fitted.  Every mixed trial is one row of a btrank solve, with
-its repeated comparisons of one pair summed into one weighted entry and
-only the nonzero sums passed on, in the order fit_bt_rows would keep them;
-so its scores are bit for bit fit_bt_rows' on its summed pairs, and equal
-fit_bt's on the trial alone up to rounding.  A grid simulates the feasible
-cells of one population together, in budget order, up to _STACK_ROWS
-trials per stack; cells of different populations are never stacked.
+trials of every feasible cell of a grid are seeded in one replay of numpy's
+seeding (seeds.pcg64_seeds), and one generator takes each trial's state in
+turn, so the draws are bit for bit those of default_rng on that seed.  A
+trial whose sample is all accepted or all rejected is label-determined:
+whatever the fit ranks first carries that label, so its hit is read off the
+sample and it is not fitted.  Every mixed trial is one row of a btrank
+solve, with its repeated comparisons of one pair summed into one weighted
+entry and only the nonzero sums passed on, in the order fit_bt_rows would
+keep them.  A row leaves the solve once its pick is certain: once its top
+score leads its second by more than 2 (||g||_2 + sqrt(n) tol/2) / lam, with
+g its gradient and tol = 1e-8, plus a margin for rounding; the objective is
+lam-strongly concave, so the full solve cannot move the scores that far.
+So a trial's pick, and with it its hit, is bit for bit what top_candidates
+reads off fit_bt_rows' fit of its summed pairs, though the scores it is read
+from are not that fit's.  A grid simulates the feasible cells of one
+population together, in budget order, up to _STACK_ROWS trials per stack;
+cells of different populations are never stacked.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ PAIRING_ROUND_ROBIN = "round-robin"
 # takes at most this many rows: a Newton step costs a fixed ~100 us of numpy
 # calls whatever the stack height, which a taller stack shares out, but past
 # ~64 rows the per-row Hessians and edge arrays outgrow the cache, and stacking
-# whole 500-trial cells was measured ~10% slower than fitting them one by one
+# whole 500-trial cells was measured ~10% slower than fitting them one by one;
+# a stack bounds the draws and the solve only, as a grid is seeded in one replay
 _STACK_ROWS = 64
 
 
@@ -178,45 +184,55 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
                     )
 
 
-def _trial_seeds(seed: int, budgets: list, n: int, trials: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of default_rng(SeedSequence([seed, budgets[c], n, t]))
-    for row c*trials + t, bit for bit, in one `pcg64_seeds` replay; every
-    budget lies in [0, 2**32)."""
-    budget_column = np.repeat(np.asarray(budgets, dtype=np.int64), trials)
-    return list(zip(*pcg64_seeds(seed, budget_column, n, np.tile(np.arange(trials), len(budgets)))))
+def _trial_seeds(seed: int, cells: list, trials: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of default_rng(SeedSequence([seed, budget, n, t]))
+    for trial t of every (budget, n) in `cells`, as row c*trials + t, bit for
+    bit, in one `pcg64_seeds` replay; every budget and n lies in [0, 2**32)."""
+    budgets, populations = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    trial_column = np.tile(np.arange(trials), len(cells))
+    return list(zip(*pcg64_seeds(seed, np.repeat(budgets, trials), np.repeat(populations, trials), trial_column)))
+
+
+def _trial_generators(seed: int, cells: list, trials: int):
+    """default_rng(SeedSequence([seed, budget, n, t])) for every row of
+    _trial_seeds(seed, cells, trials), in row order.
+
+    It is one Generator, set to each row's seeded state in turn, so it draws
+    what that default_rng draws until the next row is taken.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in _trial_seeds(seed, cells, trials):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def _draw_trials(
-    pool_size: int, budgets: list, n: int, trials: int, seed: int, pairing: str
+    pool_size: int, budgets: list, n: int, trials: int, pairing: str, generators
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every trial's sorted sample of n pool indices, as (rows, n), and its
     compared pairs (local indices, round by round), as (rows, pairs, 2).
 
-    Row c*trials + t is trial t of budgets[c].  One generator takes each
-    trial's seeded state in turn, so it draws what default_rng(SeedSequence(
-    [seed, budget, n, t])) draws: the sample and, under random pairing, the
-    m perfect matchings.  A cell with fewer rounds than the widest fills its
-    rows' tail with (0, 0) pairs.
+    Row c*trials + t is trial t of budgets[c], and it draws from the next
+    generator of `generators` (see _trial_generators): the sample and, under
+    random pairing, the m perfect matchings.  A cell with fewer rounds than
+    the widest fills its rows' tail with (0, 0) pairs.
     """
     rounds = [(2 * (budget - n)) // n for budget in budgets]
     samples = np.empty((len(budgets) * trials, n), dtype=np.intp)
     pairs = np.zeros((len(samples), max(rounds) * n // 2, 2), dtype=np.intp)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    seeded = iter(_trial_seeds(seed, budgets, n, trials))
     for c, m in enumerate(rounds):
         block = pairs[c * trials : (c + 1) * trials, : m * n // 2]
         lineups = np.tile(np.arange(n), (m, 1))
         if pairing == PAIRING_ROUND_ROBIN:
             block[:] = np.reshape(round_robin_schedule(n)[:m], (-1, 2))
         for trial in range(trials):
-            state, inc = next(seeded)
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            rng = next(generators)
             samples[c * trials + trial] = rng.permutation(pool_size)[:n]
             if pairing == PAIRING_RANDOM:
                 # one shuffle per row draws the same stream as one permutation(n)
@@ -228,16 +244,21 @@ def _draw_trials(
 
 
 def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: float) -> np.ndarray:
-    """The (rows, n) BT scores of every trial, fitted in one btrank solve.
+    """The top pick of every trial, as top_candidates reads it off the
+    trial's (n,) BT scores, fitted in one btrank solve.
 
     Each pair (a, b) is a win of a over b and one of b over a, weighted from
     the matrix (a (0, 0) pair weighs wins[x, x] = 0).  A row's repeated
     (winner, loser) entries are summed into one bin, and the solver takes
     the nonzero bins only, as flat (row, winner, loser) entries in bin
     order: row by row, and within a row by winner, then loser, the order
-    fit_bt_rows keeps its positive (rows, n*n) entries in.  So the scores
-    are bit for bit fit_bt_rows' on the summed (rows, n*n) layout, and equal
-    each trial's fit_bt up to rounding.
+    fit_bt_rows keeps its positive (rows, n*n) entries in.  A row leaves the
+    solve once its pick is certain: once its top score leads the second by
+    more than 2 (||grad||_2 + sqrt(n) tol/2) / lam (see btrank._certain_picks),
+    tol = 1e-8; a row that never gets there runs to fit_bt_rows' stopping
+    test, with its bits.  So every pick is top_candidates of fit_bt_rows on
+    the summed (rows, n*n) layout, though the scores it is read from are
+    not that fit's scores.
     """
     rows, n = samples.shape
     row_index = np.arange(rows)[:, None, None]
@@ -249,28 +270,28 @@ def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: f
     used = np.flatnonzero(summed)
     row, cell = np.divmod(used, n * n)
     winners, losers = np.divmod(cell, n)
-    scores, _, _ = _fit_entries(row, winners, losers, summed[used], rows, n, lam)
-    return scores
+    scores, _, _ = _fit_entries(row, winners, losers, summed[used], rows, n, lam, picks_only=True)
+    return top_candidates(scores)
 
 
 def _simulate_stack(
-    matrix: JudgmentMatrix, budgets: list, n: int, trials: int, seed: int, lam: float, pairing: str
+    matrix: JudgmentMatrix, budgets: list, n: int, trials: int, lam: float, pairing: str, generators
 ) -> list[SimCell]:
-    """Simulate feasible cells of one population n, fitting their mixed trials in one solve.
+    """Simulate feasible cells of one population n, fitting their mixed trials
+    in one solve; the trials draw from `generators` in row order.
 
     A trial whose sample is all accepted or all rejected picks a candidate
     of that label whatever the fit ranks first, so its hit is that label
     and it is not fitted; a stack with no mixed trial runs no solve.
     """
-    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, trials, seed, pairing)
+    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, trials, pairing, generators)
     sampled = np.asarray(matrix.labels)[samples]
     with_accepted = sampled.any(axis=1)
     # a label-determined trial hits exactly when its whole sample is accepted
     hit = sampled.all(axis=1)
     mixed = np.flatnonzero(hit != with_accepted)
     if len(mixed):
-        top = top_candidates(_fit_trials(matrix.wins, samples[mixed], pairs[mixed], lam))
-        hit[mixed] = sampled[mixed, top]
+        hit[mixed] = sampled[mixed, _fit_trials(matrix.wins, samples[mixed], pairs[mixed], lam)]
     hits = hit.reshape(-1, trials).sum(axis=1)
     accepted = with_accepted.reshape(-1, trials).sum(axis=1)
     return [
@@ -297,9 +318,9 @@ def simulate_cell(
     computed in any order.  A trial whose sample holds one label only hits
     exactly when that label is accepted, so it is not fitted; the mixed
     trials are fitted in one btrank solve on their nonzero summed pairs,
-    each bit for bit as fit_bt_rows fits it, and each picks its top
-    candidate as rank does.  A cell that cannot be simulated raises
-    ConfigError.
+    each stopped once its pick is certain, and each picks the candidate
+    rank picks from fit_bt_rows' fit of those pairs.  A cell that cannot be
+    simulated raises ConfigError.
     """
     return sweep_grid(matrix, [budget], [n], trials, seed, lam, pairing)[0]
 
@@ -321,11 +342,13 @@ def sweep_grid(
     population are drawn together, in budget order, _STACK_ROWS // trials
     cells (at least one) per stack, and a stack's mixed trials are fitted in
     one solve (label-determined trials need none, so a stack without a
-    mixed trial runs no solve).
+    mixed trial runs no solve).  The trials of all feasible cells are seeded
+    in one replay.
     """
     _check_grid(matrix.pool_size, budgets, populations, trials, lam, pairing)
     per_stack = max(1, _STACK_ROWS // trials)
     cells = {}
+    stacks = []
     for n in dict.fromkeys(populations):
         feasible = []
         for budget in dict.fromkeys(budgets):
@@ -334,9 +357,12 @@ def sweep_grid(
                 cells[budget, n] = SimCell(budget, n, m, trials, 0.0, False)
             else:
                 feasible.append(budget)
-        for start in range(0, len(feasible), per_stack):
-            for cell in _simulate_stack(matrix, feasible[start : start + per_stack], n, trials, seed, lam, pairing):
-                cells[cell.budget, n] = cell
+        stacks += [(feasible[start : start + per_stack], n) for start in range(0, len(feasible), per_stack)]
+    # every trial of the grid is seeded in one replay, in the order the stacks draw them
+    generators = _trial_generators(seed, [(budget, n) for chunk, n in stacks for budget in chunk], trials)
+    for chunk, n in stacks:
+        for cell in _simulate_stack(matrix, chunk, n, trials, lam, pairing, generators):
+            cells[cell.budget, n] = cell
     return [cells[budget, n] for budget in budgets for n in populations]
 
 

@@ -14,6 +14,7 @@ from btevolve.btrank import (
     TIE,
     ComparisonRecord,
     ScoreVector,
+    _fit_entries,
     bt_gradient,
     bt_objective,
     fit_bt,
@@ -396,6 +397,59 @@ def test_stacked_max_iterations_bounds_every_row():
             assert scores[row].tobytes() == alone.scores.tobytes()
             assert (converged[row], iterations[row]) == (alone.converged, alone.iterations)
     assert not converged[3]
+
+
+def fit_picks_only(winners, losers, weights, n, lam):
+    """fit_bt_rows' fit of a stack with each row stopped once its pick is certain."""
+    winners, losers, weights = (np.asarray(a) for a in (winners, losers, weights))
+    used = weights > 0
+    rows = np.broadcast_to(np.arange(len(winners))[:, None], winners.shape)
+    return _fit_entries(rows[used], winners[used], losers[used], weights[used], len(winners), n, lam, picks_only=True)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.01, 0.1, 1.0])
+def test_stacked_pick_stop_matches_full_solve(lam):
+    # random stacks with exact ties (an all-tie row, a 3-cycle, a row without
+    # comparisons) and near-ties: every row picks what the full solve picks, a
+    # row the rule stops takes fewer steps, and every other row keeps the full
+    # solve's bits
+    rng = np.random.default_rng(43)
+    stopped = 0
+    for n in (2, 3, 4, 8, 20):
+        instances = [triples_of(rng, n, k) for k in (1, 2, 3, 5, 8, 13) for _ in range(4)]
+        instances += [
+            [(i, (i + 1) % n, TIE) for i in range(n)],
+            [(0, 1, LEFT_WINS), (1, 2 % n, LEFT_WINS), (2 % n, 0, LEFT_WINS)] if n > 2 else [(0, 1, TIE)],
+            [],
+            [(0, 1, LEFT_WINS), (1, 0, LEFT_WINS), (0, 1, LEFT_WINS)] * 5 + [(1, 0, LEFT_WINS)] * 4,
+        ]
+        stack = stack_rows(instances, n)
+        full, converged, full_steps = fit_bt_rows(*stack, n, lam=lam)
+        early, _, early_steps = fit_picks_only(*stack, n, lam)
+        assert converged.all()
+        assert top_candidates(early).tolist() == top_candidates(full).tolist()
+        assert (early_steps <= full_steps).all()
+        kept = early_steps == full_steps
+        assert early[kept].tobytes() == full[kept].tobytes()
+        stopped += np.count_nonzero(~kept)
+        # exact ties never certify
+        assert kept[-4:-1].all()
+    assert stopped > 0
+
+
+def test_stacked_pick_stop_on_heavy_weights():
+    # heavily weighted random rows at a weak penalty, whose full solves take
+    # 10 to 16 Newton steps: the rule stops some rows early, and every pick
+    # is the full solve's
+    rng = np.random.default_rng(47)
+    winners = rng.integers(0, 6, (40, 12))
+    losers = (winners + rng.integers(1, 6, winners.shape)) % 6
+    weights = rng.choice([0.0, 0.5, 1.0, 40.0, 900.0], winners.shape)
+    full, converged, full_steps = fit_bt_rows(winners, losers, weights, 6, lam=1e-3)
+    early, _, early_steps = fit_picks_only(winners, losers, weights, 6, 1e-3)
+    assert converged.all()
+    assert top_candidates(early).tolist() == top_candidates(full).tolist()
+    assert (early_steps <= full_steps).all() and (early_steps < full_steps).any()
 
 
 def test_stacked_rows_validation():

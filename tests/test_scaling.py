@@ -1,7 +1,5 @@
 """Scaling-simulation tests: schedules, matrix lookups, cell semantics."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from btevolve.scaling import (
     SimCell,
     _draw_trials,
     _fit_trials,
+    _trial_generators,
     _trial_seeds,
     generate_matrix,
     load_matrix,
@@ -220,19 +219,26 @@ def test_simulate_cell_frozen_values(mode, pairing):
     assert [(c.budget, c.n, c.m, c.top1_hits, c.trials_with_accepted) for c in cells] == FROZEN_CELLS[mode, pairing]
 
 
+def drawn_trial(matrix, budget, n, trial, seed, pairing):
+    """A trial's sorted sample and its compared (local) pairs, round by round,
+    drawn by the documented per-trial scheme."""
+    m = 2 * (budget - n) // n
+    rng = seeded_rng(seed, budget, n, trial)
+    sample = np.sort(rng.permutation(matrix.pool_size)[:n])
+    if pairing == "random":
+        rounds = [[(int(p[2 * i]), int(p[2 * i + 1])) for i in range(n // 2)] for p in (rng.permutation(n) for _ in range(m))]
+    else:
+        rounds = round_robin_schedule(n)[:m]
+    return sample, [pair for pairs in rounds for pair in pairs]
+
+
 def per_trial_cell(matrix, budget, n, trials, seed, pairing):
     """(top1_hits, trials_with_accepted) by the documented per-trial scheme,
     fitted one trial at a time through records."""
-    m = 2 * (budget - n) // n
     hits = with_accepted = 0
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
-        sample = np.sort(rng.permutation(matrix.pool_size)[:n])
-        if pairing == "random":
-            rounds = [[(int(p[2 * i]), int(p[2 * i + 1])) for i in range(n // 2)] for p in (rng.permutation(n) for _ in range(m))]
-        else:
-            rounds = round_robin_schedule(n)[:m]
-        records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for pairs in rounds for a, b in pairs]
+        sample, pairs = drawn_trial(matrix, budget, n, trial, seed, pairing)
+        records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for a, b in pairs]
         hits += matrix.labels[int(sample[rank(fit_bt(records, n))[0]])]
         with_accepted += any(matrix.labels[int(i)] for i in sample)
     return hits, with_accepted
@@ -286,33 +292,60 @@ def seeded_rng(seed, budget, n, trial):
     return np.random.default_rng(np.random.SeedSequence([seed, budget, n, trial]))
 
 
-# seeds and populations on both sides of 2**32 and 2**64, so that they take one
-# to three entropy words, and budgets up to 2**32 - 1, the most one word holds;
-# the first case is a one-trial stack
+# seeds on both sides of 2**32 and 2**64, so that they take one to three
+# entropy words, and budgets and populations up to 2**32 - 1, the most one
+# word holds; the first case has one trial per cell
 @pytest.mark.parametrize(
     ("seed", "budgets", "n", "trials"),
     [
         (0, [24], 4, 1),
         (11, [10, 20, 40], 6, 7),
         (2**32 + 5, [30, 2**32 - 1, 60, 0, 2**31], 8, 5),
-        (2**64 - 1, [2**32 - 2, 12], 2**32 + 2, 3),
-        (2**64, [7, 2**32 - 1], 2**64 + 3, 2),
+        (2**64 - 1, [2**32 - 2, 12], 2**32 - 2, 3),
+        (2**64, [7, 2**32 - 1], 2**32 - 1, 2),
     ],
 )
 def test_trial_seeds_match_seed_sequence(seed, budgets, n, trials):
+    # a grid of two populations, its cells population by population as
+    # sweep_grid stacks them, seeded in one replay
+    cells = [(budget, population) for population in (n, 2) for budget in budgets]
     expected = []
-    for budget in budgets:
+    for budget, population in cells:
         for trial in range(trials):
-            state = seeded_rng(seed, budget, n, trial).bit_generator.state["state"]
+            state = seeded_rng(seed, budget, population, trial).bit_generator.state["state"]
             expected.append((state["state"], state["inc"]))
-    assert _trial_seeds(seed, budgets, n, trials) == expected
+    assert _trial_seeds(seed, cells, trials) == expected
+
+
+def test_sweep_grid_seeds_every_trial_in_one_replay(monkeypatch):
+    import btevolve.scaling as scaling
+
+    replays = []
+    pcg64_seeds = scaling.pcg64_seeds
+
+    def recording(*parts):
+        replays.append(len(parts[-1]))
+        return pcg64_seeds(*parts)
+
+    monkeypatch.setattr(scaling, "pcg64_seeds", recording)
+    matrix = generate_matrix(16, WORLD, seed=6)
+    # 10 of the 4 x 3 cells are feasible, in six stacks of at most two cells
+    cells = sweep_grid(matrix, [8, 30, 60, 90], [4, 8, 12], trials=30, seed=4)
+    assert replays == [10 * 30]
+    # a grid without a feasible cell draws no trial and seeds none
+    sweep_grid(matrix, [8], [8, 12], trials=30, seed=4)
+    assert replays == [10 * 30]
+    monkeypatch.undo()
+    for cell in cells:
+        if cell.feasible:
+            assert (cell.top1_hits, cell.trials_with_accepted) == per_trial_cell(matrix, cell.budget, cell.n, 30, 4, "random")
 
 
 @pytest.mark.parametrize("pairing", ["random", "round-robin"])
 @pytest.mark.parametrize(("seed", "budgets", "trials"), [(0, [12], 1), (2**32 + 5, [10, 16, 12], 6), (2**70 + 1, [16, 12], 4)])
 def test_draw_trials_match_default_rng(pairing, seed, budgets, trials):
     pool, n = 14, 6
-    samples, pairs = _draw_trials(pool, budgets, n, trials, seed, pairing)
+    samples, pairs = _draw_trials(pool, budgets, n, trials, pairing, _trial_generators(seed, [(b, n) for b in budgets], trials))
     rounds = [2 * (budget - n) // n for budget in budgets]
     assert samples.shape == (len(budgets) * trials, n)
     assert pairs.shape == (len(budgets) * trials, max(rounds) * n // 2, 2)
@@ -344,20 +377,19 @@ SUMMED_FIT_CASES = [
 ]
 
 
+def draw(matrix, budgets, n, trials, seed, pairing):
+    """_draw_trials for the cells of one population, seeded on their own."""
+    return _draw_trials(matrix.pool_size, budgets, n, trials, pairing, _trial_generators(seed, [(b, n) for b in budgets], trials))
+
+
 @pytest.mark.parametrize(("matrix", "pairing", "budgets", "n"), SUMMED_FIT_CASES)
 def test_summed_fits_agree_with_per_trial_fits(matrix, pairing, budgets, n):
-    lam = 0.01
-    # both fits stop once their gradient max-norm is within 0.5e-8 (fit_bt's
-    # default tolerance / 2); the objective is lam-strongly concave, so each
-    # stopping point lies within sqrt(n) * 0.5e-8 / lam of the optimum
-    bound = 2 * math.sqrt(n) * 0.5e-8 / lam
-    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 15, 5, pairing)
-    scores = _fit_trials(matrix.wins, samples, pairs, lam)
+    # the summed trials' picks are those of fit_bt on each trial's records
+    samples, pairs = draw(matrix, budgets, n, 15, 5, pairing)
+    picks = _fit_trials(matrix.wins, samples, pairs, 0.01)
     for row, (sample, row_pairs) in enumerate(zip(samples.tolist(), pairs.tolist())):
         records = [matrix.record(sample[a], sample[b], a, b) for a, b in row_pairs if a != b]
-        alone = fit_bt(records, n, lam=lam)
-        assert np.max(np.abs(scores[row] - alone.scores)) <= bound
-        assert top_candidates(scores[row : row + 1])[0] == rank(alone)[0]
+        assert picks[row] == rank(fit_bt(records, n, lam=0.01))[0]
 
 
 def summed_wins(matrix, samples, pairs):
@@ -379,9 +411,9 @@ def recording_fit_entries(monkeypatch):
     seen = []
     fit_entries = scaling._fit_entries
 
-    def recording(rows, winners, losers, weights, row_count, n, lam):
+    def recording(rows, winners, losers, weights, row_count, n, lam, **options):
         seen.append((rows, winners, losers, weights, row_count))
-        return fit_entries(rows, winners, losers, weights, row_count, n, lam)
+        return fit_entries(rows, winners, losers, weights, row_count, n, lam, **options)
 
     monkeypatch.setattr(scaling, "_fit_entries", recording)
     return seen
@@ -391,7 +423,7 @@ def test_fit_trials_sums_repeated_pairs(monkeypatch):
     seen = recording_fit_entries(monkeypatch)
     matrix = tied_matrix(24, 5)
     n, budgets = 4, [40, 120]
-    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 6, 9, "random")
+    samples, pairs = draw(matrix, budgets, n, 6, 9, "random")
     _fit_trials(matrix.wins, samples, pairs, 0.01)
     [(rows, winners, losers, weights, row_count)] = seen
     assert row_count == len(samples)
@@ -426,9 +458,10 @@ DIRECT_EDGE_CASES = [
 @pytest.mark.parametrize(("pairing", "n", "budgets"), DIRECT_EDGE_CASES)
 def test_fit_trials_equals_fit_bt_rows_on_the_summed_layout(pairing, n, budgets):
     # the (rows, n*n) layout of every ordered pair's summed wins, zero bins as
-    # padding, fitted by fit_bt_rows: the direct edges must give its exact bits
+    # padding, fitted by fit_bt_rows: the direct edges, each row stopped once
+    # its pick is certain, must give its picks
     matrix = tied_matrix(40, n)
-    samples, pairs = _draw_trials(matrix.pool_size, budgets, n, 7, 13, pairing)
+    samples, pairs = draw(matrix, budgets, n, 7, 13, pairing)
     local = np.arange(n * n)
     shape = (len(samples), n * n)
     expected, _, _ = fit_bt_rows(
@@ -438,7 +471,71 @@ def test_fit_trials_equals_fit_bt_rows_on_the_summed_layout(pairing, n, budgets)
         n,
         lam=0.01,
     )
-    assert _fit_trials(matrix.wins, samples, pairs, 0.01).tobytes() == expected.tobytes()
+    assert _fit_trials(matrix.wins, samples, pairs, 0.01).tolist() == top_candidates(expected).tolist()
+
+
+def full_fit_cells(matrix, budgets, populations, trials, seed, lam, pairing):
+    """(budget, n, m, top1_hits, trials_with_accepted) of every cell, each
+    trial drawn from its own default_rng, its repeated pairs summed into the
+    (n*n) layout and fitted by fit_bt_rows to its stopping test, its pick
+    read by top_candidates."""
+    labels = np.asarray(matrix.labels)
+    cells = []
+    for budget in budgets:
+        for n in populations:
+            m = 2 * (budget - n) // n
+            if m < 1:
+                cells.append((budget, n, m, 0, 0))
+                continue
+            samples, layouts = [], []
+            for trial in range(trials):
+                sample, pairs = drawn_trial(matrix, budget, n, trial, seed, pairing)
+                layout = np.zeros((n, n))
+                for a, b in pairs:
+                    layout[a, b] += matrix.wins[sample[a], sample[b]]
+                    layout[b, a] += matrix.wins[sample[b], sample[a]]
+                samples.append(sample)
+                layouts.append(layout.ravel())
+            local, shape = np.arange(n * n), (trials, n * n)
+            scores, converged, _ = fit_bt_rows(np.broadcast_to(local // n, shape), np.broadcast_to(local % n, shape), np.array(layouts), n, lam=lam)
+            assert converged.all()
+            samples = np.array(samples)
+            picked = labels[samples[np.arange(trials), top_candidates(scores)]]
+            cells.append((budget, n, m, int(picked.sum()), int(labels[samples].any(axis=1).sum())))
+    return cells
+
+
+@pytest.mark.parametrize("pairing", ["random", "round-robin"])
+@pytest.mark.parametrize("threshold", [0.0, SyntheticWorldConfig().acceptance_threshold], ids=["median", "default"])
+@pytest.mark.parametrize("mode", ["fixed-accuracy", "logistic"])
+def test_sweep_grid_picks_equal_full_fits(monkeypatch, mode, threshold, pairing):
+    # the gate on the stop rule: every cell equals the one whose trials are
+    # all fitted to fit_bt_rows' stopping test, at ridge strengths from far
+    # below to far above the default, while the rule saves Newton steps
+    import btevolve.scaling as scaling
+
+    steps = []
+    fit_entries = scaling._fit_entries
+
+    def comparing(*args, **options):
+        assert options == {"picks_only": True}
+        early = fit_entries(*args, **options)
+        full = fit_entries(*args)
+        assert (early[2] <= full[2]).all()
+        steps.append((int(early[2].sum()), int(full[2].sum())))
+        return early
+
+    monkeypatch.setattr(scaling, "_fit_entries", comparing)
+    world = SyntheticWorldConfig(judge_mode=mode, acceptance_threshold=threshold)
+    budgets, populations = {"random": ([12, 30, 60], [4, 8]), "round-robin": ([12, 18, 20], [6, 8])}[pairing]
+    for lam in (1e-4, 0.01, 0.1, 1.0):
+        for pool, seed in ((16, 3), (24, 8)):
+            matrix = generate_matrix(pool, world, seed=seed)
+            cells = sweep_grid(matrix, budgets, populations, 20, seed, lam, pairing)
+            expected = full_fit_cells(matrix, budgets, populations, 20, seed, lam, pairing)
+            assert [(c.budget, c.n, c.m, c.top1_hits, c.trials_with_accepted) for c in cells] == expected
+    early, full = np.sum(steps, axis=0)
+    assert early < full
 
 
 def relabeled(matrix, labels):
