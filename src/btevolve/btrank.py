@@ -231,7 +231,7 @@ def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float, tolerance: float
 
 def _solve(
     edges: _Edges, rows: int, n: int, lam: float, tolerance: float, max_iterations: int, picks_only: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Damped Newton on every row at once; see fit_bt_rows and, for
     `picks_only`, _fit_entries.
 
@@ -304,6 +304,8 @@ def _solve(
         grad = _gradient(s, p, work, lam)
     # the row means, bit for bit as .mean(axis=1) computes them, without its overhead
     scores -= scores.sum(axis=1, keepdims=True) / n
+    if picks_only:
+        return scores, None, iterations
     grad = _gradient(scores, _win_probabilities(_differences(scores, edges)), edges, lam)
     return scores, np.abs(grad).max(axis=1) <= tolerance, iterations
 
@@ -331,7 +333,7 @@ def _fit_entries(
     tolerance: float = 1e-8,
     max_iterations: int = 500,
     picks_only: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """fit_bt_rows on flat, already checked win entries: entry e is a win of
     candidate winners[e] over losers[e] in row rows[e] (of `row_count`) with
     weight weights[e] > 0.  Each row's sums add its entries in the order they
@@ -342,7 +344,9 @@ def _fit_entries(
     the full solve's point (_certain_picks).  Such a row's scores are not
     converged, but top_candidates picks from them what it picks from the
     full solve's, provided the full solve meets its stopping test within
-    `max_iterations`; every other row keeps its full-solve bits.
+    `max_iterations`; every other row keeps its full-solve bits.  The
+    `converged` flags would take one more gradient pass over every row and
+    say nothing of a pick, so with `picks_only` they are None.
     """
     edges = _row_edges(rows, winners, losers, weights, population_size)
     return _solve(edges, row_count, population_size, lam, tolerance, max_iterations, picks_only)

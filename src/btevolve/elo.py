@@ -8,7 +8,9 @@ over problems with percentile confidence bounds, the resamples solved in
 vectorised blocks of rows of problem indices.  At the points every row
 shares (both bounds and the Newton start) the terms are computed once per
 problem and gathered, and `estimate` solves the full-data MAP as one more
-row of the first block; each row keeps the bits of a solve of its own, so
+row of the first block.  Outcomes with one trial each skip the trial
+weights, which are all 1, and the later Newton steps are evaluated in place
+in two buffers per block; each row keeps the bits of a solve of its own, so
 `estimate` equals `map_estimate` and `bootstrap_ci` exactly.  A prior,
 bounds, resample count or seed that is not a valid number raises
 ConfigError.
@@ -30,12 +32,13 @@ DEFAULT_PRIOR_MEAN = 3100.0
 DEFAULT_PRIOR_STD = 500.0
 DEFAULT_BOUNDS = (1000.0, 5000.0)
 DEFAULT_RESAMPLES = 1000
-# (resamples, problems) elements per bootstrap block: each block's arrays
-# stay near 128 KB.  With the shared points evaluated per problem, much of a
-# block's cost is per Newton step, not per element, so this ran faster than
-# 64 KB blocks; 256 KB blocks ran slower, and one whole-bootstrap pass at the
-# defaults made megabyte temporaries whose page faults came and went with
-# the heap layout
+# (resamples, problems) elements per bootstrap block: each of a block's
+# (rows, problems) arrays, the gathered ratings and the two buffers every
+# Newton step after the first is evaluated in, stays near 128 KB.  Much of a
+# step's cost is per step, not per element, which favours large blocks, but
+# on the benchmark's 73 Bernoulli problems, with the steps in place, blocks of
+# 8192 and 32768 elements and one block of all 1000 resamples each ran
+# 15-19% slower than this (in-process timing on a shared 2-vCPU VM)
 _BLOCK_ELEMENTS = 16384
 
 
@@ -143,7 +146,12 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
     and gathered by `picks`; element by element they are the values an
     evaluation on the gathered arrays computes, and each row sums them in
     the same order, so every row keeps its bits.  Only the Newton steps
-    after the first evaluate row by row.
+    after the first evaluate row by row, each op for op as `_terms` does but
+    into two buffers allocated once per block, so a step makes no
+    (rows, k) temporaries.  When every problem has one trial the weights
+    are all 1: the steps skip the product t tanh (1.0 * x is x) and take a
+    row's total of t as k (a sum of k ones is k), so these rows keep their
+    bits too.
     """
     precision = 1.0 / prior_std**2
 
@@ -151,7 +159,6 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
         return _SCALE * (excess - 0.5 * weighted_sum) - (rating - prior_mean) * precision
 
     excess = (wins - 0.5 * trials)[picks].sum(axis=1)
-    total = trials[picks].sum(axis=1)
     # numpy scalars, not Python floats, so a float32 prior promotes as it does against an array
     low, high = np.float64(bounds[0]), np.float64(bounds[1])
     at_high = slope(high, excess, _terms(high, ratings, trials)[0][picks].sum(axis=1)) >= 0
@@ -160,10 +167,16 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
     live = np.flatnonzero(~(at_high | at_low))
     # the solve works on compacted copies of the live rows: gathering them from the full stack every step is slower
     picks = picks[live]
-    rows = (ratings[picks], trials[picks], excess[live], total[live])
+    ratings_rows, excess = ratings[picks], excess[live]
+    # one trial per problem: the rows never gather, multiply or compact the weights
+    unit = not np.count_nonzero(trials != 1)
+    trials_rows = None if unit else trials[picks]
+    total = float(picks.shape[1]) if unit else trials_rows.sum(axis=1)
     rating = np.clip(float(prior_mean), low, high)
     # every row starts at the same point, so the first step's sums are gathered like the bound checks'
-    sums = [a[picks].sum(axis=1) for a in _terms(rating, ratings, trials)]
+    weighted_sum, squared_sum = (a[picks].sum(axis=1) for a in _terms(rating, ratings, trials))
+    # each later step is evaluated in these, the first rows of each holding the live rows
+    tanh_buffer, weighted_buffer = np.empty(picks.shape), np.empty(picks.shape)
     low, high = np.full(live.size, low), np.full(live.size, high)
     # the last two moves of each row, as rtsafe keeps them, both starting at the bracket width
     last = high - low
@@ -171,10 +184,14 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
     for step_index in range(max_steps):
         if live.size == 0:
             return result
-        ratings_rows, trials_rows, excess, total = rows
         if step_index:
-            sums = [a.sum(axis=1) for a in _terms(rating[:, None], ratings_rows, trials_rows)]
-        weighted_sum, squared_sum = sums
+            # _terms(rating[:, None], ratings_rows, trials_rows), op for op, without temporaries
+            tanh = np.subtract(rating[:, None], ratings_rows, out=tanh_buffer[: live.size])
+            np.multiply(0.5 * _SCALE, tanh, out=tanh)
+            np.tanh(tanh, out=tanh)
+            weighted = tanh if unit else np.multiply(trials_rows, tanh, out=weighted_buffer[: live.size])
+            weighted_sum = np.add.reduce(weighted, axis=1)
+            squared_sum = np.add.reduce(np.multiply(weighted, tanh, out=weighted_buffer[: live.size]), axis=1)
         gradient = slope(rating, excess, weighted_sum)
         curvature = 0.25 * _SCALE**2 * (total - squared_sum) + precision
         rising = gradient > 0
@@ -196,7 +213,9 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
             keep = ~done
             live, rating, low, high = live[keep], rating[keep], low[keep], high[keep]
             before_last, last = before_last[keep], last[keep]
-            rows = tuple(a[keep] for a in rows)
+            ratings_rows, excess = ratings_rows[keep], excess[keep]
+            if not unit:
+                trials_rows, total = trials_rows[keep], total[keep]
     if live.size:
         raise RuntimeError(f"rating solve did not converge in {max_steps} steps for {live.size} rows")
     return result

@@ -452,6 +452,12 @@ def test_stacked_pick_stop_on_heavy_weights():
     assert (early_steps <= full_steps).all() and (early_steps < full_steps).any()
 
 
+def test_stacked_pick_stop_reports_no_convergence_flags():
+    # a row the rule stops is not converged, so no flag is computed for any row
+    winners, losers, weights = stack_rows([FIXED_RECORDS], 8)
+    assert fit_picks_only(winners, losers, weights, 8, 0.01)[1] is None
+
+
 def test_stacked_rows_validation():
     winners, losers, weights = stack_rows([FIXED_RECORDS], 8)
     with pytest.raises(ValueError, match="out of range"):

@@ -348,6 +348,97 @@ def test_estimate_is_map_estimate_and_bootstrap_ci_exactly(case):
         assert (fit.rating, fit.ci_low, fit.ci_high) == (bounds[1],) * 3
 
 
+# the Bernoulli outcomes the elo benchmark and the paper's CF-73 set have:
+# with one trial per problem the solve skips the trial weights
+
+@pytest.mark.parametrize(
+    ("prior", "bounds"),
+    [
+        ((3100.0, 500.0), (1000.0, 5000.0)),
+        ((4600.0, 5000.0), (2400.0, 2700.0)),
+        ((np.float32(2500.5), 80), (1500, 3000)),
+    ],
+    ids=["defaults", "narrow-bounds-prior-outside", "float32-and-int-prior"],
+)
+def test_each_bootstrap_row_is_the_map_of_its_own_bernoulli_resample(prior, bounds):
+    rng = np.random.default_rng(37)
+    outcomes = random_outcomes(rng, 30, max_trials=1, spread=(1800.0, 3600.0))
+    picks = rng.integers(0, 30, size=(120, 30))
+    maps = _map_rows(*outcome_arrays(outcomes), picks, *prior, bounds)
+    alone = [map_estimate([outcomes[i] for i in row], *prior, bounds) for row in picks]
+    assert maps.tolist() == alone
+    if bounds == (2400.0, 2700.0):
+        assert {2400.0, 2700.0} <= set(alone) and any(2400.0 < m < 2700.0 for m in alone)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_estimate_is_map_estimate_and_bootstrap_ci_exactly_on_bernoulli_outcomes(case):
+    rng = np.random.default_rng([43, case])
+    outcomes = random_outcomes(rng, int(rng.integers(1, 81)), max_trials=1)
+    prior_mean, prior_std = float(rng.uniform(500.0, 5500.0)), float(rng.uniform(30.0, 3000.0))
+    bounds = tuple(sorted(rng.uniform(800.0, 5200.0, 2)))
+    if case == 0:  # every problem solved, prior above the interval: the MAP and every resample on the upper bound
+        outcomes = [ProblemOutcome.bernoulli(float(r), True) for r in rng.uniform(0.0, 400.0, 12)]
+        prior_mean = bounds[1] + 100.0
+    resamples, seed = int(rng.integers(1, 300)), int(rng.integers(2**32))
+    fit = estimate(outcomes, prior_mean, prior_std, bounds, resamples, seed)
+    rating = map_estimate(outcomes, prior_mean, prior_std, bounds)
+    ci = bootstrap_ci(outcomes, prior_mean, prior_std, bounds, resamples, seed)
+    assert (fit.rating, fit.ci_low, fit.ci_high) == (rating, *ci)
+    if case == 0:
+        assert (fit.rating, fit.ci_low, fit.ci_high) == (bounds[1],) * 3
+
+
+def test_skipping_unit_weights_equals_multiplying_by_ones():
+    # the same Bernoulli rows solved once without the weights and once with
+    # them: one more problem of 2 trials, which no row picks, makes the solve
+    # read the weights
+    rng = np.random.default_rng(53)
+    arrays = outcome_arrays(random_outcomes(rng, 73, max_trials=1))
+    picks = rng.integers(0, 73, size=(300, 73))
+    bare = _map_rows(*arrays, picks, 3100.0, 500.0, (1000.0, 5000.0))
+    weighted = [np.append(a, extra) for a, extra in zip(arrays, (3000.0, 1.0, 2.0))]
+    assert bare.tobytes() == _map_rows(*weighted, picks, 3100.0, 500.0, (1000.0, 5000.0)).tobytes()
+
+
+def benchmark_outcomes(seed, problems=73):
+    """The elo benchmark's op inputs: Bernoulli outcomes of a model rated in
+    1800-3200 on problems rated in 800-3600, and a bootstrap seed."""
+    rng = np.random.default_rng([seed, 3])
+    true_rating = rng.uniform(1800.0, 3200.0)
+    ratings = rng.uniform(800.0, 3600.0, problems)
+    solved = rng.random(problems) < 1.0 / (1.0 + 10.0 ** ((ratings - true_rating) / 400.0))
+    return [ProblemOutcome.bernoulli(float(r), bool(s)) for r, s in zip(ratings, solved)], int(rng.integers(2**31))
+
+
+def frozen_inputs(case):
+    """(outcomes, bounds, resamples, seed) of one frozen `estimate` case."""
+    if case == "multi-trial":
+        return random_outcomes(np.random.default_rng(61), 50), (1000.0, 5000.0), 500, 5
+    outcomes, seed = benchmark_outcomes(7 if case in ("bernoulli-seed7", "map-on-upper-bound") else 1)
+    if case == "one-problem-with-two-trials":
+        outcomes[0] = ProblemOutcome(outcomes[0].problem_rating, 1, 2)
+    return outcomes, ((1000.0, 3200.0) if case == "map-on-upper-bound" else (1000.0, 5000.0)), 1000, seed
+
+
+@pytest.mark.parametrize(
+    ("case", "expected"),
+    [
+        ("bernoulli-seed1", ("0x1.c9ff6fb62bf15p+10", "0x1.991cb693fe06dp+10", "0x1.fb2ce1e15a5b1p+10")),
+        ("bernoulli-seed7", ("0x1.96d698ceb6c14p+11", "0x1.82027a3c74f2ep+11", "0x1.adee5f335c443p+11")),
+        ("multi-trial", ("0x1.bb283039f1093p+11", "0x1.35ac774799770p+11", "0x1.fd74eff37bd62p+11")),
+        ("one-problem-with-two-trials", ("0x1.c020c8c73e4f8p+10", "0x1.8c8cb6d03d559p+10", "0x1.f468626644328p+10")),
+        ("map-on-upper-bound", ("0x1.9000000000000p+11", "0x1.82027a3c74f2ep+11", "0x1.9000000000000p+11")),
+    ],
+)
+def test_estimate_frozen_values(case, expected):
+    # recorded when every Newton step multiplied by the trial weights, ones
+    # included, in freshly allocated arrays: both paths keep those bits
+    outcomes, bounds, resamples, seed = frozen_inputs(case)
+    fit = estimate(outcomes, 3100.0, 500.0, bounds, resamples, seed)
+    assert (fit.rating.hex(), fit.ci_low.hex(), fit.ci_high.hex()) == expected
+
+
 @pytest.mark.parametrize("fit", [bootstrap_ci, estimate])
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None], ids=["negative", "fraction", "bool", "string", "null"])
 def test_bootstrap_seed_must_be_a_non_negative_integer(fit, seed):
