@@ -228,6 +228,10 @@ class SyntheticWorldConfig:
     def __post_init__(self) -> None:
         if self.judge_mode not in (JUDGE_MODE_FIXED, JUDGE_MODE_LOGISTIC):
             raise ValueError(f"unknown judge_mode {self.judge_mode!r}")
+        # every other field is a number; NaN and inf would reach the candidate text as theta=nan
+        for name, value in vars(self).items():
+            if name != "judge_mode" and not is_finite_real(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.judge_mode == JUDGE_MODE_FIXED and not 0.5 <= self.judge_accuracy <= 1.0:
             raise ValueError("judge_accuracy must be in [0.5, 1]")
         if self.theta_std < 0 or self.mutation_shift_std < 0:

@@ -35,6 +35,10 @@ OUTCOMES = (LEFT_WINS, RIGHT_WINS, TIE)
 _ARMIJO = 0.25
 _FLAT_DECREMENT = 1e-8
 _MIN_SCALE = 2.0**-30
+# a fit stops once every gradient component is within _TOLERANCE / 2, or after
+# _MAX_ITERATIONS Newton steps; it is `converged` if within _TOLERANCE at the end
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 500
 
 # grid step on which `rank` compares scores
 _RANK_RESOLUTION = 1e-9
@@ -211,13 +215,13 @@ def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 
-def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float, tolerance: float) -> np.ndarray:
+def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
     """Which rows of the (rows, n) score stack `s`, with gradient `grad`, have
     the top pick the full solve would give them.
 
     The objective is lam-strongly concave, so s lies within ||grad||_2 / lam
     of the optimum s*, and the point the full solve stops at (every gradient
-    component within tolerance/2) within sqrt(n) * tolerance / (2 lam) of s*;
+    component within _TOLERANCE/2) within sqrt(n) * _TOLERANCE / (2 lam) of s*;
     no score moves by more than the sum r of the two on the way there.  A top
     score that leads the second by more than 2r, with _PICK_SAFETY on r and
     two _RANK_RESOLUTION steps for rank's rounding, is therefore still the
@@ -225,12 +229,12 @@ def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float, tolerance: float
     """
     top_two = np.partition(s, -2, axis=1)[:, -2:]
     lead = top_two[:, 1] - top_two[:, 0]
-    radius = (np.sqrt(np.add.reduce(grad * grad, axis=1)) + 0.5 * math.sqrt(s.shape[1]) * tolerance) / lam
+    radius = (np.sqrt(np.add.reduce(grad * grad, axis=1)) + 0.5 * math.sqrt(s.shape[1]) * _TOLERANCE) / lam
     return lead > 2.0 * _PICK_SAFETY * radius + 2.0 * _RANK_RESOLUTION
 
 
 def _solve(
-    edges: _Edges, rows: int, n: int, lam: float, tolerance: float, max_iterations: int, picks_only: bool = False
+    edges: _Edges, rows: int, n: int, lam: float, picks_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Damped Newton on every row at once; see fit_bt_rows and, for
     `picks_only`, _fit_entries.
@@ -250,11 +254,11 @@ def _solve(
     p = _win_probabilities(_differences(s, work))
     grad = _gradient(s, p, work, lam)
     value = None  # objective at s, when the last line search already computed it
-    for step_count in range(max_iterations + 1):
-        done = np.maximum.reduce(np.abs(grad), axis=1) <= 0.5 * tolerance
+    for step_count in range(_MAX_ITERATIONS + 1):
+        done = np.maximum.reduce(np.abs(grad), axis=1) <= 0.5 * _TOLERANCE
         if picks_only and step_count:
-            done |= _certain_picks(s, grad, lam, tolerance)
-        if step_count == max_iterations:
+            done |= _certain_picks(s, grad, lam)
+        if step_count == _MAX_ITERATIONS:
             done[:] = True
         finished = np.count_nonzero(done)
         if finished:
@@ -307,7 +311,7 @@ def _solve(
     if picks_only:
         return scores, None, iterations
     grad = _gradient(scores, _win_probabilities(_differences(scores, edges)), edges, lam)
-    return scores, np.abs(grad).max(axis=1) <= tolerance, iterations
+    return scores, np.abs(grad).max(axis=1) <= _TOLERANCE, iterations
 
 
 def _index_array(values) -> np.ndarray:
@@ -330,8 +334,6 @@ def _fit_entries(
     row_count: int,
     population_size: int,
     lam: float,
-    tolerance: float = 1e-8,
-    max_iterations: int = 500,
     picks_only: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """fit_bt_rows on flat, already checked win entries: entry e is a win of
@@ -344,12 +346,12 @@ def _fit_entries(
     the full solve's point (_certain_picks).  Such a row's scores are not
     converged, but top_candidates picks from them what it picks from the
     full solve's, provided the full solve meets its stopping test within
-    `max_iterations`; every other row keeps its full-solve bits.  The
+    _MAX_ITERATIONS steps; every other row keeps its full-solve bits.  The
     `converged` flags would take one more gradient pass over every row and
     say nothing of a pick, so with `picks_only` they are None.
     """
     edges = _row_edges(rows, winners, losers, weights, population_size)
-    return _solve(edges, row_count, population_size, lam, tolerance, max_iterations, picks_only)
+    return _solve(edges, row_count, population_size, lam, picks_only)
 
 
 def fit_bt_rows(
@@ -358,8 +360,6 @@ def fit_bt_rows(
     weights,
     population_size: int,
     lam: float = DEFAULT_LAM,
-    tolerance: float = 1e-8,
-    max_iterations: int = 500,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit every row of a stack of independent comparison sets at once.
 
@@ -371,7 +371,7 @@ def fit_bt_rows(
     weight must not pair a candidate with itself.  Every row is fitted
     exactly as fit_bt fits it alone, down to the bits of its scores and its
     `iterations`; a row leaves the Newton loop once it meets the stopping
-    test or after `max_iterations` steps.  Returns the (rows, population_size)
+    test or after _MAX_ITERATIONS steps.  Returns the (rows, population_size)
     mean-centered scores plus the per-row `converged` flags and Newton step
     counts.
     """
@@ -396,18 +396,10 @@ def fit_bt_rows(
     if np.any(used & (winners == losers)):
         raise ValueError("self-comparison: an entry of positive weight pairs a candidate with itself")
     rows = np.broadcast_to(np.arange(len(winners))[:, None], winners.shape)
-    return _fit_entries(
-        rows[used], winners[used], losers[used], weights[used], len(winners), population_size, lam, tolerance, max_iterations
-    )
+    return _fit_entries(rows[used], winners[used], losers[used], weights[used], len(winners), population_size, lam)
 
 
-def fit_bt(
-    records,
-    population_size: int,
-    lam: float = DEFAULT_LAM,
-    tolerance: float = 1e-8,
-    max_iterations: int = 500,
-) -> ScoreVector:
+def fit_bt(records, population_size: int, lam: float = DEFAULT_LAM) -> ScoreVector:
     """Maximize the penalized likelihood by damped Newton and return fitted scores.
 
     Deterministic: start from zeros; each step solves (L_w + lam*I) step =
@@ -417,19 +409,19 @@ def fit_bt(
     objective; below that the objective is flat to rounding, so a test on it
     would only see noise, and full steps are taken (they converge
     quadratically there).  Iteration stops once the gradient max-norm is
-    within tolerance/2 or after `max_iterations` Newton steps, and the
-    scores are then mean-centered exactly (the likelihood is shift-invariant
-    and the penalty strictly prefers the centered point).  `iterations`
-    counts Newton steps; `converged` reports whether the gradient max-norm
-    at the returned point is within `tolerance`.  A non-converged fit is
-    still returned.  This is the one-row case of fit_bt_rows, which runs the
-    same solver on a stack of fits.
+    within _TOLERANCE/2 (_TOLERANCE = 1e-8) or after _MAX_ITERATIONS (500)
+    Newton steps, and the scores are then mean-centered exactly (the
+    likelihood is shift-invariant and the penalty strictly prefers the
+    centered point).  `iterations` counts Newton steps; `converged` reports
+    whether the gradient max-norm at the returned point is within
+    _TOLERANCE.  A non-converged fit is still returned.  This is the one-row
+    case of fit_bt_rows, which runs the same solver on a stack of fits.
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
     check_lam(lam)
     edges = _record_edges(records, population_size)
-    scores, converged, iterations = _solve(edges, 1, population_size, lam, tolerance, max_iterations)
+    scores, converged, iterations = _solve(edges, 1, population_size, lam)
     return ScoreVector(scores[0], lam, bool(converged[0]), int(iterations[0]))
 
 

@@ -181,7 +181,7 @@ def _cmd_simulate(args) -> int:
         matrix = scaling.generate_matrix(config.get("pool_size", 40), world, seed)
 
     cells = scaling.sweep_grid(matrix, budgets, populations, trials, seed, lam=lam, pairing=pairing)
-    echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing}
+    echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing, "pool_size": matrix.pool_size}
     out_path = Path(args.out or "grid.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     scaling.write_grid_csv(cells, out_path, config_echo=echo)
@@ -269,6 +269,10 @@ def _cmd_baseline(args) -> int:
             for i, c in enumerate(candidates)
         ]
     calls += n * votes
+    # the settings this mode used, defaults included
+    resolved = {"seed": seed, "n": n, "votes": votes}
+    if mode == "self-refine":
+        resolved["rounds"] = rounds
     top = max(v.yes_votes for v in verdicts)
     tied = [i for i, v in enumerate(verdicts) if v.yes_votes == top]
     pick = tied[int(np.random.default_rng(derive_seed(seed, 10, 0)).integers(0, len(tied)))]
@@ -278,7 +282,7 @@ def _cmd_baseline(args) -> int:
         "selected": {"id": candidates[pick].id, "content": candidates[pick].content},
         "verdicts": [asdict(v) for v in verdicts],
         "seed": seed,
-        "config": {**config, "seed": seed, "votes": votes},
+        "config": {**config, **resolved},
     }
     if isinstance(backend, SyntheticBackend):
         accepted = {

@@ -7,8 +7,8 @@ on the log posterior's derivative; uncertainty comes from a seeded bootstrap
 over problems with percentile confidence bounds, the resamples solved in
 vectorised blocks of rows of problem indices.  At the points every row
 shares (both bounds and the Newton start) the terms are computed once per
-problem and gathered, and `estimate` solves the full-data MAP as one more
-row of the first block.  Outcomes with one trial each skip the trial
+problem and gathered, and the bootstrap solves the full-data MAP as row 0
+of its first block.  Outcomes with one trial each skip the trial
 weights, which are all 1, and the later Newton steps are evaluated in place
 in two buffers per block; each row keeps the bits of a solve of its own, so
 `estimate` equals `map_estimate` and `bootstrap_ci` exactly.  A prior,
@@ -40,6 +40,8 @@ DEFAULT_RESAMPLES = 1000
 # 8192 and 32768 elements and one block of all 1000 resamples each ran
 # 15-19% slower than this (in-process timing on a shared 2-vCPU VM)
 _BLOCK_ELEMENTS = 16384
+# Newton steps a rating solve may take before it raises
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _terms(rating, ratings, trials) -> tuple[np.ndarray, np.ndarray]:
     return weighted, weighted * tanh
 
 
-def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_steps: int = 100) -> np.ndarray:
+def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds) -> np.ndarray:
     """MAP rating of every row of `picks`, to 1e-9 Elo.
 
     `ratings`, `wins` and `trials` hold one entry per problem, and each row
@@ -139,7 +141,7 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
     bracket or longer than half the row's move before last bisects instead:
     where the curvature fades, plain Newton steps can hop between the
     bracket's ends for hundreds of steps.  A row is frozen once it moves at
-    most 1e-9.
+    most 1e-9; one still moving after _MAX_STEPS steps raises RuntimeError.
 
     Both bounds and the Newton start clip(mu) are points every row shares,
     so there the terms of g and its curvature are computed once per problem
@@ -181,7 +183,7 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
     # the last two moves of each row, as rtsafe keeps them, both starting at the bracket width
     last = high - low
     before_last = last.copy()
-    for step_index in range(max_steps):
+    for step_index in range(_MAX_STEPS):
         if live.size == 0:
             return result
         if step_index:
@@ -217,7 +219,7 @@ def _map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds, max_s
             if not unit:
                 trials_rows, total = trials_rows[keep], total[keep]
     if live.size:
-        raise RuntimeError(f"rating solve did not converge in {max_steps} steps for {live.size} rows")
+        raise RuntimeError(f"rating solve did not converge in {_MAX_STEPS} steps for {live.size} rows")
     return result
 
 
@@ -233,11 +235,11 @@ def map_estimate(
     return float(_map_rows(ratings, wins, trials, np.arange(len(ratings))[None], prior_mean, prior_std, bounds)[0])
 
 
-def _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map: bool):
-    """The full-data MAP (None unless `with_map`) and the percentile interval.
+def _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed):
+    """The full-data MAP and the percentile interval.
 
-    The full-data MAP is solved as one more row of the first block; rows
-    are solved independently, so it equals `map_estimate`.
+    The full-data MAP is solved as row 0 of the first block; rows are
+    solved independently, so it equals `map_estimate`.
     """
     check_count("resamples", resamples, 1)
     check_count("seed", seed, 0)
@@ -250,12 +252,12 @@ def _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_ma
     for start in range(0, resamples, rows):
         # one draw per block: the same stream as one integers(0, count, count) call per resample
         picks = rng.integers(0, count, size=(min(rows, resamples - start), count))
-        if with_map and start == 0:
+        if start == 0:
             picks = np.vstack((np.arange(count), picks))
         estimates.append(_map_rows(ratings, wins, trials, picks, prior_mean, prior_std, bounds))
     maps = np.concatenate(estimates)
-    low, high = np.percentile(maps[1:] if with_map else maps, [2.5, 97.5], method="linear")
-    return (float(maps[0]) if with_map else None), float(low), float(high)
+    low, high = np.percentile(maps[1:], [2.5, 97.5], method="linear")
+    return float(maps[0]), float(low), float(high)
 
 
 def bootstrap_ci(
@@ -269,7 +271,7 @@ def bootstrap_ci(
     """Percentile bootstrap interval: resample problems with replacement,
     refit the MAP each time, take the 2.5th and 97.5th percentiles with
     linear interpolation.  Deterministic given the seed, an integer >= 0."""
-    return _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map=False)[1:]
+    return _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed)[1:]
 
 
 def estimate(
@@ -281,7 +283,7 @@ def estimate(
     seed: int = 0,
 ) -> EloEstimate:
     """`map_estimate` and `bootstrap_ci` in one pass over the outcomes."""
-    rating, ci_low, ci_high = _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed, with_map=True)
+    rating, ci_low, ci_high = _bootstrap(outcomes, prior_mean, prior_std, bounds, resamples, seed)
     return EloEstimate(rating, ci_low, ci_high, prior_mean, prior_std, tuple(bounds), resamples, seed)
 
 

@@ -63,11 +63,11 @@ def _pair_stubs(n: int, k: int, rng: np.random.Generator):
     return edges
 
 
-def sample_pairing(n: int, k: int, seed: int, max_restarts: int = RESTART_BUDGET) -> PairingPlan:
+def sample_pairing(n: int, k: int, seed: int) -> PairingPlan:
     """Sample a simple k-regular pairing of n candidates, deterministic in seed.
 
     Raises ValueError when no such graph exists (k out of range or n*k odd)
-    and PairingError if the restart budget is exhausted.
+    and PairingError if RESTART_BUDGET restarts find none.
     """
     if n < 2:
         raise ValueError("need at least two candidates to pair")
@@ -76,8 +76,8 @@ def sample_pairing(n: int, k: int, seed: int, max_restarts: int = RESTART_BUDGET
     if (n * k) % 2 != 0:
         raise ValueError(f"no {k}-regular pairing exists on {n} candidates: n*k is odd")
     rng = np.random.default_rng(seed)
-    for _ in range(max_restarts):
+    for _ in range(RESTART_BUDGET):
         edges = _pair_stubs(n, k, rng)
         if edges is not None:
             return PairingPlan(tuple(sorted(edges)), k, seed)
-    raise PairingError(f"no simple {k}-regular pairing found for n={n} within {max_restarts} restarts")
+    raise PairingError(f"no simple {k}-regular pairing found for n={n} within {RESTART_BUDGET} restarts")

@@ -59,12 +59,16 @@ _REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
 PAIRING_RANDOM = "random"
 PAIRING_ROUND_ROBIN = "round-robin"
 
-# most trials one stack draws; only its mixed trials reach the solve, so a fit
-# takes at most this many rows: a Newton step costs a fixed ~100 us of numpy
-# calls whatever the stack height, which a taller stack shares out, but past
-# ~64 rows the per-row Hessians and edge arrays outgrow the cache, and stacking
-# whole 500-trial cells was measured ~10% slower than fitting them one by one;
-# a stack bounds the draws and the solve only, as a grid is seeded in one replay
+# a stack holds max(1, _STACK_ROWS // trials) cells of one population, so it
+# draws at most this many trials only while a cell has at most this many: a
+# larger cell is a stack of its own, and all of its mixed trials reach one
+# solve (up to 500 rows at the CLI's default of 500 trials).  A Newton step
+# costs a fixed ~100 us of numpy calls whatever the stack height, which a
+# taller stack shares out, but past ~64 rows the per-row Hessians and edge
+# arrays outgrow the cache, and stacking whole 500-trial cells was measured
+# ~10% slower than fitting them one by one; the benchmark's 15-trial grid
+# stacks 4 cells.  A stack bounds the draws and the solve only, as a grid is
+# seeded in one replay
 _STACK_ROWS = 64
 
 
@@ -255,7 +259,7 @@ def _fit_trials(wins: np.ndarray, samples: np.ndarray, pairs: np.ndarray, lam: f
     fit_bt_rows keeps its positive (rows, n*n) entries in.  A row leaves the
     solve once its pick is certain: once its top score leads the second by
     more than 2 (||grad||_2 + sqrt(n) tol/2) / lam (see btrank._certain_picks),
-    tol = 1e-8; a row that never gets there runs to fit_bt_rows' stopping
+    tol = btrank._TOLERANCE; a row that never gets there runs to fit_bt_rows' stopping
     test, with its bits.  So every pick is top_candidates of fit_bt_rows on
     the summed (rows, n*n) layout, though the scores it is read from are
     not that fit's scores.

@@ -56,6 +56,15 @@ def test_world_config_validation():
     with pytest.raises(ValueError):
         SyntheticWorldConfig(pointwise_recall_accepted=1.5)
     SyntheticWorldConfig(judge_mode="logistic", judge_accuracy=0.0)  # unused in this mode
+    with pytest.raises(ConfigError, match="judge_accuracy must be a finite number"):
+        SyntheticWorldConfig(judge_mode="logistic", judge_accuracy=float("nan"))  # but still a number
+
+
+@pytest.mark.parametrize("name", [name for name in vars(SyntheticWorldConfig()) if name != "judge_mode"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "0.5"])
+def test_world_field_must_be_a_finite_number(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be a finite number"):
+        SyntheticWorldConfig(**{name: value})
 
 
 def test_theta_round_trip():

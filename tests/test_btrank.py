@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btevolve import btrank
 from btevolve.errors import ConfigError
 from btevolve.btrank import (
     LEFT_WINS,
@@ -259,8 +260,9 @@ def test_disconnected_graph_converges():
     assert abs(float(np.sum(fit.scores))) <= 1e-12
 
 
-def test_max_iterations_bounds_newton_steps():
-    fit = fit_bt(records_of(FIXED_RECORDS), 8, max_iterations=1)
+def test_max_iterations_bounds_newton_steps(monkeypatch):
+    monkeypatch.setattr(btrank, "_MAX_ITERATIONS", 1)
+    fit = fit_bt(records_of(FIXED_RECORDS), 8)
     assert fit.iterations == 1
     assert not fit.converged
 
@@ -386,14 +388,15 @@ def test_stacked_rows_follow_the_reference_newton_path():
         assert np.max(np.abs(scores[row] - expected)) <= 1e-12
 
 
-def test_stacked_max_iterations_bounds_every_row():
+def test_stacked_max_iterations_bounds_every_row(monkeypatch):
     rng = np.random.default_rng(31)
     instances = [triples_of(rng, 8, k) for k in (1, 4, 7)] + [FIXED_RECORDS]
     for limit in (0, 1, 2):
-        scores, converged, iterations = fit_bt_rows(*stack_rows(instances, 8), 8, max_iterations=limit)
+        monkeypatch.setattr(btrank, "_MAX_ITERATIONS", limit)
+        scores, converged, iterations = fit_bt_rows(*stack_rows(instances, 8), 8)
         assert (iterations <= limit).all()
         for row, triples in enumerate(instances):
-            alone = fit_bt(records_of(triples), 8, max_iterations=limit)
+            alone = fit_bt(records_of(triples), 8)
             assert scores[row].tobytes() == alone.scores.tobytes()
             assert (converged[row], iterations[row]) == (alone.converged, alone.iterations)
     assert not converged[3]

@@ -133,6 +133,48 @@ def test_simulate_writes_grid_and_frontier(tmp_path):
     assert "budget 18" in stdout and "budget 36" in stdout
 
 
+def test_simulate_echoes_the_pool_size_it_simulated(tmp_path):
+    grid = {"budgets": [6], "populations": [2], "trials": 2, "seed": 1}
+    out = tmp_path / "grid.csv"
+
+    def echo_of(payload):
+        config = write_config(tmp_path, "sim.yaml", payload)
+        assert run_cli("simulate", "--config", str(config), "--out", str(out))[0] == 0
+        return json.loads(out.read_text().splitlines()[0][len("# config: "):])
+
+    # the default pool of 40 when the file sets none
+    assert echo_of(grid)["pool_size"] == 40
+    # a matrix file's own size, over a pool_size key it ignores
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(
+        json.dumps({"pool_size": 3, "labels": [True, False, False], "outcomes": ["first-wins", "tie", "second-wins"]}),
+        encoding="utf-8",
+    )
+    assert echo_of({**grid, "matrix": str(matrix), "pool_size": 12})["pool_size"] == 3
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "true"])
+def test_non_finite_world_setting_fails_before_any_output(tmp_path, problem_file, value):
+    world = f"{{kind: synthetic, world: {{theta_mean: {value}}}}}"
+    run_config = tmp_path / "run.yaml"
+    run_config.write_text(f"problem: {problem_file}\nbackend: {world}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", "--config", str(run_config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert "theta_mean must be a finite number" in error["message"]
+    assert not list(tmp_path.rglob("*.trace.jsonl"))
+
+    sim_config = tmp_path / "sim.yaml"
+    sim_config.write_text(f"budgets: [18]\npopulations: [4]\nworld: {{theta_mean: {value}}}\n", encoding="utf-8")
+    grid = tmp_path / "grid.csv"
+    code, _, err = run_cli("simulate", "--config", str(sim_config), "--out", str(grid))
+    assert code == 2
+    assert "theta_mean must be a finite number" in json.loads(err)["message"]
+    assert not grid.exists()
+
+
 def test_simulate_needs_grid_lists(tmp_path):
     config = write_config(tmp_path, "sim.yaml", {"pool_size": 12, "budgets": [18]})
     code, _, err = run_cli("simulate", "--config", str(config))
@@ -362,6 +404,23 @@ def test_baseline_pointwise_and_self_refine(tmp_path, problem_file):
     payload = json.loads(out.read_text())
     assert payload["calls"] == 4 + 4 * 2 + 4 * 3
     assert payload["selected"]["id"].endswith("-r2")
+
+
+@pytest.mark.parametrize(
+    ("mode", "expected"),
+    [
+        ("pointwise", {"n": 20, "votes": 14, "seed": 0}),
+        ("self-refine", {"n": 20, "votes": 8, "rounds": 6, "seed": 0}),
+    ],
+)
+def test_baseline_echoes_every_resolved_setting(tmp_path, problem_file, mode, expected):
+    # the defaulted n, votes and (in self-refine mode) rounds are echoed, not only the keys the file sets
+    config = write_config(tmp_path, "base.yaml", {"problem": str(problem_file), "mode": mode})
+    out = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--config", str(config), "--out", str(out))[0] == 0
+    echo = json.loads(out.read_text())["config"]
+    assert {key: echo[key] for key in expected} == expected
+    assert ("rounds" in echo) == (mode == "self-refine")
 
 
 def test_baseline_output_independent_of_parallelism(tmp_path, problem_file):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from btevolve import elo
 from btevolve.elo import (
     ProblemOutcome,
     _map_rows,
@@ -231,18 +232,20 @@ def test_blocked_bootstrap_equals_one_pass_over_all_resamples():
     assert bootstrap_ci(outcomes, 3100.0, 500.0, (1000.0, 5000.0), resamples=1000, seed=12) == (low, high)
 
 
-def test_rating_solve_converges_within_twenty_newton_steps():
+def test_rating_solve_converges_within_twenty_newton_steps(monkeypatch):
     # the benchmark's shape: 73 Bernoulli outcomes over a wide rating range, 1000 resamples
     rng = np.random.default_rng(73)
     ratings = rng.uniform(800.0, 3600.0, 73)
     wins = (rng.random(73) < 1.0 / (1.0 + 10.0 ** ((ratings - 2500.0) / 400.0))).astype(np.float64)
     trials = np.ones(73)
     picks = rng.integers(0, 73, size=(1000, 73))
-    maps = _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    monkeypatch.setattr(elo, "_MAX_STEPS", 20)
+    maps = _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0))
     for row in (0, 1, 999):
         assert maps[row] == pytest.approx(bisection_map(*(a[picks[row]] for a in (ratings, wins, trials))), abs=1e-6)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0), max_steps=2)
+    monkeypatch.setattr(elo, "_MAX_STEPS", 2)
+    with pytest.raises(RuntimeError, match="did not converge in 2 steps"):
+        _map_rows(ratings, wins, trials, picks, 3100.0, 500.0, (1000.0, 5000.0))
 
 
 # one bootstrap resample of the benchmark's elo workload (seed 902, op 5, row
@@ -260,13 +263,15 @@ HOPPING_RATINGS = [
 HOPPING_SOLVED = "0000010100010000011101000101110000101001001010100001001000100100010010001"
 
 
-def test_rating_solve_bisects_when_newton_hops_between_bracket_ends():
+def test_rating_solve_bisects_when_newton_hops_between_bracket_ends(monkeypatch):
     ratings = np.array(HOPPING_RATINGS)
     wins = np.array([float(flag) for flag in HOPPING_SOLVED])
     trials = np.ones(len(ratings))
     oracle = bisection_map(ratings, wins, trials)
     every = np.arange(len(ratings))
-    maps = _map_rows(ratings, wins, trials, every[None], 3100.0, 500.0, (1000.0, 5000.0), max_steps=20)
+    monkeypatch.setattr(elo, "_MAX_STEPS", 20)
+    maps = _map_rows(ratings, wins, trials, every[None], 3100.0, 500.0, (1000.0, 5000.0))
+    monkeypatch.undo()
     assert maps[0] == pytest.approx(oracle, abs=1e-6)
     outcomes = [ProblemOutcome.bernoulli(r, flag == "1") for r, flag in zip(HOPPING_RATINGS, HOPPING_SOLVED)]
     assert map_estimate(outcomes) == maps[0]

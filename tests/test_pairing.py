@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btevolve import pairing
 from btevolve.errors import PairingError
 from btevolve.pairing import PairingPlan, sample_pairing
 
@@ -62,9 +63,10 @@ def test_degree_out_of_range_rejected():
         sample_pairing(1, 1, 0)
 
 
-def test_restart_budget_exhaustion_raises():
-    with pytest.raises(PairingError, match="n=20"):
-        sample_pairing(20, 4, 0, max_restarts=0)
+def test_restart_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(pairing, "RESTART_BUDGET", 0)
+    with pytest.raises(PairingError, match="n=20 within 0 restarts"):
+        sample_pairing(20, 4, 0)
 
 
 def test_same_seed_same_plan():
