@@ -4,8 +4,11 @@ Subcommands: run (full pipeline on a problem file or directory), simulate
 (budget/population scaling grid), elo (rating MAP + bootstrap CI from an
 outcomes file), diagnose (judge quality on labeled pairs), baseline
 (pointwise or self-refine selection).  Config is one YAML/JSON file per
-invocation; --seed, --backend, --out and --parallelism override it.  Every
-output artifact embeds the resolved config and seed.
+invocation; --seed and --out override it in every subcommand.  run,
+diagnose and baseline, the subcommands that call a backend, also take
+--backend (override the backend kind) and --parallelism (concurrent
+backend calls); simulate and elo refuse both.  Every output artifact
+embeds the config settings that acted, with their defaults, and the seed.
 
 Exit codes: 0 success, 2 invalid config, 3 backend failure, 4 I/O failure,
 1 anything else.  Failures print a single JSON line to stderr.
@@ -133,7 +136,6 @@ def _cmd_run(args) -> int:
             # isolated per-problem stream derived from the batch seed
             run_config = replace(run_config, seed=derive_seed(base_seed, index))
         trace_path = out_dir / f"{path.stem}.trace.jsonl"
-        out_dir.mkdir(parents=True, exist_ok=True)
         selected, trace = run_pipeline(run_config, parallelism=args.parallelism, trace_path=trace_path)
         summary = trace.records_of_kind("summary")[0]["payload"]
         selection = {
@@ -182,6 +184,8 @@ def _cmd_simulate(args) -> int:
 
     cells = scaling.sweep_grid(matrix, budgets, populations, trials, seed, lam=lam, pairing=pairing)
     echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing, "pool_size": matrix.pool_size}
+    # echo only the settings that acted: a matrix file stands in for the world
+    echo.pop("world" if config.get("matrix") else "matrix", None)
     out_path = Path(args.out or "grid.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     scaling.write_grid_csv(cells, out_path, config_echo=echo)
@@ -270,9 +274,9 @@ def _cmd_baseline(args) -> int:
         ]
     calls += n * votes
     # the settings this mode used, defaults included
-    resolved = {"seed": seed, "n": n, "votes": votes}
-    if mode == "self-refine":
-        resolved["rounds"] = rounds
+    resolved = {**config, "seed": seed, "n": n, "votes": votes, "rounds": rounds}
+    if mode == "pointwise":
+        del resolved["rounds"]  # pointwise mode runs no refine rounds
     top = max(v.yes_votes for v in verdicts)
     tied = [i for i, v in enumerate(verdicts) if v.yes_votes == top]
     pick = tied[int(np.random.default_rng(derive_seed(seed, 10, 0)).integers(0, len(tied)))]
@@ -282,7 +286,7 @@ def _cmd_baseline(args) -> int:
         "selected": {"id": candidates[pick].id, "content": candidates[pick].content},
         "verdicts": [asdict(v) for v in verdicts],
         "seed": seed,
-        "config": {**config, **resolved},
+        "config": resolved,
     }
     if isinstance(backend, SyntheticBackend):
         accepted = {
@@ -315,8 +319,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="YAML or JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--backend", choices=["synthetic", "http"], default=None, help="override the backend kind")
-        p.add_argument("--parallelism", type=int, default=1, help="parallel backend calls")
+        if name in ("run", "diagnose", "baseline"):  # the subcommands that call a backend
+            p.add_argument("--backend", choices=["synthetic", "http"], default=None, help="override the backend kind")
+            p.add_argument("--parallelism", type=int, default=1, help="parallel backend calls")
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:

@@ -37,7 +37,6 @@ class ComparisonTask:
     right_id: str
     presented_first: str
     prompt_text: str
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -71,19 +70,22 @@ def render_comparison_prompt(
     problem: str,
     left: "Candidate",
     right: "Candidate",
-    seed: int,
+    seed: int | None = None,
     *,
     left_first: bool | None = None,
 ) -> ComparisonTask:
-    """Render the comparison prompt with a seed-determined presentation order.
+    """Render the comparison prompt with left shown first iff `left_first`.
 
-    Left goes first iff default_rng(seed).random() < 0.5; a caller that has
-    already drawn that order (seeds.seed_uniforms does it for a whole
-    round) passes it as `left_first`.
+    A caller that has not drawn the order passes `seed` instead, and left
+    goes first iff default_rng(seed).random() < 0.5.  A run draws every
+    round's orders ahead of time (seeds.seed_schedule) and passes only
+    `left_first`.
     """
     if not left.content or not right.content:
         raise ValueError("both candidates must have non-empty content")
     if left_first is None:
+        if seed is None:
+            raise ValueError("give a seed or left_first")
         left_first = bool(np.random.default_rng(seed).random() < 0.5)
     first, second = (left, right) if left_first else (right, left)
     text = prompts.render(prompts.COMPARISON_TEMPLATE, problem=problem, code_a=first.content, code_b=second.content)
@@ -92,7 +94,6 @@ def render_comparison_prompt(
         right_id=right.id,
         presented_first=first.id,
         prompt_text=text,
-        seed=seed,
     )
 
 

@@ -43,7 +43,7 @@ def _suitable(edges: set, potential: dict) -> bool:
 def _pair_stubs(n: int, k: int, rng: np.random.Generator):
     edges: set[tuple[int, int]] = set()
     stubs = list(range(n)) * k
-    while stubs:
+    while True:  # each pass returns or leaves unpaired stubs for the next
         potential: dict[int, int] = defaultdict(int)
         rng.shuffle(stubs)
         it = iter(stubs)
@@ -60,7 +60,6 @@ def _pair_stubs(n: int, k: int, rng: np.random.Generator):
         if not _suitable(edges, potential):
             return None  # stuck: remaining stubs only form loops or duplicates
         stubs = [node for node, count in potential.items() for _ in range(count)]
-    return edges
 
 
 def sample_pairing(n: int, k: int, seed: int) -> PairingPlan:

@@ -163,9 +163,9 @@ def make_backend(kind: str, options: dict) -> Backend:
 class RunTrace:
     """Append-only record log, optionally persisted as line-delimited JSON.
 
-    With a `path`, the file is emptied and opened for appending once, here;
-    every `flush` writes the records not yet written and flushes the file,
-    and `close` releases it.
+    With a `path`, its directory is made if missing, and the file is
+    emptied and opened for appending once, here; every `flush` writes the
+    records not yet written and flushes the file, and `close` releases it.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -174,6 +174,7 @@ class RunTrace:
         self._flushed = 0
         self._sink = None
         if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             # emptied through a handle of its own: ext4 starts writing back a file that one
             # handle truncated and rewrote when that handle closes, and the next run's
             # truncation of the same path then waits on that write
@@ -299,8 +300,7 @@ def _judge_pair(
     problem: str,
     left: Candidate,
     right: Candidate,
-    order_seed: int,
-    left_first: bool | None,
+    left_first: bool,
     judge_seed: int,
     temperature: float,
     retries: int,
@@ -310,14 +310,14 @@ def _judge_pair(
 ) -> tuple[Judgment, int]:
     """The comparison call: render, request, parse and canonicalize one pair.
 
-    The presentation order is drawn from `order_seed` unless `left_first`
-    was drawn ahead of time.  A reply that does not parse is retried up to
-    `retries` times, attempt a with seed derive_seed(*retry_root, index, a),
-    and then becomes a degraded tie.  A backend failure raises BackendError
-    naming `where`, the pair `index` and both candidates.  Returns the
-    canonical judgment plus how many retry calls were spent.
+    Left is shown first iff `left_first`, an order the caller drew.  A
+    reply that does not parse is retried up to `retries` times, attempt a
+    with seed derive_seed(*retry_root, index, a), and then becomes a
+    degraded tie.  A backend failure raises BackendError naming `where`,
+    the pair `index` and both candidates.  Returns the canonical judgment
+    plus how many retry calls were spent.
     """
-    task = render_comparison_prompt(problem, left, right, order_seed, left_first=left_first)
+    task = render_comparison_prompt(problem, left, right, left_first=left_first)
     seed = judge_seed
     for attempt in range(retries + 1):
         if attempt:
@@ -436,14 +436,14 @@ def run_pipeline(
         retry_root = (config.seed, round_no, _P_RETRY)
         where = f"comparison round {round_no}"
 
-        def judge(p: int, pair: tuple[int, int], order_seed: int, left_first: bool, judge_seed: int):
+        def judge(p: int, pair: tuple[int, int], left_first: bool, judge_seed: int):
             left, right = members[pair[0]], members[pair[1]]
             return _judge_pair(
-                backend, config.problem, left, right, order_seed, left_first, judge_seed,
+                backend, config.problem, left, right, left_first, judge_seed,
                 temperature, parse_retries, retry_root, where, p,
             )
 
-        results = pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.order, seeds.left_first, seeds.judge)
+        results = pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.left_first, seeds.judge)
         primary_calls += len(results)
         for p, (judgment, retries) in enumerate(results):
             retry_calls += retries

@@ -191,13 +191,13 @@ def seed_uniforms(seeds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoundSeeds:
-    """The seeds of one comparison round: derive_seed(root, round, purpose, i)
-    for its pairing (i = 0), each pair's order and judge seeds, and each
-    member's mutation seed (none in the final round).  `left_first[p]` is
-    default_rng(order[p]).random() < 0.5."""
+    """The draws of one comparison round: derive_seed(root, round, purpose, i)
+    for its pairing (i = 0), each pair's judge seed and each member's
+    mutation seed (none in the final round), and each pair's presentation
+    order: `left_first[p]` is default_rng(s).random() < 0.5 for the pair's
+    order seed s = derive_seed(root, round, _P_ORDER, p)."""
 
     pairing: int
-    order: list[int]
     left_first: list[bool]
     judge: list[int]
     mutate: list[int]
@@ -207,10 +207,12 @@ def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> 
     """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round.
 
     Rounds 1..generations compare n*k/2 pairs and mutate n members; round
-    generations+1 compares n*final_k/2 pairs.  All seeds come from one
-    `derive_seeds` pass over every (round, purpose, index) column and all
-    orders from one `seed_uniforms` call, bit-identical to `derive_seed` and
-    `default_rng(order_seed).random()` per index.  A round or index of 2**32
+    generations+1 compares n*final_k/2 pairs.  All seeds, the order seeds
+    included, come from one `derive_seeds` pass over every (round, purpose,
+    index) column, and all orders from one `seed_uniforms` call over the
+    order seeds, bit-identical to `derive_seed` and
+    `default_rng(order_seed).random()` per index; the order seeds themselves
+    are not kept.  A round or index of 2**32
     or more would take SeedSequence a second entropy word, so it raises
     ConfigError rather than build a column.
     """
@@ -229,12 +231,11 @@ def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> 
     )
 
     left_first = iter((seed_uniforms(seeds[purpose == _P_ORDER].tolist()) < 0.5).tolist())
-    seeds = iter(seeds.tolist())
+    seeds = iter(seeds[purpose != _P_ORDER].tolist())
     # keyword arguments are evaluated in order, so each field takes the next columns
     return [
         RoundSeeds(
             pairing=next(seeds),
-            order=list(islice(seeds, pairs)),
             left_first=list(islice(left_first, pairs)),
             judge=list(islice(seeds, pairs)),
             mutate=list(islice(seeds, mutations)),

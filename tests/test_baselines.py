@@ -252,3 +252,20 @@ def test_diagnostic_unparseable_judge_reply_is_incorrect_without_retry():
     assert [request.purpose for request in backend.requests] == ["judge", "pointwise", "pointwise"]
     assert report.pairwise_accuracy == 0.0
     assert report.pointwise_joint == 1.0
+
+
+@pytest.mark.parametrize(("yes", "total"), [(3, 2), (-1, 2)], ids=["above-total", "negative"])
+def test_pointwise_verdict_rejects_a_tally_out_of_range(yes, total):
+    with pytest.raises(ValueError, match="yes_votes out of range"):
+        PointwiseVerdict("c", yes, total)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**40 + 1])
+def test_diagnostic_order_is_one_draw_per_pair(seed):
+    # the batched order draw matches a default_rng per pair, seeded derive_seed(seed, 0, p)
+    pairs = synthetic_pairs(40)
+    backend = ScriptedBackend([judge_reply("A"), "VERDICT: YES", "VERDICT: NO"] * len(pairs))
+    judge_diagnostic(pairs, backend, seed=seed)
+    for p, (pair, request) in enumerate(zip(pairs, backend.requests[::3])):
+        accepted_first = pair.accepted in request.user_prompt.split("## Solution B")[0]
+        assert accepted_first == (np.random.default_rng(derive_seed(seed, 0, p)).random() < 0.5), p

@@ -781,3 +781,128 @@ def test_diagnose_synthetic_needs_theta_markers(tmp_path, side):
     assert error["error"] == "config"
     assert error["message"].startswith(f"pair 2 in {pairs}: {side} text has no theta= marker")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--backend", "http"), ("--parallelism", "2")], ids=["backend", "parallelism"])
+@pytest.mark.parametrize("command", ["simulate", "elo"])
+def test_commands_without_a_backend_refuse_backend_flags(tmp_path, capsys, command, flag):
+    # simulate and elo call no backend, so they take neither flag
+    if command == "simulate":
+        payload = _seed_case_config(tmp_path, None, command)
+    else:
+        outcomes = tmp_path / "outcomes.csv"
+        outcomes.write_text("problem_rating,solved\n3100,true\n3100,false\n", encoding="utf-8")
+        payload = {"outcomes": str(outcomes), "resamples": 10}
+    config = write_config(tmp_path, "cfg.yaml", payload)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + list(flag))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli(*argv)[0] == 0
+
+
+@pytest.mark.parametrize("trigger", ["nan-world", "parallelism-0"])
+def test_refused_run_leaves_no_out_directory(tmp_path, problem_file, trigger):
+    payload = small_run_config(problem_file)
+    argv = []
+    if trigger == "nan-world":
+        payload["backend"] = {"kind": "synthetic", "world": {"theta_mean": float("nan")}}
+    else:
+        argv = ["--parallelism", "0"]
+    config = write_config(tmp_path, "run.yaml", payload)
+    out = tmp_path / "out"
+    code, _, err = run_cli("run", "--config", str(config), "--out", str(out), *argv)
+    assert code == 2
+    assert json.loads(err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_simulate_from_a_matrix_does_not_echo_the_world(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(
+        json.dumps({"pool_size": 3, "labels": [True, False, False], "outcomes": ["first-wins", "tie", "second-wins"]}),
+        encoding="utf-8",
+    )
+    # a world the matrix file stands in for, which SyntheticWorldConfig would reject
+    payload = {"matrix": str(matrix), "world": {"judge_accuracy": 0.1}, "budgets": [6], "populations": [2], "trials": 2}
+    config = write_config(tmp_path, "sim.yaml", payload)
+    out = tmp_path / "grid.csv"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out))[0] == 0
+    echo = json.loads(out.read_text().splitlines()[0][len("# config: "):])
+    assert "world" not in echo
+    assert echo["matrix"] == str(matrix)
+
+
+def test_pointwise_baseline_does_not_echo_rounds(tmp_path, problem_file):
+    payload = {"problem": str(problem_file), "mode": "pointwise", "n": 4, "votes": 3, "rounds": 2}
+    config = write_config(tmp_path, "base.yaml", payload)
+    out = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--config", str(config), "--out", str(out))[0] == 0
+    payload = json.loads(out.read_text())
+    assert "rounds" not in payload["config"]
+    assert payload["calls"] == 4 + 4 * 3
+
+
+def _empty_directory(tmp_path):
+    path = tmp_path / "problems"
+    path.mkdir()
+    return str(path)
+
+
+def _malformed_pairs(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('{"problem": "p", "accepted": "a"}\nnot json\n', encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    ("command", "payload", "message"),
+    [
+        ("run", lambda tmp, problem: ["not", "a", "mapping"], "must be a mapping"),
+        ("run", lambda tmp, problem: {"problem": problem, "feedback_strategy": {"k": 2}}, "feedback_strategy.kind"),
+        ("run", lambda tmp, problem: {"problem": problem, "feedback_strategy": 3}, "bad feedback_strategy: 3"),
+        ("run", lambda tmp, problem: {"problem": problem, "backend": {"world": [1]}}, "backend.world must be a mapping"),
+        ("run", lambda tmp, problem: {"n": 8}, "run config needs a problem path"),
+        ("run", lambda tmp, problem: {"problem": _empty_directory(tmp)}, "is empty"),
+        ("elo", lambda tmp, problem: {"resamples": 10}, "elo config needs an outcomes file"),
+        ("diagnose", lambda tmp, problem: {"seed": 1}, "diagnose config needs a pairs file"),
+        ("diagnose", lambda tmp, problem: {"pairs": _malformed_pairs(tmp)}, "no usable pairs"),
+        ("baseline", lambda tmp, problem: {"mode": "pointwise"}, "baseline config needs a problem path"),
+    ],
+    ids=[
+        "not-a-mapping",
+        "strategy-kind-not-a-string",
+        "strategy-not-a-kind-or-mapping",
+        "world-not-a-mapping",
+        "run-without-problem",
+        "empty-problem-directory",
+        "elo-without-outcomes",
+        "diagnose-without-pairs",
+        "no-usable-pairs",
+        "baseline-without-problem",
+    ],
+)
+def test_config_errors_exit_2(tmp_path, problem_file, command, payload, message):
+    config = write_config(tmp_path, "cfg.yaml", payload(tmp_path, str(problem_file)))
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--config", str(config), "--out", str(out))
+    assert code == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert message in error["message"]
+    assert not out.exists()
+
+
+def test_unexpected_error_exits_1_as_internal(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli.scaling, "sweep_grid", fail)
+    config = write_config(tmp_path, "sim.yaml", _seed_case_config(tmp_path, None, "simulate"))
+    code, _, err = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "grid.csv"))
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "internal", "message": "unexpected"}

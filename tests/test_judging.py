@@ -20,9 +20,7 @@ from conftest import judge_reply, sampled
 
 
 def make_task(presented_first="L"):
-    return ComparisonTask(
-        left_id="L", right_id="R", presented_first=presented_first, prompt_text="p", seed=0
-    )
+    return ComparisonTask(left_id="L", right_id="R", presented_first=presented_first, prompt_text="p")
 
 
 def test_parse_plain_reply():
@@ -206,3 +204,9 @@ def test_rewrite_leaves_plain_prose_alone():
 def test_rewrite_rejects_bad_label():
     with pytest.raises(ValueError):
         rewrite_self_relative("x", "TIE")
+
+
+def test_render_prompt_needs_a_seed_or_an_order():
+    with pytest.raises(ValueError, match="seed or left_first"):
+        render_comparison_prompt("p", sampled("L", "l"), sampled("R", "r"))
+    assert render_comparison_prompt("p", sampled("L", "l"), sampled("R", "r"), left_first=False).presented_first == "R"

@@ -679,3 +679,17 @@ def test_parallelism_must_be_positive(tmp_path):
         with pytest.raises(ConfigError, match="parallelism"):
             TaskPool(parallelism)
     assert not (tmp_path / "run.jsonl").exists()
+
+
+def test_run_config_rejects_negative_parse_retries():
+    with pytest.raises(ConfigError, match="parse_retries must be non-negative"):
+        RunConfig(problem="p", parse_retries=-1)
+
+
+def test_run_trace_makes_its_directory(tmp_path):
+    path = tmp_path / "a" / "b" / "run.trace.jsonl"
+    trace = RunTrace(path)
+    trace.append("config", -1, 0, {})
+    trace.flush()
+    trace.close()
+    assert path.read_text(encoding="utf-8") == trace.to_jsonl()

@@ -219,3 +219,14 @@ def test_assemble_rejects_bad_routing():
     wrong_gen = children_for(previous, parents, generation=2)
     with pytest.raises(ValueError):
         assemble_next_generation(previous, {0, 5}, {2, 6}, wrong_gen)
+
+
+def test_candidate_rejects_a_negative_generation():
+    with pytest.raises(ValueError, match="generation must be non-negative"):
+        Candidate("c", "x", -1, "mutated", parent_id="p")
+
+
+def test_assemble_rejects_a_population_not_divisible_by_4():
+    members = tuple(Candidate(f"g0-s{i:03d}", f"body-{i}", 0, "sampled") for i in range(6))
+    with pytest.raises(ConfigError, match="population size 6 is not divisible by 4"):
+        assemble_next_generation(GenerationState(0, members), {0}, {5}, [])

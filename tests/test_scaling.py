@@ -652,3 +652,8 @@ def test_grid_csv_format(tmp_path):
     assert lines[1] == "budget,n,m,trials,top1_accuracy,feasible"
     assert lines[2] == "24,4,10,40,0.275000,true"
     assert lines[3] == "24,8,4,40,0.450000,true"
+
+
+def test_matrix_needs_two_candidates():
+    with pytest.raises(ValueError, match="pool_size must be at least 2"):
+        JudgmentMatrix(1, {}, (True,))

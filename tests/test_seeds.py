@@ -100,7 +100,6 @@ def _expected_schedule(root, n, k, generations, final_k):
         rounds.append(
             (
                 derive_seed(root, r, 1, 0),
-                order,
                 [np.random.default_rng(s).random() < 0.5 for s in order],
                 _scalar_seeds(root, r, 3, indices=range(pairs)),
                 _scalar_seeds(root, r, 5, indices=range(mutations)),
@@ -119,7 +118,7 @@ def test_seed_schedule_matches_derive_seed(shape):
     roots += [int(r) for r in np.random.default_rng(sum(shape)).integers(0, 2**63, size=4)]
     for root in roots:
         schedule = seed_schedule(root, *shape)
-        got = [(s.pairing, s.order, s.left_first, s.judge, s.mutate) for s in schedule]
+        got = [(s.pairing, s.left_first, s.judge, s.mutate) for s in schedule]
         assert got == _expected_schedule(root, *shape), root
 
 
