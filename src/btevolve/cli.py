@@ -128,33 +128,34 @@ def _cmd_run(args) -> int:
         problems = [problem_path]
 
     base_seed = _seed_of(config, args)
+    backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
     results = []
-    for index, path in enumerate(problems):
-        problem_text = path.read_text(encoding="utf-8")
-        run_config = _run_config(config, problem_text, base_seed, args)
-        if len(problems) > 1:
-            # isolated per-problem stream derived from the batch seed
-            run_config = replace(run_config, seed=derive_seed(base_seed, index))
-        trace_path = out_dir / f"{path.stem}.trace.jsonl"
-        selected, trace = run_pipeline(run_config, parallelism=args.parallelism, trace_path=trace_path)
-        summary = trace.records_of_kind("summary")[0]["payload"]
-        selection = {
-            "problem": str(path),
-            "selected": {
-                "id": selected.id,
-                "content": selected.content,
-                "generation": selected.generation,
-                "origin": selected.origin,
-            },
-            "primary_calls": summary["primary_calls"],
-            "retry_calls": summary["retry_calls"],
-            "trace": str(trace_path),
-            "seed": run_config.seed,
-            "config": run_config.echo(),
-        }
-        _write_json(out_dir / f"{path.stem}.selection.json", selection)
-        results.append(selection)
-        print(f"{path.name}: selected {selected.id} ({summary['primary_calls']} primary calls)")
+    with closing(backend), TaskPool(args.parallelism) as pool:
+        for index, path in enumerate(problems):
+            run_config = _run_config(config, path.read_text(encoding="utf-8"), base_seed, args)
+            if len(problems) > 1:
+                # isolated per-problem stream derived from the batch seed
+                run_config = replace(run_config, seed=derive_seed(base_seed, index))
+            trace_path = out_dir / f"{path.stem}.trace.jsonl"
+            selected, trace = run_pipeline(run_config, backend, pool, trace_path)
+            summary = trace.records_of_kind("summary")[0]["payload"]
+            selection = {
+                "problem": str(path),
+                "selected": {
+                    "id": selected.id,
+                    "content": selected.content,
+                    "generation": selected.generation,
+                    "origin": selected.origin,
+                },
+                "primary_calls": summary["primary_calls"],
+                "retry_calls": summary["retry_calls"],
+                "trace": str(trace_path),
+                "seed": run_config.seed,
+                "config": run_config.echo(),
+            }
+            _write_json(out_dir / f"{path.stem}.selection.json", selection)
+            results.append(selection)
+            print(f"{path.name}: selected {selected.id} ({summary['primary_calls']} primary calls)")
     if len(results) > 1:
         _write_json(out_dir / "batch.json", {"seed": base_seed, "runs": results})
     return 0
@@ -256,7 +257,7 @@ def _cmd_baseline(args) -> int:
     seed = _seed_of(config, args)
     n = config.get("n", 20)
     votes = config.get("votes", 14 if mode == "pointwise" else 8)
-    rounds = config.get("rounds", 6)
+    rounds = config.get("rounds", 6) if mode == "self-refine" else 0  # pointwise mode runs no refine rounds
     # checked here too, so a bad value fails before any backend call
     for name, value, low in (("n", n, 1), ("votes", votes, 1), ("rounds", rounds, 0)):
         check_count(name, value, low)
@@ -276,7 +277,7 @@ def _cmd_baseline(args) -> int:
     # the settings this mode used, defaults included
     resolved = {**config, "seed": seed, "n": n, "votes": votes, "rounds": rounds}
     if mode == "pointwise":
-        del resolved["rounds"]  # pointwise mode runs no refine rounds
+        del resolved["rounds"]
     top = max(v.yes_votes for v in verdicts)
     tied = [i for i, v in enumerate(verdicts) if v.yes_votes == top]
     pick = tied[int(np.random.default_rng(derive_seed(seed, 10, 0)).integers(0, len(tied)))]

@@ -26,8 +26,6 @@ class PairingPlan:
     """A sampled schedule: unordered index pairs, canonically sorted."""
 
     pairs: tuple[tuple[int, int], ...]
-    degree: int
-    seed: int
 
 
 def _suitable(edges: set, potential: dict) -> bool:
@@ -78,5 +76,5 @@ def sample_pairing(n: int, k: int, seed: int) -> PairingPlan:
     for _ in range(RESTART_BUDGET):
         edges = _pair_stubs(n, k, rng)
         if edges is not None:
-            return PairingPlan(tuple(sorted(edges)), k, seed)
+            return PairingPlan(tuple(sorted(edges)))
     raise PairingError(f"no simple {k}-regular pairing found for n={n} within {RESTART_BUDGET} restarts")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -238,12 +238,12 @@ def _dump_records(records: list[dict]) -> str:
 
 
 class TaskPool:
-    """The worker threads of one run, shared by every batch of backend calls.
+    """Worker threads shared by every batch of backend calls, of one run or of many.
 
     A batch is one `map` of a call function over its items.  At parallelism
     1 there are no threads and calls run inline.  `close`, or leaving the
     `with` block, cancels calls not yet started and waits for the threads
-    to end, so a run that ends, or aborts, leaves no thread behind.  The
+    to end, so a pool's owner leaves no thread behind.  The
     pool holds no backend connection: HttpBackend closes a thread's own
     connection when the thread ends, and the calling thread's on
     `HttpBackend.close`.
@@ -389,25 +389,29 @@ def sample_candidates(
 def run_pipeline(
     config: RunConfig,
     backend: Backend | None = None,
-    parallelism: int = 1,
+    parallelism: int | TaskPool = 1,
     trace_path: str | Path | None = None,
 ) -> tuple[Candidate, RunTrace]:
     """Run the full loop and return (selected candidate, trace).
 
-    Every batch of backend calls runs on one TaskPool of `parallelism`
-    threads, which lives exactly as long as the run.  Any exception aborts the run after flushing the trace through the last
+    Every batch of backend calls runs on one TaskPool: `parallelism` itself,
+    used and not closed, or a pool of `parallelism` threads for this run.
+    Any exception aborts the run after flushing the trace through the last
     completed batch plus an abort record naming the error and its type; the
     exception is then re-raised unchanged.  Backend failures, and empty
     sampling or mutation replies, surface as a BackendError with round/pair
-    context attached.  The trace file, and a backend built from the config
-    because none was passed, are closed when the run ends or aborts.
+    context attached.  A backend built from the config because none was
+    passed, a pool the run built and the trace file are closed on every exit.
     """
-    owned = backend is None
-    if owned:
-        backend = make_backend(config.backend, config.backend_options)
-    pool = TaskPool(parallelism)  # rejects a bad parallelism before the trace file is created
-    trace = RunTrace(trace_path)
+    with ExitStack() as stack:
+        if backend is None:
+            backend = stack.enter_context(closing(make_backend(config.backend, config.backend_options)))
+        pool = stack.enter_context(task_pool(parallelism))  # rejects a bad parallelism before the trace file is created
+        trace = stack.enter_context(closing(RunTrace(trace_path)))
+        return _run(config, backend, pool, trace), trace
 
+
+def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -> Candidate:
     n, t_total = config.n, config.generations
     strategy = config.strategy()
     primary_calls = 0
@@ -451,7 +455,8 @@ def run_pipeline(
         barrier()
         judgments = tuple(judgment for judgment, _ in results)
         index = {member.id: i for i, member in enumerate(members)}
-        records = [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments]
+        # a degraded tie is no evidence, so it is left out of the fit (weight 0)
+        records = [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
         state = GenerationState(state.generation, members, judgments, fit_bt(records, n, lam=config.lam))
         trace.append("score-fit", state.generation, round_no, _score_payload(state))
         return state
@@ -540,16 +545,11 @@ def run_pipeline(
             },
         )
         trace.flush()
-        return selected, trace
+        return selected
     except BaseException as exc:
         trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
         trace.flush()
         raise
-    finally:
-        pool.close()
-        trace.close()
-        if owned:
-            backend.close()
 
 
 @dataclass

@@ -41,6 +41,15 @@ class CountingBackend:
         return self.inner.complete(request)
 
 
+class ClosingBackend(SyntheticBackend):
+    """The synthetic backend, counting its close calls."""
+
+    closed = 0
+
+    def close(self):
+        ClosingBackend.closed += 1
+
+
 class EmptyReplyBackend:
     """Synthetic replies, except an empty completion for the listed request seeds."""
 

@@ -1,5 +1,6 @@
 """Backend tests: synthetic world statistics and HTTP transport behavior."""
 
+import io
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import redirect_stdout
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
@@ -26,7 +28,7 @@ from btevolve.backends import (
 from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE
 from btevolve.errors import BackendError, ConfigError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
-from btevolve import pipeline
+from btevolve import cli, pipeline
 from btevolve.pipeline import RunConfig, compute_budget, derive_seed, make_backend, run_pipeline
 from btevolve.population import render_mutation_prompt
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
@@ -324,6 +326,33 @@ def test_runs_sharing_a_backend_leave_no_idle_connections():
         server.server_close()
     assert len(_SyntheticReplies.peers) == 3 * compute_budget(config.n, config.k, config.generations, config.final_k)
     assert len(set(_SyntheticReplies.peers)) <= 3 * 8
+
+
+def test_batch_keeps_one_connection_per_worker(tmp_path):
+    # btevolve run shares one backend and one pool across a batch, so its two workers
+    # keep their connections from one problem to the next
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SyntheticReplies)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _SyntheticReplies.peers = []
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    (problems / "a.txt").write_text("Sort the list.")
+    (problems / "b.txt").write_text("Reverse the list.")
+    config = tmp_path / "run.yaml"
+    backend = {"kind": "http", "base_url": f"http://127.0.0.1:{server.server_port}", "timeout": 5}
+    payload = {"problem": str(problems), "n": 8, "k": 3, "generations": 1, "final_k": 5, "backend": backend}
+    config.write_text(json.dumps(payload))
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--parallelism", "2"])
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+    assert code == 0
+    assert len(_SyntheticReplies.peers) == 2 * compute_budget(8, 3, 1, 5) == 92
+    assert len(set(_SyntheticReplies.peers)) == 2
 
 
 def test_run_closes_the_backend_it_builds(keep_alive_server, monkeypatch):

@@ -9,10 +9,10 @@ import pytest
 import yaml
 
 from btevolve import cli, pipeline
-from btevolve.backends import SyntheticBackend, format_candidate
+from btevolve.backends import format_candidate
 from btevolve.cli import main
 from btevolve.pipeline import derive_seed, replay
-from conftest import EmptyReplyBackend
+from conftest import ClosingBackend, EmptyReplyBackend
 
 
 def run_cli(*argv):
@@ -574,6 +574,7 @@ def test_bad_http_transport_option_is_a_config_error(tmp_path, problem_file, opt
 
 def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
     backend = EmptyReplyBackend([derive_seed(13, 0, 0, 3)])
+    monkeypatch.setattr(cli, "make_backend", lambda kind, options: backend)
     monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: backend)
     config = write_config(tmp_path, "run.yaml", small_run_config(problem_file))
     code, _, err = run_cli("run", "--config", str(config), "--out", str(tmp_path / "o"))
@@ -723,15 +724,6 @@ def test_bad_seed_is_a_config_error(tmp_path, problem_file, command, config_seed
     assert run_cli(command, "--config", str(config), "--out", str(out))[0] == 0
 
 
-class ClosingBackend(SyntheticBackend):
-    """The synthetic backend, counting its close calls."""
-
-    closed = 0
-
-    def close(self):
-        ClosingBackend.closed += 1
-
-
 @pytest.mark.parametrize("parallelism", ["1", "2"])
 @pytest.mark.parametrize("command", ["run", "baseline", "diagnose"])
 def test_commands_close_the_backend_they_build(tmp_path, problem_file, monkeypatch, command, parallelism):
@@ -742,6 +734,29 @@ def test_commands_close_the_backend_they_build(tmp_path, problem_file, monkeypat
     config = write_config(tmp_path, "cfg.yaml", payload)
     code, _, _ = run_cli(command, "--config", str(config), "--out", str(tmp_path / "out"), "--parallelism", parallelism)
     assert code == 0
+    assert ClosingBackend.closed == 1
+
+
+def test_batch_runs_on_one_backend(tmp_path, monkeypatch):
+    built = []
+
+    def build(kind, options):
+        built.append(ClosingBackend())
+        return built[-1]
+
+    monkeypatch.setattr(ClosingBackend, "closed", 0)
+    monkeypatch.setattr(cli, "make_backend", build)
+    monkeypatch.setattr(pipeline, "make_backend", build)
+    problems = tmp_path / "problems"
+    problems.mkdir()
+    (problems / "a.txt").write_text("problem a")
+    (problems / "b.txt").write_text("problem b")
+    payload = {"problem": str(problems), "n": 4, "k": 1, "generations": 1, "final_k": 1, "seed": 3}
+    config = write_config(tmp_path, "run.yaml", payload)
+    code, _, _ = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"), "--parallelism", "2")
+    assert code == 0
+    assert len(json.loads((tmp_path / "out" / "batch.json").read_text())["runs"]) == 2
+    assert len(built) == 1
     assert ClosingBackend.closed == 1
 
 
@@ -844,6 +859,14 @@ def test_pointwise_baseline_does_not_echo_rounds(tmp_path, problem_file):
     payload = json.loads(out.read_text())
     assert "rounds" not in payload["config"]
     assert payload["calls"] == 4 + 4 * 3
+
+
+def test_pointwise_baseline_does_not_check_rounds(tmp_path, problem_file):
+    payload = {"problem": str(problem_file), "mode": "pointwise", "n": 4, "votes": 3, "rounds": 1.5}
+    config = write_config(tmp_path, "base.yaml", payload)
+    out = tmp_path / "baseline.json"
+    assert run_cli("baseline", "--config", str(config), "--out", str(out))[0] == 0
+    assert "rounds" not in json.loads(out.read_text())["config"]
 
 
 def _empty_directory(tmp_path):

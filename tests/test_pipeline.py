@@ -14,12 +14,12 @@ import pytest
 
 from btevolve import pipeline, seeds
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
-from btevolve.btrank import TIE
+from btevolve.btrank import TIE, ComparisonRecord, fit_bt
 from btevolve.errors import BackendError, ConfigError, ReplayError
 from btevolve.pipeline import RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
 from btevolve.population import FeedbackStrategy
 from btevolve.seeds import derive_seed, seed_uniforms
-from conftest import CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
+from conftest import ClosingBackend, CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
 SMALL = dict(problem="toy problem", n=8, k=3, generations=2, final_k=5, seed=31)
 
@@ -399,6 +399,23 @@ def test_double_parse_failure_degrades_to_tie():
     assert first["rationale_for_left"] == ""
 
 
+def test_degraded_ties_are_left_out_of_the_fit():
+    # a selection-only run on a 4-cycle, so the degraded pair's members have other evidence
+    config = RunConfig(problem="p", n=4, k=2, generations=0, final_k=2, seed=5)
+    replies = [f"sample-{i}" for i in range(4)] + ["garbage", "more garbage"] + [judge_reply("A")] * 3
+    backend = ScriptedBackend(replies)
+    _, trace = run_pipeline(config, backend=backend)
+    assert not backend.replies
+    fit = trace.records_of_kind("score-fit")[0]["payload"]
+    index = {member_id: i for i, member_id in enumerate(fit["member_ids"])}
+    judgments = [record["payload"] for record in trace.records_of_kind("judgment")]
+    assert [j["degraded"] for j in judgments] == [True, False, False, False]
+    records = [ComparisonRecord(index[j["left_id"]], index[j["right_id"]], j["outcome"]) for j in judgments]
+    assert fit["scores"] == [float(s) for s in fit_bt(records[1:], 4, lam=config.lam).scores]
+    # the degraded tie would have moved the scores
+    assert fit["scores"] != [float(s) for s in fit_bt(records, 4, lam=config.lam).scores]
+
+
 def test_zero_retries_degrades_immediately():
     backend, trace = scripted_small_run(["garbage"], [judge_reply("A")], parse_retries=0)
     assert not backend.replies
@@ -679,6 +696,29 @@ def test_parallelism_must_be_positive(tmp_path):
         with pytest.raises(ConfigError, match="parallelism"):
             TaskPool(parallelism)
     assert not (tmp_path / "run.jsonl").exists()
+
+
+def test_refused_run_closes_the_backend_it_built(tmp_path, monkeypatch):
+    monkeypatch.setattr(ClosingBackend, "closed", 0)
+    monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: ClosingBackend())
+    with pytest.raises(ConfigError, match="parallelism"):
+        run_pipeline(RunConfig(**SMALL), parallelism=0)
+    assert ClosingBackend.closed == 1
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        run_pipeline(RunConfig(**SMALL), trace_path=tmp_path / "file" / "run.jsonl")
+    assert ClosingBackend.closed == 2
+
+
+def test_runs_on_a_shared_pool_match_parallelism_one(tmp_path):
+    configs = [RunConfig(**SMALL), RunConfig(**dict(SMALL, seed=32, generations=1))]
+    with TaskPool(3) as pool:
+        for i, config in enumerate(configs):
+            run_pipeline(config, parallelism=pool, trace_path=tmp_path / f"shared-{i}.jsonl")
+            run_pipeline(config, trace_path=tmp_path / f"solo-{i}.jsonl")
+            assert (tmp_path / f"shared-{i}.jsonl").read_bytes() == (tmp_path / f"solo-{i}.jsonl").read_bytes()
+        # the runs left the pool open for the next batch
+        assert pool.map(abs, [-1, 2]) == [1, 2]
 
 
 def test_run_config_rejects_negative_parse_retries():
