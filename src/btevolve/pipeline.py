@@ -615,6 +615,8 @@ def replay(source) -> ReplayResult:
 
     for idx, record in enumerate(records):
         kind, generation, payload = record["kind"], record["generation"], record["payload"]
+        if not is_int(generation):
+            raise ReplayError(f"record {idx}: generation must be an integer, got {generation!r}")
         try:
             if kind == "config":
                 config = payload

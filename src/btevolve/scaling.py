@@ -8,9 +8,9 @@ outcomes up in the matrix, fits scores, and checks whether the top-ranked
 candidate is labeled accepted.
 
 Every trial draws from its own seed, SeedSequence([seed, B, n, t]); the
-trials of every feasible cell of a grid are seeded in one replay of numpy's
-seeding (seeds.pcg64_seeds), and one generator takes each trial's state in
-turn, so the draws are bit for bit those of default_rng on that seed.  A
+trials of every feasible cell of a grid are seeded in one SeedSequence
+replay (seeds.pcg64_generators), each into numpy's own PCG64, so the
+draws are bit for bit those of default_rng on that seed.  A
 trial whose sample is all accepted or all rejected is label-determined:
 whatever the fit ranks first carries that label, so its hit is read off the
 sample and it is not fitted.  Every mixed trial is one row of a btrank
@@ -41,7 +41,7 @@ from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, _
 # the simulation itself fits through btrank._fit_entries, fit_bt_rows' solver entry
 from .btrank import fit_bt  # noqa: F401
 from .errors import ConfigError, check_count, is_int
-from .seeds import pcg64_seeds
+from .seeds import pcg64_generators
 
 FIRST_WINS = "first-wins"
 SECOND_WINS = "second-wins"
@@ -188,32 +188,14 @@ def _check_grid(pool_size: int, budgets, populations, trials: int, lam: float, p
                     )
 
 
-def _trial_seeds(seed: int, cells: list, trials: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of default_rng(SeedSequence([seed, budget, n, t]))
-    for trial t of every (budget, n) in `cells`, as row c*trials + t, bit for
-    bit, in one `pcg64_seeds` replay; every budget and n lies in [0, 2**32)."""
+def _trial_generators(seed: int, cells: list, trials: int):
+    """default_rng(SeedSequence([seed, budget, n, t])) for trial t of every
+    (budget, n) in `cells`, as row c*trials + t, bit for bit, from one
+    `pcg64_generators` replay; every budget and n lies in [0, 2**32).
+    Nothing is seeded until the first generator is taken."""
     budgets, populations = np.array(cells, dtype=np.int64).reshape(-1, 2).T
     trial_column = np.tile(np.arange(trials), len(cells))
-    return list(zip(*pcg64_seeds(seed, np.repeat(budgets, trials), np.repeat(populations, trials), trial_column)))
-
-
-def _trial_generators(seed: int, cells: list, trials: int):
-    """default_rng(SeedSequence([seed, budget, n, t])) for every row of
-    _trial_seeds(seed, cells, trials), in row order.
-
-    It is one Generator, set to each row's seeded state in turn, so it draws
-    what that default_rng draws until the next row is taken.
-    """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for state, inc in _trial_seeds(seed, cells, trials):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    yield from pcg64_generators(seed, np.repeat(budgets, trials), np.repeat(populations, trials), trial_column)
 
 
 def _draw_trials(

@@ -3,9 +3,10 @@
 Every randomized step of a run draws from derive_seed(root, round, purpose,
 index...), so no result depends on scheduling order.  Sampling is round 0,
 the evolution rounds are 1..t and the final comparison round is t+1.  The
-batched functions replay SeedSequence (`_seed_state`) and PCG64's seeding
-(`pcg64_seeds`) bit for bit on numpy arrays, one row per seed, from entropy
-parts as `_entropy` takes them.
+batched functions replay SeedSequence's hash (`_seed_state`) bit for bit on
+numpy arrays, one row per seed, from entropy parts as `_entropy` takes them;
+`pcg64_generators` hands each row's words to numpy's own PCG64, so the
+package replays no other numpy algorithm.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError
 
@@ -148,45 +150,50 @@ def derive_seeds(root: int, *parts) -> np.ndarray:
     return _uint64_words(_seed_state(_entropy(root, *parts), 2))[0]
 
 
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 
-def pcg64_seeds(*parts) -> tuple[list[int], list[int]]:
-    """PCG64's states and increments once seeded from SeedSequence([*row]),
-    for every row of the entropy parts (as in `_entropy`), bit for bit.
+class _SeedWords(ISeedSequence):
+    """One row of generate_state(4, uint64) words, handed to numpy's PCG64 as
+    its SeedSequence: PCG64 seeds itself from that one call, and any other
+    request raises ValueError, so a bit generator seeded another way fails."""
 
-    One `_seed_state` pass draws each row's generate_state(4, uint64): the
-    seed's high and low halves, then the increment's.  PCG64's seeding
-    (state = inc, then state = (state + seed) * M + inc) runs on Python ints.
+    def __init__(self, words: np.ndarray):
+        self._words = words  # four C-contiguous uint64 words, in _uint64_words' order
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words answer generate_state(4, uint64) only, not ({n_words}, {np.dtype(dtype)})")
+        return self._words
+
+
+def pcg64_generators(*parts):
+    """default_rng(SeedSequence([*row])) for every row of the entropy parts
+    (as in `_entropy`), bit for bit, yielded row by row.
+
+    One `_seed_state` pass draws every row's generate_state(4, uint64), and
+    numpy's own PCG64 seeds itself from each row through `_SeedWords`.
     """
-    high, low, inc_high, inc_low = _uint64_words(_seed_state(_entropy(*parts), 8)).tolist()
-    incs = [(h << 65 | l << 1 | 1) & _MASK128 for h, l in zip(inc_high, inc_low)]
-    states = [((inc + (h << 64 | l)) * _PCG_MULT + inc) & _MASK128 for h, l, inc in zip(high, low, incs)]
-    return states, incs
+    words = np.ascontiguousarray(_uint64_words(_seed_state(_entropy(*parts), 8)).T)
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
 
 
 def seed_uniforms(seeds) -> np.ndarray:
     """np.random.default_rng(s).random() for every seed in `seeds`, bit for bit.
 
-    Every seed enters `pcg64_seeds` as two entropy words: a zero high word
-    below 2**32 changes nothing, as SeedSequence hashes zeros past the end of
-    its entropy.  Each generator's first step and XSL-RR output run on Python
-    ints, and the top 53 bits give the double.  Seeds must lie in [0, 2**64).
+    Every seed enters `pcg64_generators` as two entropy words: a zero high
+    word below 2**32 changes nothing, as SeedSequence hashes zeros past the
+    end of its entropy.  The top 53 bits of each generator's first raw
+    output give the double, as Generator.random does.  Seeds must lie in
+    [0, 2**64).
     """
     values = [operator.index(s) for s in seeds]
     if values and not (min(values) >= 0 and max(values) <= _MASK64):
         raise ValueError("seeds must lie in [0, 2**64)")
     words = np.array(values, dtype=np.uint64)
-    out = []
-    for state, inc in zip(*pcg64_seeds(words & np.uint64(_MASK32), words >> np.uint64(32))):
-        state = (state * _PCG_MULT + inc) & _MASK128
-        folded = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        out.append(((folded >> rot | folded << (64 - rot)) & _MASK64) >> 11)
-    return np.array(out, dtype=np.float64) * 2.0**-53
+    generators = pcg64_generators(words & np.uint64(_MASK32), words >> np.uint64(32))
+    return np.array([rng.bit_generator.random_raw() >> 11 for rng in generators], dtype=np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)

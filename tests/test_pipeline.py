@@ -267,6 +267,16 @@ def test_replay_rejects_a_judgment_payload_that_is_not_an_object():
         replay(lines)
 
 
+@pytest.mark.parametrize(("kind", "generation"), [("candidate", "0"), ("candidate", None), ("judgment", "0")])
+def test_replay_rejects_a_generation_that_is_not_an_integer(kind, generation):
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    lines[at] = json.dumps(dict(json.loads(lines[at]), generation=generation))
+    with pytest.raises(ReplayError, match=f"record {at}: generation must be an integer"):
+        replay(lines)
+
+
 def _parse_per_line(lines):
     """Trace lines parsed with json.loads each: the reference for replay's parse."""
     records = []

@@ -15,7 +15,6 @@ from btevolve.scaling import (
     _draw_trials,
     _fit_trials,
     _trial_generators,
-    _trial_seeds,
     generate_matrix,
     load_matrix,
     optimal_frontier,
@@ -309,25 +308,25 @@ def test_trial_seeds_match_seed_sequence(seed, budgets, n, trials):
     # a grid of two populations, its cells population by population as
     # sweep_grid stacks them, seeded in one replay
     cells = [(budget, population) for population in (n, 2) for budget in budgets]
-    expected = []
-    for budget, population in cells:
-        for trial in range(trials):
-            state = seeded_rng(seed, budget, population, trial).bit_generator.state["state"]
-            expected.append((state["state"], state["inc"]))
-    assert _trial_seeds(seed, cells, trials) == expected
+    expected = [
+        seeded_rng(seed, budget, population, trial).bit_generator.state
+        for budget, population in cells
+        for trial in range(trials)
+    ]
+    assert [rng.bit_generator.state for rng in _trial_generators(seed, cells, trials)] == expected
 
 
 def test_sweep_grid_seeds_every_trial_in_one_replay(monkeypatch):
     import btevolve.scaling as scaling
 
     replays = []
-    pcg64_seeds = scaling.pcg64_seeds
+    pcg64_generators = scaling.pcg64_generators
 
     def recording(*parts):
         replays.append(len(parts[-1]))
-        return pcg64_seeds(*parts)
+        return pcg64_generators(*parts)
 
-    monkeypatch.setattr(scaling, "pcg64_seeds", recording)
+    monkeypatch.setattr(scaling, "pcg64_generators", recording)
     matrix = generate_matrix(16, WORLD, seed=6)
     # 10 of the 4 x 3 cells are feasible, in six stacks of at most two cells
     cells = sweep_grid(matrix, [8, 30, 60, 90], [4, 8, 12], trials=30, seed=4)

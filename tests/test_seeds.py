@@ -1,11 +1,12 @@
 """Seed scheme tests: frozen derivations, the batched replays of SeedSequence
-and PCG64 against numpy itself, and the entropy parts they all take."""
+and the PCG64 generators seeded from them against numpy itself, and the
+entropy parts they all take."""
 
 import numpy as np
 import pytest
 
 from btevolve.errors import ConfigError
-from btevolve.seeds import _entropy, derive_seed, derive_seeds, pcg64_seeds, seed_schedule, seed_uniforms
+from btevolve.seeds import _entropy, _SeedWords, derive_seed, derive_seeds, pcg64_generators, seed_schedule, seed_uniforms
 
 
 @pytest.mark.parametrize(
@@ -19,9 +20,8 @@ def test_entropy_splits_a_shared_part_as_seed_sequence(shared, words):
     assert entropy.dtype == np.uint32
     assert entropy.tolist() == [[w] * 3 for w in words] + [column.tolist()] + [[w] * 3 for w in words]
     assert derive_seeds(shared, column, shared).tolist() == [derive_seed(shared, i, shared) for i in column.tolist()]
-    states, incs = pcg64_seeds(shared, column, shared)
-    expected = [np.random.PCG64(np.random.SeedSequence([shared, i, shared])).state["state"] for i in column.tolist()]
-    assert (states, incs) == ([s["state"] for s in expected], [s["inc"] for s in expected])
+    states = [rng.bit_generator.state for rng in pcg64_generators(shared, column, shared)]
+    assert states == [np.random.default_rng([shared, i, shared]).bit_generator.state for i in column.tolist()]
 
 
 @pytest.mark.parametrize(
@@ -150,10 +150,23 @@ def test_pcg64_seeds_match_seed_sequence(words):
     entropy = np.random.default_rng(words).integers(0, 2**32, size=(words, 40), dtype=np.uint32)
     entropy[:, 0] = 0
     entropy[:, 1] = 2**32 - 1
-    states, incs = pcg64_seeds(*entropy)
-    expected = [np.random.PCG64(np.random.SeedSequence(column)).state["state"] for column in entropy.T]
-    assert states == [state["state"] for state in expected]
-    assert incs == [state["inc"] for state in expected]
+    generators = list(pcg64_generators(*entropy))
+    expected = [np.random.default_rng(np.random.SeedSequence(column)) for column in entropy.T]
+    assert [rng.bit_generator.state for rng in generators] == [rng.bit_generator.state for rng in expected]
+    for rng, reference in zip(generators, expected):
+        assert rng.random() == reference.random()
+        assert rng.normal() == reference.normal()
+        assert rng.permutation(40).tolist() == reference.permutation(40).tolist()
+    assert list(pcg64_generators(*entropy[:, :0])) == []
+
+
+def test_seed_words_answer_pcg64_seeding_only():
+    words = _SeedWords(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64).tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError):
+        words.generate_state(8, np.uint32)
+    with pytest.raises(ValueError):
+        np.random.MT19937(words)  # seeds itself from uint32 words
 
 
 @pytest.mark.parametrize("seeds", [[-1], [3, 2**64], [2**70, 5]])
