@@ -562,11 +562,36 @@ class ReplayResult:
 
 
 _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
+_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "selection")
+_TRACE_ONLY_FIELDS = ("pair_index", "retries")
 
 
-def _parse_trace_lines(lines) -> list[dict]:
-    """The records of JSONL trace lines, skipping blank ones."""
-    records = []
+def replay(source) -> ReplayResult:
+    """Rebuild every GenerationState (members, judgments, scores) from a trace.
+
+    Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
+    (str or bytes), read in one pass; blank lines are skipped.  Raises
+    ReplayError for corrupt input, for a trace that contradicts itself (a
+    second fit of one generation, a second selection, or a selection of an id
+    that is not a candidate of its generation), and for truncated traces that
+    never reached their summary record.  Each error names the first offending
+    record by its 0-based line index, blank lines counted.
+    """
+    if isinstance(source, RunTrace):
+        lines = source.to_jsonl().splitlines()
+    elif isinstance(source, (str, Path)):
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    else:
+        lines = source
+
+    config: dict | None = None
+    candidates: dict[int, list[Candidate]] = {}
+    judgments: dict[int, list[Judgment]] = {}
+    fits: dict[int, ScoreVector] = {}
+    selected_id: str | None = None
+    selection_seen = summary_seen = False
+    last_idx: int | None = None
+
     for idx, line in enumerate(lines):
         if not line.strip():
             continue
@@ -580,51 +605,23 @@ def _parse_trace_lines(lines) -> list[dict]:
             raise ReplayError(f"record {idx}: missing fields {sorted(_RECORD_FIELDS - record.keys())}")
         if record["schema_version"] != SCHEMA_VERSION:
             raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
-        records.append(record)
-    return records
-
-
-def _judgment(pair_index=None, retries=None, **fields) -> Judgment:
-    """The Judgment of a judgment record's payload, less its trace-only fields."""
-    return Judgment(**fields)
-
-
-def replay(source) -> ReplayResult:
-    """Rebuild every GenerationState (members, judgments, scores) from a trace.
-
-    Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines.
-    Raises ReplayError naming the offending record for corrupt input, and for
-    truncated traces that never reached their summary record.
-    """
-    if isinstance(source, RunTrace):
-        lines = source.to_jsonl().splitlines()
-    elif isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = list(source)
-    records = _parse_trace_lines(lines)
-    if not records:
-        raise ReplayError("empty trace")
-
-    config: dict | None = None
-    candidates: dict[int, list[Candidate]] = {}
-    judgments: dict[int, list[Judgment]] = {}
-    fits: dict[int, ScoreVector] = {}
-    selected_id: str | None = None
-    summary_seen = False
-
-    for idx, record in enumerate(records):
         kind, generation, payload = record["kind"], record["generation"], record["payload"]
         if not is_int(generation):
             raise ReplayError(f"record {idx}: generation must be an integer, got {generation!r}")
+        if kind in _OBJECT_PAYLOAD_KINDS and not isinstance(payload, dict):
+            raise ReplayError(f"record {idx}: bad {kind} payload (expected an object, got {type(payload).__name__})")
+        last_idx = idx
         try:
             if kind == "config":
                 config = payload
             elif kind == "candidate":
                 candidates.setdefault(generation, []).append(Candidate(**payload))
             elif kind == "judgment":
-                judgments.setdefault(generation, []).append(_judgment(**payload))
+                fields = {key: value for key, value in payload.items() if key not in _TRACE_ONLY_FIELDS}
+                judgments.setdefault(generation, []).append(Judgment(**fields))
             elif kind == "score-fit":
+                if generation in fits:
+                    raise ReplayError(f"record {idx}: second score-fit for generation {generation}")
                 fits[generation] = ScoreVector(
                     scores=np.asarray(payload["scores"], dtype=np.float64),
                     lam=payload["lam"],
@@ -632,7 +629,14 @@ def replay(source) -> ReplayResult:
                     iterations=payload["iterations"],
                 )
             elif kind == "selection":
+                if selection_seen:
+                    raise ReplayError(f"record {idx}: second selection record")
                 selected_id = payload["selected_id"]
+                if selected_id not in [member.id for member in candidates.get(generation, ())]:
+                    raise ReplayError(
+                        f"record {idx}: selected_id {selected_id!r} is not a candidate of generation {generation}"
+                    )
+                selection_seen = True
             elif kind == "summary":
                 summary_seen = True
             elif kind in ("barrier", "routing", "abort"):
@@ -644,8 +648,10 @@ def replay(source) -> ReplayResult:
         except (KeyError, TypeError, ValueError) as exc:
             raise ReplayError(f"record {idx}: bad {kind} payload ({exc})") from exc
 
+    if last_idx is None:
+        raise ReplayError("empty trace")
     if not summary_seen:
-        raise ReplayError(f"truncated trace: no summary record (last record index {len(records) - 1})")
+        raise ReplayError(f"truncated trace: no summary record (last record index {last_idx})")
 
     states = []
     for generation in sorted(candidates):

@@ -254,6 +254,9 @@ def test_replay_rejects_corruption(tmp_path):
     unknown = dict(json.loads(lines[0]), kind="mystery")
     with pytest.raises(ReplayError, match="mystery"):
         replay(lines + [json.dumps(unknown)])
+    listed_config = dict(json.loads(lines[0]), payload=[1, 2])
+    with pytest.raises(ReplayError, match="record 0: bad config payload"):
+        replay([json.dumps(listed_config)] + lines[1:])
     with pytest.raises(ReplayError, match="empty"):
         replay([])
 
@@ -274,6 +277,59 @@ def test_replay_rejects_a_generation_that_is_not_an_integer(kind, generation):
     at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
     lines[at] = json.dumps(dict(json.loads(lines[at]), generation=generation))
     with pytest.raises(ReplayError, match=f"record {at}: generation must be an integer"):
+        replay(lines)
+
+
+def test_replay_names_a_record_by_its_line_index_blank_lines_counted():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = [""] + trace.to_jsonl().splitlines()
+    at = next(i for i, line in enumerate(lines) if line and json.loads(line)["kind"] == "judgment")
+    judgment = json.loads(lines[at])
+    named = []
+    for bad in ("{not json", json.dumps(dict(judgment, payload=[1, 2])), json.dumps(dict(judgment, generation="0"))):
+        with pytest.raises(ReplayError) as caught:
+            replay(lines[:at] + [bad] + lines[at + 1 :])
+        named.append(re.match(r"record (\d+): ", str(caught.value)).group(1))
+    assert named == [str(at)] * 3
+    # the summary is the last line; the truncated trace's last record is the line before it
+    truncated = rf"truncated trace: no summary record \(last record index {len(lines) - 2}\)"
+    with pytest.raises(ReplayError, match=truncated):
+        replay(lines[:-1] + [" "])
+
+
+def _line_of(lines, kind):
+    return next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+
+
+def test_replay_rejects_a_second_score_fit_for_one_generation():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "score-fit")
+    generation = json.loads(lines[at])["generation"]
+    lines.insert(at + 1, lines[at])
+    with pytest.raises(ReplayError, match=f"record {at + 1}: second score-fit for generation {generation}$"):
+        replay(lines)
+
+
+def test_replay_rejects_a_second_selection():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "selection")
+    lines.insert(at + 1, lines[at])
+    with pytest.raises(ReplayError, match=f"record {at + 1}: second selection record$"):
+        replay(lines)
+
+
+@pytest.mark.parametrize("selected_id", ["nobody", "g0-s000"])
+def test_replay_rejects_a_selection_that_is_not_a_candidate_of_its_generation(selected_id):
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "selection")
+    selection = json.loads(lines[at])
+    assert selection["generation"] == 2  # so g0-s000 is a candidate, but of generation 0
+    lines[at] = json.dumps(dict(selection, payload=dict(selection["payload"], selected_id=selected_id)))
+    not_a_candidate = f"record {at}: selected_id '{selected_id}' is not a candidate of generation 2$"
+    with pytest.raises(ReplayError, match=not_a_candidate):
         replay(lines)
 
 
@@ -327,26 +383,39 @@ LINE_EDITS = {
 BLANK_LINES = ["", " ", "\t", "\x0c", " \x0c\t", "\ufeff"]
 
 
+def _replayed(lines):
+    """replay's selected id and states for `lines`, scores as lists so that
+    they compare, or the text of its ReplayError."""
+    try:
+        result = replay(lines)
+    except ReplayError as exc:
+        return f"ReplayError: {exc}"
+    states = [(state.generation, state.members, state.judgments) for state in result.states]
+    fits = [vars(state.scores) | {"scores": state.scores.scores.tolist()} for state in result.states]
+    return result.selected_id, states, fits
+
+
 @pytest.mark.parametrize("edit", sorted(LINE_EDITS))
 def test_replay_parse_matches_json_loads_per_line(edit):
     _, trace = run_pipeline(RunConfig(**SMALL))
     lines = trace.to_jsonl().splitlines()
+    unedited = _replayed(lines)
     change = LINE_EDITS[edit]
     for edited in ([change(line) for line in lines], lines[:3] + [change(lines[3])] + lines[4:]):
         expected = _records_or_error(_parse_per_line, edited)
-        assert _records_or_error(pipeline._parse_trace_lines, edited) == expected
-        if not isinstance(expected, str):
-            assert replay(edited).selected_id == replay(lines).selected_id
+        assert _replayed(edited) == (expected if isinstance(expected, str) else unedited)
 
 
 def test_replay_parse_skips_blank_lines_like_json_loads_per_line():
     _, trace = run_pipeline(RunConfig(**SMALL))
     lines = trace.to_jsonl().splitlines()
+    unedited = _replayed(lines)
     for blank in BLANK_LINES:
         edited = [blank] + [item for line in lines for item in (line, blank)]
         expected = _records_or_error(_parse_per_line, edited)
-        assert _records_or_error(pipeline._parse_trace_lines, edited) == expected
-    assert _parse_per_line(["", " ", "\x0c"]) == pipeline._parse_trace_lines(["", " ", "\x0c"]) == []
+        assert _replayed(edited) == (expected if isinstance(expected, str) else unedited)
+    assert _parse_per_line(["", " ", "\x0c"]) == []
+    assert _replayed(["", " ", "\x0c"]) == "ReplayError: empty trace"
 
 
 def test_traces_byte_identical_across_parallelism(tmp_path):
