@@ -10,8 +10,9 @@ diagnose and baseline, the subcommands that call a backend, also take
 backend calls); simulate and elo refuse both.  Every output artifact
 embeds the config settings that acted, with their defaults, and the seed.
 
-Exit codes: 0 success, 2 invalid config, 3 backend failure, 4 I/O failure,
-1 anything else.  Failures print a single JSON line to stderr.
+Exit codes: 0 success, 2 invalid config (or an input file that is not
+UTF-8), 3 backend failure, 4 I/O failure, 1 anything else.  Failures print
+a single JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -328,6 +329,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
+        return _fail(2, "config", exc)
+    except UnicodeDecodeError as exc:  # a config, problem or pairs file that is not UTF-8 text
         return _fail(2, "config", exc)
     except BackendError as exc:
         return _fail(3, "backend", exc)

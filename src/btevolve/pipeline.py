@@ -55,11 +55,11 @@ from .population import (
     STRATEGY_PAIRWISE_K,
     FeedbackStrategy,
     GenerationState,
+    Routing,
     aggregate_feedback,
     assemble_next_generation,
     render_mutation_prompt,
-    select_discards,
-    select_elites,
+    route,
 )
 from .seeds import _P_RETRY, _P_SAMPLE, RoundSeeds, derive_seed, derive_seeds, seed_schedule
 
@@ -347,6 +347,14 @@ def _score_payload(state: GenerationState) -> dict:
     }
 
 
+def _routing_payload(members: tuple[Candidate, ...], routing: Routing) -> dict:
+    return {
+        "elites": [members[i].id for i in routing.elites],
+        "discards": [members[i].id for i in routing.discards],
+        "mutation_parents": [members[i].id for i in routing.parents],
+    }
+
+
 def complete_candidate(backend: Backend, prompt: str, purpose: str, temperature: float, seed: int, context: str) -> str:
     """The candidate call (sampling, mutation or refinement): `prompt` under
     the generation system prompt.  A failure or an empty reply raises
@@ -478,19 +486,8 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
             round_no = t
             seeds = schedule[t - 1]
             state = compare_and_score(state, config.k, seeds)
-            elites = select_elites(state.scores, n)
-            discards = select_discards(state.scores, n)
-            survivors = [i for i in range(n) if i not in discards]
-            trace.append(
-                "routing",
-                state.generation,
-                round_no,
-                {
-                    "elites": [state.members[i].id for i in sorted(elites)],
-                    "discards": [state.members[i].id for i in sorted(discards)],
-                    "mutation_parents": [state.members[i].id for i in survivors],
-                },
-            )
+            routing = route(state.scores)
+            trace.append("routing", state.generation, round_no, _routing_payload(state.members, routing))
             trace.flush()
 
             # each member's judgments, left and right sides, in judging order
@@ -510,9 +507,9 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
                 content = complete_candidate(backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
                 return Candidate(f"g{t}-mut{i:03d}", content, t, ORIGIN_MUTATED, parent_id=member.id)
 
-            children = pool.map(mutate, survivors)
+            children = pool.map(mutate, routing.parents)
             primary_calls += len(children)
-            next_state = assemble_next_generation(state, elites, discards, children)
+            next_state = assemble_next_generation(state, routing, children)
             for member in next_state.members:
                 trace.append("candidate", next_state.generation, round_no, dict(vars(member)))
             barrier()
@@ -562,7 +559,7 @@ class ReplayResult:
 
 
 _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
-_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "selection")
+_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "routing", "selection")
 _TRACE_ONLY_FIELDS = ("pair_index", "retries")
 
 
@@ -572,10 +569,12 @@ def replay(source) -> ReplayResult:
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
     (str or bytes), read in one pass; blank lines are skipped.  Raises
     ReplayError for corrupt input, for a trace that contradicts itself (a
-    second fit of one generation, a second selection, or a selection of an id
-    that is not a candidate of its generation), and for truncated traces that
-    never reached their summary record.  Each error names the first offending
-    record by its 0-based line index, blank lines counted.
+    second fit of one generation, a fit whose member_ids or length are not its
+    generation's, a second selection, a selection whose id or index is not a
+    candidate of its generation, or a routing record that `route` of its
+    generation's fit does not give), and for truncated traces that never
+    reached their summary record.  Each error names the first offending record
+    by its 0-based line index, blank lines counted.
     """
     if isinstance(source, RunTrace):
         lines = source.to_jsonl().splitlines()
@@ -622,6 +621,9 @@ def replay(source) -> ReplayResult:
             elif kind == "score-fit":
                 if generation in fits:
                     raise ReplayError(f"record {idx}: second score-fit for generation {generation}")
+                ids = [member.id for member in candidates.get(generation, ())]
+                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids):
+                    raise ReplayError(f"record {idx}: score-fit does not match generation {generation}'s members")
                 fits[generation] = ScoreVector(
                     scores=np.asarray(payload["scores"], dtype=np.float64),
                     lam=payload["lam"],
@@ -631,15 +633,23 @@ def replay(source) -> ReplayResult:
             elif kind == "selection":
                 if selection_seen:
                     raise ReplayError(f"record {idx}: second selection record")
-                selected_id = payload["selected_id"]
-                if selected_id not in [member.id for member in candidates.get(generation, ())]:
+                selected_id, index = payload["selected_id"], payload["selected_index"]
+                ids = [member.id for member in candidates.get(generation, ())]
+                if selected_id not in ids:
                     raise ReplayError(
                         f"record {idx}: selected_id {selected_id!r} is not a candidate of generation {generation}"
                     )
+                if not (is_int(index) and 0 <= index < len(ids) and ids[index] == selected_id):
+                    raise ReplayError(f"record {idx}: selected_index {index!r} does not name {selected_id!r}")
                 selection_seen = True
+            elif kind == "routing":
+                if generation not in fits:
+                    raise ReplayError(f"record {idx}: routing of generation {generation} before its score-fit")
+                if payload != _routing_payload(candidates.get(generation, ()), route(fits[generation])):
+                    raise ReplayError(f"record {idx}: routing is not route of generation {generation}'s fit")
             elif kind == "summary":
                 summary_seen = True
-            elif kind in ("barrier", "routing", "abort"):
+            elif kind in ("barrier", "abort"):
                 pass
             else:
                 raise ReplayError(f"record {idx}: unknown kind {kind!r}")

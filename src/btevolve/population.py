@@ -10,6 +10,7 @@ plus 3n/4 children in the next generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .btrank import LEFT_WINS, RIGHT_WINS, ScoreVector, rank
@@ -81,24 +82,27 @@ class GenerationState:
     scores: ScoreVector | None = None
 
 
-def _quarter(scores: ScoreVector, n: int) -> int:
-    if n % 4 != 0:
-        raise ConfigError(f"population size {n} is not divisible by 4")
-    if len(scores) != n:
-        raise ValueError(f"score vector has {len(scores)} entries for population of {n}")
-    return n // 4
+class Routing(NamedTuple):
+    """One generation's quartile routing, as ascending member indices: the top
+    quarter (elites), the bottom quarter (discards) and every member not
+    discarded (the mutation parents, elites included)."""
+
+    elites: tuple[int, ...]
+    discards: tuple[int, ...]
+    parents: tuple[int, ...]
 
 
-def select_elites(scores: ScoreVector, n: int) -> set[int]:
-    """Indices of the top quarter by fitted score (rank tie-breaks apply)."""
-    q = _quarter(scores, n)
-    return set(rank(scores)[:q])
-
-
-def select_discards(scores: ScoreVector, n: int) -> set[int]:
-    """Indices of the bottom quarter by fitted score."""
-    q = _quarter(scores, n)
-    return set(rank(scores)[-q:])
+def route(scores: ScoreVector) -> Routing:
+    """Route a judged generation by one ranking of its fitted scores (rank's
+    tie-breaks apply); a size that is not a positive multiple of 4 is a
+    ConfigError."""
+    n = len(scores)
+    if n < 4 or n % 4 != 0:
+        raise ConfigError(f"population size {n} is not a positive multiple of 4")
+    order = rank(scores)
+    discards = set(order[-(n // 4) :])
+    parents = tuple(i for i in range(n) if i not in discards)
+    return Routing(tuple(sorted(order[: n // 4])), tuple(sorted(discards)), parents)
 
 
 def _entries_for(candidate_id: str, judgments) -> list[tuple[str, str, str]]:
@@ -177,49 +181,30 @@ def render_mutation_prompt(
 
 def assemble_next_generation(
     previous: GenerationState,
-    elites: set[int],
-    discards: set[int],
+    routing: Routing,
     mutated: list[Candidate],
 ) -> GenerationState:
     """Combine elite carryovers with mutated children into the next generation.
 
-    Carryovers keep their content byte for byte and point back at the elite
-    they copy; children must cover exactly the non-discarded members, one
-    each.  Member order is carryovers then children, each in ascending order
-    of the previous-generation index.
+    Child i must be the generation-(g+1) mutation of member
+    `routing.parents[i]`.  Carryovers keep their content byte for byte and
+    point back at the elite they copy.  Member order is carryovers then
+    children, each in ascending order of the previous-generation index.
     """
-    n = len(previous.members)
-    q = n // 4
-    if n % 4 != 0:
-        raise ConfigError(f"population size {n} is not divisible by 4")
-    if len(elites) != q or len(discards) != q:
-        raise ValueError(f"expected {q} elites and {q} discards, got {len(elites)} and {len(discards)}")
-    if elites & discards:
-        raise ValueError(f"elites and discards overlap: {sorted(elites & discards)}")
-
-    previous_ids = {member.id: i for i, member in enumerate(previous.members)}
-    expected_parents = {previous.members[i].id for i in range(n) if i not in discards}
-    child_parents = [child.parent_id for child in mutated]
-    if len(set(child_parents)) != len(child_parents):
-        raise ValueError("multiple children share a parent")
-    if set(child_parents) != expected_parents:
-        raise ValueError("children must cover exactly the non-discarded members")
-
     next_generation = previous.generation + 1
-    members: list[Candidate] = []
-    for i in sorted(elites):
-        source = previous.members[i]
-        members.append(
-            Candidate(
-                id=f"g{next_generation}-elite{i:03d}",
-                content=source.content,
-                generation=next_generation,
-                origin=ORIGIN_ELITE,
-                parent_id=source.id,
-            )
-        )
-    for child in sorted(mutated, key=lambda c: previous_ids[c.parent_id]):
+    if [child.parent_id for child in mutated] != [previous.members[i].id for i in routing.parents]:
+        raise ValueError("children must be the mutations of the routing's parents, in order")
+    for child in mutated:
         if child.generation != next_generation or child.origin != ORIGIN_MUTATED:
             raise ValueError(f"child {child.id} is not a generation-{next_generation} mutation")
-        members.append(child)
-    return GenerationState(generation=next_generation, members=tuple(members))
+    carryovers = [
+        Candidate(
+            id=f"g{next_generation}-elite{i:03d}",
+            content=previous.members[i].content,
+            generation=next_generation,
+            origin=ORIGIN_ELITE,
+            parent_id=previous.members[i].id,
+        )
+        for i in routing.elites
+    ]
+    return GenerationState(generation=next_generation, members=(*carryovers, *mutated))

@@ -929,3 +929,37 @@ def test_unexpected_error_exits_1_as_internal(tmp_path, monkeypatch):
     assert code == 1
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "internal", "message": "unexpected"}
+
+
+def _not_utf8(path):
+    path.write_bytes(b"seed: 1\n# \xff\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "elo", "diagnose", "baseline"])
+def test_config_that_is_not_utf8_exits_2(tmp_path, command):
+    config = _not_utf8(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--config", str(config), "--out", str(out))
+    assert (code, json.loads(err)["error"]) == (2, "config")
+    assert "can't decode byte 0xff" in json.loads(err)["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("command", "settings"), [("run", {}), ("baseline", {"mode": "pointwise"})])
+def test_problem_that_is_not_utf8_exits_2(tmp_path, command, settings):
+    problem = _not_utf8(tmp_path / "problem.txt")
+    config = write_config(tmp_path, "cfg.yaml", {"problem": str(problem), **settings})
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--config", str(config), "--out", str(out))
+    assert (code, json.loads(err)["error"]) == (2, "config")
+    assert not out.exists()
+
+
+def test_pairs_file_that_is_not_utf8_exits_2(tmp_path):
+    pairs = _not_utf8(tmp_path / "pairs.jsonl")
+    config = write_config(tmp_path, "cfg.yaml", {"pairs": str(pairs)})
+    out = tmp_path / "out"
+    code, _, err = run_cli("diagnose", "--config", str(config), "--out", str(out))
+    assert (code, json.loads(err)["error"]) == (2, "config")
+    assert not out.exists()

@@ -333,6 +333,58 @@ def test_replay_rejects_a_selection_that_is_not_a_candidate_of_its_generation(se
         replay(lines)
 
 
+def _edited(lines, at, **payload):
+    record = json.loads(lines[at])
+    return lines[:at] + [json.dumps(dict(record, payload=dict(record["payload"], **payload)))] + lines[at + 1 :]
+
+
+@pytest.mark.parametrize("edit", ["cut-scores", "reversed-ids", "renamed-id"])
+def test_replay_rejects_a_score_fit_that_is_not_over_its_generation(edit):
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "score-fit")
+    fit = json.loads(lines[at])["payload"]
+    edits = {
+        "cut-scores": {"scores": fit["scores"][:3]},
+        "reversed-ids": {"member_ids": fit["member_ids"][::-1]},
+        "renamed-id": {"member_ids": fit["member_ids"][:-1] + ["g0-s099"]},
+    }
+    with pytest.raises(ReplayError, match=f"record {at}: score-fit does not match generation 0's members$"):
+        replay(_edited(lines, at, **edits[edit]))
+
+
+@pytest.mark.parametrize("selected_index", [99, -1, 0, "3", 3.0, True, None])
+def test_replay_rejects_a_selected_index_that_does_not_name_the_selection(selected_index):
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "selection")
+    selection = json.loads(lines[at])["payload"]
+    assert selection["selected_index"] not in (0, True)  # so index 0 names another member
+    named = f"record {at}: selected_index {selected_index!r} does not name '{selection['selected_id']}'"
+    with pytest.raises(ReplayError, match=re.escape(named) + "$"):
+        replay(_edited(lines, at, selected_index=selected_index))
+
+
+def test_replay_checks_each_routing_against_route_of_its_fit():
+    _, trace = run_pipeline(RunConfig(**SMALL))
+    lines = trace.to_jsonl().splitlines()
+    at = _line_of(lines, "routing")
+    routing = json.loads(lines[at])["payload"]
+    elites, discards = list(routing["elites"]), list(routing["discards"])
+    elites[0], discards[0] = discards[0], elites[0]
+    with pytest.raises(ReplayError, match=f"record {at}: routing is not route of generation 0's fit$"):
+        replay(_edited(lines, at, elites=elites, discards=discards))
+    with pytest.raises(ReplayError, match=f"record {at}: routing is not route of generation 0's fit$"):
+        replay(_edited(lines, at, mutation_parents=routing["mutation_parents"][::-1]))
+    fit_at = _line_of(lines, "score-fit")
+    moved = lines[:fit_at] + [lines[at]] + lines[fit_at:at] + lines[at + 1 :]
+    with pytest.raises(ReplayError, match=f"record {fit_at}: routing of generation 0 before its score-fit$"):
+        replay(moved)
+    listed = lines[:at] + [json.dumps(dict(json.loads(lines[at]), payload=[1, 2]))] + lines[at + 1 :]
+    with pytest.raises(ReplayError, match=rf"record {at}: bad routing payload \(expected an object, got list\)$"):
+        replay(listed)
+
+
 def _parse_per_line(lines):
     """Trace lines parsed with json.loads each: the reference for replay's parse."""
     records = []

@@ -11,11 +11,11 @@ from btevolve.population import (
     Candidate,
     FeedbackStrategy,
     GenerationState,
+    Routing,
     aggregate_feedback,
     assemble_next_generation,
     render_mutation_prompt,
-    select_discards,
-    select_elites,
+    route,
 )
 
 
@@ -47,16 +47,30 @@ def test_strategy_validation():
 
 def test_quartile_selection():
     values = [0.9, -0.3, 0.1, 0.9, -0.7, 0.4, 0.0, -0.1]
-    vector = scores_of(values)
-    assert select_elites(vector, 8) == {0, 3}  # tie at 0.9 keeps both anyway
-    assert select_discards(vector, 8) == {1, 4}
+    routing = route(scores_of(values))
+    assert routing.elites == (0, 3)  # tie at 0.9 keeps both anyway
+    assert routing.discards == (1, 4)
+    assert routing.parents == (0, 2, 3, 5, 6, 7)
 
 
 def test_quartile_selection_rejects_bad_sizes():
-    with pytest.raises(ConfigError):
-        select_elites(scores_of([0.0] * 10), 10)
-    with pytest.raises(ValueError):
-        select_elites(scores_of([0.0] * 8), 12)
+    for size in (0, 2, 6, 10):
+        with pytest.raises(ConfigError, match=f"population size {size} is not a positive multiple of 4"):
+            route(scores_of([0.0] * size))
+
+
+def test_route_matches_a_brute_force_sort_on_tied_scores():
+    # a few levels, each moved by -1, 0 or 1 steps of rank's 1e-9 grid plus noise below a step,
+    # so most vectors hold ties the grid must see, and near-ties it must keep apart
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        n = 4 * int(rng.integers(1, 9))
+        steps = rng.integers(-1, 2, size=n) * 1e-9 + rng.uniform(-2e-10, 2e-10, size=n)
+        values = rng.integers(-3, 4, size=n) * 0.25 + steps
+        order = sorted(range(n), key=lambda i: (-round(values[i] / 1e-9), i))
+        q = n // 4
+        expected = Routing(tuple(sorted(order[:q])), tuple(sorted(order[-q:])), tuple(sorted(order[:-q])))
+        assert route(scores_of(values)) == expected
 
 
 def judgments_for_x():
@@ -181,11 +195,16 @@ def children_for(previous, parents, generation=1):
     ]
 
 
+def routing_for(previous, elites, discards):
+    n = len(previous.members)
+    return Routing(elites, discards, tuple(i for i in range(n) if i not in discards))
+
+
 def test_assemble_next_generation_order_and_elite_bytes():
     previous = previous_state()
-    elites, discards = {0, 5}, {2, 6}
-    parents = [m.id for i, m in enumerate(previous.members) if i not in discards]
-    state = assemble_next_generation(previous, elites, discards, children_for(previous, parents))
+    routing = routing_for(previous, (0, 5), (2, 6))
+    parents = [previous.members[i].id for i in routing.parents]
+    state = assemble_next_generation(previous, routing, children_for(previous, parents))
     assert state.generation == 1
     assert [m.id for m in state.members[:2]] == ["g1-elite000", "g1-elite005"]
     assert state.members[0].content == previous.members[0].content
@@ -200,33 +219,27 @@ def test_assemble_next_generation_order_and_elite_bytes():
 
 def test_assemble_rejects_bad_routing():
     previous = previous_state()
-    parents = [m.id for i, m in enumerate(previous.members) if i not in (2, 6)]
+    routing = routing_for(previous, (0, 5), (2, 6))
+    parents = [previous.members[i].id for i in routing.parents]
     good = children_for(previous, parents)
     with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0}, {2, 6}, good)  # wrong elite count
-    with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0, 2}, {2, 6}, good)  # overlap
-    with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0, 5}, {2, 6}, good[:-1])  # missing child
+        assemble_next_generation(previous, routing, good[:-1])  # missing child
     doubled = good[:-1] + [good[0]]
     with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0, 5}, {2, 6}, doubled)  # duplicate parent
+        assemble_next_generation(previous, routing, doubled)  # duplicate parent
     # child claiming a discarded parent
     bad_parent = children_for(previous, parents[:-1] + ["g0-s002"])
     with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0, 5}, {2, 6}, bad_parent)
+        assemble_next_generation(previous, routing, bad_parent)
+    # children out of the parents' order: child i must be the mutation of routing.parents[i]
+    with pytest.raises(ValueError, match="in order"):
+        assemble_next_generation(previous, routing, good[::-1])
     # child with the wrong generation stamp
     wrong_gen = children_for(previous, parents, generation=2)
     with pytest.raises(ValueError):
-        assemble_next_generation(previous, {0, 5}, {2, 6}, wrong_gen)
+        assemble_next_generation(previous, routing, wrong_gen)
 
 
 def test_candidate_rejects_a_negative_generation():
     with pytest.raises(ValueError, match="generation must be non-negative"):
         Candidate("c", "x", -1, "mutated", parent_id="p")
-
-
-def test_assemble_rejects_a_population_not_divisible_by_4():
-    members = tuple(Candidate(f"g0-s{i:03d}", f"body-{i}", 0, "sampled") for i in range(6))
-    with pytest.raises(ConfigError, match="population size 6 is not divisible by 4"):
-        assemble_next_generation(GenerationState(0, members), {0}, {5}, [])
