@@ -191,6 +191,9 @@ def assemble_next_generation(
     point back at the elite they copy.  Member order is carryovers then
     children, each in ascending order of the previous-generation index.
     """
+    n = len(previous.members)
+    if n % 4 != 0:
+        raise ConfigError(f"population size {n} is not divisible by 4")
     next_generation = previous.generation + 1
     if [child.parent_id for child in mutated] != [previous.members[i].id for i in routing.parents]:
         raise ValueError("children must be the mutations of the routing's parents, in order")

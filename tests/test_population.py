@@ -243,3 +243,10 @@ def test_assemble_rejects_bad_routing():
 def test_candidate_rejects_a_negative_generation():
     with pytest.raises(ValueError, match="generation must be non-negative"):
         Candidate("c", "x", -1, "mutated", parent_id="p")
+
+
+def test_assemble_rejects_a_population_not_divisible_by_4():
+    members = tuple(Candidate(f"g0-s{i:03d}", f"body-{i}", 0, "sampled") for i in range(6))
+    routing = Routing((0,), (5,), (0, 1, 2, 3, 4))
+    with pytest.raises(ConfigError, match="population size 6 is not divisible by 4"):
+        assemble_next_generation(GenerationState(0, members), routing, [])
