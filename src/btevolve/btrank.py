@@ -311,7 +311,12 @@ def _solve(
     if picks_only:
         return scores, None, iterations
     grad = _gradient(scores, _win_probabilities(_differences(scores, edges)), edges, lam)
-    return scores, np.abs(grad).max(axis=1) <= _TOLERANCE, iterations
+    return scores, _converged(grad), iterations
+
+
+def _converged(grad: np.ndarray) -> np.ndarray:
+    """The `converged` flag of every row of a gradient stack: every component within _TOLERANCE."""
+    return np.abs(grad).max(axis=-1) <= _TOLERANCE
 
 
 def _index_array(values) -> np.ndarray:

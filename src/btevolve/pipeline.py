@@ -20,6 +20,11 @@ run; the records of each batch are written and flushed at its barrier, so
 an aborted run keeps everything up to the last completed barrier plus one
 abort record, and the file is closed when the run ends or aborts.  A
 RunTrace made directly keeps its file open until its `close`.
+
+`replay` reads a trace back and checks each record the run derives with the
+function and payload builder the run wrote it with; only what the backend
+decides (candidate and judgment text, outcomes) and a fit's `iterations`
+are taken as recorded.
 """
 
 from __future__ import annotations
@@ -44,11 +49,12 @@ from .backends import (
     SyntheticBackend,
     SyntheticWorldConfig,
 )
-from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, check_lam, fit_bt, rank
+from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
 from .population import (
+    ORIGIN_ELITE,
     ORIGIN_MUTATED,
     ORIGIN_SAMPLED,
     Candidate,
@@ -336,10 +342,16 @@ def _judge_pair(
     return degraded_tie(task), retries
 
 
-def _score_payload(state: GenerationState) -> dict:
-    scores = state.scores
+def _fit_records(members, judgments) -> list[ComparisonRecord]:
+    """The records a generation's fit is over: its judgments by member index."""
+    index = {member.id: i for i, member in enumerate(members)}
+    # a degraded tie is no evidence, so it is left out of the fit (weight 0)
+    return [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
+
+
+def _score_payload(members, scores: ScoreVector) -> dict:
     return {
-        "member_ids": [member.id for member in state.members],
+        "member_ids": [member.id for member in members],
         "scores": [float(s) for s in scores.scores],
         "lam": scores.lam,
         "converged": scores.converged,
@@ -353,6 +365,25 @@ def _routing_payload(members: tuple[Candidate, ...], routing: Routing) -> dict:
         "discards": [members[i].id for i in routing.discards],
         "mutation_parents": [members[i].id for i in routing.parents],
     }
+
+
+def _selection_payload(members, scores: ScoreVector) -> dict:
+    """The final round's pick: the member `rank` puts first."""
+    top = rank(scores)[0]
+    return {"selected_id": members[top].id, "selected_index": top}
+
+
+def _mutation(generation: int, index: int, parent: Candidate, content: str) -> Candidate:
+    """The child of member `index`, `parent`, in `generation`."""
+    return Candidate(f"g{generation}-mut{index:03d}", content, generation, ORIGIN_MUTATED, parent_id=parent.id)
+
+
+def _barrier_payload(barriers: int, primary_calls: int, retry_calls: int) -> dict:
+    return {"barrier": barriers, "primary_calls": primary_calls, "retry_calls": retry_calls}
+
+
+def _summary_payload(primary_calls: int, retry_calls: int, budget: int, barriers: int) -> dict:
+    return {"primary_calls": primary_calls, "retry_calls": retry_calls, "budget": budget, "barriers": barriers}
 
 
 def complete_candidate(backend: Backend, prompt: str, purpose: str, temperature: float, seed: int, context: str) -> str:
@@ -430,12 +461,7 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
     def barrier() -> None:
         nonlocal barriers
         barriers += 1
-        trace.append(
-            "barrier",
-            -1,
-            round_no,
-            {"barrier": barriers, "primary_calls": primary_calls, "retry_calls": retry_calls},
-        )
+        trace.append("barrier", -1, round_no, _barrier_payload(barriers, primary_calls, retry_calls))
         trace.flush()
 
     def compare_and_score(state: GenerationState, degree: int, seeds: RoundSeeds) -> GenerationState:
@@ -462,12 +488,9 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
             trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
         barrier()
         judgments = tuple(judgment for judgment, _ in results)
-        index = {member.id: i for i, member in enumerate(members)}
-        # a degraded tie is no evidence, so it is left out of the fit (weight 0)
-        records = [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
-        state = GenerationState(state.generation, members, judgments, fit_bt(records, n, lam=config.lam))
-        trace.append("score-fit", state.generation, round_no, _score_payload(state))
-        return state
+        scores = fit_bt(_fit_records(members, judgments), n, lam=config.lam)
+        trace.append("score-fit", state.generation, round_no, _score_payload(members, scores))
+        return GenerationState(state.generation, members, judgments, scores)
 
     try:
         trace.append("config", -1, 0, config.echo())
@@ -505,7 +528,7 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
                 context = f"mutation round {t}, member {member.id}"
                 temperature = config.temperature_generate
                 content = complete_candidate(backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
-                return Candidate(f"g{t}-mut{i:03d}", content, t, ORIGIN_MUTATED, parent_id=member.id)
+                return _mutation(t, i, member, content)
 
             children = pool.map(mutate, routing.parents)
             primary_calls += len(children)
@@ -518,31 +541,15 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
         # final round: dense comparisons over the last generation, then pick the top
         round_no = t_total + 1
         state = compare_and_score(state, config.final_k, schedule[t_total])
-        order = rank(state.scores)
-        selected = state.members[order[0]]
-        trace.append(
-            "selection",
-            state.generation,
-            round_no,
-            {"selected_id": selected.id, "selected_index": order[0]},
-        )
+        selection = _selection_payload(state.members, state.scores)
+        trace.append("selection", state.generation, round_no, selection)
 
         budget = compute_budget(n, config.k, t_total, config.final_k)
         if primary_calls != budget:  # accounting bug, not an input problem
             raise RuntimeError(f"primary calls {primary_calls} != budget {budget}")
-        trace.append(
-            "summary",
-            -1,
-            round_no,
-            {
-                "primary_calls": primary_calls,
-                "retry_calls": retry_calls,
-                "budget": budget,
-                "barriers": barriers,
-            },
-        )
+        trace.append("summary", -1, round_no, _summary_payload(primary_calls, retry_calls, budget, barriers))
         trace.flush()
-        return selected
+        return state.members[selection["selected_index"]]
     except BaseException as exc:
         trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
         trace.flush()
@@ -559,22 +566,59 @@ class ReplayResult:
 
 
 _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
-_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "routing", "selection")
-_TRACE_ONLY_FIELDS = ("pair_index", "retries")
+_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "routing", "barrier", "selection", "summary")
+
+
+def _same(recorded: dict, expected: dict) -> bool:
+    """Whether a decoded payload is `expected`: equal, and each field of the
+    same type, so that 6.0 or true does not pass for 6."""
+    return recorded == expected and all(type(recorded[key]) is type(value) for key, value in expected.items())
+
+
+def _first_misfit(previous: GenerationState, routing: Routing, members: list[Candidate]) -> int | None:
+    """The position of the first of `members`, the next generation's
+    candidates as recorded, that assemble_next_generation does not give from
+    `previous`, its `routing` and the recorded children; None if none."""
+    children = members[len(routing.elites) :]
+    try:
+        expected = assemble_next_generation(previous, routing, children).members
+    except ValueError:
+        # children that do not follow the routing: compare each with its parent's mutation
+        generation, parents = previous.generation + 1, previous.members
+        mutations = [_mutation(generation, i, parents[i], c.content) for i, c in zip(routing.parents, children)]
+        expected = assemble_next_generation(previous, routing, mutations).members
+    for position, (member, want) in enumerate(zip(members, expected)):
+        if member is not want and not _same(vars(member), vars(want)):  # a recorded child is its own expected
+            return position
+    return None
 
 
 def replay(source) -> ReplayResult:
-    """Rebuild every GenerationState (members, judgments, scores) from a trace.
+    """Rebuild every GenerationState (members, judgments, scores) from a
+    trace, checking each record against the function the run wrote it by.
 
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
-    (str or bytes), read in one pass; blank lines are skipped.  Raises
-    ReplayError for corrupt input, for a trace that contradicts itself (a
-    second fit of one generation, a fit whose member_ids or length are not its
-    generation's, a second selection, a selection whose id or index is not a
-    candidate of its generation, or a routing record that `route` of its
-    generation's fit does not give), and for truncated traces that never
-    reached their summary record.  Each error names the first offending record
-    by its 0-based line index, blank lines counted.
+    (str or bytes), read in one pass; blank lines are skipped.  The config
+    record must come first and pass `compute_budget` and `check_lam`.  Each
+    judgment's `pair_index` must be its position in its round, and both its
+    sides members of its generation.  Each score-fit must be over its
+    generation's n members, with the config's lam and the `converged` flag
+    of `bt_gradient` at its scores over the generation's judgments, degraded
+    ties left out; its `iterations` is taken as recorded.  Each routing must
+    be `route` of its generation's fit; each candidate of generation g >= 1
+    what `assemble_next_generation` makes of generation g-1, its routing and
+    the recorded children; the selection `rank`'s top member of the last
+    generation's fit; each barrier and the summary the counts of the records
+    before them, and the summary's calls the config's budget.  Re-derived
+    counts, indices and flags must match in JSON type too.
+
+    Raises ReplayError for corrupt input, for any record that breaks these
+    rules or comes out of the run's order (a second config, fit or
+    selection; a record before the config; a candidate after its
+    generation's fit or before the routing it descends from; a routing or
+    selection before its generation's fit), and for a truncated trace that
+    never reached its summary record.  Each error names the first offending
+    record by its 0-based line index, blank lines counted.
     """
     if isinstance(source, RunTrace):
         lines = source.to_jsonl().splitlines()
@@ -584,9 +628,13 @@ def replay(source) -> ReplayResult:
         lines = source
 
     config: dict | None = None
+    budget = primary_calls = retry_calls = barriers = 0
     candidates: dict[int, list[Candidate]] = {}
+    candidate_lines: dict[int, list[int]] = {}
+    member_ids: dict[int, set[str]] = {}
     judgments: dict[int, list[Judgment]] = {}
     fits: dict[int, ScoreVector] = {}
+    routings: dict[int, Routing] = {}
     selected_id: str | None = None
     selection_seen = summary_seen = False
     last_idx: int | None = None
@@ -609,49 +657,87 @@ def replay(source) -> ReplayResult:
             raise ReplayError(f"record {idx}: generation must be an integer, got {generation!r}")
         if kind in _OBJECT_PAYLOAD_KINDS and not isinstance(payload, dict):
             raise ReplayError(f"record {idx}: bad {kind} payload (expected an object, got {type(payload).__name__})")
+        if config is None and kind != "config":
+            raise ReplayError(f"record {idx}: {kind} before the config record")
         last_idx = idx
         try:
             if kind == "config":
+                if config is not None:
+                    raise ReplayError(f"record {idx}: second config record")
+                budget = compute_budget(payload["n"], payload["k"], payload["generations"], payload["final_k"])
+                check_lam(payload["lam"])
                 config = payload
             elif kind == "candidate":
-                candidates.setdefault(generation, []).append(Candidate(**payload))
+                member = Candidate(**payload)
+                if generation in fits:
+                    raise ReplayError(f"record {idx}: candidate of generation {generation} after its score-fit")
+                if generation and generation - 1 not in routings:
+                    raise ReplayError(f"record {idx}: candidate of generation {generation} before its parents' routing")
+                members = candidates.setdefault(generation, [])
+                members.append(member)
+                candidate_lines.setdefault(generation, []).append(idx)
+                member_ids.setdefault(generation, set()).add(member.id)
+                if member.origin != ORIGIN_ELITE:
+                    primary_calls += 1
+                if generation and len(members) == len(candidates[generation - 1]):
+                    previous = GenerationState(generation - 1, tuple(candidates[generation - 1]))
+                    bad = _first_misfit(previous, routings[generation - 1], members)
+                    if bad is not None:
+                        at, misfit = candidate_lines[generation][bad], members[bad].id
+                        raise ReplayError(f"record {at}: candidate {misfit} is not what assemble_next_generation makes")
             elif kind == "judgment":
-                fields = {key: value for key, value in payload.items() if key not in _TRACE_ONLY_FIELDS}
-                judgments.setdefault(generation, []).append(Judgment(**fields))
+                pair_index, retries = payload.pop("pair_index"), payload.pop("retries")
+                judgment = Judgment(**payload)
+                round_judgments = judgments.setdefault(generation, [])
+                position = len(round_judgments)
+                if not (is_int(pair_index) and pair_index == position):
+                    raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
+                pair = (judgment.left_id, judgment.right_id)
+                if not member_ids.get(generation, frozenset()).issuperset(pair):
+                    raise ReplayError(f"record {idx}: judgment {pair} is not between members of its generation")
+                round_judgments.append(judgment)
+                primary_calls += 1
+                retry_calls += retries
             elif kind == "score-fit":
                 if generation in fits:
                     raise ReplayError(f"record {idx}: second score-fit for generation {generation}")
-                ids = [member.id for member in candidates.get(generation, ())]
-                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids):
+                members = candidates.get(generation, [])
+                ids = [member.id for member in members]
+                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids) or len(ids) != config["n"]:
                     raise ReplayError(f"record {idx}: score-fit does not match generation {generation}'s members")
-                fits[generation] = ScoreVector(
-                    scores=np.asarray(payload["scores"], dtype=np.float64),
-                    lam=payload["lam"],
-                    converged=payload["converged"],
-                    iterations=payload["iterations"],
-                )
-            elif kind == "selection":
-                if selection_seen:
-                    raise ReplayError(f"record {idx}: second selection record")
-                selected_id, index = payload["selected_id"], payload["selected_index"]
-                ids = [member.id for member in candidates.get(generation, ())]
-                if selected_id not in ids:
-                    raise ReplayError(
-                        f"record {idx}: selected_id {selected_id!r} is not a candidate of generation {generation}"
-                    )
-                if not (is_int(index) and 0 <= index < len(ids) and ids[index] == selected_id):
-                    raise ReplayError(f"record {idx}: selected_index {index!r} does not name {selected_id!r}")
-                selection_seen = True
-            elif kind == "routing":
+                scores = np.asarray(payload["scores"], dtype=np.float64)
+                lam = config["lam"]
+                gradient = bt_gradient(scores, _fit_records(members, judgments.get(generation, ())), lam)
+                fit = ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
+                if not _same(payload, _score_payload(members, fit)):
+                    raise ReplayError(f"record {idx}: score-fit is not what the run writes at its scores")
+                fits[generation] = fit
+            elif kind in ("routing", "selection"):
                 if generation not in fits:
-                    raise ReplayError(f"record {idx}: routing of generation {generation} before its score-fit")
-                if payload != _routing_payload(candidates.get(generation, ()), route(fits[generation])):
-                    raise ReplayError(f"record {idx}: routing is not route of generation {generation}'s fit")
+                    raise ReplayError(f"record {idx}: {kind} of generation {generation} before its score-fit")
+                members, fit = candidates[generation], fits[generation]
+                if kind == "routing":
+                    routing = route(fit)
+                    if not _same(payload, _routing_payload(members, routing)):
+                        raise ReplayError(f"record {idx}: routing is not route of generation {generation}'s fit")
+                    routings[generation] = routing
+                else:
+                    if selection_seen:
+                        raise ReplayError(f"record {idx}: second selection record")
+                    if generation != config["generations"] or not _same(payload, _selection_payload(members, fit)):
+                        raise ReplayError(f"record {idx}: selection is not rank's top of the last generation's fit")
+                    selected_id = payload["selected_id"]
+                    selection_seen = True
+            elif kind == "barrier":
+                barriers += 1
+                if not _same(payload, _barrier_payload(barriers, primary_calls, retry_calls)):
+                    raise ReplayError(f"record {idx}: barrier does not count the records before it")
             elif kind == "summary":
+                expected = _summary_payload(primary_calls, retry_calls, budget, barriers)
+                if primary_calls != budget or not _same(payload, expected):
+                    raise ReplayError(f"record {idx}: summary does not count the records before it or is off budget")
                 summary_seen = True
-            elif kind in ("barrier", "abort"):
-                pass
-            else:
+            elif kind != "abort":
                 raise ReplayError(f"record {idx}: unknown kind {kind!r}")
         except ReplayError:
             raise

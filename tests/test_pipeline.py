@@ -14,10 +14,11 @@ import pytest
 
 from btevolve import pipeline, seeds
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
-from btevolve.btrank import TIE, ComparisonRecord, fit_bt
+from btevolve.btrank import TIE, ComparisonRecord, ScoreVector, fit_bt
 from btevolve.errors import BackendError, ConfigError, ReplayError
-from btevolve.pipeline import RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
-from btevolve.population import FeedbackStrategy
+from btevolve.judging import Judgment
+from btevolve.pipeline import ReplayResult, RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
+from btevolve.population import Candidate, FeedbackStrategy, GenerationState
 from btevolve.seeds import derive_seed, seed_uniforms
 from conftest import ClosingBackend, CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
@@ -320,6 +321,9 @@ def test_replay_rejects_a_second_selection():
         replay(lines)
 
 
+NOT_THE_TOP = "selection is not rank's top of the last generation's fit"
+
+
 @pytest.mark.parametrize("selected_id", ["nobody", "g0-s000"])
 def test_replay_rejects_a_selection_that_is_not_a_candidate_of_its_generation(selected_id):
     _, trace = run_pipeline(RunConfig(**SMALL))
@@ -328,8 +332,7 @@ def test_replay_rejects_a_selection_that_is_not_a_candidate_of_its_generation(se
     selection = json.loads(lines[at])
     assert selection["generation"] == 2  # so g0-s000 is a candidate, but of generation 0
     lines[at] = json.dumps(dict(selection, payload=dict(selection["payload"], selected_id=selected_id)))
-    not_a_candidate = f"record {at}: selected_id '{selected_id}' is not a candidate of generation 2$"
-    with pytest.raises(ReplayError, match=not_a_candidate):
+    with pytest.raises(ReplayError, match=f"record {at}: {NOT_THE_TOP}$"):
         replay(lines)
 
 
@@ -360,8 +363,7 @@ def test_replay_rejects_a_selected_index_that_does_not_name_the_selection(select
     at = _line_of(lines, "selection")
     selection = json.loads(lines[at])["payload"]
     assert selection["selected_index"] not in (0, True)  # so index 0 names another member
-    named = f"record {at}: selected_index {selected_index!r} does not name '{selection['selected_id']}'"
-    with pytest.raises(ReplayError, match=re.escape(named) + "$"):
+    with pytest.raises(ReplayError, match=f"record {at}: {NOT_THE_TOP}$"):
         replay(_edited(lines, at, selected_index=selected_index))
 
 
@@ -383,6 +385,270 @@ def test_replay_checks_each_routing_against_route_of_its_fit():
     listed = lines[:at] + [json.dumps(dict(json.loads(lines[at]), payload=[1, 2]))] + lines[at + 1 :]
     with pytest.raises(ReplayError, match=rf"record {at}: bad routing payload \(expected an object, got list\)$"):
         replay(listed)
+
+
+def _line_where(lines, kind, **fields):
+    """The index of the first record of `kind` whose payload holds every given field value."""
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["kind"] == kind and all(record["payload"][key] == value for key, value in fields.items()):
+            return i
+    raise LookupError(kind, fields)
+
+
+def _run_edits(lines):
+    """Edits of the SMALL-config trace that the run could not have written:
+    for each, the edited lines, the index of the first record they make
+    wrong and the message that names it."""
+    at = {kind: _line_of(lines, kind) for kind in ("score-fit", "routing", "barrier", "selection", "summary")}
+    final_fit = max(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "score-fit")
+    fit, final = json.loads(lines[at["score-fit"]])["payload"], json.loads(lines[final_fit])["payload"]
+    flipped = not fit["converged"]
+    assert "g0-s004" in json.loads(lines[at["routing"]])["payload"]["discards"]
+    assert json.loads(lines[at["selection"]])["payload"]["selected_id"] == "g2-mut005"
+    elite = _line_where(lines, "candidate", id="g1-elite001")
+    child = _line_where(lines, "candidate", id="g1-mut002")
+    first, second = _line_where(lines, "judgment", pair_index=0), _line_where(lines, "judgment", pair_index=1)
+    assert json.loads(lines[first])["payload"]["left_id"] == "g0-s000"
+    next_barrier = _line_where(lines, "barrier", barrier=2)
+    fit_message = "score-fit is not what the run writes at its scores"
+    counts = "does not count the records before it"
+    off_budget = f"summary {counts} or is off budget"
+    return {
+        "selection-moved": (
+            _edited(lines, at["selection"], selected_id="g2-elite001", selected_index=0),
+            at["selection"],
+            NOT_THE_TOP,
+        ),
+        "carryover-reparented": (
+            _edited(lines, elite, parent_id="g0-s004", content="new content"),
+            elite,
+            "candidate g1-elite001 is not what assemble_next_generation makes",
+        ),
+        "child-reparented": (
+            _edited(lines, child, parent_id="g0-s004"),
+            child,
+            "candidate g1-mut002 is not what assemble_next_generation makes",
+        ),
+        "judgment-non-member": (
+            _edited(lines, first, right_id="g1-mut000", presented_first="g0-s000"),
+            first,
+            "judgment ('g0-s000', 'g1-mut000') is not between members of its generation",
+        ),
+        "converged-flipped": (_edited(lines, at["score-fit"], converged=flipped), at["score-fit"], fit_message),
+        "scores-permuted": (_edited(lines, final_fit, scores=final["scores"][::-1]), final_fit, fit_message),
+        "lam-wrong": (_edited(lines, at["score-fit"], lam=0.02), at["score-fit"], fit_message),
+        "summary-budget": (_edited(lines, at["summary"], budget=65), at["summary"], off_budget),
+        "summary-list": (
+            lines[:-1] + [json.dumps(dict(json.loads(lines[-1]), payload=[1, 2]))],
+            at["summary"],
+            "bad summary payload (expected an object, got list)",
+        ),
+        "barrier-deleted": (
+            lines[: at["barrier"]] + lines[at["barrier"] + 1 :],
+            next_barrier - 1,
+            f"barrier {counts}",
+        ),
+        "retries-off-by-one": (_edited(lines, first, retries=1), next_barrier, f"barrier {counts}"),
+        "pair-index": (
+            _edited(lines, second, pair_index=0),
+            second,
+            "pair_index 0 is not its position 1",
+        ),
+    }
+
+
+RUN_EDITS = [
+    "selection-moved",
+    "carryover-reparented",
+    "child-reparented",
+    "judgment-non-member",
+    "converged-flipped",
+    "scores-permuted",
+    "lam-wrong",
+    "summary-budget",
+    "summary-list",
+    "barrier-deleted",
+    "retries-off-by-one",
+    "pair-index",
+]
+
+
+@pytest.mark.parametrize("edit", RUN_EDITS)
+def test_replay_names_the_first_record_the_run_could_not_have_written(edit):
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    edits = _run_edits(lines)
+    assert sorted(edits) == sorted(RUN_EDITS)
+    edited, at, message = edits[edit]
+    with pytest.raises(ReplayError, match=re.escape(f"record {at}: {message}") + "$"):
+        replay(edited)
+
+
+@pytest.mark.parametrize(("seed", "selected_index"), [(31, 6.0), (0, True)])
+def test_replay_rejects_a_selected_index_of_another_type(seed, selected_index):
+    lines = run_pipeline(RunConfig(**dict(SMALL, seed=seed)))[1].to_jsonl().splitlines()
+    at = _line_of(lines, "selection")
+    recorded = json.loads(lines[at])["payload"]["selected_index"]
+    assert recorded == selected_index and type(recorded) is int
+    with pytest.raises(ReplayError, match=f"record {at}: {NOT_THE_TOP}$"):
+        replay(_edited(lines, at, selected_index=selected_index))
+
+
+@pytest.mark.parametrize(
+    ("kind", "field"), [("summary", "primary_calls"), ("summary", "budget"), ("barrier", "retry_calls")]
+)
+def test_replay_rejects_a_count_of_another_type(kind, field):
+    lines = run_pipeline(RunConfig(problem="Sort the list.", seed=7))[1].to_jsonl().splitlines()
+    at = max(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+    count = json.loads(lines[at])["payload"][field]
+    assert count == (285 if kind == "summary" else 0)
+    with pytest.raises(ReplayError, match=f"record {at}: {kind} does not count the records before it"):
+        replay(_edited(lines, at, **{field: float(count)}))
+
+
+def test_replay_rejects_a_pair_index_of_another_type():
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    at = _line_where(lines, "judgment", pair_index=1)
+    for pair_index in (1.0, True, "1"):
+        named = f"record {at}: pair_index {pair_index!r} is not its position 1"
+        with pytest.raises(ReplayError, match=re.escape(named) + "$"):
+            replay(_edited(lines, at, pair_index=pair_index))
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        ({"n": 6}, "3n/4=18/4 mutations per round is not an integer"),
+        ({"final_k": "5"}, "m must be an integer of at least 0, got '5'"),
+        ({"lam": 0}, "lam must be positive and finite, got 0"),
+        ({"lam": True}, "lam must be positive and finite, got True"),
+    ],
+    ids=["n-6", "final_k-string", "lam-0", "lam-true"],
+)
+def test_replay_rejects_a_config_the_run_would_refuse(edit, message):
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    with pytest.raises(ReplayError, match=re.escape(f"record 0: bad config payload ({message})") + "$"):
+        replay(_edited(lines, 0, **edit))
+
+
+def test_replay_rejects_a_config_missing_a_count():
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    config = json.loads(lines[0])
+    del config["payload"]["k"]
+    with pytest.raises(ReplayError, match=re.escape("record 0: bad config payload ('k')") + "$"):
+        replay([json.dumps(config)] + lines[1:])
+
+
+@pytest.mark.parametrize("kind", ["score-fit", "summary", "candidate"])
+def test_replay_rejects_a_record_before_the_config(kind):
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    with pytest.raises(ReplayError, match=f"record 1: {kind} before the config record$"):
+        replay([""] + [lines[_line_of(lines, kind)]] + lines)
+
+
+def test_replay_rejects_records_out_of_the_run_s_order():
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    fit, routing, barrier, selection = (_line_of(lines, k) for k in ("score-fit", "routing", "barrier", "selection"))
+    with pytest.raises(ReplayError, match="record 1: second config record$"):
+        replay(lines[:1] + lines)
+    with pytest.raises(ReplayError, match=f"record {fit + 1}: candidate of generation 0 after its score-fit$"):
+        replay(lines[: fit + 1] + [lines[1]] + lines[fit + 1 :])
+    carryover = routing + 1
+    with pytest.raises(ReplayError, match=f"record {routing}: candidate of generation 1 before its parents' routing$"):
+        replay(lines[:routing] + [lines[carryover], lines[routing]] + lines[carryover + 1 :])
+    with pytest.raises(ReplayError, match=f"record {fit}: selection of generation 0 before its score-fit$"):
+        replay(lines[:fit] + [json.dumps(dict(json.loads(lines[selection]), generation=0))] + lines[fit:])
+    # rank's top member of generation 1's fit, selected there: not the last generation
+    state = replay(lines).states[1]
+    payload = pipeline._selection_payload(state.members, state.scores)
+    early = dict(json.loads(lines[selection]), generation=1, payload=payload)
+    with pytest.raises(ReplayError, match=f"record {selection}: {NOT_THE_TOP}$"):
+        replay(lines[:selection] + [json.dumps(early)] + lines[selection + 1 :])
+    listed = json.dumps(dict(json.loads(lines[barrier]), payload=[1, 2]))
+    with pytest.raises(ReplayError, match=rf"record {barrier}: bad barrier payload \(expected an object, got list\)$"):
+        replay(lines[:barrier] + [listed] + lines[barrier + 1 :])
+
+
+def _as_recorded(lines) -> ReplayResult:
+    """The ReplayResult the records spell out as they stand, each score-fit's
+    fields as recorded: what replay gave before it checked them."""
+    candidates, judgments, fits = {}, {}, {}
+    selected_id = config = None
+    for line in lines:
+        record = json.loads(line)
+        kind, generation, payload = record["kind"], record["generation"], record["payload"]
+        if kind == "config":
+            config = payload
+        elif kind == "candidate":
+            candidates.setdefault(generation, []).append(Candidate(**payload))
+        elif kind == "judgment":
+            fields = {key: value for key, value in payload.items() if key not in ("pair_index", "retries")}
+            judgments.setdefault(generation, []).append(Judgment(**fields))
+        elif kind == "score-fit":
+            scores = np.asarray(payload["scores"], dtype=np.float64)
+            fits[generation] = ScoreVector(scores, payload["lam"], payload["converged"], payload["iterations"])
+        elif kind == "selection":
+            selected_id = payload["selected_id"]
+    states = [
+        GenerationState(g, tuple(candidates[g]), tuple(judgments.get(g, ())), fits.get(g)) for g in sorted(candidates)
+    ]
+    return ReplayResult(states, selected_id, config)
+
+
+def _comparable(result: ReplayResult):
+    """A ReplayResult as plain values, each score vector's fields with their types."""
+    states = [
+        (
+            state.generation,
+            state.members,
+            state.judgments,
+            state.scores.scores.tolist(),
+            [(type(value), value) for value in (state.scores.lam, state.scores.converged, state.scores.iterations)],
+        )
+        for state in result.states
+    ]
+    return result.selected_id, result.config, states
+
+
+def degraded_tie_run():
+    """A selection-only run on a 4-cycle whose first judgment degrades to a tie."""
+    config = RunConfig(problem="p", n=4, k=2, generations=0, final_k=2, seed=5)
+    replies = [f"sample-{i}" for i in range(4)] + ["garbage", "more garbage"] + [judge_reply("A")] * 3
+    backend = ScriptedBackend(replies)
+    return config, backend, run_pipeline(config, backend=backend)[1]
+
+
+DEFAULT = dict(problem="Sort the list.")
+UNEDITED_RUNS = {
+    **{f"small-seed-{seed}": (dict(SMALL, seed=seed), 1) for seed in (1, 7, 31)},
+    **{f"default-seed-{seed}": (dict(DEFAULT, seed=seed), 1) for seed in (1, 7, 31)},
+    "n-12": (dict(problem="p", n=12, k=3, generations=2, final_k=5, seed=7), 1),
+    "logistic-judge": (dict(SMALL, backend_options={"judge_mode": "logistic"}), 1),
+    **{
+        f"feedback-{kind}": (dict(SMALL, feedback_strategy=FeedbackStrategy(kind)), 1)
+        for kind in ("none", "positive-only", "pairwise-all")
+    },
+    "no-restart-license": (dict(SMALL, include_restart_license=False), 1),
+    "no-generations": (dict(SMALL, generations=0), 1),
+    "small-parallelism-4": (SMALL, 4),
+    "default-parallelism-4": (dict(DEFAULT, seed=7), 4),
+}
+SCRIPTED_RUNS = {
+    "parse-retry": lambda: scripted_small_run(["not json", judge_reply("A")], [judge_reply("TIE")])[1],
+    "degraded-in-a-round": lambda: scripted_small_run(["garbage", "more garbage"], [judge_reply("A")])[1],
+    "degraded-in-the-final": lambda: degraded_tie_run()[2],
+}
+
+
+@pytest.mark.parametrize("run", [*UNEDITED_RUNS, *SCRIPTED_RUNS])
+def test_an_unedited_trace_replays_to_what_its_records_spell_out(run):
+    if run in SCRIPTED_RUNS:
+        trace = SCRIPTED_RUNS[run]()
+    else:
+        options, parallelism = UNEDITED_RUNS[run]
+        trace = run_pipeline(RunConfig(**options), parallelism=parallelism)[1]
+    lines = trace.to_jsonl().splitlines()
+    assert _comparable(replay(lines)) == _comparable(_as_recorded(lines))
 
 
 def _parse_per_line(lines):
@@ -532,10 +798,7 @@ def test_double_parse_failure_degrades_to_tie():
 
 def test_degraded_ties_are_left_out_of_the_fit():
     # a selection-only run on a 4-cycle, so the degraded pair's members have other evidence
-    config = RunConfig(problem="p", n=4, k=2, generations=0, final_k=2, seed=5)
-    replies = [f"sample-{i}" for i in range(4)] + ["garbage", "more garbage"] + [judge_reply("A")] * 3
-    backend = ScriptedBackend(replies)
-    _, trace = run_pipeline(config, backend=backend)
+    config, backend, trace = degraded_tie_run()
     assert not backend.replies
     fit = trace.records_of_kind("score-fit")[0]["payload"]
     index = {member_id: i for i, member_id in enumerate(fit["member_ids"])}
