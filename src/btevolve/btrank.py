@@ -18,6 +18,7 @@ row stop as soon as that pick is certain (_fit_entries' `picks_only`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,30 +80,25 @@ class ScoreVector:
         return len(self.scores)
 
 
-def _win_entries(
-    records: list[ComparisonRecord] | tuple[ComparisonRecord, ...],
-    population_size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten records into (winner, loser, weight) arrays; ties become two half-wins."""
+def _win_entries(pairs, population_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten (left, right, outcome) index triples into (winner, loser, weight) arrays; ties become two half-wins."""
     winners: list[int] = []
     losers: list[int] = []
     weights: list[float] = []
-    for rec in records:
-        if not (0 <= rec.left < population_size and 0 <= rec.right < population_size):
-            raise ValueError(
-                f"record ({rec.left}, {rec.right}) out of range for population of {population_size}"
-            )
-        if rec.outcome == LEFT_WINS:
-            winners.append(rec.left)
-            losers.append(rec.right)
+    for left, right, outcome in pairs:
+        if not (0 <= left < population_size and 0 <= right < population_size):
+            raise ValueError(f"record ({left}, {right}) out of range for population of {population_size}")
+        if outcome == LEFT_WINS:
+            winners.append(left)
+            losers.append(right)
             weights.append(1.0)
-        elif rec.outcome == RIGHT_WINS:
-            winners.append(rec.right)
-            losers.append(rec.left)
+        elif outcome == RIGHT_WINS:
+            winners.append(right)
+            losers.append(left)
             weights.append(1.0)
         else:
-            winners.extend((rec.left, rec.right))
-            losers.extend((rec.right, rec.left))
+            winners.extend((left, right))
+            losers.extend((right, left))
             weights.extend((0.5, 0.5))
     return (
         np.asarray(winners, dtype=np.intp),
@@ -182,8 +178,16 @@ def _hessian(p: np.ndarray, edges: _Edges, lam: float, rows: int, n: int) -> np.
     return hess
 
 
+# a ComparisonRecord as the (left, right, outcome) triple _win_entries reads
+_record_pair = operator.attrgetter("left", "right", "outcome")
+
+
 def _record_edges(records, population_size: int) -> _Edges:
-    winners, losers, weights = _win_entries(records, population_size)
+    return _pair_edges(map(_record_pair, records), population_size)
+
+
+def _pair_edges(pairs, population_size: int) -> _Edges:
+    winners, losers, weights = _win_entries(pairs, population_size)
     return _row_edges(np.zeros(len(winners), dtype=np.intp), winners, losers, weights, population_size)
 
 
@@ -209,9 +213,14 @@ def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
     half-weighted) win of i over j, -w*sigmoid(s_i - s_j) for each loss,
     minus lam*s_i from the penalty.
     """
+    return _pair_gradient(scores, map(_record_pair, records), lam)
+
+
+def _pair_gradient(scores, pairs, lam: float) -> np.ndarray:
+    """bt_gradient over (left, right, outcome) index triples."""
     s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
-    edges = _record_edges(records, s.shape[1])
+    edges = _pair_edges(pairs, s.shape[1])
     return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 

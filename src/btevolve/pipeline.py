@@ -49,7 +49,7 @@ from .backends import (
     SyntheticBackend,
     SyntheticWorldConfig,
 )
-from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
+from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, _converged, _pair_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
@@ -342,11 +342,11 @@ def _judge_pair(
     return degraded_tie(task), retries
 
 
-def _fit_records(members, judgments) -> list[ComparisonRecord]:
-    """The records a generation's fit is over: its judgments by member index."""
+def _fit_pairs(members, judgments) -> list[tuple[int, int, str]]:
+    """What a generation's fit is over: (left, right, outcome) of its judgments, by member index."""
     index = {member.id: i for i, member in enumerate(members)}
     # a degraded tie is no evidence, so it is left out of the fit (weight 0)
-    return [ComparisonRecord(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
+    return [(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
 
 
 def _score_payload(members, scores: ScoreVector) -> dict:
@@ -371,6 +371,11 @@ def _selection_payload(members, scores: ScoreVector) -> dict:
     """The final round's pick: the member `rank` puts first."""
     top = rank(scores)[0]
     return {"selected_id": members[top].id, "selected_index": top}
+
+
+def _sample(index: int, content: str) -> Candidate:
+    """Sample `index` of generation 0."""
+    return Candidate(f"g0-s{index:03d}", content, 0, ORIGIN_SAMPLED)
 
 
 def _mutation(generation: int, index: int, parent: Candidate, content: str) -> Candidate:
@@ -419,7 +424,7 @@ def sample_candidates(
         content = complete_candidate(
             backend, problem, PURPOSE_GENERATE, temperature, sample_seed, f"sampling candidate {i}"
         )
-        return Candidate(f"g0-s{i:03d}", content, 0, ORIGIN_SAMPLED)
+        return _sample(i, content)
 
     with task_pool(parallelism) as pool:
         return pool.map(sample, range(n), derive_seeds(seed, 0, _P_SAMPLE, np.arange(n)).tolist())
@@ -488,7 +493,8 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
             trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
         barrier()
         judgments = tuple(judgment for judgment, _ in results)
-        scores = fit_bt(_fit_records(members, judgments), n, lam=config.lam)
+        records = [ComparisonRecord(*pair) for pair in _fit_pairs(members, judgments)]
+        scores = fit_bt(records, n, lam=config.lam)
         trace.append("score-fit", state.generation, round_no, _score_payload(members, scores))
         return GenerationState(state.generation, members, judgments, scores)
 
@@ -569,26 +575,47 @@ _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_ve
 _OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "routing", "barrier", "selection", "summary")
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _loads(line):
+    """json.loads(line), with a fast path for a line as the run writes it: a
+    str that is one JSON value and nothing else, which raw_decode reads
+    without json.loads's whitespace scans.  Any other line goes to json.loads,
+    so what it accepts and the errors it raises are json.loads's own."""
+    if isinstance(line, str):
+        try:
+            record, end = _DECODER.raw_decode(line)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if end == len(line):
+                return record
+    return json.loads(line)
+
+
 def _same(recorded: dict, expected: dict) -> bool:
     """Whether a decoded payload is `expected`: equal, and each field of the
     same type, so that 6.0 or true does not pass for 6."""
-    return recorded == expected and all(type(recorded[key]) is type(value) for key, value in expected.items())
+    if recorded != expected:
+        return False
+    for key, value in expected.items():
+        if type(recorded[key]) is not type(value):
+            return False
+    return True
 
 
 def _first_misfit(previous: GenerationState, routing: Routing, members: list[Candidate]) -> int | None:
     """The position of the first of `members`, the next generation's
-    candidates as recorded, that assemble_next_generation does not give from
-    `previous`, its `routing` and the recorded children; None if none."""
-    children = members[len(routing.elites) :]
-    try:
-        expected = assemble_next_generation(previous, routing, children).members
-    except ValueError:
-        # children that do not follow the routing: compare each with its parent's mutation
-        generation, parents = previous.generation + 1, previous.members
-        mutations = [_mutation(generation, i, parents[i], c.content) for i, c in zip(routing.parents, children)]
-        expected = assemble_next_generation(previous, routing, mutations).members
+    candidates as recorded, that is not what assemble_next_generation makes
+    of `previous`, its `routing` and each parent's mutation into the recorded
+    child's content; None if none."""
+    generation, parents = previous.generation + 1, previous.members
+    recorded = members[len(routing.elites) :]
+    children = [_mutation(generation, i, parents[i], child.content) for i, child in zip(routing.parents, recorded)]
+    expected = assemble_next_generation(previous, routing, children).members
     for position, (member, want) in enumerate(zip(members, expected)):
-        if member is not want and not _same(vars(member), vars(want)):  # a recorded child is its own expected
+        if not _same(vars(member), vars(want)):
             return position
     return None
 
@@ -600,14 +627,16 @@ def replay(source) -> ReplayResult:
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
     (str or bytes), read in one pass; blank lines are skipped.  The config
     record must come first and pass `compute_budget` and `check_lam`.  Each
-    judgment's `pair_index` must be its position in its round, and both its
-    sides members of its generation.  Each score-fit must be over its
-    generation's n members, with the config's lam and the `converged` flag
-    of `bt_gradient` at its scores over the generation's judgments, degraded
-    ties left out; its `iterations` is taken as recorded.  Each routing must
-    be `route` of its generation's fit; each candidate of generation g >= 1
-    what `assemble_next_generation` makes of generation g-1, its routing and
-    the recorded children; the selection `rank`'s top member of the last
+    judgment's `pair_index` must be its position in its round, its `retries`
+    a count, and both its sides members of its generation.  Each score-fit
+    must be over its generation's n members, with the config's lam and the
+    `converged` flag of `bt_gradient` at its scores over the generation's
+    judgments, degraded ties left out; its `iterations` is taken as
+    recorded.  Each routing must be `route` of its generation's fit; each
+    candidate of generation 0 the sample `sample_candidates` makes at its
+    position, and of generation g >= 1 what `assemble_next_generation` makes
+    of generation g-1, its routing and each parent's mutation into the
+    recorded child's content; the selection `rank`'s top member of the last
     generation's fit; each barrier and the summary the counts of the records
     before them, and the summary's calls the config's budget.  Re-derived
     counts, indices and flags must match in JSON type too.
@@ -643,7 +672,7 @@ def replay(source) -> ReplayResult:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _loads(line)
         except json.JSONDecodeError as exc:
             raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
@@ -674,6 +703,8 @@ def replay(source) -> ReplayResult:
                 if generation and generation - 1 not in routings:
                     raise ReplayError(f"record {idx}: candidate of generation {generation} before its parents' routing")
                 members = candidates.setdefault(generation, [])
+                if generation == 0 and not _same(payload, vars(_sample(len(members), member.content))):
+                    raise ReplayError(f"record {idx}: candidate {member.id} is not what sample_candidates makes")
                 members.append(member)
                 candidate_lines.setdefault(generation, []).append(idx)
                 member_ids.setdefault(generation, set()).add(member.id)
@@ -690,8 +721,11 @@ def replay(source) -> ReplayResult:
                 judgment = Judgment(**payload)
                 round_judgments = judgments.setdefault(generation, [])
                 position = len(round_judgments)
-                if not (is_int(pair_index) and pair_index == position):
+                # decoded JSON holds no numpy integers, so `type(x) is int` is is_int here
+                if not (pair_index == position and type(pair_index) is int):
                     raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
+                if not (type(retries) is int and retries >= 0):
+                    raise ReplayError(f"record {idx}: retries {retries!r} is not a count")
                 pair = (judgment.left_id, judgment.right_id)
                 if not member_ids.get(generation, frozenset()).issuperset(pair):
                     raise ReplayError(f"record {idx}: judgment {pair} is not between members of its generation")
@@ -707,7 +741,7 @@ def replay(source) -> ReplayResult:
                     raise ReplayError(f"record {idx}: score-fit does not match generation {generation}'s members")
                 scores = np.asarray(payload["scores"], dtype=np.float64)
                 lam = config["lam"]
-                gradient = bt_gradient(scores, _fit_records(members, judgments.get(generation, ())), lam)
+                gradient = _pair_gradient(scores, _fit_pairs(members, judgments.get(generation, ())), lam)
                 fit = ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
                 if not _same(payload, _score_payload(members, fit)):
                     raise ReplayError(f"record {idx}: score-fit is not what the run writes at its scores")

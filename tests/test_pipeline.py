@@ -515,6 +515,41 @@ def test_replay_rejects_a_pair_index_of_another_type():
             replay(_edited(lines, at, pair_index=pair_index))
 
 
+@pytest.mark.parametrize("retries", [True, -1, 1.0, "1", None])
+def test_replay_rejects_retries_that_are_not_a_count_at_their_judgment(retries):
+    # the scripted run retries its first pair once, so `true` and 1.0 equal what it wrote
+    lines = SCRIPTED_RUNS["parse-retry"]().to_jsonl().splitlines()
+    at = _line_where(lines, "judgment", pair_index=0)
+    assert json.loads(lines[at])["payload"]["retries"] == 1
+    named = f"record {at}: retries {retries!r} is not a count"
+    with pytest.raises(ReplayError, match=re.escape(named) + "$"):
+        replay(_edited(lines, at, retries=retries))
+
+
+def _renamed(lines, old, new):
+    """`lines` with candidate id `old` renamed `new` in every record."""
+    return [line.replace(f'"{old}"', f'"{new}"') for line in lines]
+
+
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [("sample-renamed", "g0-s002"), ("child-renamed", "g1-mut002"), ("child-generation-float", "g1-mut002")],
+)
+def test_replay_checks_each_candidate_s_id_and_generation_type(edit, named):
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    at = _line_where(lines, "candidate", id=named)
+    edited = {
+        "sample-renamed": lambda: _renamed(lines, "g0-s002", "g0-x"),
+        "child-renamed": lambda: _renamed(lines, "g1-mut002", "g1-child-x"),
+        "child-generation-float": lambda: _edited(lines, at, generation=1.0),
+    }[edit]()
+    candidate = json.loads(edited[at])["payload"]["id"]
+    maker = "sample_candidates" if named.startswith("g0") else "assemble_next_generation"
+    message = f"record {at}: candidate {candidate} is not what {maker} makes"
+    with pytest.raises(ReplayError, match=re.escape(message) + "$"):
+        replay(edited)
+
+
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
