@@ -626,20 +626,22 @@ def replay(source) -> ReplayResult:
 
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
     (str or bytes), read in one pass; blank lines are skipped.  The config
-    record must come first and pass `compute_budget` and `check_lam`.  Each
-    judgment's `pair_index` must be its position in its round, its `retries`
-    a count, and both its sides members of its generation.  Each score-fit
-    must be over its generation's n members, with the config's lam and the
-    `converged` flag of `bt_gradient` at its scores over the generation's
-    judgments, degraded ties left out; its `iterations` is taken as
-    recorded.  Each routing must be `route` of its generation's fit; each
-    candidate of generation 0 the sample `sample_candidates` makes at its
-    position, and of generation g >= 1 what `assemble_next_generation` makes
-    of generation g-1, its routing and each parent's mutation into the
-    recorded child's content; the selection `rank`'s top member of the last
-    generation's fit; each barrier and the summary the counts of the records
-    before them, and the summary's calls the config's budget.  Re-derived
-    counts, indices and flags must match in JSON type too.
+    record must come first, pass `compute_budget` and `check_lam`, and hold
+    a `parse_retries` count.  Each judgment's `pair_index` must be its
+    position in its round, its `retries` a count of at most `parse_retries`
+    (all of them for a degraded tie), and both its sides members of its
+    generation.  Each score-fit must be over its generation's n members,
+    with the config's lam and the `converged` flag of `bt_gradient` at its
+    scores over the generation's judgments, degraded ties left out; its
+    `iterations` is taken as recorded.  Each routing must be `route` of its
+    generation's fit; each candidate of generation 0 the sample
+    `sample_candidates` makes at its position, and of generation g >= 1 what
+    `assemble_next_generation` makes of generation g-1, its routing and each
+    parent's mutation into the recorded child's content; the selection
+    `rank`'s top member of the last generation's fit; each barrier and the
+    summary the counts of the records before them, and the summary's calls
+    the config's budget.  Re-derived counts, indices and flags must match in
+    JSON type too.
 
     Raises ReplayError for corrupt input, for any record that breaks these
     rules or comes out of the run's order (a second config, fit or
@@ -695,6 +697,7 @@ def replay(source) -> ReplayResult:
                     raise ReplayError(f"record {idx}: second config record")
                 budget = compute_budget(payload["n"], payload["k"], payload["generations"], payload["final_k"])
                 check_lam(payload["lam"])
+                check_count("parse_retries", payload["parse_retries"], 0)
                 config = payload
             elif kind == "candidate":
                 member = Candidate(**payload)
@@ -724,8 +727,12 @@ def replay(source) -> ReplayResult:
                 # decoded JSON holds no numpy integers, so `type(x) is int` is is_int here
                 if not (pair_index == position and type(pair_index) is int):
                     raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
-                if not (type(retries) is int and retries >= 0):
-                    raise ReplayError(f"record {idx}: retries {retries!r} is not a count")
+                # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
+                most = config["parse_retries"]
+                if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
+                    raise ReplayError(
+                        f"record {idx}: retries {retries!r} is not a count the run spends on this judgment"
+                    )
                 pair = (judgment.left_id, judgment.right_id)
                 if not member_ids.get(generation, frozenset()).issuperset(pair):
                     raise ReplayError(f"record {idx}: judgment {pair} is not between members of its generation")

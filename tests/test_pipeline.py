@@ -515,13 +515,17 @@ def test_replay_rejects_a_pair_index_of_another_type():
             replay(_edited(lines, at, pair_index=pair_index))
 
 
-@pytest.mark.parametrize("retries", [True, -1, 1.0, "1", None])
-def test_replay_rejects_retries_that_are_not_a_count_at_their_judgment(retries):
-    # the scripted run retries its first pair once, so `true` and 1.0 equal what it wrote
-    lines = SCRIPTED_RUNS["parse-retry"]().to_jsonl().splitlines()
+@pytest.mark.parametrize(
+    ("run", "retries"),
+    [*(("parse-retry", retries) for retries in (True, -1, 1.0, "1", None, 2)), ("degraded-in-a-round", 0)],
+)
+def test_replay_rejects_retries_the_run_could_not_spend_at_their_judgment(run, retries):
+    # parse_retries is 1: the first pair is retried once (so `true` and 1.0
+    # equal what the run wrote), or retried once and then degraded to a tie
+    lines = SCRIPTED_RUNS[run]().to_jsonl().splitlines()
     at = _line_where(lines, "judgment", pair_index=0)
-    assert json.loads(lines[at])["payload"]["retries"] == 1
-    named = f"record {at}: retries {retries!r} is not a count"
+    assert json.loads(lines[at])["payload"]["retries"] == json.loads(lines[0])["payload"]["parse_retries"] == 1
+    named = f"record {at}: retries {retries!r} is not a count the run spends on this judgment"
     with pytest.raises(ReplayError, match=re.escape(named) + "$"):
         replay(_edited(lines, at, retries=retries))
 
@@ -557,8 +561,9 @@ def test_replay_checks_each_candidate_s_id_and_generation_type(edit, named):
         ({"final_k": "5"}, "m must be an integer of at least 0, got '5'"),
         ({"lam": 0}, "lam must be positive and finite, got 0"),
         ({"lam": True}, "lam must be positive and finite, got True"),
+        ({"parse_retries": -1}, "parse_retries must be an integer of at least 0, got -1"),
     ],
-    ids=["n-6", "final_k-string", "lam-0", "lam-true"],
+    ids=["n-6", "final_k-string", "lam-0", "lam-true", "parse_retries-negative"],
 )
 def test_replay_rejects_a_config_the_run_would_refuse(edit, message):
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
