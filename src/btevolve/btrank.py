@@ -183,11 +183,7 @@ _record_pair = operator.attrgetter("left", "right", "outcome")
 
 
 def _record_edges(records, population_size: int) -> _Edges:
-    return _pair_edges(map(_record_pair, records), population_size)
-
-
-def _pair_edges(pairs, population_size: int) -> _Edges:
-    winners, losers, weights = _win_entries(pairs, population_size)
+    winners, losers, weights = _win_entries(map(_record_pair, records), population_size)
     return _row_edges(np.zeros(len(winners), dtype=np.intp), winners, losers, weights, population_size)
 
 
@@ -220,7 +216,8 @@ def _pair_gradient(scores, pairs, lam: float) -> np.ndarray:
     """bt_gradient over (left, right, outcome) index triples."""
     s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
-    edges = _pair_edges(pairs, s.shape[1])
+    # one row: its local indices are its flat ones, and the gradient reads no rows or cells
+    edges = _Edges(*_win_entries(pairs, s.shape[1]), rows=None, cells=None)
     return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 

@@ -684,7 +684,8 @@ def replay(source) -> ReplayResult:
         if record["schema_version"] != SCHEMA_VERSION:
             raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
         kind, generation, payload = record["kind"], record["generation"], record["payload"]
-        if not is_int(generation):
+        # decoded JSON holds no numpy integers, so here `type(x) is int` is is_int
+        if type(generation) is not int:
             raise ReplayError(f"record {idx}: generation must be an integer, got {generation!r}")
         if kind in _OBJECT_PAYLOAD_KINDS and not isinstance(payload, dict):
             raise ReplayError(f"record {idx}: bad {kind} payload (expected an object, got {type(payload).__name__})")
@@ -724,7 +725,6 @@ def replay(source) -> ReplayResult:
                 judgment = Judgment(**payload)
                 round_judgments = judgments.setdefault(generation, [])
                 position = len(round_judgments)
-                # decoded JSON holds no numpy integers, so `type(x) is int` is is_int here
                 if not (pair_index == position and type(pair_index) is int):
                     raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
                 # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
