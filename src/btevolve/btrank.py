@@ -1,4 +1,5 @@
-"""Bradley-Terry score fitting from pairwise comparison outcomes.
+"""Bradley-Terry score fitting from pairwise comparison outcomes, each a
+(left, right, outcome) index triple; a ComparisonRecord unpacks as one.
 
 Scores are latent strengths on the log-odds scale: the modeled probability
 that candidate i beats candidate j is sigmoid(s_i - s_j).  A tie contributes
@@ -18,7 +19,6 @@ row stop as soon as that pick is certain (_fit_entries' `picks_only`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,19 +52,27 @@ _PICK_SAFETY = 1.01
 DEFAULT_LAM = 0.01
 
 
+def _check_comparison(left, right, outcome) -> None:
+    """Reject a comparison of an index with itself or with an outcome not in OUTCOMES."""
+    if left == right:
+        raise ValueError(f"self-comparison of index {left}")
+    if outcome not in OUTCOMES:
+        raise ValueError(f"unknown outcome {outcome!r}")
+
+
 @dataclass(frozen=True)
 class ComparisonRecord:
-    """One pairwise outcome between candidates addressed by index."""
+    """One pairwise outcome between candidates addressed by index; unpacks as its triple."""
 
     left: int
     right: int
     outcome: str
 
     def __post_init__(self) -> None:
-        if self.left == self.right:
-            raise ValueError(f"self-comparison of index {self.left}")
-        if self.outcome not in OUTCOMES:
-            raise ValueError(f"unknown outcome {self.outcome!r}")
+        _check_comparison(self.left, self.right, self.outcome)
+
+    def __iter__(self):
+        return iter((self.left, self.right, self.outcome))
 
 
 @dataclass(frozen=True)
@@ -78,33 +86,6 @@ class ScoreVector:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-
-def _win_entries(pairs, population_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten (left, right, outcome) index triples into (winner, loser, weight) arrays; ties become two half-wins."""
-    winners: list[int] = []
-    losers: list[int] = []
-    weights: list[float] = []
-    for left, right, outcome in pairs:
-        if not (0 <= left < population_size and 0 <= right < population_size):
-            raise ValueError(f"record ({left}, {right}) out of range for population of {population_size}")
-        if outcome == LEFT_WINS:
-            winners.append(left)
-            losers.append(right)
-            weights.append(1.0)
-        elif outcome == RIGHT_WINS:
-            winners.append(right)
-            losers.append(left)
-            weights.append(1.0)
-        else:
-            winners.extend((left, right))
-            losers.extend((right, left))
-            weights.extend((0.5, 0.5))
-    return (
-        np.asarray(winners, dtype=np.intp),
-        np.asarray(losers, dtype=np.intp),
-        np.asarray(weights, dtype=np.float64),
-    )
 
 
 class _Edges(NamedTuple):
@@ -128,6 +109,31 @@ def _row_edges(rows: np.ndarray, winners: np.ndarray, losers: np.ndarray, weight
     offset = rows * n
     winners = offset + winners
     return _Edges(winners, offset + losers, weights, rows, winners * n + losers)
+
+
+def _win_entries(pairs, population_size: int) -> _Edges:
+    """One fit's edges over (left, right, outcome) triples, checked as ComparisonRecords are; ties are two half-wins."""
+    winners: list[int] = []
+    losers: list[int] = []
+    weights: list[float] = []
+    for left, right, outcome in pairs:
+        if not (0 <= left < population_size and 0 <= right < population_size):
+            raise ValueError(f"record ({left}, {right}) out of range for population of {population_size}")
+        _check_comparison(left, right, outcome)
+        if outcome == LEFT_WINS:
+            winners.append(left)
+            losers.append(right)
+            weights.append(1.0)
+        elif outcome == RIGHT_WINS:
+            winners.append(right)
+            losers.append(left)
+            weights.append(1.0)
+        else:
+            winners.extend((left, right))
+            losers.extend((right, left))
+            weights.extend((0.5, 0.5))
+    winners, losers = np.asarray(winners, dtype=np.intp), np.asarray(losers, dtype=np.intp)
+    return _row_edges(np.zeros_like(winners), winners, losers, np.asarray(weights), population_size)
 
 
 def _keep_rows(edges: _Edges, keep: np.ndarray, n: int) -> _Edges:
@@ -178,15 +184,6 @@ def _hessian(p: np.ndarray, edges: _Edges, lam: float, rows: int, n: int) -> np.
     return hess
 
 
-# a ComparisonRecord as the (left, right, outcome) triple _win_entries reads
-_record_pair = operator.attrgetter("left", "right", "outcome")
-
-
-def _record_edges(records, population_size: int) -> _Edges:
-    winners, losers, weights = _win_entries(map(_record_pair, records), population_size)
-    return _row_edges(np.zeros(len(winners), dtype=np.intp), winners, losers, weights, population_size)
-
-
 def check_lam(lam: float, name: str = "lam") -> None:
     """Reject a ridge strength that is not a finite positive number; `name`
     is what the ConfigError calls it."""
@@ -195,29 +192,24 @@ def check_lam(lam: float, name: str = "lam") -> None:
 
 
 def bt_objective(scores, records, lam: float = DEFAULT_LAM) -> float:
-    """Penalized log-likelihood of `scores` for the given comparison records."""
+    """Penalized log-likelihood of `scores` over (left, right, outcome) triples such as ComparisonRecords."""
     s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
-    edges = _record_edges(records, s.shape[1])
+    edges = _win_entries(records, s.shape[1])
     return float(_objective(s, _differences(s, edges), edges, lam)[0])
 
 
 def bt_gradient(scores, records, lam: float = DEFAULT_LAM) -> np.ndarray:
-    """Gradient of bt_objective with respect to every score component.
+    """Gradient of bt_objective with respect to every score component, over
+    (left, right, outcome) comparison triples such as ComparisonRecords.
 
     Component i receives +w*(1 - sigmoid(s_i - s_j)) for each (possibly
     half-weighted) win of i over j, -w*sigmoid(s_i - s_j) for each loss,
     minus lam*s_i from the penalty.
     """
-    return _pair_gradient(scores, map(_record_pair, records), lam)
-
-
-def _pair_gradient(scores, pairs, lam: float) -> np.ndarray:
-    """bt_gradient over (left, right, outcome) index triples."""
     s = np.asarray(scores, dtype=np.float64)[None]
     check_lam(lam)
-    # one row: its local indices are its flat ones, and the gradient reads no rows or cells
-    edges = _Edges(*_win_entries(pairs, s.shape[1]), rows=None, cells=None)
+    edges = _win_entries(records, s.shape[1])
     return _gradient(s, _win_probabilities(_differences(s, edges)), edges, lam)[0]
 
 
@@ -411,7 +403,7 @@ def fit_bt_rows(
 
 
 def fit_bt(records, population_size: int, lam: float = DEFAULT_LAM) -> ScoreVector:
-    """Maximize the penalized likelihood by damped Newton and return fitted scores.
+    """Fit scores to `records`, (left, right, outcome) triples such as ComparisonRecords, by damped Newton.
 
     Deterministic: start from zeros; each step solves (L_w + lam*I) step =
     grad, where L_w is the comparison graph's Laplacian under edge weights
@@ -431,8 +423,7 @@ def fit_bt(records, population_size: int, lam: float = DEFAULT_LAM) -> ScoreVect
     if population_size < 2:
         raise ValueError("population_size must be at least 2")
     check_lam(lam)
-    edges = _record_edges(records, population_size)
-    scores, converged, iterations = _solve(edges, 1, population_size, lam)
+    scores, converged, iterations = _solve(_win_entries(records, population_size), 1, population_size, lam)
     return ScoreVector(scores[0], lam, bool(converged[0]), int(iterations[0]))
 
 

@@ -22,9 +22,10 @@ abort record, and the file is closed when the run ends or aborts.  A
 RunTrace made directly keeps its file open until its `close`.
 
 `replay` reads a trace back and checks each record the run derives with the
-function and payload builder the run wrote it with; only what the backend
-decides (candidate and judgment text, outcomes) and a fit's `iterations`
-are taken as recorded.
+function and payload builder the run wrote it with, the config through the
+RunConfig it echoes and a fit over the (left, right, outcome) triples
+`_fit_pairs` hands fit_bt; only what the backend decides (candidate and
+judgment text, outcomes) and a fit's `iterations` are taken as recorded.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import json
 import logging
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from .backends import (
     SyntheticBackend,
     SyntheticWorldConfig,
 )
-from .btrank import DEFAULT_LAM, ComparisonRecord, ScoreVector, _converged, _pair_gradient, check_lam, fit_bt, rank
+from .btrank import DEFAULT_LAM, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
 from .pairing import sample_pairing
@@ -154,6 +155,17 @@ class RunConfig:
     def echo(self) -> dict:
         """JSON-ready copy of the resolved config, embedded in every artifact."""
         return {**asdict(self), "feedback_strategy": asdict(self.strategy())}
+
+
+def _config_of(echo: dict) -> RunConfig:
+    """The RunConfig whose echo() is `echo`, type for type (RunConfig.echo's inverse); TypeError or ValueError if none."""
+    names = {f.name for f in fields(RunConfig)}
+    if echo.keys() != names:
+        raise ConfigError(f"config fields: missing {sorted(names - echo.keys())}, extra {sorted(echo.keys() - names)}")
+    config = RunConfig(**{**echo, "feedback_strategy": FeedbackStrategy(**echo["feedback_strategy"])})
+    if not _same(echo, config.echo()):
+        raise ConfigError("config is not the echo of the RunConfig it describes")
+    return config
 
 
 def make_backend(kind: str, options: dict) -> Backend:
@@ -493,8 +505,7 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
             trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
         barrier()
         judgments = tuple(judgment for judgment, _ in results)
-        records = [ComparisonRecord(*pair) for pair in _fit_pairs(members, judgments)]
-        scores = fit_bt(records, n, lam=config.lam)
+        scores = fit_bt(_fit_pairs(members, judgments), n, lam=config.lam)
         trace.append("score-fit", state.generation, round_no, _score_payload(members, scores))
         return GenerationState(state.generation, members, judgments, scores)
 
@@ -626,22 +637,22 @@ def replay(source) -> ReplayResult:
 
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
     (str or bytes), read in one pass; blank lines are skipped.  The config
-    record must come first, pass `compute_budget` and `check_lam`, and hold
-    a `parse_retries` count.  Each judgment's `pair_index` must be its
-    position in its round, its `retries` a count of at most `parse_retries`
-    (all of them for a degraded tie), and both its sides members of its
-    generation.  Each score-fit must be over its generation's n members,
-    with the config's lam and the `converged` flag of `bt_gradient` at its
-    scores over the generation's judgments, degraded ties left out; its
+    record must come first, and is rebuilt as a RunConfig whose `echo()` must
+    equal it, type for type; the counts, lam and budget below are that
+    config's.  Each judgment's `pair_index` must be its position in its round,
+    its `retries` a count of at most `parse_retries` (all of them for a
+    degraded tie), and both its sides members of its generation.  Each
+    score-fit must be over its generation's n members, with the config's lam
+    and the `converged` flag of `bt_gradient` at its scores over the (left,
+    right, outcome) triples of its judgments, degraded ties left out; its
     `iterations` is taken as recorded.  Each routing must be `route` of its
     generation's fit; each candidate of generation 0 the sample
     `sample_candidates` makes at its position, and of generation g >= 1 what
     `assemble_next_generation` makes of generation g-1, its routing and each
-    parent's mutation into the recorded child's content; the selection
-    `rank`'s top member of the last generation's fit; each barrier and the
-    summary the counts of the records before them, and the summary's calls
-    the config's budget.  Re-derived counts, indices and flags must match in
-    JSON type too.
+    parent's mutation into the recorded child's content; the selection `rank`'s
+    top member of the last generation's fit; each barrier and the summary the
+    counts of the records before them, and the summary's calls the config's
+    budget.  Re-derived counts, indices and flags must match in JSON type too.
 
     Raises ReplayError for corrupt input, for any record that breaks these
     rules or comes out of the run's order (a second config, fit or
@@ -658,7 +669,8 @@ def replay(source) -> ReplayResult:
     else:
         lines = source
 
-    config: dict | None = None
+    config: RunConfig | None = None
+    config_record: dict | None = None
     budget = primary_calls = retry_calls = barriers = 0
     candidates: dict[int, list[Candidate]] = {}
     candidate_lines: dict[int, list[int]] = {}
@@ -696,10 +708,8 @@ def replay(source) -> ReplayResult:
             if kind == "config":
                 if config is not None:
                     raise ReplayError(f"record {idx}: second config record")
-                budget = compute_budget(payload["n"], payload["k"], payload["generations"], payload["final_k"])
-                check_lam(payload["lam"])
-                check_count("parse_retries", payload["parse_retries"], 0)
-                config = payload
+                config, config_record = _config_of(payload), payload
+                budget = compute_budget(config.n, config.k, config.generations, config.final_k)
             elif kind == "candidate":
                 member = Candidate(**payload)
                 if generation in fits:
@@ -728,7 +738,7 @@ def replay(source) -> ReplayResult:
                 if not (pair_index == position and type(pair_index) is int):
                     raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
                 # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
-                most = config["parse_retries"]
+                most = config.parse_retries
                 if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
                     raise ReplayError(
                         f"record {idx}: retries {retries!r} is not a count the run spends on this judgment"
@@ -744,12 +754,11 @@ def replay(source) -> ReplayResult:
                     raise ReplayError(f"record {idx}: second score-fit for generation {generation}")
                 members = candidates.get(generation, [])
                 ids = [member.id for member in members]
-                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids) or len(ids) != config["n"]:
+                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids) or len(ids) != config.n:
                     raise ReplayError(f"record {idx}: score-fit does not match generation {generation}'s members")
                 scores = np.asarray(payload["scores"], dtype=np.float64)
-                lam = config["lam"]
-                gradient = _pair_gradient(scores, _fit_pairs(members, judgments.get(generation, ())), lam)
-                fit = ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
+                gradient = bt_gradient(scores, _fit_pairs(members, judgments.get(generation, ())), config.lam)
+                fit = ScoreVector(scores, config.lam, bool(_converged(gradient)), payload["iterations"])
                 if not _same(payload, _score_payload(members, fit)):
                     raise ReplayError(f"record {idx}: score-fit is not what the run writes at its scores")
                 fits[generation] = fit
@@ -765,7 +774,7 @@ def replay(source) -> ReplayResult:
                 else:
                     if selection_seen:
                         raise ReplayError(f"record {idx}: second selection record")
-                    if generation != config["generations"] or not _same(payload, _selection_payload(members, fit)):
+                    if generation != config.generations or not _same(payload, _selection_payload(members, fit)):
                         raise ReplayError(f"record {idx}: selection is not rank's top of the last generation's fit")
                     selected_id = payload["selected_id"]
                     selection_seen = True
@@ -800,4 +809,4 @@ def replay(source) -> ReplayResult:
                 scores=fits.get(generation),
             )
         )
-    return ReplayResult(states=states, selected_id=selected_id, config=config)
+    return ReplayResult(states=states, selected_id=selected_id, config=config_record)

@@ -1,6 +1,7 @@
 """Score-fitting tests: frozen oracles, finite differences, fit invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,23 @@ def test_stacked_rows_fit_exactly_as_alone():
     assert iterations[7] == 0 and not scores[7].any()  # no comparisons
 
 
+def test_stacked_row_bare_triples_and_records_fit_alike():
+    # a fit reads a ComparisonRecord as its (left, right, outcome) triple, so a
+    # bare triple, its record and its fit_bt_rows row give the same bits
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        triples = []
+        for _ in range(int(rng.integers(1, 3 * n))):
+            left, right = rng.choice(n, size=2, replace=False).tolist()
+            triples.append((left, right, (LEFT_WINS, RIGHT_WINS, TIE)[int(rng.integers(3))]))
+        bare, recorded = fit_bt(triples, n), fit_bt(records_of(triples), n)
+        scores, converged, iterations = fit_bt_rows(*stack_rows([triples], n), n)
+        assert bare.scores.tobytes() == recorded.scores.tobytes() == scores[0].tobytes()
+        assert bare.iterations == recorded.iterations == iterations[0]
+        assert bare.converged == recorded.converged == converged[0]
+
+
 def test_stacked_line_search_rows_fit_exactly_as_alone():
     # heavy weights and a weak penalty: the first two rows halve their Newton step
     # (once and three times), each in different iterations, and the third never does
@@ -544,6 +562,20 @@ def test_record_validation():
         fit_bt([], 1)
     with pytest.raises(ValueError):
         fit_bt([], 4, lam=0.0)
+
+
+@pytest.mark.parametrize("triple", [(0, 1, "draw"), (1, 1, LEFT_WINS)], ids=["unknown-outcome", "self-comparison"])
+def test_fits_refuse_a_bare_triple_as_its_record_is_refused(triple):
+    with pytest.raises(ValueError) as refused:
+        ComparisonRecord(*triple)
+    message = re.escape(str(refused.value)) + "$"
+    for fit in (
+        lambda: fit_bt([triple], 2),
+        lambda: bt_objective([0.0, 0.0], [triple]),
+        lambda: bt_gradient([0.0, 0.0], [triple]),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fit()
 
 
 @st.composite

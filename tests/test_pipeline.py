@@ -554,28 +554,50 @@ def test_replay_checks_each_candidate_s_id_and_generation_type(edit, named):
         replay(edited)
 
 
+DROP = object()
+
+
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
-        ({"n": 6}, "3n/4=18/4 mutations per round is not an integer"),
-        ({"final_k": "5"}, "m must be an integer of at least 0, got '5'"),
+        ({"n": 6}, "population size n=6 must be a positive multiple of 4"),
+        ({"final_k": "5"}, "final_k must be an integer, got '5'"),
         ({"lam": 0}, "lam must be positive and finite, got 0"),
-        ({"lam": True}, "lam must be positive and finite, got True"),
-        ({"parse_retries": -1}, "parse_retries must be an integer of at least 0, got -1"),
+        ({"lam": True}, "lam must be a number, got True"),
+        ({"parse_retries": -1}, "parse_retries must be non-negative"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"temperature_judge": 5.0}, "temperature_judge out of range [0, 2]"),
+        ({"backend": "quantum"}, "unknown backend 'quantum'"),
+        ({"include_restart_license": "yes"}, "include_restart_license must be true or false"),
+        ({"feedback_strategy": {"kind": "bogus", "k": 3}}, "unknown feedback strategy 'bogus'"),
+        ({"x": 1}, "config fields: missing [], extra ['x']"),
+        ({"backend": DROP}, "config fields: missing ['backend'], extra []"),
+        # a strategy without its k: RunConfig takes it, but its echo says k null
+        ({"feedback_strategy": {"kind": "pairwise-all"}}, "config is not the echo of the RunConfig it describes"),
     ],
-    ids=["n-6", "final_k-string", "lam-0", "lam-true", "parse_retries-negative"],
+    ids=[
+        "n-6", "final_k-string", "lam-0", "lam-true", "parse_retries-negative", "seed-negative",
+        "temperature_judge-5", "backend-quantum", "restart_license-string", "strategy-bogus",
+        "extra-field", "missing-field", "strategy-without-k",
+    ],
 )
 def test_replay_rejects_a_config_the_run_would_refuse(edit, message):
+    """Replay rebuilds the config record as the RunConfig it echoes, so it
+    refuses what RunConfig refuses, with RunConfig's message, and a field
+    missing or extra (DROP deletes one)."""
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    record = json.loads(lines[0])
+    record["payload"] = {key: value for key, value in {**record["payload"], **edit}.items() if value is not DROP}
     with pytest.raises(ReplayError, match=re.escape(f"record 0: bad config payload ({message})") + "$"):
-        replay(_edited(lines, 0, **edit))
+        replay([json.dumps(record)] + lines[1:])
 
 
 def test_replay_rejects_a_config_missing_a_count():
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
     config = json.loads(lines[0])
     del config["payload"]["k"]
-    with pytest.raises(ReplayError, match=re.escape("record 0: bad config payload ('k')") + "$"):
+    message = "record 0: bad config payload (config fields: missing ['k'], extra [])"
+    with pytest.raises(ReplayError, match=re.escape(message) + "$"):
         replay([json.dumps(config)] + lines[1:])
 
 
