@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, is_finite_real
+from .errors import ConfigError, is_finite_real, is_int
 
 LEFT_WINS = "left-wins"
 RIGHT_WINS = "right-wins"
@@ -112,11 +112,14 @@ def _row_edges(rows: np.ndarray, winners: np.ndarray, losers: np.ndarray, weight
 
 
 def _win_entries(pairs, population_size: int) -> _Edges:
-    """One fit's edges over (left, right, outcome) triples, checked as ComparisonRecords are; ties are two half-wins."""
+    """One fit's edges over (left, right, outcome) triples of integer indices, checked as ComparisonRecords are."""
     winners: list[int] = []
     losers: list[int] = []
     weights: list[float] = []
     for left, right, outcome in pairs:
+        # `type(x) is int` first: is_int's common case, without the call on every index
+        if not ((type(left) is int or is_int(left)) and (type(right) is int or is_int(right))):
+            raise ValueError(f"record ({left!r}, {right!r}): candidate indices must be integers")
         if not (0 <= left < population_size and 0 <= right < population_size):
             raise ValueError(f"record ({left}, {right}) out of range for population of {population_size}")
         _check_comparison(left, right, outcome)

@@ -58,6 +58,8 @@ class Judgment:
     degraded: bool = False
 
     def __post_init__(self) -> None:
+        if self.left_id == self.right_id:
+            raise ValueError(f"self-comparison of {self.left_id!r}")
         if self.outcome not in (LEFT_WINS, RIGHT_WINS, TIE):
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if self.degraded and self.outcome != TIE:

@@ -21,11 +21,11 @@ an aborted run keeps everything up to the last completed barrier plus one
 abort record, and the file is closed when the run ends or aborts.  A
 RunTrace made directly keeps its file open until its `close`.
 
-`replay` reads a trace back and checks each record the run derives with the
-function and payload builder the run wrote it with, the config through the
-RunConfig it echoes and a fit over the (left, right, outcome) triples
-`_fit_pairs` hands fit_bt; only what the backend decides (candidate and
-judgment text, outcomes) and a fit's `iterations` are taken as recorded.
+`replay` walks a trace in the order the run writes it, checks each record's
+envelope and each derived payload with the function the run wrote it by, and
+each round's judgments against a pairing plan's shape; it takes as recorded
+what the backend decides (candidate and judgment text, verdicts), each
+`presented_first`, which plan of that shape was sampled, and fits' `iterations`.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ from .backends import (
 from .btrank import DEFAULT_LAM, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
-from .pairing import sample_pairing
+from .pairing import _plan_misfit, sample_pairing
 from .population import (
-    ORIGIN_ELITE,
     ORIGIN_MUTATED,
     ORIGIN_SAMPLED,
     Candidate,
@@ -354,11 +353,11 @@ def _judge_pair(
     return degraded_tie(task), retries
 
 
-def _fit_pairs(members, judgments) -> list[tuple[int, int, str]]:
-    """What a generation's fit is over: (left, right, outcome) of its judgments, by member index."""
-    index = {member.id: i for i, member in enumerate(members)}
+def _fit_pairs(pairs, judgments) -> list[tuple[int, int, str]]:
+    """What a generation's fit is over: (left, right, outcome) of its judgments,
+    by the (left, right) member indices of each in `pairs`."""
     # a degraded tie is no evidence, so it is left out of the fit (weight 0)
-    return [(index[j.left_id], index[j.right_id], j.outcome) for j in judgments if not j.degraded]
+    return [(left, right, j.outcome) for (left, right), j in zip(pairs, judgments) if not j.degraded]
 
 
 def _score_payload(members, scores: ScoreVector) -> dict:
@@ -505,7 +504,7 @@ def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -
             trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
         barrier()
         judgments = tuple(judgment for judgment, _ in results)
-        scores = fit_bt(_fit_pairs(members, judgments), n, lam=config.lam)
+        scores = fit_bt(_fit_pairs(plan.pairs, judgments), n, lam=config.lam)
         trace.append("score-fit", state.generation, round_no, _score_payload(members, scores))
         return GenerationState(state.generation, members, judgments, scores)
 
@@ -583,7 +582,6 @@ class ReplayResult:
 
 
 _RECORD_FIELDS = frozenset(("kind", "generation", "round", "payload", "schema_version"))
-_OBJECT_PAYLOAD_KINDS = ("config", "candidate", "judgment", "score-fit", "routing", "barrier", "selection", "summary")
 
 
 _DECODER = json.JSONDecoder()
@@ -616,51 +614,34 @@ def _same(recorded: dict, expected: dict) -> bool:
     return True
 
 
-def _first_misfit(previous: GenerationState, routing: Routing, members: list[Candidate]) -> int | None:
-    """The position of the first of `members`, the next generation's
-    candidates as recorded, that is not what assemble_next_generation makes
-    of `previous`, its `routing` and each parent's mutation into the recorded
-    child's content; None if none."""
-    generation, parents = previous.generation + 1, previous.members
-    recorded = members[len(routing.elites) :]
-    children = [_mutation(generation, i, parents[i], child.content) for i, child in zip(routing.parents, recorded)]
-    expected = assemble_next_generation(previous, routing, children).members
-    for position, (member, want) in enumerate(zip(members, expected)):
-        if not _same(vars(member), vars(want)):
-            return position
-    return None
-
-
 def replay(source) -> ReplayResult:
     """Rebuild every GenerationState (members, judgments, scores) from a
-    trace, checking each record against the function the run wrote it by.
+    trace, reading its records in the order the run writes them and checking
+    each with the function the run wrote it by.
 
     Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
     (str or bytes), read in one pass; blank lines are skipped.  The config
-    record must come first, and is rebuilt as a RunConfig whose `echo()` must
-    equal it, type for type; the counts, lam and budget below are that
-    config's.  Each judgment's `pair_index` must be its position in its round,
-    its `retries` a count of at most `parse_retries` (all of them for a
-    degraded tie), and both its sides members of its generation.  Each
-    score-fit must be over its generation's n members, with the config's lam
-    and the `converged` flag of `bt_gradient` at its scores over the (left,
-    right, outcome) triples of its judgments, degraded ties left out; its
-    `iterations` is taken as recorded.  Each routing must be `route` of its
-    generation's fit; each candidate of generation 0 the sample
-    `sample_candidates` makes at its position, and of generation g >= 1 what
-    `assemble_next_generation` makes of generation g-1, its routing and each
-    parent's mutation into the recorded child's content; the selection `rank`'s
-    top member of the last generation's fit; each barrier and the summary the
-    counts of the records before them, and the summary's calls the config's
-    budget.  Re-derived counts, indices and flags must match in JSON type too.
+    record comes first and is rebuilt as a RunConfig whose `echo()` must equal
+    it, type for type; its counts fix the rest of the walk, in `_run`'s order,
+    up to the summary, after which nothing may follow.  Each record must hold
+    the five record fields and no others: the kind, generation and round the
+    run writes there as JSON integers, schema_version the integer 1 and an
+    object payload.  Each judgment's `pair_index` must be its position, its
+    `retries` a count the run can spend on it, its sides distinct members of
+    its generation, and its round's member-index pairs the shape of a
+    `sample_pairing` plan.  Each score-fit's `converged` flag must be the test
+    of `bt_gradient` at its scores over `_fit_pairs`; each routing, candidate,
+    selection, barrier and summary what `route`, `sample_candidates`,
+    `assemble_next_generation`, `rank` and the call counts make of the records
+    before it; every re-derived field in its JSON type too.  Taken as recorded
+    are what the backend decides (candidate and judgment text, verdicts), each
+    `presented_first`, which plan of that shape was sampled, and a fit's
+    `iterations`.
 
     Raises ReplayError for corrupt input, for any record that breaks these
-    rules or comes out of the run's order (a second config, fit or
-    selection; a record before the config; a candidate after its
-    generation's fit or before the routing it descends from; a routing or
-    selection before its generation's fit), and for a truncated trace that
-    never reached its summary record.  Each error names the first offending
-    record by its 0-based line index, blank lines counted.
+    rules, and for a trace that ends, or reaches an abort record, before its
+    summary; each error names the first offending record by its 0-based line
+    index, blank lines counted.
     """
     if isinstance(source, RunTrace):
         lines = source.to_jsonl().splitlines()
@@ -668,145 +649,142 @@ def replay(source) -> ReplayResult:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = source
+    records = enumerate(lines)
+    at = kind = None  # the index and kind of the record last read
 
-    config: RunConfig | None = None
-    config_record: dict | None = None
-    budget = primary_calls = retry_calls = barriers = 0
-    candidates: dict[int, list[Candidate]] = {}
-    candidate_lines: dict[int, list[int]] = {}
-    member_ids: dict[int, set[str]] = {}
-    judgments: dict[int, list[Judgment]] = {}
-    fits: dict[int, ScoreVector] = {}
-    routings: dict[int, Routing] = {}
-    selected_id: str | None = None
-    selection_seen = summary_seen = False
-    last_idx: int | None = None
-
-    for idx, line in enumerate(lines):
-        if not line.strip():
-            continue
+    def read(want: str | None, generation: int = -1, round_no: int = 0) -> dict:
+        """The payload of the next record, which must be the `want` record of
+        `generation` and `round_no`; with `want` None, there must be none."""
+        nonlocal at, kind
+        for idx, line in records:
+            if line.strip():
+                break
+        else:
+            if want is None:
+                return {}
+            if at is None:
+                raise ReplayError("empty trace")
+            raise ReplayError(f"truncated trace: no summary record (last record index {at})")
+        at = idx
         try:
             record = _loads(line)
         except json.JSONDecodeError as exc:
-            raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
+            raise ReplayError(f"record {at}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
-            raise ReplayError(f"record {idx}: expected an object")
-        if not record.keys() >= _RECORD_FIELDS:
-            raise ReplayError(f"record {idx}: missing fields {sorted(_RECORD_FIELDS - record.keys())}")
-        if record["schema_version"] != SCHEMA_VERSION:
-            raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
-        kind, generation, payload = record["kind"], record["generation"], record["payload"]
+            raise ReplayError(f"record {at}: expected an object")
+        if record.keys() != _RECORD_FIELDS:
+            missing, extra = sorted(_RECORD_FIELDS - record.keys()), sorted(record.keys() - _RECORD_FIELDS)
+            raise ReplayError(f"record {at}: record fields: missing {missing}, extra {extra}")
+        version, kind, payload = record["schema_version"], record["kind"], record["payload"]
         # decoded JSON holds no numpy integers, so here `type(x) is int` is is_int
-        if type(generation) is not int:
-            raise ReplayError(f"record {idx}: generation must be an integer, got {generation!r}")
-        if kind in _OBJECT_PAYLOAD_KINDS and not isinstance(payload, dict):
-            raise ReplayError(f"record {idx}: bad {kind} payload (expected an object, got {type(payload).__name__})")
-        if config is None and kind != "config":
-            raise ReplayError(f"record {idx}: {kind} before the config record")
-        last_idx = idx
-        try:
-            if kind == "config":
-                if config is not None:
-                    raise ReplayError(f"record {idx}: second config record")
-                config, config_record = _config_of(payload), payload
-                budget = compute_budget(config.n, config.k, config.generations, config.final_k)
-            elif kind == "candidate":
-                member = Candidate(**payload)
-                if generation in fits:
-                    raise ReplayError(f"record {idx}: candidate of generation {generation} after its score-fit")
-                if generation and generation - 1 not in routings:
-                    raise ReplayError(f"record {idx}: candidate of generation {generation} before its parents' routing")
-                members = candidates.setdefault(generation, [])
-                if generation == 0 and not _same(payload, vars(_sample(len(members), member.content))):
-                    raise ReplayError(f"record {idx}: candidate {member.id} is not what sample_candidates makes")
-                members.append(member)
-                candidate_lines.setdefault(generation, []).append(idx)
-                member_ids.setdefault(generation, set()).add(member.id)
-                if member.origin != ORIGIN_ELITE:
-                    primary_calls += 1
-                if generation and len(members) == len(candidates[generation - 1]):
-                    previous = GenerationState(generation - 1, tuple(candidates[generation - 1]))
-                    bad = _first_misfit(previous, routings[generation - 1], members)
-                    if bad is not None:
-                        at, misfit = candidate_lines[generation][bad], members[bad].id
-                        raise ReplayError(f"record {at}: candidate {misfit} is not what assemble_next_generation makes")
-            elif kind == "judgment":
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ReplayError(f"record {at}: unsupported schema_version {version!r}")
+        found_generation, found_round = record["generation"], record["round"]
+        if not (kind == want and found_generation == generation and found_round == round_no
+                and type(found_generation) is type(found_round) is int):
+            if want is None:
+                raise ReplayError(f"record {at}: {kind} record after the summary")
+            if kind == "abort":
+                raise ReplayError(f"truncated trace: no summary record (last record index {at})")
+            found = f"{kind} of generation {found_generation!r}, round {found_round!r}"
+            wanted = f"{want} of generation {generation}, round {round_no}"
+            raise ReplayError(f"record {at}: {found}, where the run writes {wanted}")
+        if type(payload) is not dict:
+            raise ReplayError(f"record {at}: bad {kind} payload (expected an object, got {type(payload).__name__})")
+        return payload
+
+    try:
+        config_record = read("config")
+        config = _config_of(config_record)
+        n, last = config.n, config.generations + 1
+        budget = compute_budget(n, config.k, config.generations, config.final_k)
+        primary_calls = retry_calls = barriers = 0
+
+        def barrier(round_no: int) -> None:
+            nonlocal barriers
+            barriers += 1
+            if not _same(read("barrier", -1, round_no), _barrier_payload(barriers, primary_calls, retry_calls)):
+                raise ReplayError(f"record {at}: barrier does not count the records before it")
+
+        members = []
+        for i in range(n):
+            payload = read("candidate", 0, 1)
+            member = Candidate(**payload)
+            if not _same(payload, vars(_sample(i, member.content))):
+                raise ReplayError(f"record {at}: candidate {member.id} is not what sample_candidates makes")
+            members.append(member)
+        primary_calls += n
+        barrier(1)
+        state = GenerationState(0, tuple(members))
+        states = []
+        for round_no in range(1, last + 1):
+            generation, members = state.generation, state.members
+            degree = config.k if round_no < last else config.final_k
+            index = {member.id: i for i, member in enumerate(members)}
+            judgments, pairs, judgment_at = [], [], []
+            # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
+            most = config.parse_retries
+            for position in range(n * degree // 2):
+                payload = read("judgment", generation, round_no)
                 pair_index, retries = payload.pop("pair_index"), payload.pop("retries")
                 judgment = Judgment(**payload)
-                round_judgments = judgments.setdefault(generation, [])
-                position = len(round_judgments)
                 if not (pair_index == position and type(pair_index) is int):
-                    raise ReplayError(f"record {idx}: pair_index {pair_index!r} is not its position {position}")
-                # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
-                most = config.parse_retries
+                    raise ReplayError(f"record {at}: pair_index {pair_index!r} is not its position {position}")
                 if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
-                    raise ReplayError(
-                        f"record {idx}: retries {retries!r} is not a count the run spends on this judgment"
-                    )
-                pair = (judgment.left_id, judgment.right_id)
-                if not member_ids.get(generation, frozenset()).issuperset(pair):
-                    raise ReplayError(f"record {idx}: judgment {pair} is not between members of its generation")
-                round_judgments.append(judgment)
-                primary_calls += 1
+                    raise ReplayError(f"record {at}: retries {retries!r} is not a count the run spends on this judgment")
+                left, right = index.get(judgment.left_id), index.get(judgment.right_id)
+                if left is None or right is None:
+                    pair = (judgment.left_id, judgment.right_id)
+                    raise ReplayError(f"record {at}: judgment {pair} is not between members of its generation")
+                judgments.append(judgment)
+                pairs.append((left, right))
+                judgment_at.append(at)
                 retry_calls += retries
-            elif kind == "score-fit":
-                if generation in fits:
-                    raise ReplayError(f"record {idx}: second score-fit for generation {generation}")
-                members = candidates.get(generation, [])
-                ids = [member.id for member in members]
-                if payload["member_ids"] != ids or len(payload["scores"]) != len(ids) or len(ids) != config.n:
-                    raise ReplayError(f"record {idx}: score-fit does not match generation {generation}'s members")
-                scores = np.asarray(payload["scores"], dtype=np.float64)
-                gradient = bt_gradient(scores, _fit_pairs(members, judgments.get(generation, ())), config.lam)
-                fit = ScoreVector(scores, config.lam, bool(_converged(gradient)), payload["iterations"])
-                if not _same(payload, _score_payload(members, fit)):
-                    raise ReplayError(f"record {idx}: score-fit is not what the run writes at its scores")
-                fits[generation] = fit
-            elif kind in ("routing", "selection"):
-                if generation not in fits:
-                    raise ReplayError(f"record {idx}: {kind} of generation {generation} before its score-fit")
-                members, fit = candidates[generation], fits[generation]
-                if kind == "routing":
-                    routing = route(fit)
-                    if not _same(payload, _routing_payload(members, routing)):
-                        raise ReplayError(f"record {idx}: routing is not route of generation {generation}'s fit")
-                    routings[generation] = routing
-                else:
-                    if selection_seen:
-                        raise ReplayError(f"record {idx}: second selection record")
-                    if generation != config.generations or not _same(payload, _selection_payload(members, fit)):
-                        raise ReplayError(f"record {idx}: selection is not rank's top of the last generation's fit")
-                    selected_id = payload["selected_id"]
-                    selection_seen = True
-            elif kind == "barrier":
-                barriers += 1
-                if not _same(payload, _barrier_payload(barriers, primary_calls, retry_calls)):
-                    raise ReplayError(f"record {idx}: barrier does not count the records before it")
-            elif kind == "summary":
-                expected = _summary_payload(primary_calls, retry_calls, budget, barriers)
-                if primary_calls != budget or not _same(payload, expected):
-                    raise ReplayError(f"record {idx}: summary does not count the records before it or is off budget")
-                summary_seen = True
-            elif kind != "abort":
-                raise ReplayError(f"record {idx}: unknown kind {kind!r}")
-        except ReplayError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReplayError(f"record {idx}: bad {kind} payload ({exc})") from exc
+            primary_calls += len(judgments)
+            bad = _plan_misfit(pairs, n, degree)
+            if bad is not None:
+                pair, at = (judgments[bad].left_id, judgments[bad].right_id), judgment_at[bad]
+                raise ReplayError(f"record {at}: judgment {pair} is out of a sorted {degree}-regular plan's shape")
+            barrier(round_no)
 
-    if last_idx is None:
-        raise ReplayError("empty trace")
-    if not summary_seen:
-        raise ReplayError(f"truncated trace: no summary record (last record index {last_idx})")
+            payload = read("score-fit", generation, round_no)
+            if payload["member_ids"] != list(index) or len(payload["scores"]) != n:
+                raise ReplayError(f"record {at}: score-fit does not match generation {generation}'s members")
+            scores = np.asarray(payload["scores"], dtype=np.float64)
+            gradient = bt_gradient(scores, _fit_pairs(pairs, judgments), config.lam)
+            fit = ScoreVector(scores, config.lam, bool(_converged(gradient)), payload["iterations"])
+            if not _same(payload, _score_payload(members, fit)):
+                raise ReplayError(f"record {at}: score-fit is not what the run writes at its scores")
+            state = GenerationState(generation, members, tuple(judgments), fit)
+            states.append(state)
+            if round_no == last:
+                break
 
-    states = []
-    for generation in sorted(candidates):
-        states.append(
-            GenerationState(
-                generation=generation,
-                members=tuple(candidates[generation]),
-                judgments=tuple(judgments.get(generation, ())),
-                scores=fits.get(generation),
-            )
-        )
-    return ReplayResult(states=states, selected_id=selected_id, config=config_record)
+            routing = route(fit)
+            if not _same(read("routing", generation, round_no), _routing_payload(members, routing)):
+                raise ReplayError(f"record {at}: routing is not route of generation {generation}'s fit")
+            recorded, recorded_at = [], []
+            for _ in range(n):
+                recorded.append(Candidate(**read("candidate", generation + 1, round_no)))
+                recorded_at.append(at)
+            children = recorded[len(routing.elites) :]
+            children = [_mutation(generation + 1, i, members[i], c.content) for i, c in zip(routing.parents, children)]
+            expected = assemble_next_generation(state, routing, children).members
+            for at, member, want in zip(recorded_at, recorded, expected):
+                if not _same(vars(member), vars(want)):
+                    raise ReplayError(f"record {at}: candidate {member.id} is not what assemble_next_generation makes")
+            primary_calls += len(children)
+            barrier(round_no)
+            state = GenerationState(generation + 1, tuple(recorded))
+
+        selection = read("selection", config.generations, last)
+        if not _same(selection, _selection_payload(state.members, state.scores)):
+            raise ReplayError(f"record {at}: selection is not rank's top of the last generation's fit")
+        if not _same(read("summary", -1, last), _summary_payload(primary_calls, retry_calls, budget, barriers)):
+            raise ReplayError(f"record {at}: summary does not count the records before it or is off budget")
+        read(None)
+    except ReplayError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayError(f"record {at}: bad {kind} payload ({exc})") from exc
+    return ReplayResult(states=states, selected_id=selection["selected_id"], config=config_record)

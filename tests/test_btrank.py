@@ -479,6 +479,18 @@ def test_stacked_pick_stop_reports_no_convergence_flags():
     assert fit_picks_only(winners, losers, weights, 8, 0.01)[1] is None
 
 
+@pytest.mark.parametrize(
+    "record", [(0.5, 1, LEFT_WINS), (True, 0, LEFT_WINS), (0, 1.0, TIE)], ids=["half", "true", "float"]
+)
+def test_fits_refuse_indices_that_are_not_integers(record):
+    # a fractional index would be truncated, and true taken as candidate 1
+    scores = [0.0, 0.0]
+    calls = [lambda: fit_bt([record], 2), lambda: bt_objective(scores, [record]), lambda: bt_gradient(scores, [record])]
+    for call in calls:
+        with pytest.raises(ValueError, match="candidate indices must be integers"):
+            call()
+
+
 def test_stacked_rows_validation():
     winners, losers, weights = stack_rows([FIXED_RECORDS], 8)
     with pytest.raises(ValueError, match="out of range"):

@@ -180,6 +180,8 @@ def test_judgment_validation():
         Judgment("L", "R", LEFT_WINS, "", "", "L", degraded=True)
     with pytest.raises(ValueError):
         Judgment("L", "R", TIE, "", "", "X")
+    with pytest.raises(ValueError, match="self-comparison of 'L'"):
+        Judgment("L", "L", LEFT_WINS, "", "", "L")
 
 
 def test_rewrite_self_relative():

@@ -277,7 +277,8 @@ def test_replay_rejects_a_generation_that_is_not_an_integer(kind, generation):
     lines = trace.to_jsonl().splitlines()
     at = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
     lines[at] = json.dumps(dict(json.loads(lines[at]), generation=generation))
-    with pytest.raises(ReplayError, match=f"record {at}: generation must be an integer"):
+    message = _misplaced((kind, generation, 1), (kind, 0, 1))
+    with pytest.raises(ReplayError, match=re.escape(f"record {at}: {message}") + "$"):
         replay(lines)
 
 
@@ -302,13 +303,22 @@ def _line_of(lines, kind):
     return next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
 
 
+def _misplaced(found, want):
+    """replay's text for a record whose (kind, generation, round) is `found` where the run writes `want`."""
+    return (
+        f"{found[0]} of generation {found[1]!r}, round {found[2]!r},"
+        f" where the run writes {want[0]} of generation {want[1]}, round {want[2]}"
+    )
+
+
 def test_replay_rejects_a_second_score_fit_for_one_generation():
     _, trace = run_pipeline(RunConfig(**SMALL))
     lines = trace.to_jsonl().splitlines()
     at = _line_of(lines, "score-fit")
     generation = json.loads(lines[at])["generation"]
     lines.insert(at + 1, lines[at])
-    with pytest.raises(ReplayError, match=f"record {at + 1}: second score-fit for generation {generation}$"):
+    message = _misplaced(("score-fit", generation, 1), ("routing", generation, 1))
+    with pytest.raises(ReplayError, match=re.escape(f"record {at + 1}: {message}") + "$"):
         replay(lines)
 
 
@@ -317,7 +327,8 @@ def test_replay_rejects_a_second_selection():
     lines = trace.to_jsonl().splitlines()
     at = _line_of(lines, "selection")
     lines.insert(at + 1, lines[at])
-    with pytest.raises(ReplayError, match=f"record {at + 1}: second selection record$"):
+    message = _misplaced(("selection", 2, 3), ("summary", -1, 3))
+    with pytest.raises(ReplayError, match=re.escape(f"record {at + 1}: {message}") + "$"):
         replay(lines)
 
 
@@ -380,7 +391,8 @@ def test_replay_checks_each_routing_against_route_of_its_fit():
         replay(_edited(lines, at, mutation_parents=routing["mutation_parents"][::-1]))
     fit_at = _line_of(lines, "score-fit")
     moved = lines[:fit_at] + [lines[at]] + lines[fit_at:at] + lines[at + 1 :]
-    with pytest.raises(ReplayError, match=f"record {fit_at}: routing of generation 0 before its score-fit$"):
+    message = _misplaced(("routing", 0, 1), ("score-fit", 0, 1))
+    with pytest.raises(ReplayError, match=re.escape(f"record {fit_at}: {message}") + "$"):
         replay(moved)
     listed = lines[:at] + [json.dumps(dict(json.loads(lines[at]), payload=[1, 2]))] + lines[at + 1 :]
     with pytest.raises(ReplayError, match=rf"record {at}: bad routing payload \(expected an object, got list\)$"):
@@ -409,7 +421,13 @@ def _run_edits(lines):
     elite = _line_where(lines, "candidate", id="g1-elite001")
     child = _line_where(lines, "candidate", id="g1-mut002")
     first, second = _line_where(lines, "judgment", pair_index=0), _line_where(lines, "judgment", pair_index=1)
-    assert json.loads(lines[first])["payload"]["left_id"] == "g0-s000"
+    judgment, following = json.loads(lines[first])["payload"], json.loads(lines[second])["payload"]
+    pair = (judgment["left_id"], judgment["right_id"], judgment["outcome"])
+    assert (first, *pair) == (10, "g0-s000", "g0-s001", "right-wins") and following["left_id"] == "g0-s000"
+    # the first pair's sides swapped, with its outcome and rationales
+    sides = dict(judgment, left_id="g0-s001", right_id="g0-s000", outcome="left-wins")
+    sides.update(rationale_for_left=judgment["rationale_for_right"], rationale_for_right=judgment["rationale_for_left"])
+    summary = json.loads(lines[at["summary"]])
     next_barrier = _line_where(lines, "barrier", barrier=2)
     fit_message = "score-fit is not what the run writes at its scores"
     counts = "does not count the records before it"
@@ -446,14 +464,40 @@ def _run_edits(lines):
         ),
         "barrier-deleted": (
             lines[: at["barrier"]] + lines[at["barrier"] + 1 :],
-            next_barrier - 1,
-            f"barrier {counts}",
+            at["barrier"],
+            _misplaced(("judgment", 0, 1), ("barrier", -1, 1)),
         ),
         "retries-off-by-one": (_edited(lines, first, retries=1), next_barrier, f"barrier {counts}"),
         "pair-index": (
             _edited(lines, second, pair_index=0),
             second,
             "pair_index 0 is not its position 1",
+        ),
+        "judgment-of-itself": (
+            _edited(lines, first, right_id="g0-s000"),
+            first,
+            "bad judgment payload (self-comparison of 'g0-s000')",
+        ),
+        "judgment-sides-swapped": (
+            _edited(lines, first, **sides),
+            first,
+            "judgment ('g0-s001', 'g0-s000') is out of a sorted 3-regular plan's shape",
+        ),
+        # each pair_index left at its position
+        "judgments-swapped": (
+            _edited(_edited(lines, first, **dict(following, pair_index=0)), second, **dict(judgment, pair_index=1)),
+            second,
+            "judgment ('g0-s000', 'g0-s001') is out of a sorted 3-regular plan's shape",
+        ),
+        "record-after-summary": (
+            lines + ["", lines[at["barrier"]]],
+            len(lines) + 1,
+            "barrier record after the summary",
+        ),
+        "abort-after-summary": (
+            lines + [json.dumps(dict(summary, kind="abort", payload={"error": "late", "type": "RuntimeError"}))],
+            len(lines),
+            "abort record after the summary",
         ),
     }
 
@@ -471,6 +515,11 @@ RUN_EDITS = [
     "barrier-deleted",
     "retries-off-by-one",
     "pair-index",
+    "judgment-of-itself",
+    "judgment-sides-swapped",
+    "judgments-swapped",
+    "record-after-summary",
+    "abort-after-summary",
 ]
 
 
@@ -482,6 +531,29 @@ def test_replay_names_the_first_record_the_run_could_not_have_written(edit):
     edited, at, message = edits[edit]
     with pytest.raises(ReplayError, match=re.escape(f"record {at}: {message}") + "$"):
         replay(edited)
+
+
+ENVELOPE_EDITS = {
+    "round-plus-one": lambda record: dict(record, round=record["round"] + 1),
+    "round-minus-one": lambda record: dict(record, round=record["round"] - 1),
+    "round-float": lambda record: dict(record, round=float(record["round"])),
+    "round-string": lambda record: dict(record, round=str(record["round"])),
+    "generation-plus-one": lambda record: dict(record, generation=record["generation"] + 1),
+    "generation-float": lambda record: dict(record, generation=float(record["generation"])),
+    "schema-version-true": lambda record: dict(record, schema_version=True),
+    "schema-version-float": lambda record: dict(record, schema_version=1.0),
+    "extra-field": lambda record: dict(record, note="x"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ENVELOPE_EDITS))
+def test_replay_refuses_an_envelope_edit_of_any_record_at_that_record(edit):
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    assert len(lines) == 82
+    change = ENVELOPE_EDITS[edit]
+    for at, line in enumerate(lines):
+        with pytest.raises(ReplayError, match=f"^record {at}: "):
+            replay(lines[:at] + [json.dumps(change(json.loads(line)))] + lines[at + 1 :])
 
 
 @pytest.mark.parametrize(("seed", "selected_index"), [(31, 6.0), (0, True)])
@@ -604,28 +676,33 @@ def test_replay_rejects_a_config_missing_a_count():
 @pytest.mark.parametrize("kind", ["score-fit", "summary", "candidate"])
 def test_replay_rejects_a_record_before_the_config(kind):
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
-    with pytest.raises(ReplayError, match=f"record 1: {kind} before the config record$"):
-        replay([""] + [lines[_line_of(lines, kind)]] + lines)
+    line = lines[_line_of(lines, kind)]
+    record = json.loads(line)
+    message = _misplaced((kind, record["generation"], record["round"]), ("config", -1, 0))
+    with pytest.raises(ReplayError, match=re.escape(f"record 1: {message}") + "$"):
+        replay([""] + [line] + lines)
 
 
 def test_replay_rejects_records_out_of_the_run_s_order():
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
     fit, routing, barrier, selection = (_line_of(lines, k) for k in ("score-fit", "routing", "barrier", "selection"))
-    with pytest.raises(ReplayError, match="record 1: second config record$"):
-        replay(lines[:1] + lines)
-    with pytest.raises(ReplayError, match=f"record {fit + 1}: candidate of generation 0 after its score-fit$"):
-        replay(lines[: fit + 1] + [lines[1]] + lines[fit + 1 :])
+
+    def refused(edited, at, found, want):
+        with pytest.raises(ReplayError, match=re.escape(f"record {at}: {_misplaced(found, want)}") + "$"):
+            replay(edited)
+
+    refused(lines[:1] + lines, 1, ("config", -1, 0), ("candidate", 0, 1))
+    refused(lines[: fit + 1] + [lines[1]] + lines[fit + 1 :], fit + 1, ("candidate", 0, 1), ("routing", 0, 1))
     carryover = routing + 1
-    with pytest.raises(ReplayError, match=f"record {routing}: candidate of generation 1 before its parents' routing$"):
-        replay(lines[:routing] + [lines[carryover], lines[routing]] + lines[carryover + 1 :])
-    with pytest.raises(ReplayError, match=f"record {fit}: selection of generation 0 before its score-fit$"):
-        replay(lines[:fit] + [json.dumps(dict(json.loads(lines[selection]), generation=0))] + lines[fit:])
+    moved = lines[:routing] + [lines[carryover], lines[routing]] + lines[carryover + 1 :]
+    refused(moved, routing, ("candidate", 1, 1), ("routing", 0, 1))
+    first_selection = json.dumps(dict(json.loads(lines[selection]), generation=0))
+    refused(lines[:fit] + [first_selection] + lines[fit:], fit, ("selection", 0, 3), ("score-fit", 0, 1))
     # rank's top member of generation 1's fit, selected there: not the last generation
     state = replay(lines).states[1]
     payload = pipeline._selection_payload(state.members, state.scores)
-    early = dict(json.loads(lines[selection]), generation=1, payload=payload)
-    with pytest.raises(ReplayError, match=f"record {selection}: {NOT_THE_TOP}$"):
-        replay(lines[:selection] + [json.dumps(early)] + lines[selection + 1 :])
+    early = json.dumps(dict(json.loads(lines[selection]), generation=1, payload=payload))
+    refused(lines[:selection] + [early] + lines[selection + 1 :], selection, ("selection", 1, 3), ("selection", 2, 3))
     listed = json.dumps(dict(json.loads(lines[barrier]), payload=[1, 2]))
     with pytest.raises(ReplayError, match=rf"record {barrier}: bad barrier payload \(expected an object, got list\)$"):
         replay(lines[:barrier] + [listed] + lines[barrier + 1 :])
@@ -725,11 +802,13 @@ def _parse_per_line(lines):
             raise ReplayError(f"record {idx}: not valid JSON ({exc})") from exc
         if not isinstance(record, dict):
             raise ReplayError(f"record {idx}: expected an object")
-        missing = {"kind", "generation", "round", "payload", "schema_version"} - record.keys()
-        if missing:
-            raise ReplayError(f"record {idx}: missing fields {sorted(missing)}")
-        if record["schema_version"] != pipeline.SCHEMA_VERSION:
-            raise ReplayError(f"record {idx}: unsupported schema_version {record['schema_version']!r}")
+        fields = {"kind", "generation", "round", "payload", "schema_version"}
+        if record.keys() != fields:
+            missing, extra = sorted(fields - record.keys()), sorted(record.keys() - fields)
+            raise ReplayError(f"record {idx}: record fields: missing {missing}, extra {extra}")
+        version = record["schema_version"]
+        if type(version) is not int or version != pipeline.SCHEMA_VERSION:
+            raise ReplayError(f"record {idx}: unsupported schema_version {version!r}")
         records.append(record)
     return records
 
