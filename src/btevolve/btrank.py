@@ -321,13 +321,14 @@ def _converged(grad: np.ndarray) -> np.ndarray:
 
 
 def _index_array(values) -> np.ndarray:
-    """`values` as an intp array of candidate indices; ValueError unless each is a whole number."""
+    """`values` as an intp array of candidate indices; ValueError unless each
+    is a whole number, which a bool is not."""
     array = np.asarray(values)
     if array.dtype.kind in "iu":
         return array.astype(np.intp, copy=False)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught by the comparison
         indices = array.astype(np.intp)
-    if not np.array_equal(indices, array):
+    if array.dtype.kind == "b" or not np.array_equal(indices, array):
         raise ValueError("candidate indices must be whole numbers")
     return indices
 

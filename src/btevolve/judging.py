@@ -47,6 +47,8 @@ class Judgment:
     judge wrote them (still using A/B labels); they are rewritten into
     self-relative wording only when rendered into a mutation prompt.
     `presented_first` records which candidate was shown as Solution A.
+    The ids and rationales must be strings, so `presented_first`, one of the
+    ids, is one too, and `degraded` must be a bool.
     """
 
     left_id: str
@@ -58,6 +60,18 @@ class Judgment:
     degraded: bool = False
 
     def __post_init__(self) -> None:
+        # one test first: a run and its replay each build a judgment per comparison
+        if not (
+            isinstance(self.left_id, str)
+            and isinstance(self.right_id, str)
+            and isinstance(self.rationale_for_left, str)
+            and isinstance(self.rationale_for_right, str)
+            and isinstance(self.degraded, bool)
+        ):
+            for name in ("left_id", "right_id", "rationale_for_left", "rationale_for_right"):
+                if not isinstance(getattr(self, name), str):
+                    raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
+            raise TypeError(f"degraded must be true or false, got {self.degraded!r}")
         if self.left_id == self.right_id:
             raise ValueError(f"self-comparison of {self.left_id!r}")
         if self.outcome not in (LEFT_WINS, RIGHT_WINS, TIE):

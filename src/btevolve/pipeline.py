@@ -21,17 +21,20 @@ an aborted run keeps everything up to the last completed barrier plus one
 abort record, and the file is closed when the run ends or aborts.  A
 RunTrace made directly keeps its file open until its `close`.
 
-`replay` walks a trace in the order the run writes it, checks each record's
-envelope and each derived payload with the function the run wrote it by, and
-each round's judgments against a pairing plan's shape; it takes as recorded
-what the backend decides (candidate and judgment text, verdicts), each
-`presented_first`, which plan of that shape was sampled, and fits' `iterations`.
+One walk, `_walk`, writes a run's records.  A run drives it with the
+backend's answers; `replay` drives it with answers read from a trace, and
+each record the walk writes must be the recorded one, type for type.  Replay
+takes as recorded what the backend decides (candidate and judgment text,
+verdicts), each `presented_first`, which plan of a pairing plan's shape was
+sampled, fits' `iterations`, and the config fields no checked record depends
+on.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -67,7 +70,7 @@ from .population import (
     render_mutation_prompt,
     route,
 )
-from .seeds import _P_RETRY, _P_SAMPLE, RoundSeeds, derive_seed, derive_seeds, seed_schedule
+from .seeds import _P_RETRY, _P_SAMPLE, derive_seed, derive_seeds, seed_schedule
 
 logger = logging.getLogger(__name__)
 
@@ -116,6 +119,10 @@ class RunConfig:
     backend_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.problem, str):
+            raise ConfigError(f"problem must be a string, got {self.problem!r}")
+        if not isinstance(self.backend_options, dict):
+            raise ConfigError(f"backend_options must be a dict, got {self.backend_options!r}")
         for name in ("n", "k", "generations", "final_k", "seed", "parse_retries"):
             value = getattr(self, name)
             if not is_int(value):
@@ -157,14 +164,13 @@ class RunConfig:
 
 
 def _config_of(echo: dict) -> RunConfig:
-    """The RunConfig whose echo() is `echo`, type for type (RunConfig.echo's inverse); TypeError or ValueError if none."""
+    """The RunConfig that `echo` describes, field for field; TypeError or
+    ValueError if none.  Whether its echo() is `echo`, type for type, is the
+    caller's check."""
     names = {f.name for f in fields(RunConfig)}
     if echo.keys() != names:
         raise ConfigError(f"config fields: missing {sorted(names - echo.keys())}, extra {sorted(echo.keys() - names)}")
-    config = RunConfig(**{**echo, "feedback_strategy": FeedbackStrategy(**echo["feedback_strategy"])})
-    if not _same(echo, config.echo()):
-        raise ConfigError("config is not the echo of the RunConfig it describes")
-    return config
+    return RunConfig(**{**echo, "feedback_strategy": FeedbackStrategy(**echo["feedback_strategy"])})
 
 
 def make_backend(kind: str, options: dict) -> Backend:
@@ -360,24 +366,6 @@ def _fit_pairs(pairs, judgments) -> list[tuple[int, int, str]]:
     return [(left, right, j.outcome) for (left, right), j in zip(pairs, judgments) if not j.degraded]
 
 
-def _score_payload(members, scores: ScoreVector) -> dict:
-    return {
-        "member_ids": [member.id for member in members],
-        "scores": [float(s) for s in scores.scores],
-        "lam": scores.lam,
-        "converged": scores.converged,
-        "iterations": scores.iterations,
-    }
-
-
-def _routing_payload(members: tuple[Candidate, ...], routing: Routing) -> dict:
-    return {
-        "elites": [members[i].id for i in routing.elites],
-        "discards": [members[i].id for i in routing.discards],
-        "mutation_parents": [members[i].id for i in routing.parents],
-    }
-
-
 def _selection_payload(members, scores: ScoreVector) -> dict:
     """The final round's pick: the member `rank` puts first."""
     top = rank(scores)[0]
@@ -387,19 +375,6 @@ def _selection_payload(members, scores: ScoreVector) -> dict:
 def _sample(index: int, content: str) -> Candidate:
     """Sample `index` of generation 0."""
     return Candidate(f"g0-s{index:03d}", content, 0, ORIGIN_SAMPLED)
-
-
-def _mutation(generation: int, index: int, parent: Candidate, content: str) -> Candidate:
-    """The child of member `index`, `parent`, in `generation`."""
-    return Candidate(f"g{generation}-mut{index:03d}", content, generation, ORIGIN_MUTATED, parent_id=parent.id)
-
-
-def _barrier_payload(barriers: int, primary_calls: int, retry_calls: int) -> dict:
-    return {"barrier": barriers, "primary_calls": primary_calls, "retry_calls": retry_calls}
-
-
-def _summary_payload(primary_calls: int, retry_calls: int, budget: int, barriers: int) -> dict:
-    return {"primary_calls": primary_calls, "retry_calls": retry_calls, "budget": budget, "barriers": barriers}
 
 
 def complete_candidate(backend: Backend, prompt: str, purpose: str, temperature: float, seed: int, context: str) -> str:
@@ -463,113 +438,156 @@ def run_pipeline(
             backend = stack.enter_context(closing(make_backend(config.backend, config.backend_options)))
         pool = stack.enter_context(task_pool(parallelism))  # rejects a bad parallelism before the trace file is created
         trace = stack.enter_context(closing(RunTrace(trace_path)))
-        return _run(config, backend, pool, trace), trace
+        return _walk(config, _LiveAnswers(config, backend, pool), trace)[1], trace
 
 
-def _run(config: RunConfig, backend: Backend, pool: TaskPool, trace: RunTrace) -> Candidate:
-    n, t_total = config.n, config.generations
-    strategy = config.strategy()
-    primary_calls = 0
-    retry_calls = 0
-    barriers = 0
-    round_no = 0
+def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Candidate]:
+    """Write every record of a run to `trace`, in the run's order, and return
+    each judged generation and the selected candidate.
+
+    The walk alone counts calls and barriers, routes, assembles, selects and
+    checks the budget.  It asks `answers` for what only a run decides:
+    `start()` once the config record is written; `samples()`, generation
+    0's n candidates; `judged(round, state, degree)`, the round's (left,
+    right) member index pairs and a (judgment, retries) per pair;
+    `fit(round, state, pairs, judgments)`, the ScoreVector over them; and
+    `mutations(round, state, routing)`, the texts of the routing parents'
+    children, in order.  Any exception appends an abort record naming the
+    error and its type, flushes the trace and is re-raised unchanged.
+    """
+    n, last = config.n, config.generations + 1
+    calls = retries = barriers = round_no = 0
+    states = []
 
     def barrier() -> None:
         nonlocal barriers
         barriers += 1
-        trace.append("barrier", -1, round_no, _barrier_payload(barriers, primary_calls, retry_calls))
+        trace.append("barrier", -1, round_no, {"barrier": barriers, "primary_calls": calls, "retry_calls": retries})
         trace.flush()
 
-    def compare_and_score(state: GenerationState, degree: int, seeds: RoundSeeds) -> GenerationState:
-        """Pair the generation at the given degree, judge and trace every pair,
-        then fit and trace the scores."""
-        nonlocal primary_calls, retry_calls
-        members = state.members
-        plan = sample_pairing(n, degree, seeds.pairing)
-        temperature, parse_retries = config.temperature_judge, config.parse_retries
+    def judge(state: GenerationState, degree: int) -> GenerationState:
+        """Judge and trace the generation's pairs at `degree`, then fit and trace the scores."""
+        nonlocal calls, retries
+        generation, members = state.generation, state.members
+        pairs, results = answers.judged(round_no, state, degree)
+        calls += len(results)
+        for p, (judgment, spent) in enumerate(results):
+            retries += spent
+            trace.append("judgment", generation, round_no, vars(judgment) | {"pair_index": p, "retries": spent})
+        barrier()
+        judgments = tuple(judgment for judgment, _ in results)
+        scores = answers.fit(round_no, state, pairs, judgments)
+        fit = dict(
+            member_ids=[member.id for member in members], scores=[float(s) for s in scores.scores],
+            lam=scores.lam, converged=scores.converged, iterations=scores.iterations,
+        )
+        trace.append("score-fit", generation, round_no, fit)
+        states.append(GenerationState(generation, members, judgments, scores))
+        return states[-1]
+
+    def write(state: GenerationState) -> None:
+        for member in state.members:
+            trace.append("candidate", state.generation, round_no, dict(vars(member)))
+        barrier()
+
+    try:
+        trace.append("config", -1, 0, config.echo())
+        trace.flush()
+        answers.start()
+        round_no = 1
+        state = GenerationState(0, tuple(answers.samples()))
+        calls += n
+        write(state)
+
+        for round_no in range(1, last):
+            state = judge(state, config.k)
+            routing = route(state.scores)
+            ids = [member.id for member in state.members]
+            elites, discards, parents = ([ids[i] for i in side] for side in routing)
+            sides = {"elites": elites, "discards": discards, "mutation_parents": parents}
+            trace.append("routing", state.generation, round_no, sides)
+            trace.flush()
+            texts = answers.mutations(round_no, state, routing)
+            children = [
+                Candidate(f"g{round_no}-mut{i:03d}", text, round_no, ORIGIN_MUTATED, parent_id=ids[i])
+                for i, text in zip(routing.parents, texts)
+            ]
+            calls += len(children)
+            state = assemble_next_generation(state, routing, children)
+            write(state)
+
+        # final round: dense comparisons over the last generation, then pick the top
+        round_no = last
+        state = judge(state, config.final_k)
+        selection = _selection_payload(state.members, state.scores)
+        trace.append("selection", state.generation, round_no, selection)
+        budget = compute_budget(n, config.k, config.generations, config.final_k)
+        if calls != budget:  # accounting bug, not an input problem
+            raise RuntimeError(f"primary calls {calls} != budget {budget}")
+        summary = {"primary_calls": calls, "retry_calls": retries, "budget": budget, "barriers": barriers}
+        trace.append("summary", -1, round_no, summary)
+        trace.flush()
+        return states, state.members[selection["selected_index"]]
+    except BaseException as exc:
+        trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
+        trace.flush()
+        raise
+
+
+class _LiveAnswers:
+    """A run's answers: backend calls on one TaskPool, seeded from the run's
+    seed schedule, and `fit_bt`'s fits."""
+
+    def __init__(self, config: RunConfig, backend: Backend, pool: TaskPool) -> None:
+        self.config, self.backend, self.pool = config, backend, pool
+
+    def start(self) -> None:
+        config = self.config
+        self.schedule = seed_schedule(config.seed, config.n, config.k, config.generations, config.final_k)
+
+    def samples(self) -> list[Candidate]:
+        config = self.config
+        return sample_candidates(
+            self.backend, config.problem, config.n, config.seed, self.pool, config.temperature_generate
+        )
+
+    def judged(self, round_no: int, state: GenerationState, degree: int):
+        config, members, seeds = self.config, state.members, self.schedule[round_no - 1]
+        plan = sample_pairing(len(members), degree, seeds.pairing)
         retry_root = (config.seed, round_no, _P_RETRY)
         where = f"comparison round {round_no}"
 
         def judge(p: int, pair: tuple[int, int], left_first: bool, judge_seed: int):
             left, right = members[pair[0]], members[pair[1]]
             return _judge_pair(
-                backend, config.problem, left, right, left_first, judge_seed,
-                temperature, parse_retries, retry_root, where, p,
+                self.backend, config.problem, left, right, left_first, judge_seed,
+                config.temperature_judge, config.parse_retries, retry_root, where, p,
             )
 
-        results = pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.left_first, seeds.judge)
-        primary_calls += len(results)
-        for p, (judgment, retries) in enumerate(results):
-            retry_calls += retries
-            trace.append("judgment", state.generation, round_no, {**vars(judgment), "pair_index": p, "retries": retries})
-        barrier()
-        judgments = tuple(judgment for judgment, _ in results)
-        scores = fit_bt(_fit_pairs(plan.pairs, judgments), n, lam=config.lam)
-        trace.append("score-fit", state.generation, round_no, _score_payload(members, scores))
-        return GenerationState(state.generation, members, judgments, scores)
+        return plan.pairs, self.pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.left_first, seeds.judge)
 
-    try:
-        trace.append("config", -1, 0, config.echo())
-        trace.flush()
-        schedule = seed_schedule(config.seed, n, config.k, t_total, config.final_k)
-        # generation 0: sample n candidates
-        round_no = 1
-        samples = sample_candidates(backend, config.problem, n, config.seed, pool, config.temperature_generate)
-        state = GenerationState(0, tuple(samples))
-        primary_calls += n
-        for member in state.members:
-            trace.append("candidate", 0, round_no, dict(vars(member)))
-        barrier()
+    def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
+        return fit_bt(_fit_pairs(pairs, judgments), len(state.members), lam=self.config.lam)
 
-        for t in range(1, t_total + 1):
-            round_no = t
-            seeds = schedule[t - 1]
-            state = compare_and_score(state, config.k, seeds)
-            routing = route(state.scores)
-            trace.append("routing", state.generation, round_no, _routing_payload(state.members, routing))
-            trace.flush()
+    def mutations(self, round_no: int, state: GenerationState, routing: Routing) -> list[str]:
+        config, seeds, strategy = self.config, self.schedule[round_no - 1], self.config.strategy()
+        # each member's judgments, left and right sides, in judging order
+        judged = {member.id: [] for member in state.members}
+        for judgment in state.judgments:
+            judged[judgment.left_id].append(judgment)
+            judged[judgment.right_id].append(judgment)
 
-            # each member's judgments, left and right sides, in judging order
-            judged = {member.id: [] for member in state.members}
-            for judgment in state.judgments:
-                judged[judgment.left_id].append(judgment)
-                judged[judgment.right_id].append(judgment)
+        def mutate(i: int) -> str:
+            member = state.members[i]
+            feedback = aggregate_feedback(member.id, judged[member.id], strategy)
+            prompt = render_mutation_prompt(
+                config.problem, member, feedback, include_restart_license=config.include_restart_license
+            )
+            context = f"mutation round {round_no}, member {member.id}"
+            temperature = config.temperature_generate
+            return complete_candidate(self.backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
 
-            def mutate(i: int) -> Candidate:
-                member = state.members[i]
-                feedback = aggregate_feedback(member.id, judged[member.id], strategy)
-                prompt = render_mutation_prompt(
-                    config.problem, member, feedback, include_restart_license=config.include_restart_license
-                )
-                context = f"mutation round {t}, member {member.id}"
-                temperature = config.temperature_generate
-                content = complete_candidate(backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
-                return _mutation(t, i, member, content)
-
-            children = pool.map(mutate, routing.parents)
-            primary_calls += len(children)
-            next_state = assemble_next_generation(state, routing, children)
-            for member in next_state.members:
-                trace.append("candidate", next_state.generation, round_no, dict(vars(member)))
-            barrier()
-            state = next_state
-
-        # final round: dense comparisons over the last generation, then pick the top
-        round_no = t_total + 1
-        state = compare_and_score(state, config.final_k, schedule[t_total])
-        selection = _selection_payload(state.members, state.scores)
-        trace.append("selection", state.generation, round_no, selection)
-
-        budget = compute_budget(n, config.k, t_total, config.final_k)
-        if primary_calls != budget:  # accounting bug, not an input problem
-            raise RuntimeError(f"primary calls {primary_calls} != budget {budget}")
-        trace.append("summary", -1, round_no, _summary_payload(primary_calls, retry_calls, budget, barriers))
-        trace.flush()
-        return state.members[selection["selected_index"]]
-    except BaseException as exc:
-        trace.append("abort", -1, round_no, {"error": str(exc), "type": type(exc).__name__})
-        trace.flush()
-        raise
+        return self.pool.map(mutate, routing.parents)
 
 
 @dataclass
@@ -614,58 +632,40 @@ def _same(recorded: dict, expected: dict) -> bool:
     return True
 
 
-def replay(source) -> ReplayResult:
-    """Rebuild every GenerationState (members, judgments, scores) from a
-    trace, reading its records in the order the run writes them and checking
-    each with the function the run wrote it by.
+_MISFITS = {
+    "config": "bad config payload (config is not the echo of the RunConfig it describes)",
+    "barrier": "barrier does not count the records before it",
+    "score-fit": "score-fit is not what the run writes at its scores",
+    "routing": "routing is not route of generation {generation}'s fit",
+    "selection": "selection is not rank's top of the last generation's fit",
+    "summary": "summary does not count the records before it or is off budget",
+}
 
-    Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
-    (str or bytes), read in one pass; blank lines are skipped.  The config
-    record comes first and is rebuilt as a RunConfig whose `echo()` must equal
-    it, type for type; its counts fix the rest of the walk, in `_run`'s order,
-    up to the summary, after which nothing may follow.  Each record must hold
-    the five record fields and no others: the kind, generation and round the
-    run writes there as JSON integers, schema_version the integer 1 and an
-    object payload.  Each judgment's `pair_index` must be its position, its
-    `retries` a count the run can spend on it, its sides distinct members of
-    its generation, and its round's member-index pairs the shape of a
-    `sample_pairing` plan.  Each score-fit's `converged` flag must be the test
-    of `bt_gradient` at its scores over `_fit_pairs`; each routing, candidate,
-    selection, barrier and summary what `route`, `sample_candidates`,
-    `assemble_next_generation`, `rank` and the call counts make of the records
-    before it; every re-derived field in its JSON type too.  Taken as recorded
-    are what the backend decides (candidate and judgment text, verdicts), each
-    `presented_first`, which plan of that shape was sampled, and a fit's
-    `iterations`.
 
-    Raises ReplayError for corrupt input, for any record that breaks these
-    rules, and for a trace that ends, or reaches an abort record, before its
-    summary; each error names the first offending record by its 0-based line
-    index, blank lines counted.
-    """
-    if isinstance(source, RunTrace):
-        lines = source.to_jsonl().splitlines()
-    elif isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = source
-    records = enumerate(lines)
-    at = kind = None  # the index and kind of the record last read
+class _Recorded:
+    """A trace's records, read in the order the run writes them: replay's
+    answers, and the trace its walk writes to, whose every record must be
+    the recorded one."""
 
-    def read(want: str | None, generation: int = -1, round_no: int = 0) -> dict:
+    def __init__(self, lines) -> None:
+        self.lines = enumerate(lines)  # (index, line) pairs, read once
+        self.at = self.kind = None  # the index and kind of the record last read
+        self.config: RunConfig | None = None  # set once the config record is read
+        self.held = deque()  # (index, payload) of records read by an answer, for the walk's records to meet
+
+    def read(self, want: str | None, generation: int = -1, round_no: int = 0) -> dict:
         """The payload of the next record, which must be the `want` record of
         `generation` and `round_no`; with `want` None, there must be none."""
-        nonlocal at, kind
-        for idx, line in records:
+        for idx, line in self.lines:
             if line.strip():
                 break
         else:
             if want is None:
                 return {}
-            if at is None:
+            if self.at is None:
                 raise ReplayError("empty trace")
-            raise ReplayError(f"truncated trace: no summary record (last record index {at})")
-        at = idx
+            raise ReplayError(f"truncated trace: no summary record (last record index {self.at})")
+        at = self.at = idx
         try:
             record = _loads(line)
         except json.JSONDecodeError as exc:
@@ -676,6 +676,7 @@ def replay(source) -> ReplayResult:
             missing, extra = sorted(_RECORD_FIELDS - record.keys()), sorted(record.keys() - _RECORD_FIELDS)
             raise ReplayError(f"record {at}: record fields: missing {missing}, extra {extra}")
         version, kind, payload = record["schema_version"], record["kind"], record["payload"]
+        self.kind = kind
         # decoded JSON holds no numpy integers, so here `type(x) is int` is is_int
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ReplayError(f"record {at}: unsupported schema_version {version!r}")
@@ -693,98 +694,129 @@ def replay(source) -> ReplayResult:
             raise ReplayError(f"record {at}: bad {kind} payload (expected an object, got {type(payload).__name__})")
         return payload
 
+    def hold(self, kind: str, generation: int, round_no: int) -> dict:
+        """`read`, keeping the payload for the record the walk writes in its place."""
+        payload = self.read(kind, generation, round_no)
+        self.held.append((self.at, payload))
+        return payload
+
+    def append(self, kind: str, generation: int, round_index: int, payload: dict) -> None:
+        """Require the record the walk writes to be the recorded one, type for
+        type.  Judgments were checked as they were read, and an abort is the
+        walk's own error, which replay raises."""
+        if kind in ("judgment", "abort"):
+            return
+        if self.held:
+            at, recorded = self.held.popleft()
+        else:
+            recorded = self.read(kind, generation, round_index)
+            at = self.at
+        if not _same(recorded, payload):
+            if kind == "candidate":
+                maker = "sample_candidates" if generation == 0 else "assemble_next_generation"
+                raise ReplayError(f"record {at}: candidate {recorded.get('id')} is not what {maker} makes")
+            raise ReplayError(f"record {at}: " + _MISFITS[kind].format(generation=generation))
+
+    def flush(self) -> None:
+        """Nothing to write: the records are the input."""
+
+    def start(self) -> None:
+        """Nothing to draw: the answers are the records."""
+
+    def samples(self) -> list[Candidate]:
+        """Each sample `sample_candidates` makes of its recorded text."""
+        return [_sample(i, self.hold("candidate", 0, 1)["content"]) for i in range(self.config.n)]
+
+    def judged(self, round_no: int, state: GenerationState, degree: int):
+        """The round's judgments as recorded, each at its position, with
+        retries the run can spend on it, between members of the generation,
+        and the round's member-index pairs in a pairing plan's shape."""
+        generation, n = state.generation, len(state.members)
+        index = {member.id: i for i, member in enumerate(state.members)}
+        results, pairs, judgment_at = [], [], []
+        # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
+        most = self.config.parse_retries
+        for position in range(n * degree // 2):
+            payload = self.read("judgment", generation, round_no)
+            pair_index, retries = payload.pop("pair_index"), payload.pop("retries")
+            judgment = Judgment(**payload)
+            at = self.at
+            if not (pair_index == position and type(pair_index) is int):
+                raise ReplayError(f"record {at}: pair_index {pair_index!r} is not its position {position}")
+            if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
+                raise ReplayError(f"record {at}: retries {retries!r} is not a count the run spends on this judgment")
+            left, right = index.get(judgment.left_id), index.get(judgment.right_id)
+            if left is None or right is None:
+                pair = (judgment.left_id, judgment.right_id)
+                raise ReplayError(f"record {at}: judgment {pair} is not between members of its generation")
+            results.append((judgment, retries))
+            pairs.append((left, right))
+            judgment_at.append(at)
+        bad = _plan_misfit(pairs, n, degree)
+        if bad is not None:
+            pair, at = (results[bad][0].left_id, results[bad][0].right_id), judgment_at[bad]
+            raise ReplayError(f"record {at}: judgment {pair} is out of a sorted {degree}-regular plan's shape")
+        return pairs, results
+
+    def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
+        """The recorded scores and iterations, over the generation's members,
+        with the config's lam and `converged` the test of `bt_gradient` at
+        those scores."""
+        payload = self.hold("score-fit", state.generation, round_no)
+        ids, lam = [member.id for member in state.members], self.config.lam
+        if payload["member_ids"] != ids or len(payload["scores"]) != len(ids):
+            raise ReplayError(f"record {self.at}: score-fit does not match generation {state.generation}'s members")
+        scores = np.asarray(payload["scores"], dtype=np.float64)
+        gradient = bt_gradient(scores, _fit_pairs(pairs, judgments), lam)
+        return ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
+
+    def mutations(self, round_no: int, state: GenerationState, routing: Routing) -> list[str]:
+        """The recorded texts of the next generation's children, the members after its carryovers."""
+        texts = [self.hold("candidate", state.generation + 1, round_no)["content"] for _ in state.members]
+        return texts[len(routing.elites) :]
+
+
+def replay(source) -> ReplayResult:
+    """Rebuild every GenerationState (members, judgments, scores) from a
+    trace, by the walk that writes a run's records, with its answers read
+    from the trace.
+
+    Accepts a RunTrace, a path to a trace file, or an iterable of JSONL lines
+    (str or bytes), read in one pass; blank lines are skipped.  The config
+    record comes first and is rebuilt as a RunConfig.  Then every record, its
+    five fields and its payload, must be the one the walk writes from the
+    answers read so far, type for type, the config record first, and nothing
+    may follow the summary.  The answers are checked as they are read: each
+    judgment's `pair_index` is its position, its `retries` a count the run
+    can spend on it, its sides members of its generation, and its round's
+    member-index pairs the shape of a `sample_pairing` plan; each score-fit
+    is over its generation's members, and its `converged` flag is the test
+    of `bt_gradient` at its scores.  Taken as recorded are what the backend
+    decides (candidate and judgment text, verdicts), each `presented_first`,
+    which plan of that shape was sampled, a fit's `iterations`, and the
+    config fields no checked record depends on: `problem`, `seed`, the two
+    temperatures, `include_restart_license`, and `parse_retries` while it
+    bounds every recorded `retries`.
+
+    Raises ReplayError for corrupt input, for any record that breaks these
+    rules, and for a trace that ends, or reaches an abort record, before its
+    summary; each error names the first offending record by its 0-based line
+    index, blank lines counted.
+    """
+    if isinstance(source, RunTrace):
+        lines = source.to_jsonl().splitlines()
+    elif isinstance(source, (str, Path)):
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    else:
+        lines = source
+    recorded = _Recorded(lines)
     try:
-        config_record = read("config")
-        config = _config_of(config_record)
-        n, last = config.n, config.generations + 1
-        budget = compute_budget(n, config.k, config.generations, config.final_k)
-        primary_calls = retry_calls = barriers = 0
-
-        def barrier(round_no: int) -> None:
-            nonlocal barriers
-            barriers += 1
-            if not _same(read("barrier", -1, round_no), _barrier_payload(barriers, primary_calls, retry_calls)):
-                raise ReplayError(f"record {at}: barrier does not count the records before it")
-
-        members = []
-        for i in range(n):
-            payload = read("candidate", 0, 1)
-            member = Candidate(**payload)
-            if not _same(payload, vars(_sample(i, member.content))):
-                raise ReplayError(f"record {at}: candidate {member.id} is not what sample_candidates makes")
-            members.append(member)
-        primary_calls += n
-        barrier(1)
-        state = GenerationState(0, tuple(members))
-        states = []
-        for round_no in range(1, last + 1):
-            generation, members = state.generation, state.members
-            degree = config.k if round_no < last else config.final_k
-            index = {member.id: i for i, member in enumerate(members)}
-            judgments, pairs, judgment_at = [], [], []
-            # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
-            most = config.parse_retries
-            for position in range(n * degree // 2):
-                payload = read("judgment", generation, round_no)
-                pair_index, retries = payload.pop("pair_index"), payload.pop("retries")
-                judgment = Judgment(**payload)
-                if not (pair_index == position and type(pair_index) is int):
-                    raise ReplayError(f"record {at}: pair_index {pair_index!r} is not its position {position}")
-                if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
-                    raise ReplayError(f"record {at}: retries {retries!r} is not a count the run spends on this judgment")
-                left, right = index.get(judgment.left_id), index.get(judgment.right_id)
-                if left is None or right is None:
-                    pair = (judgment.left_id, judgment.right_id)
-                    raise ReplayError(f"record {at}: judgment {pair} is not between members of its generation")
-                judgments.append(judgment)
-                pairs.append((left, right))
-                judgment_at.append(at)
-                retry_calls += retries
-            primary_calls += len(judgments)
-            bad = _plan_misfit(pairs, n, degree)
-            if bad is not None:
-                pair, at = (judgments[bad].left_id, judgments[bad].right_id), judgment_at[bad]
-                raise ReplayError(f"record {at}: judgment {pair} is out of a sorted {degree}-regular plan's shape")
-            barrier(round_no)
-
-            payload = read("score-fit", generation, round_no)
-            if payload["member_ids"] != list(index) or len(payload["scores"]) != n:
-                raise ReplayError(f"record {at}: score-fit does not match generation {generation}'s members")
-            scores = np.asarray(payload["scores"], dtype=np.float64)
-            gradient = bt_gradient(scores, _fit_pairs(pairs, judgments), config.lam)
-            fit = ScoreVector(scores, config.lam, bool(_converged(gradient)), payload["iterations"])
-            if not _same(payload, _score_payload(members, fit)):
-                raise ReplayError(f"record {at}: score-fit is not what the run writes at its scores")
-            state = GenerationState(generation, members, tuple(judgments), fit)
-            states.append(state)
-            if round_no == last:
-                break
-
-            routing = route(fit)
-            if not _same(read("routing", generation, round_no), _routing_payload(members, routing)):
-                raise ReplayError(f"record {at}: routing is not route of generation {generation}'s fit")
-            recorded, recorded_at = [], []
-            for _ in range(n):
-                recorded.append(Candidate(**read("candidate", generation + 1, round_no)))
-                recorded_at.append(at)
-            children = recorded[len(routing.elites) :]
-            children = [_mutation(generation + 1, i, members[i], c.content) for i, c in zip(routing.parents, children)]
-            expected = assemble_next_generation(state, routing, children).members
-            for at, member, want in zip(recorded_at, recorded, expected):
-                if not _same(vars(member), vars(want)):
-                    raise ReplayError(f"record {at}: candidate {member.id} is not what assemble_next_generation makes")
-            primary_calls += len(children)
-            barrier(round_no)
-            state = GenerationState(generation + 1, tuple(recorded))
-
-        selection = read("selection", config.generations, last)
-        if not _same(selection, _selection_payload(state.members, state.scores)):
-            raise ReplayError(f"record {at}: selection is not rank's top of the last generation's fit")
-        if not _same(read("summary", -1, last), _summary_payload(primary_calls, retry_calls, budget, barriers)):
-            raise ReplayError(f"record {at}: summary does not count the records before it or is off budget")
-        read(None)
+        config_record = recorded.hold("config", -1, 0)
+        config = recorded.config = _config_of(config_record)
+        states, selected = _walk(config, recorded, recorded)
+        recorded.read(None)
     except ReplayError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise ReplayError(f"record {at}: bad {kind} payload ({exc})") from exc
-    return ReplayResult(states=states, selected_id=selection["selected_id"], config=config_record)
+        raise ReplayError(f"record {recorded.at}: bad {recorded.kind} payload ({exc})") from exc
+    return ReplayResult(states=states, selected_id=selected.id, config=config_record)

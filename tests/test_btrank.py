@@ -515,6 +515,13 @@ def test_stacked_rows_reject_fractional_indices(bad):
     assert fit_bt_rows([[0.0]], [[1.0]], [[1.0]], 2)[0].tolist() == fit_bt_rows([[0]], [[1]], [[1.0]], 2)[0].tolist()
 
 
+def test_stacked_rows_reject_bool_indices():
+    # cast to 1 and 0, true over false would fit candidate 1 over candidate 0, as fit_bt refuses to
+    for winners, losers in (([[True]], [[False]]), ([[0]], [[True]])):
+        with pytest.raises(ValueError, match="whole numbers"):
+            fit_bt_rows(winners, losers, [[1.0]], 2)
+
+
 def test_stacked_rows_reject_weighted_self_comparisons():
     with pytest.raises(ValueError, match="self-comparison"):
         fit_bt_rows([[0, 1]], [[0, 1]], [[1.0, 1.0]], 2)

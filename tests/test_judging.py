@@ -182,6 +182,19 @@ def test_judgment_validation():
         Judgment("L", "R", TIE, "", "", "X")
     with pytest.raises(ValueError, match="self-comparison of 'L'"):
         Judgment("L", "L", LEFT_WINS, "", "", "L")
+    # a judgment decoded from a trace carries its fields' JSON types
+    for args, message in [
+        (("L", 7, LEFT_WINS, "", "", "L"), "right_id must be a string, got 7"),
+        (("L", "R", LEFT_WINS, 5, "", "L"), "rationale_for_left must be a string, got 5"),
+        (("L", "R", LEFT_WINS, "", None, "L"), "rationale_for_right must be a string, got None"),
+        (("L", "R", LEFT_WINS, "", ["a"], "L"), r"rationale_for_right must be a string, got \['a'\]"),
+        (("L", "R", TIE, "", "", "L", 0), "degraded must be true or false, got 0"),
+        (("L", "R", TIE, "", "", "L", 1), "degraded must be true or false, got 1"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            Judgment(*args)
+    with pytest.raises(ValueError, match="presented_first must be one of the compared candidates"):
+        Judgment("L", "R", LEFT_WINS, "", "", ["L"])
 
 
 def test_rewrite_self_relative():

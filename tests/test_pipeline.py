@@ -139,6 +139,11 @@ def test_run_config_validation():
         RunConfig(problem="p", lam=0.0)
     with pytest.raises(ConfigError):
         RunConfig(problem="p", generations=-1)
+    # refused before any call, not at the first prompt a run renders
+    with pytest.raises(ConfigError, match="problem must be a string, got 5"):
+        RunConfig(problem=5, n=4, k=1, generations=0, final_k=1)
+    with pytest.raises(ConfigError, match=r"backend_options must be a dict, got \[1\]"):
+        RunConfig(problem="p", backend_options=[1])
 
 
 @pytest.mark.parametrize("lam", [float("inf"), float("nan")], ids=["inf", "nan"])
@@ -499,6 +504,26 @@ def _run_edits(lines):
             len(lines),
             "abort record after the summary",
         ),
+        "degraded-as-0": (
+            _edited(lines, first, degraded=0),
+            first,
+            "bad judgment payload (degraded must be true or false, got 0)",
+        ),
+        "rationale-as-number": (
+            _edited(lines, first, rationale_for_left=5),
+            first,
+            "bad judgment payload (rationale_for_left must be a string, got 5)",
+        ),
+        "rationale-null": (
+            _edited(lines, first, rationale_for_right=None),
+            first,
+            "bad judgment payload (rationale_for_right must be a string, got None)",
+        ),
+        "rationale-list": (
+            _edited(lines, first, rationale_for_right=["a"]),
+            first,
+            "bad judgment payload (rationale_for_right must be a string, got ['a'])",
+        ),
     }
 
 
@@ -520,6 +545,10 @@ RUN_EDITS = [
     "judgments-swapped",
     "record-after-summary",
     "abort-after-summary",
+    "degraded-as-0",
+    "rationale-as-number",
+    "rationale-null",
+    "rationale-list",
 ]
 
 
@@ -554,6 +583,64 @@ def test_replay_refuses_an_envelope_edit_of_any_record_at_that_record(edit):
     for at, line in enumerate(lines):
         with pytest.raises(ReplayError, match=f"^record {at}: "):
             replay(lines[:at] + [json.dumps(change(json.loads(line)))] + lines[at + 1 :])
+
+
+def _edits_of(value) -> list:
+    """The single-value edits of a JSON value, by its type."""
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, float(value), str(value)]
+    if isinstance(value, float):
+        return [value + 0.5, -value, 1.0]
+    if isinstance(value, str):
+        return [value + "x", ""]
+    if isinstance(value, list):
+        return [value[::-1], value[:-1]]
+    if value is None:
+        return ["x"]
+    return []  # an object: the payload, and the config's feedback_strategy
+
+
+# the (kind, field) pairs whose edits replay may accept: what the backend
+# decides, a fit's iterations, and the config fields no checked record
+# depends on (parse_retries only while it bounds every recorded retries)
+TAKEN_AS_RECORDED = {
+    ("candidate", "content"),
+    ("judgment", "rationale_for_left"),
+    ("judgment", "rationale_for_right"),
+    ("score-fit", "iterations"),
+    *(
+        ("config", name)
+        for name in (
+            "problem", "seed", "temperature_generate", "temperature_judge", "include_restart_license", "parse_retries"
+        )
+    ),
+}
+
+
+def test_replay_refuses_every_single_field_edit_but_of_what_it_takes_as_recorded():
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    assert len(lines) == 82
+    accepted = []
+    for at, line in enumerate(lines):
+        record = json.loads(line)
+        kind, payload = record["kind"], record["payload"]
+        edits = [(("record", name), dict(record, **{name: new})) for name in record for new in _edits_of(record[name])]
+        edits += [
+            ((kind, name), dict(record, payload=dict(payload, **{name: new})))
+            for name in payload
+            for new in _edits_of(payload[name])
+        ]
+        for field, edited in edits:
+            if json.dumps(edited) == json.dumps(record):
+                continue  # 1.0 as 1.0, a one-item list reversed
+            try:
+                replay(lines[:at] + [json.dumps(edited)] + lines[at + 1 :])
+            except ReplayError:
+                continue
+            accepted.append((at, *field))
+    assert [edit for edit in accepted if edit[1:] not in TAKEN_AS_RECORDED] == []
 
 
 @pytest.mark.parametrize(("seed", "selected_index"), [(31, 6.0), (0, True)])
@@ -646,11 +733,18 @@ DROP = object()
         ({"backend": DROP}, "config fields: missing ['backend'], extra []"),
         # a strategy without its k: RunConfig takes it, but its echo says k null
         ({"feedback_strategy": {"kind": "pairwise-all"}}, "config is not the echo of the RunConfig it describes"),
+        ({"problem": 5}, "problem must be a string, got 5"),
+        ({"problem": None}, "problem must be a string, got None"),
+        ({"problem": ["x"]}, "problem must be a string, got ['x']"),
+        ({"backend_options": [1]}, "backend_options must be a dict, got [1]"),
+        ({"backend_options": "x"}, "backend_options must be a dict, got 'x'"),
+        ({"backend_options": None}, "backend_options must be a dict, got None"),
     ],
     ids=[
         "n-6", "final_k-string", "lam-0", "lam-true", "parse_retries-negative", "seed-negative",
         "temperature_judge-5", "backend-quantum", "restart_license-string", "strategy-bogus",
-        "extra-field", "missing-field", "strategy-without-k",
+        "extra-field", "missing-field", "strategy-without-k", "problem-number", "problem-null",
+        "problem-list", "backend_options-list", "backend_options-string", "backend_options-null",
     ],
 )
 def test_replay_rejects_a_config_the_run_would_refuse(edit, message):
