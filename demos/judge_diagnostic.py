@@ -1,7 +1,7 @@
 """Measure judge quality on labeled accepted/rejected solution pairs.
 
-Pairwise mode shows each pair once in a random presentation order and asks
-which side is better; pointwise mode asks YES/NO about each side separately.
+Pairwise mode shows each pair once, the accepted side first in every other
+pair, and asks which side is better; pointwise mode asks YES/NO about each side separately.
 On the synthetic world both judges have dial-in error rates, so the report
 can be compared against the ground truth it was configured with.
 """

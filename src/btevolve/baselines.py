@@ -24,15 +24,13 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import prompts
 from .backends import PURPOSE_POINTWISE, PURPOSE_REFINE, Backend, CompletionRequest
 from .btrank import LEFT_WINS
 from .errors import BackendError, check_count
 from .pipeline import TaskPool, _judge_pair, complete_candidate, task_pool
 from .population import ORIGIN_MUTATED, ORIGIN_SAMPLED, Candidate
-from .seeds import derive_seed, derive_seeds, seed_uniforms
+from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -202,8 +200,9 @@ def judge_diagnostic(
 ) -> DiagnosticReport:
     """Judge quality on labeled pairs.
 
-    Pairwise: one randomized-order comparison per pair; the judge is correct
-    only when the accepted side wins (ties and unparseable replies count as
+    Pairwise: one comparison per pair, the accepted side shown first in
+    pair p iff p is even, so in half the pairs; the judge is correct only
+    when the accepted side wins (ties and unparseable replies count as
     incorrect).  Pointwise: one verdict per member; correct means YES on the
     accepted member or NO on the rejected one, malformed counting as
     incorrect; joint requires both members of a pair correct.
@@ -212,12 +211,12 @@ def judge_diagnostic(
     if not pairs:
         raise ValueError("need at least one labeled pair")
 
-    def diagnose(p: int, pair: LabeledPair, left_first: bool) -> tuple[bool, bool, bool]:
+    def diagnose(p: int, pair: LabeledPair) -> tuple[bool, bool, bool]:
         accepted = Candidate(f"pair{p:04d}-accepted", pair.accepted, 0, ORIGIN_SAMPLED)
         rejected = Candidate(f"pair{p:04d}-rejected", pair.rejected, 0, ORIGIN_SAMPLED)
         where = "diagnostic comparison"
         judgment, _ = _judge_pair(
-            backend, pair.problem, accepted, rejected, left_first, derive_seed(seed, 1, p), 0.0, 0, (), where, p
+            backend, pair.problem, accepted, rejected, p % 2 == 0, derive_seed(seed, 1, p), 0.0, 0, (), where, p
         )
         verdicts = []
         for which, member in enumerate((accepted, rejected)):
@@ -226,10 +225,8 @@ def judge_diagnostic(
             verdicts.append(_verdict(backend, prompt, 0.0, derive_seed(seed, 2 + which, p), context))
         return judgment.outcome == LEFT_WINS, verdicts[0] is True, verdicts[1] is False
 
-    # pair p shows its accepted side first iff default_rng(derive_seed(seed, 0, p)).random() < 0.5
-    left_first = (seed_uniforms(derive_seeds(seed, 0, np.arange(len(pairs))).tolist()) < 0.5).tolist()
     with task_pool(parallelism) as pool:
-        results = pool.map(diagnose, range(len(pairs)), pairs, left_first)
+        results = pool.map(diagnose, range(len(pairs)), pairs)
     count = len(results)
     pairwise, on_accepted, on_rejected = (sum(column) / count for column in zip(*results))
     joint = sum(r[1] and r[2] for r in results) / count

@@ -77,12 +77,17 @@ class ComparisonRecord:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Fitted strengths plus the fit diagnostics callers need to trust them."""
+    """Fitted strengths plus the fit diagnostics callers need to trust them;
+    `iterations`, the Newton steps taken, must be a non-negative integer."""
 
     scores: np.ndarray
     lam: float
     converged: bool
     iterations: int
+
+    def __post_init__(self) -> None:
+        if not is_int(self.iterations) or self.iterations < 0:
+            raise ValueError(f"iterations must be a non-negative integer, got {self.iterations!r}")
 
     def __len__(self) -> int:
         return len(self.scores)

@@ -1,9 +1,10 @@
 """Pairwise judging: prompt rendering, reply parsing, canonicalization.
 
-The judge sees two candidates labeled Solution A and Solution B in a
-randomized presentation order and replies with a JSON verdict.  Everything
-downstream works in stable left/right space, so the canonicalization step
-here is the only place that knows which candidate was shown first.
+The judge sees two candidates labeled Solution A and Solution B, in the
+presentation order its caller chooses, and replies with a JSON verdict.
+Everything downstream works in stable left/right space, so the
+canonicalization step here is the only place that knows which candidate was
+shown first.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ def render_comparison_prompt(
 ) -> ComparisonTask:
     """Render the comparison prompt with left shown first iff `left_first`.
 
-    A caller that has not drawn the order passes `seed` instead, and left
-    goes first iff default_rng(seed).random() < 0.5.  A run draws every
-    round's orders ahead of time (seeds.seed_schedule) and passes only
-    `left_first`.
+    A caller that has not chosen the order passes `seed` instead, and left
+    goes first iff default_rng(seed).random() < 0.5.  A run passes only
+    `left_first`, the orientation of the round's pairing plan
+    (pairing._left_first), and the judge diagnostic alternates it by pair.
     """
     if not left.content or not right.content:
         raise ValueError("both candidates must have non-empty content")

@@ -80,6 +80,30 @@ def sample_pairing(n: int, k: int, seed: int) -> PairingPlan:
     raise PairingError(f"no simple {k}-regular pairing found for n={n} within {RESTART_BUDGET} restarts")
 
 
+def _left_first(pairs, n: int) -> list[bool]:
+    """For each of a k-regular plan's `pairs`, (left, right) index tuples
+    below n, whether left is shown first: every member is first in
+    floor(k/2) or ceil(k/2) of its pairs, in exactly k/2 at even k.
+
+    The pairs are walked as closed trails and each is shown first on the
+    side it is walked from, so a trail leaves every member as often as it
+    enters it.  At odd k every member is first paired with one extra member
+    n too, so that every degree is even and such trails cover every pair.
+    """
+    neighbours = [[] for _ in range(n + 1)]
+    for left, right in [*pairs, *[(i, n) for i in range(n)] * (2 * len(pairs) // n % 2)]:
+        neighbours[left].append(right)
+        neighbours[right].append(left)
+    shown = set()  # (first, second) of each pair walked
+    for at in range(n + 1):
+        # at an even-degree member, a trail can only get stuck where it started
+        while neighbours[at]:
+            neighbours[other := neighbours[at].pop()].remove(at)
+            shown.add((at, other))
+            at = other
+    return [pair in shown for pair in pairs]
+
+
 def _plan_misfit(pairs, n: int, k: int) -> int | None:
     """The position of the first of `pairs`, (left, right) index tuples below n, out of the shape of a
     `sample_pairing(n, k, ...)` plan, or None: left < right, strictly increasing, each index in at most

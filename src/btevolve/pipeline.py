@@ -23,11 +23,12 @@ RunTrace made directly keeps its file open until its `close`.
 
 One walk, `_walk`, writes a run's records.  A run drives it with the
 backend's answers; `replay` drives it with answers read from a trace, and
-each record the walk writes must be the recorded one, type for type.  Replay
+each record the walk writes must be the recorded one, type for type.  Which
+side of each pair is shown first is not drawn: the run and replay both take
+it from the orientation of the round's plan (`pairing._left_first`).  Replay
 takes as recorded what the backend decides (candidate and judgment text,
-verdicts), each `presented_first`, which plan of a pairing plan's shape was
-sampled, fits' `iterations`, and the config fields no checked record depends
-on.
+verdicts), which plan of a pairing plan's shape was sampled, the value of a
+fit's `iterations`, and the config fields no checked record depends on.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .backends import (
 from .btrank import DEFAULT_LAM, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
-from .pairing import _plan_misfit, sample_pairing
+from .pairing import _left_first, _plan_misfit, sample_pairing
 from .population import (
     ORIGIN_MUTATED,
     ORIGIN_SAMPLED,
@@ -333,7 +334,7 @@ def _judge_pair(
 ) -> tuple[Judgment, int]:
     """The comparison call: render, request, parse and canonicalize one pair.
 
-    Left is shown first iff `left_first`, an order the caller drew.  A
+    Left is shown first iff `left_first`, an order the caller chose.  A
     reply that does not parse is retried up to `retries` times, attempt a
     with seed derive_seed(*retry_root, index, a), and then becomes a
     degraded tie.  A backend failure raises BackendError naming `where`,
@@ -553,7 +554,7 @@ class _LiveAnswers:
 
     def judged(self, round_no: int, state: GenerationState, degree: int):
         config, members, seeds = self.config, state.members, self.schedule[round_no - 1]
-        plan = sample_pairing(len(members), degree, seeds.pairing)
+        pairs = sample_pairing(len(members), degree, seeds.pairing).pairs
         retry_root = (config.seed, round_no, _P_RETRY)
         where = f"comparison round {round_no}"
 
@@ -564,7 +565,7 @@ class _LiveAnswers:
                 config.temperature_judge, config.parse_retries, retry_root, where, p,
             )
 
-        return plan.pairs, self.pool.map(judge, range(len(plan.pairs)), plan.pairs, seeds.left_first, seeds.judge)
+        return pairs, self.pool.map(judge, range(len(pairs)), pairs, _left_first(pairs, len(members)), seeds.judge)
 
     def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
         return fit_bt(_fit_pairs(pairs, judgments), len(state.members), lam=self.config.lam)
@@ -730,7 +731,8 @@ class _Recorded:
     def judged(self, round_no: int, state: GenerationState, degree: int):
         """The round's judgments as recorded, each at its position, with
         retries the run can spend on it, between members of the generation,
-        and the round's member-index pairs in a pairing plan's shape."""
+        and the round's member-index pairs in a pairing plan's shape, each
+        shown first on the side that plan's orientation shows first."""
         generation, n = state.generation, len(state.members)
         index = {member.id: i for i, member in enumerate(state.members)}
         results, pairs, judgment_at = [], [], []
@@ -756,6 +758,9 @@ class _Recorded:
         if bad is not None:
             pair, at = (results[bad][0].left_id, results[bad][0].right_id), judgment_at[bad]
             raise ReplayError(f"record {at}: judgment {pair} is out of a sorted {degree}-regular plan's shape")
+        for (judgment, _), first, at in zip(results, _left_first(pairs, n), judgment_at):
+            if (judgment.presented_first == judgment.left_id) != first:
+                raise ReplayError(f"record {at}: presented_first {judgment.presented_first!r} is not the side its plan shows first")
         return pairs, results
 
     def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
@@ -770,10 +775,13 @@ class _Recorded:
         gradient = bt_gradient(scores, _fit_pairs(pairs, judgments), lam)
         return ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
 
-    def mutations(self, round_no: int, state: GenerationState, routing: Routing) -> list[str]:
-        """The recorded texts of the next generation's children, the members after its carryovers."""
-        texts = [self.hold("candidate", state.generation + 1, round_no)["content"] for _ in state.members]
-        return texts[len(routing.elites) :]
+    def mutations(self, round_no: int, state: GenerationState, routing: Routing):
+        """The recorded texts of the next generation's children, the members
+        after its carryovers, each read as the walk takes it, so that a child
+        the walk cannot build is named by its own record."""
+        for _ in routing.elites:
+            self.hold("candidate", state.generation + 1, round_no)
+        return (self.hold("candidate", state.generation + 1, round_no)["content"] for _ in routing.parents)
 
 
 def replay(source) -> ReplayResult:
@@ -789,12 +797,14 @@ def replay(source) -> ReplayResult:
     may follow the summary.  The answers are checked as they are read: each
     judgment's `pair_index` is its position, its `retries` a count the run
     can spend on it, its sides members of its generation, and its round's
-    member-index pairs the shape of a `sample_pairing` plan; each score-fit
-    is over its generation's members, and its `converged` flag is the test
-    of `bt_gradient` at its scores.  Taken as recorded are what the backend
-    decides (candidate and judgment text, verdicts), each `presented_first`,
-    which plan of that shape was sampled, a fit's `iterations`, and the
-    config fields no checked record depends on: `problem`, `seed`, the two
+    member-index pairs the shape of a `sample_pairing` plan, and its
+    `presented_first` the side that plan's orientation shows first; each
+    score-fit is over its generation's members, its `iterations` a
+    non-negative integer, and its `converged` flag the test of
+    `bt_gradient` at its scores.  Taken as recorded are what the backend
+    decides (candidate and judgment text, verdicts), which plan of that
+    shape was sampled, the value of a fit's `iterations`, and the config
+    fields no checked record depends on: `problem`, `seed`, the two
     temperatures, `include_restart_license`, and `parse_retries` while it
     bounds every recorded `retries`.
 

@@ -45,6 +45,20 @@ class Candidate:
     parent_id: str | None = None
 
     def __post_init__(self) -> None:
+        # one test first: a run and its replay each build every candidate
+        if not (
+            isinstance(self.id, str)
+            and isinstance(self.content, str)
+            and isinstance(self.origin, str)
+            and is_int(self.generation)
+            and (self.parent_id is None or isinstance(self.parent_id, str))
+        ):
+            for name in ("id", "content", "origin"):
+                if not isinstance(getattr(self, name), str):
+                    raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
+            if not is_int(self.generation):
+                raise TypeError(f"generation must be an integer, got {self.generation!r}")
+            raise TypeError(f"parent_id must be a string or null, got {self.parent_id!r}")
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin {self.origin!r}")
         if self.origin == ORIGIN_SAMPLED:

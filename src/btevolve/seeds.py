@@ -2,8 +2,10 @@
 
 Every randomized step of a run draws from derive_seed(root, round, purpose,
 index...), so no result depends on scheduling order.  Sampling is round 0,
-the evolution rounds are 1..t and the final comparison round is t+1.  The
-batched functions replay SeedSequence's hash (`_seed_state`) bit for bit on
+the evolution rounds are 1..t and the final comparison round is t+1.  Which
+side of a pair is shown first is not drawn: pairing.py orients each round's
+plan so that every member is shown first in half of its pairs.  The batched
+functions replay SeedSequence's hash (`_seed_state`) bit for bit on
 numpy arrays, one row per seed, from entropy parts as `_entropy` takes them;
 `pcg64_generators` hands each row's words to numpy's own PCG64, so the
 package replays no other numpy algorithm.
@@ -22,9 +24,9 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ConfigError
 
 # purpose codes for seed derivation; part of the documented scheme above
+# (code 2 is unused: a code is part of every seed it derives, so none is renumbered)
 _P_SAMPLE = 0
 _P_PAIRING = 1
-_P_ORDER = 2
 _P_JUDGE = 3
 _P_RETRY = 4
 _P_MUTATE = 5
@@ -150,9 +152,6 @@ def derive_seeds(root: int, *parts) -> np.ndarray:
     return _uint64_words(_seed_state(_entropy(root, *parts), 2))[0]
 
 
-_MASK64 = (1 << 64) - 1
-
-
 class _SeedWords(ISeedSequence):
     """One row of generate_state(4, uint64) words, handed to numpy's PCG64 as
     its SeedSequence: PCG64 seeds itself from that one call, and any other
@@ -179,33 +178,13 @@ def pcg64_generators(*parts):
         yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
 
 
-def seed_uniforms(seeds) -> np.ndarray:
-    """np.random.default_rng(s).random() for every seed in `seeds`, bit for bit.
-
-    Every seed enters `pcg64_generators` as two entropy words: a zero high
-    word below 2**32 changes nothing, as SeedSequence hashes zeros past the
-    end of its entropy.  The top 53 bits of each generator's first raw
-    output give the double, as Generator.random does.  Seeds must lie in
-    [0, 2**64).
-    """
-    values = [operator.index(s) for s in seeds]
-    if values and not (min(values) >= 0 and max(values) <= _MASK64):
-        raise ValueError("seeds must lie in [0, 2**64)")
-    words = np.array(values, dtype=np.uint64)
-    generators = pcg64_generators(words & np.uint64(_MASK32), words >> np.uint64(32))
-    return np.array([rng.bit_generator.random_raw() >> 11 for rng in generators], dtype=np.float64) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class RoundSeeds:
-    """The draws of one comparison round: derive_seed(root, round, purpose, i)
+    """The seeds of one comparison round: derive_seed(root, round, purpose, i)
     for its pairing (i = 0), each pair's judge seed and each member's
-    mutation seed (none in the final round), and each pair's presentation
-    order: `left_first[p]` is default_rng(s).random() < 0.5 for the pair's
-    order seed s = derive_seed(root, round, _P_ORDER, p)."""
+    mutation seed (none in the final round)."""
 
     pairing: int
-    left_first: list[bool]
     judge: list[int]
     mutate: list[int]
 
@@ -214,36 +193,30 @@ def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> 
     """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round.
 
     Rounds 1..generations compare n*k/2 pairs and mutate n members; round
-    generations+1 compares n*final_k/2 pairs.  All seeds, the order seeds
-    included, come from one `derive_seeds` pass over every (round, purpose,
-    index) column, and all orders from one `seed_uniforms` call over the
-    order seeds, bit-identical to `derive_seed` and
-    `default_rng(order_seed).random()` per index; the order seeds themselves
-    are not kept.  A round or index of 2**32
-    or more would take SeedSequence a second entropy word, so it raises
+    generations+1 compares n*final_k/2 pairs.  All seeds come from one
+    `derive_seeds` pass over every (round, purpose, index) column,
+    bit-identical to `derive_seed` per index.  A round or index of 2**32 or
+    more would take SeedSequence a second entropy word, so it raises
     ConfigError rather than build a column.
     """
     if generations + 1 > _MASK32 or max(n, n * k // 2, n * final_k // 2) > _MASK32 + 1:
         raise ConfigError("seed schedule: a round or index reaches 2**32")
     sizes = [(n * k // 2, n)] * generations + [(n * final_k // 2, 0)]
-    purposes = (_P_PAIRING, _P_ORDER, _P_JUDGE, _P_MUTATE)
-    counts = np.array([(1, pairs, pairs, mutations) for pairs, mutations in sizes]).ravel()
+    purposes = (_P_PAIRING, _P_JUDGE, _P_MUTATE)
+    counts = np.array([(1, pairs, mutations) for pairs, mutations in sizes]).ravel()
     starts = np.cumsum(counts) - counts
-    purpose = np.tile(purposes, len(sizes)).repeat(counts)
     seeds = derive_seeds(
         root,
         np.arange(1, len(sizes) + 1).repeat(len(purposes)).repeat(counts),
-        purpose,
+        np.tile(purposes, len(sizes)).repeat(counts),
         np.arange(counts.sum()) - starts.repeat(counts),
     )
 
-    left_first = iter((seed_uniforms(seeds[purpose == _P_ORDER].tolist()) < 0.5).tolist())
-    seeds = iter(seeds[purpose != _P_ORDER].tolist())
+    seeds = iter(seeds.tolist())
     # keyword arguments are evaluated in order, so each field takes the next columns
     return [
         RoundSeeds(
             pairing=next(seeds),
-            left_first=list(islice(left_first, pairs)),
             judge=list(islice(seeds, pairs)),
             mutate=list(islice(seeds, mutations)),
         )

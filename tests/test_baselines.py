@@ -261,11 +261,13 @@ def test_pointwise_verdict_rejects_a_tally_out_of_range(yes, total):
 
 
 @pytest.mark.parametrize("seed", [0, 9, 2**40 + 1])
-def test_diagnostic_order_is_one_draw_per_pair(seed):
-    # the batched order draw matches a default_rng per pair, seeded derive_seed(seed, 0, p)
-    pairs = synthetic_pairs(40)
+def test_diagnostic_shows_the_accepted_side_first_in_even_pairs(seed):
+    # whatever the seed: pair p shows its accepted side first iff p is even,
+    # so a judge that always answers "A" is right on exactly the even pairs
+    pairs = synthetic_pairs(41)
     backend = ScriptedBackend([judge_reply("A"), "VERDICT: YES", "VERDICT: NO"] * len(pairs))
-    judge_diagnostic(pairs, backend, seed=seed)
+    report = judge_diagnostic(pairs, backend, seed=seed)
     for p, (pair, request) in enumerate(zip(pairs, backend.requests[::3])):
         accepted_first = pair.accepted in request.user_prompt.split("## Solution B")[0]
-        assert accepted_first == (np.random.default_rng(derive_seed(seed, 0, p)).random() < 0.5), p
+        assert accepted_first == (p % 2 == 0), p
+    assert report.pairwise_accuracy == 21 / 41

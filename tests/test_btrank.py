@@ -199,6 +199,16 @@ def test_rank_breaks_ties_toward_lower_index():
     assert rank(vector) == [1, 2, 0, 3]
 
 
+@pytest.mark.parametrize("iterations", ["many", 3.5, 3.0, True, -1, None])
+def test_score_vector_iterations_must_be_a_non_negative_integer(iterations):
+    from btevolve.btrank import ScoreVector
+
+    message = f"iterations must be a non-negative integer, got {iterations!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        ScoreVector(np.zeros(3), 0.01, True, iterations)
+    assert ScoreVector(np.zeros(3), 0.01, True, np.int64(0)).iterations == 0
+
+
 def test_rank_ties_fitted_scores_equal_up_to_rounding():
     # 0 and 3 are mirror images (0<->3, 1<->2 maps the records onto
     # themselves), so their fitted scores agree only up to rounding noise

@@ -63,6 +63,21 @@ def test_plan_misfit_names_the_first_pair_out_of_a_plan_s_shape():
         assert pairing._plan_misfit(edited, 8, 3) == position, name
 
 
+def test_plan_orientation_shows_every_member_first_in_half_its_pairs():
+    # every feasible degree at n <= 12, odd ones through the extra member
+    for n in range(2, 13):
+        for k in range(1, n):
+            if n * k % 2:
+                continue
+            for seed in range(20):
+                plan = sample_pairing(n, k, seed)
+                orders = pairing._left_first(plan.pairs, n)
+                assert len(orders) == len(plan.pairs) and all(type(first) is bool for first in orders)
+                firsts = Counter(left if first else right for (left, right), first in zip(plan.pairs, orders))
+                assert all(firsts[i] in (k // 2, (k + 1) // 2) for i in range(n)), (n, k, seed)
+                assert pairing._left_first(plan.pairs, n) == orders
+
+
 def test_odd_stub_count_rejected():
     with pytest.raises(ValueError):
         sample_pairing(5, 3, 0)

@@ -17,9 +17,10 @@ from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
 from btevolve.btrank import TIE, ComparisonRecord, ScoreVector, fit_bt
 from btevolve.errors import BackendError, ConfigError, ReplayError
 from btevolve.judging import Judgment
+from btevolve.pairing import _left_first
 from btevolve.pipeline import ReplayResult, RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
 from btevolve.population import Candidate, FeedbackStrategy, GenerationState
-from btevolve.seeds import derive_seed, seed_uniforms
+from btevolve.seeds import derive_seed
 from conftest import ClosingBackend, CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
 SMALL = dict(problem="toy problem", n=8, k=3, generations=2, final_k=5, seed=31)
@@ -42,15 +43,11 @@ def test_seed_schedule_round_of_2_to_the_32_aborts_the_run(tmp_path):
 
 def _count_seed_calls(monkeypatch, generations):
     """Run the default config at `generations` and count the seeding calls it makes."""
-    calls = {"_seed_state": 0, "seed_uniforms": [], "derive_seed": 0}
+    calls = {"_seed_state": 0, "derive_seed": 0}
 
     def counted_state(entropy, n_words):
         calls["_seed_state"] += 1
         return seed_state(entropy, n_words)
-
-    def counted_uniforms(values):
-        calls["seed_uniforms"].append(len(values))
-        return seed_uniforms(values)
 
     def counted_scalar(*args):
         calls["derive_seed"] += 1
@@ -59,7 +56,6 @@ def _count_seed_calls(monkeypatch, generations):
     seed_state = seeds._seed_state
     with monkeypatch.context() as patch:
         patch.setattr(seeds, "_seed_state", counted_state)
-        patch.setattr(seeds, "seed_uniforms", counted_uniforms)
         patch.setattr(pipeline, "derive_seed", counted_scalar)
         config = RunConfig(problem="toy problem", generations=generations)
         _, trace = run_pipeline(config)
@@ -68,22 +64,31 @@ def _count_seed_calls(monkeypatch, generations):
 
 
 def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
-    # whatever T is: one SeedSequence replay for sampling, one for the whole
-    # seed schedule and one for PCG64 under the single seed_uniforms call;
-    # no scalar derivation without retries
+    # whatever T is: one SeedSequence replay for sampling and one for the
+    # whole seed schedule; presentation orders draw no seed, and there is no
+    # scalar derivation without retries
     for generations in (0, 1, 3):
         _, calls = _count_seed_calls(monkeypatch, generations)
-        assert (calls["_seed_state"], calls["derive_seed"]) == (3, 0), generations
+        assert (calls["_seed_state"], calls["derive_seed"]) == (2, 0), generations
 
 
-def test_run_draws_presentation_orders_once_per_round(monkeypatch):
-    # each comparison round's orders are drawn once, all T evolution rounds
-    # and the final round together in a single seed_uniforms call
-    for generations in (0, 1, 3):
-        config, calls = _count_seed_calls(monkeypatch, generations)
-        n = config.n
-        expected = generations * n * config.k // 2 + n * config.final_k // 2
-        assert calls["seed_uniforms"] == [expected], generations
+def test_every_round_shows_its_pairs_in_its_plan_s_orientation():
+    logistic = dict(SMALL, backend_options={"judge_mode": "logistic"})
+    for options in (SMALL, logistic, dict(problem="Sort the list.", seed=7)):
+        config = RunConfig(**options)
+        members, rounds = {}, {}
+        for record in run_pipeline(config)[1].records:
+            if record["kind"] == "candidate":
+                members.setdefault(record["generation"], []).append(record["payload"]["id"])
+            elif record["kind"] == "judgment":
+                rounds.setdefault(record["round"], []).append(record)
+        assert sorted(rounds) == list(range(1, config.generations + 2))
+        for judgments in rounds.values():
+            ids = members[judgments[0]["generation"]]
+            sides = [(judgment["payload"]["left_id"], judgment["payload"]["right_id"]) for judgment in judgments]
+            orders = _left_first([(ids.index(left), ids.index(right)) for left, right in sides], len(ids))
+            shown = [judgment["payload"]["presented_first"] for judgment in judgments]
+            assert shown == [left if first else right for (left, right), first in zip(sides, orders)]
 
 
 def test_budget_formula():
@@ -432,9 +437,13 @@ def _run_edits(lines):
     # the first pair's sides swapped, with its outcome and rationales
     sides = dict(judgment, left_id="g0-s001", right_id="g0-s000", outcome="left-wins")
     sides.update(rationale_for_left=judgment["rationale_for_right"], rationale_for_right=judgment["rationale_for_left"])
+    # the side the first pair does not show first
+    hidden = judgment["right_id"] if judgment["presented_first"] == judgment["left_id"] else judgment["left_id"]
+    sample = _line_where(lines, "candidate", id="g0-s000")
     summary = json.loads(lines[at["summary"]])
     next_barrier = _line_where(lines, "barrier", barrier=2)
     fit_message = "score-fit is not what the run writes at its scores"
+    iterations = "bad score-fit payload (iterations must be a non-negative integer, got {})"
     counts = "does not count the records before it"
     off_budget = f"summary {counts} or is off budget"
     return {
@@ -524,6 +533,32 @@ def _run_edits(lines):
             first,
             "bad judgment payload (rationale_for_right must be a string, got ['a'])",
         ),
+        "presented-first-flipped": (
+            _edited(lines, first, presented_first=hidden),
+            first,
+            f"presented_first {hidden!r} is not the side its plan shows first",
+        ),
+        **{
+            f"sample-content-{name}": (
+                _edited(lines, sample, content=content),
+                sample,
+                f"bad candidate payload (content must be a string, got {content!r})",
+            )
+            for name, content in (("as-number", 5), ("null", None), ("list", ["x"]))
+        },
+        "child-content-as-number": (
+            _edited(lines, child, content=5),
+            child,
+            "bad candidate payload (content must be a string, got 5)",
+        ),
+        **{
+            f"fit-iterations-{name}": (
+                _edited(lines, at["score-fit"], iterations=value),
+                at["score-fit"],
+                iterations.format(repr(value)),
+            )
+            for name, value in (("string", "many"), ("fraction", 3.5), ("true", True), ("negative", -1))
+        },
     }
 
 
@@ -549,6 +584,15 @@ RUN_EDITS = [
     "rationale-as-number",
     "rationale-null",
     "rationale-list",
+    "presented-first-flipped",
+    "sample-content-as-number",
+    "sample-content-null",
+    "sample-content-list",
+    "child-content-as-number",
+    "fit-iterations-string",
+    "fit-iterations-fraction",
+    "fit-iterations-true",
+    "fit-iterations-negative",
 ]
 
 
@@ -603,8 +647,9 @@ def _edits_of(value) -> list:
 
 
 # the (kind, field) pairs whose edits replay may accept: what the backend
-# decides, a fit's iterations, and the config fields no checked record
-# depends on (parse_retries only while it bounds every recorded retries)
+# decides, a fit's iterations while they stay a non-negative integer, and the
+# config fields no checked record depends on (parse_retries only while it
+# bounds every recorded retries)
 TAKEN_AS_RECORDED = {
     ("candidate", "content"),
     ("judgment", "rationale_for_left"),
@@ -972,15 +1017,12 @@ def test_replay_parse_skips_blank_lines_like_json_loads_per_line():
 
 
 def test_traces_byte_identical_across_parallelism(tmp_path):
-    config = RunConfig(**SMALL)
-    paths = [tmp_path / f"t{i}.jsonl" for i in range(3)]
-    _, first = run_pipeline(config, parallelism=1, trace_path=paths[0])
-    _, second = run_pipeline(config, parallelism=8, trace_path=paths[1])
-    _, third = run_pipeline(config, parallelism=1, trace_path=paths[2])
-    assert first.to_jsonl() == second.to_jsonl() == third.to_jsonl()
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-    assert blobs[0] == first.to_jsonl().encode()
+    for mode in ("fixed-accuracy", "logistic"):
+        config = RunConfig(**SMALL, backend_options={"judge_mode": mode})
+        runs = [(tmp_path / f"{mode}-{i}.jsonl", parallelism) for i, parallelism in enumerate((1, 4, 8, 1))]
+        traces = [run_pipeline(config, parallelism=parallelism, trace_path=path)[1] for path, parallelism in runs]
+        assert len({trace.to_jsonl() for trace in traces}) == 1, mode
+        assert {path.read_bytes() for path, _ in runs} == {traces[0].to_jsonl().encode()}, mode
 
 
 def scripted_small_run(pair0_replies, pair1_replies, parse_retries=1):

@@ -1,5 +1,7 @@
 """Population mechanics: routing, feedback aggregation, generation assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,32 @@ def test_assemble_rejects_bad_routing():
     wrong_gen = children_for(previous, parents, generation=2)
     with pytest.raises(ValueError):
         assemble_next_generation(previous, routing, wrong_gen)
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"id": 5}, "id must be a string, got 5"),
+        ({"content": 5}, "content must be a string, got 5"),
+        ({"content": None}, "content must be a string, got None"),
+        ({"content": ["x"]}, "content must be a string, got ['x']"),
+        ({"origin": None}, "origin must be a string, got None"),
+        ({"generation": True}, "generation must be an integer, got True"),
+        ({"generation": 1.0}, "generation must be an integer, got 1.0"),
+        ({"generation": "1"}, "generation must be an integer, got '1'"),
+        ({"parent_id": 3}, "parent_id must be a string or null, got 3"),
+        ({"parent_id": ["p"]}, "parent_id must be a string or null, got ['p']"),
+    ],
+    ids=[
+        "id-number", "content-number", "content-null", "content-list", "origin-null", "generation-true",
+        "generation-float", "generation-string", "parent-number", "parent-list",
+    ],
+)
+def test_candidate_checks_its_field_types(fields, message):
+    valid = dict(id="c", content="x", generation=1, origin="mutated", parent_id="p")
+    with pytest.raises(TypeError, match=re.escape(message) + "$"):
+        Candidate(**{**valid, **fields})
+    Candidate(**dict(valid, generation=np.int64(1)))
 
 
 def test_candidate_rejects_a_negative_generation():

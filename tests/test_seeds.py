@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btevolve.errors import ConfigError
-from btevolve.seeds import _entropy, _SeedWords, derive_seed, derive_seeds, pcg64_generators, seed_schedule, seed_uniforms
+from btevolve.seeds import _entropy, _SeedWords, derive_seed, derive_seeds, pcg64_generators, seed_schedule
 
 
 @pytest.mark.parametrize(
@@ -92,15 +92,13 @@ def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
 
 
 def _expected_schedule(root, n, k, generations, final_k):
-    """seed_schedule's fields, one derive_seed and one default_rng per seed."""
+    """seed_schedule's fields, one derive_seed per seed."""
     rounds = []
     for r in range(1, generations + 2):
         pairs, mutations = (n * k // 2, n) if r <= generations else (n * final_k // 2, 0)
-        order = _scalar_seeds(root, r, 2, indices=range(pairs))
         rounds.append(
             (
                 derive_seed(root, r, 1, 0),
-                [np.random.default_rng(s).random() < 0.5 for s in order],
                 _scalar_seeds(root, r, 3, indices=range(pairs)),
                 _scalar_seeds(root, r, 5, indices=range(mutations)),
             )
@@ -118,7 +116,7 @@ def test_seed_schedule_matches_derive_seed(shape):
     roots += [int(r) for r in np.random.default_rng(sum(shape)).integers(0, 2**63, size=4)]
     for root in roots:
         schedule = seed_schedule(root, *shape)
-        got = [(s.pairing, s.left_first, s.judge, s.mutate) for s in schedule]
+        got = [(s.pairing, s.judge, s.mutate) for s in schedule]
         assert got == _expected_schedule(root, *shape), root
 
 
@@ -129,19 +127,6 @@ def test_seed_schedule_rejects_a_path_word_of_2_to_the_32():
         seed_schedule(3, 4, 1, 2**32 - 1, 1)
     with pytest.raises(ConfigError, match=r"2\*\*32"):
         seed_schedule(3, 2**32 + 4, 1, 1, 1)  # mutation index 2**32
-
-
-def test_seed_uniforms_matches_default_rng():
-    rng = np.random.default_rng(23)
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    seeds += [int(s) for s in rng.integers(0, 2**64, size=2000, dtype=np.uint64)]
-    seeds += [int(s) for s in rng.integers(0, 2**32, size=200)]
-    uniforms = seed_uniforms(seeds)
-    assert uniforms.dtype == np.float64
-    assert uniforms.tolist() == [np.random.default_rng(s).random() for s in seeds]
-    batch = derive_seeds(9, 2, 2, np.arange(50))  # uint64 input, as the pipeline draws it
-    assert seed_uniforms(batch).tolist() == [np.random.default_rng(s).random() for s in batch.tolist()]
-    assert seed_uniforms([]).tolist() == []
 
 
 @pytest.mark.parametrize("words", [1, 2, 4, 5, 7])
@@ -167,9 +152,3 @@ def test_seed_words_answer_pcg64_seeding_only():
         words.generate_state(8, np.uint32)
     with pytest.raises(ValueError):
         np.random.MT19937(words)  # seeds itself from uint32 words
-
-
-@pytest.mark.parametrize("seeds", [[-1], [3, 2**64], [2**70, 5]])
-def test_seed_uniforms_rejects_out_of_range_seeds(seeds):
-    with pytest.raises(ValueError):
-        seed_uniforms(seeds)
