@@ -20,7 +20,6 @@ import os
 import re
 import threading
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Protocol
 from urllib.parse import quote, urlsplit
@@ -74,12 +73,14 @@ class HttpBackend:
     retried `transport_retries` times with exponential backoff starting at
     `backoff_seconds`; any other status outside 2xx (a redirect too), and
     replies that are not a JSON object with a string `text`, fail
-    immediately.  Each thread keeps one keep-alive `http.client` connection:
-    one the server has closed while idle is reopened before it is used, and
-    one whose request fails is closed.  A thread's connection is closed when
-    the thread ends (a run's worker threads end with its TaskPool), and
-    `close` closes the ones still held, such as the calling thread's; a
-    later call opens a new one.  No proxy variables or `.netrc` are
+    immediately.  The backend owns its keep-alive `http.client`
+    connections: a call takes an idle one, or opens one if none is idle,
+    and gives it back when it returns, so it holds at most one per
+    concurrent call, whatever thread makes it.  An idle connection the
+    server has closed is reopened before it is used, and one whose request
+    fails is closed.  Idle connections stay open until `close`, which the
+    backend's owner calls once its calls have returned; a later call opens
+    a new one.  No proxy variables or `.netrc` are
     read, and https is verified against the system trust store.  The auth
     token is read from the environment at call time so configs never hold
     secrets.  A `timeout` that is not a finite number above 0, a
@@ -115,13 +116,14 @@ class HttpBackend:
         # spaces, control and non-ASCII characters are percent-encoded; escapes already there stay
         target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
-        self._local = threading.local()
-        # every live thread's connection; each leaves the set when its thread ends
-        self._connections: set = set()
+        self._lock = threading.Lock()
+        self._idle: list = []  # connections no call holds; a call takes the one given back last
 
     def close(self) -> None:
-        """Close the connection of every thread that still holds one."""
-        for connection in list(self._connections):
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
             connection.close()
 
     def complete(self, request: CompletionRequest) -> str:
@@ -137,66 +139,53 @@ class HttpBackend:
         body = json.dumps(
             {"system": request.system_prompt, "user": request.user_prompt, "temperature": request.temperature}
         ).encode("utf-8")
-        held = getattr(self._local, "held", None)
-        if held is None:
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
             connection_class = http.client.HTTPSConnection if self._https else http.client.HTTPConnection
-            held = self._local.held = _Held(connection_class(*self._address, timeout=self.timeout))
-            self._connections.add(held.connection)
-            # the thread's local storage drops `held` when the thread ends, which closes its connection
-            weakref.finalize(held, _release, self._connections, held.connection)
-        connection = held.connection
-        last_error: Exception | None = None
-        for attempt in range(self.transport_retries + 1):
-            if attempt:
-                time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
-            # an idle socket that reads as ready holds the server's close: reopen instead of failing
-            if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-                connection.close()
-            try:
-                # headers and body go out in one write, so no delayed ACK stalls the request
-                connection.request("POST", self._target, body, headers)
-                response = connection.getresponse()
-                reply = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                connection.close()
-                last_error = exc
-                logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
-                continue
-            if response.status == 429 or response.status >= 500:
-                last_error = BackendError(f"HTTP {response.status} from {self.base_url}")
-                logger.warning("retryable status %s (attempt %d)", response.status, attempt + 1)
-                continue
-            if not 200 <= response.status < 300:
-                raise BackendError(f"HTTP error from {self.base_url}: {response.status} {response.reason}")
-            try:
-                payload = json.loads(reply)
-            except ValueError as exc:
-                raise BackendError(f"endpoint reply is not JSON: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise BackendError(f"endpoint reply is not a JSON object: {payload!r:.200}")
-            if "text" not in payload:
-                raise BackendError(f"endpoint reply is missing 'text': {payload!r:.200}")
-            if not isinstance(payload["text"], str):
-                raise BackendError(f"endpoint reply 'text' is not a string: {payload['text']!r:.200}")
-            return payload["text"]
-        raise BackendError(
-            f"backend unavailable after {self.transport_retries + 1} attempts: {last_error}"
-        ) from last_error
-
-
-class _Held:
-    """One thread's connection, kept in its thread-local storage."""
-
-    __slots__ = ("connection", "__weakref__")
-
-    def __init__(self, connection) -> None:
-        self.connection = connection
-
-
-def _release(connections: set, connection) -> None:
-    """Forget and close a connection whose thread has ended."""
-    connections.discard(connection)
-    connection.close()
+            connection = connection_class(*self._address, timeout=self.timeout)
+        try:
+            last_error: Exception | None = None
+            for attempt in range(self.transport_retries + 1):
+                if attempt:
+                    time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
+                # an idle socket that reads as ready holds the server's close: reopen instead of failing
+                if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+                    connection.close()
+                try:
+                    # headers and body go out in one write, so no delayed ACK stalls the request
+                    connection.request("POST", self._target, body, headers)
+                    response = connection.getresponse()
+                    reply = response.read()
+                except (OSError, http.client.HTTPException) as exc:
+                    connection.close()
+                    last_error = exc
+                    logger.warning("transport failure (attempt %d): %s", attempt + 1, exc)
+                    continue
+                if response.status == 429 or response.status >= 500:
+                    last_error = BackendError(f"HTTP {response.status} from {self.base_url}")
+                    logger.warning("retryable status %s (attempt %d)", response.status, attempt + 1)
+                    continue
+                if not 200 <= response.status < 300:
+                    raise BackendError(f"HTTP error from {self.base_url}: {response.status} {response.reason}")
+                try:
+                    payload = json.loads(reply)
+                except ValueError as exc:
+                    raise BackendError(f"endpoint reply is not JSON: {exc}") from exc
+                if not isinstance(payload, dict):
+                    raise BackendError(f"endpoint reply is not a JSON object: {payload!r:.200}")
+                if "text" not in payload:
+                    raise BackendError(f"endpoint reply is missing 'text': {payload!r:.200}")
+                if not isinstance(payload["text"], str):
+                    raise BackendError(f"endpoint reply 'text' is not a string: {payload['text']!r:.200}")
+                return payload["text"]
+            raise BackendError(
+                f"backend unavailable after {self.transport_retries + 1} attempts: {last_error}"
+            ) from last_error
+        finally:
+            # given back even after a failure: a closed connection reopens on its next request
+            with self._lock:
+                self._idle.append(connection)
 
 
 @dataclass(frozen=True)

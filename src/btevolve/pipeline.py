@@ -267,10 +267,7 @@ class TaskPool:
     A batch is one `map` of a call function over its items.  At parallelism
     1 there are no threads and calls run inline.  `close`, or leaving the
     `with` block, cancels calls not yet started and waits for the threads
-    to end, so a pool's owner leaves no thread behind.  The
-    pool holds no backend connection: HttpBackend closes a thread's own
-    connection when the thread ends, and the calling thread's on
-    `HttpBackend.close`.
+    to end, so a pool's owner leaves no thread behind.
     """
 
     def __init__(self, parallelism: int = 1) -> None:
@@ -724,9 +721,18 @@ class _Recorded:
     def start(self) -> None:
         """Nothing to draw: the answers are the records."""
 
+    def content(self, generation: int, round_no: int):
+        """The recorded text of the next candidate, which `complete_candidate`
+        never leaves empty."""
+        payload = self.hold("candidate", generation, round_no)
+        if payload["content"] == "":
+            named = f"candidate {payload.get('id')} has empty content"
+            raise ReplayError(f"record {self.at}: {named}, which complete_candidate refuses")
+        return payload["content"]
+
     def samples(self) -> list[Candidate]:
         """Each sample `sample_candidates` makes of its recorded text."""
-        return [_sample(i, self.hold("candidate", 0, 1)["content"]) for i in range(self.config.n)]
+        return [_sample(i, self.content(0, 1)) for i in range(self.config.n)]
 
     def judged(self, round_no: int, state: GenerationState, degree: int):
         """The round's judgments as recorded, each at its position, with
@@ -781,7 +787,7 @@ class _Recorded:
         the walk cannot build is named by its own record."""
         for _ in routing.elites:
             self.hold("candidate", state.generation + 1, round_no)
-        return (self.hold("candidate", state.generation + 1, round_no)["content"] for _ in routing.parents)
+        return (self.content(state.generation + 1, round_no) for _ in routing.parents)
 
 
 def replay(source) -> ReplayResult:
@@ -795,6 +801,7 @@ def replay(source) -> ReplayResult:
     five fields and its payload, must be the one the walk writes from the
     answers read so far, type for type, the config record first, and nothing
     may follow the summary.  The answers are checked as they are read: each
+    sampled or mutated candidate's content is not empty; each
     judgment's `pair_index` is its position, its `retries` a count the run
     can spend on it, its sides members of its generation, and its round's
     member-index pairs the shape of a `sample_pairing` plan, and its

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import SyntheticWorldConfig, judge_outcome
-from .btrank import DEFAULT_LAM, LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, _fit_entries, check_lam, top_candidates
+from .btrank import DEFAULT_LAM, _fit_entries, check_lam, top_candidates
 # fit_bt stays importable as scaling.fit_bt for tools that patch or trace it;
 # the simulation itself fits through btrank._fit_entries, fit_bt_rows' solver entry
 from .btrank import fit_bt  # noqa: F401
@@ -52,9 +52,6 @@ MATRIX_OUTCOMES = (FIRST_WINS, SECOND_WINS, MATRIX_TIE)
 _MATRIX_OUTCOME = {"A": FIRST_WINS, "B": SECOND_WINS, "TIE": MATRIX_TIE}
 # matrix outcome -> win weights (first over second, second over first)
 _WIN_WEIGHTS = {FIRST_WINS: (1.0, 0.0), SECOND_WINS: (0.0, 1.0), MATRIX_TIE: (0.5, 0.5)}
-# matrix outcome -> record outcome, for records shown in pool order and reversed
-_IN_ORDER = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
-_REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
 
 PAIRING_RANDOM = "random"
 PAIRING_ROUND_ROBIN = "round-robin"
@@ -107,14 +104,6 @@ class JudgmentMatrix:
             wins[i, j], wins[j, i] = _WIN_WEIGHTS[outcome]
         wins.flags.writeable = False
         object.__setattr__(self, "wins", wins)
-
-    def record(self, left: int, right: int, left_index: int, right_index: int) -> ComparisonRecord:
-        """Look up the (left, right) pool pair as a record over local indices."""
-        if left < right:
-            outcome = _IN_ORDER[self.outcomes[(left, right)]]
-        else:
-            outcome = _REVERSED[self.outcomes[(right, left)]]
-        return ComparisonRecord(left_index, right_index, outcome)
 
 
 def round_robin_schedule(pool_size: int) -> list[list[tuple[int, int]]]:

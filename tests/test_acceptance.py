@@ -45,7 +45,14 @@ from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_
 from btevolve.pairing import sample_pairing
 from btevolve.pipeline import RunConfig, compute_budget, derive_seed, replay, run_pipeline
 from btevolve.population import Candidate, FeedbackStrategy
-from btevolve.scaling import generate_matrix, round_robin_schedule, simulate_cell
+from btevolve.scaling import (
+    FIRST_WINS,
+    MATRIX_TIE,
+    SECOND_WINS,
+    generate_matrix,
+    round_robin_schedule,
+    simulate_cell,
+)
 
 
 def _check(name: str, failures: list, detail: str = "") -> None:
@@ -510,10 +517,12 @@ def test_pool_scaling_simulation():
     if cell.m != 10 or not cell.feasible:
         failures.append(f"m(B=120, n=20) = {cell.m}, expected 10")
 
+    # the matrix's outcome of pool pair (i, j), i < j, as a record showing i on the left
+    as_record = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
     for seed in range(3):
         matrix = generate_matrix(8, world, seed)
         records = [
-            matrix.record(i, j, i, j) for i in range(7) for j in range(i + 1, 8)
+            (i, j, as_record[matrix.outcomes[(i, j)]]) for i in range(7) for j in range(i + 1, 8)
         ]
         direct_top = rank(fit_bt(records, 8))[0]
         full = simulate_cell(matrix, budget=36, n=8, trials=3, seed=seed, pairing="round-robin")

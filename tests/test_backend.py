@@ -227,6 +227,17 @@ class _CloseAfterReply(_Script):
         self.close_connection = True
 
 
+class _Rendezvous(_KeepAliveScript):
+    """Keep-alive script that holds each request until `barrier`, when set, lets it through."""
+
+    barrier = None
+
+    def do_POST(self):
+        if _Rendezvous.barrier is not None:
+            _Rendezvous.barrier.wait(timeout=5)
+        super().do_POST()
+
+
 def _serve(server):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -252,6 +263,28 @@ def keep_alive_server():
 @pytest.fixture()
 def closing_server():
     yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _CloseAfterReply))
+
+
+@pytest.fixture()
+def rendezvous_server():
+    # the first two requests pass the barrier together, later ones pass alone
+    _Rendezvous.barrier = threading.Barrier(2, action=lambda: setattr(_Rendezvous, "barrier", None))
+    yield from _serve(ThreadingHTTPServer(("127.0.0.1", 0), _Rendezvous))
+    _Rendezvous.barrier = None
+
+
+@pytest.fixture()
+def http_backend():
+    """HttpBackend, each one it builds closed when the test ends."""
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(HttpBackend(*args, **kwargs))
+        return built[-1]
+
+    yield build
+    for backend in built:
+        backend.close()
 
 
 class _SyntheticReplies(BaseHTTPRequestHandler):
@@ -291,46 +324,50 @@ def test_run_keeps_one_connection_per_worker():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _SyntheticReplies.peers = []
+    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
     try:
-        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
         config = RunConfig(problem="Sort the list.")
         run_pipeline(config, backend=backend, parallelism=2)
     finally:
+        backend.close()
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
     assert len(_SyntheticReplies.peers) == compute_budget(config.n, config.k, config.generations, config.final_k)
-    # one pool for the whole run: its two threads keep their sessions across barriers
+    # at most two calls at a time, so the backend never needs a third connection
     assert len(set(_SyntheticReplies.peers)) <= 2
 
 
-def test_runs_sharing_a_backend_leave_no_idle_connections():
-    # each run's worker threads close their connections as its pool ends them;
-    # more workers than cores and frequent thread switches stress the shared set
+def test_runs_sharing_a_backend_reuse_its_connections():
+    # the backend's idle connections outlive each run's worker threads; more workers
+    # than cores and frequent thread switches stress the shared idle list
     server = ThreadingHTTPServer(("127.0.0.1", 0), _SyntheticReplies)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _SyntheticReplies.peers = []
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
     try:
-        backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", timeout=5)
         config = RunConfig(problem="Sort the list.", n=8, k=2, generations=1, final_k=3)
         for _ in range(3):
             run_pipeline(config, backend=backend, parallelism=8)
-            assert not backend._connections
+        idle = list(backend._idle)
     finally:
         sys.setswitchinterval(switch_interval)
+        backend.close()
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
     assert len(_SyntheticReplies.peers) == 3 * compute_budget(config.n, config.k, config.generations, config.final_k)
-    assert len(set(_SyntheticReplies.peers)) <= 3 * 8
+    assert len(set(_SyntheticReplies.peers)) <= 8
+    assert 1 <= len(idle) <= 8
+    assert backend._idle == [] and all(connection.sock is None for connection in idle)
 
 
 def test_batch_keeps_one_connection_per_worker(tmp_path):
-    # btevolve run shares one backend and one pool across a batch, so its two workers
-    # keep their connections from one problem to the next
+    # btevolve run shares one backend and one pool across a batch, so the backend
+    # keeps its connections from one problem to the next
     server = ThreadingHTTPServer(("127.0.0.1", 0), _SyntheticReplies)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -357,10 +394,12 @@ def test_batch_keeps_one_connection_per_worker(tmp_path):
 
 def test_run_closes_the_backend_it_builds(keep_alive_server, monkeypatch):
     url, script = keep_alive_server
-    built = []
+    built, idle = [], []
 
     def make_and_keep(kind, options):
         built.append(make_backend(kind, options))
+        # `close` swaps this list out and closes what it holds
+        idle.append(built[-1]._idle)
         return built[-1]
 
     monkeypatch.setattr(pipeline, "make_backend", make_and_keep)
@@ -370,42 +409,41 @@ def test_run_closes_the_backend_it_builds(keep_alive_server, monkeypatch):
     script.script.extend([(200, json.dumps({"text": judge_reply("A")}))] * 2)
     selected, _ = run_pipeline(config)
     assert selected.content == "candidate"
-    (backend,) = built
-    (connection,) = backend._connections
-    assert connection.sock is None
+    (backend,), ((connection,),) = built, idle
+    assert backend._idle == [] and connection.sock is None
 
 
-def test_http_close_closes_held_connections_and_a_later_call_reopens(keep_alive_server):
+def test_http_close_closes_held_connections_and_a_later_call_reopens(keep_alive_server, http_backend):
     url, script = keep_alive_server
     script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
-    backend = HttpBackend(url, timeout=5)
+    backend = http_backend(url, timeout=5)
     backend.complete(CompletionRequest("u"))
     worker = threading.Thread(target=backend.complete, args=(CompletionRequest("u"),))
     worker.start()
     worker.join(timeout=5)
-    # the worker's connection closed as its thread ended; the main thread's is still held
-    (connection,) = backend._connections
+    assert not worker.is_alive()
+    # the worker took the connection the main thread's call gave back, and gave it back in turn
+    (connection,) = backend._idle
     assert connection.sock is not None
     backend.close()
     assert connection.sock is None
     assert backend.complete(CompletionRequest("u")) == "2"
-    assert len({seen["peer"] for seen in script.seen}) == 3
-    backend.close()
+    assert len({seen["peer"] for seen in script.seen}) == 2
 
 
-def test_http_success_and_payload_shape(http_server):
+def test_http_success_and_payload_shape(http_server, http_backend):
     url, script = http_server
     script.script.append((200, json.dumps({"text": "hello"})))
-    backend = HttpBackend(url, timeout=5)
+    backend = http_backend(url, timeout=5)
     reply = backend.complete(CompletionRequest("user text", system_prompt="sys", temperature=0.5))
     assert reply == "hello"
     sent = script.seen[0]["body"]
     assert sent == {"system": "sys", "user": "user text", "temperature": 0.5}
 
 
-def test_http_wire_body_ignores_purpose(http_server):
+def test_http_wire_body_ignores_purpose(http_server, http_backend):
     url, script = http_server
-    backend = HttpBackend(url, timeout=5)
+    backend = http_backend(url, timeout=5)
     for purpose in (None, *PURPOSES):
         script.script.append((200, json.dumps({"text": "hello"})))
         backend.complete(CompletionRequest("user text", system_prompt="sys", temperature=0.5, purpose=purpose))
@@ -413,43 +451,43 @@ def test_http_wire_body_ignores_purpose(http_server):
     assert bodies == [{"system": "sys", "user": "user text", "temperature": 0.5}] * (1 + len(PURPOSES))
 
 
-def test_http_retries_server_errors_then_succeeds(http_server):
+def test_http_retries_server_errors_then_succeeds(http_server, http_backend):
     url, script = http_server
     script.script.extend([(500, "{}"), (429, "{}"), (200, json.dumps({"text": "ok"}))])
-    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    backend = http_backend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
     assert backend.complete(CompletionRequest("u")) == "ok"
     assert len(script.seen) == 3
 
 
-def test_http_gives_up_after_budget(http_server):
+def test_http_gives_up_after_budget(http_server, http_backend):
     url, script = http_server
     script.script.extend([(503, "{}")] * 3)
-    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    backend = http_backend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="3 attempts"):
         backend.complete(CompletionRequest("u"))
 
 
-def test_http_client_errors_fail_immediately(http_server):
+def test_http_client_errors_fail_immediately(http_server, http_backend):
     url, script = http_server
     script.script.extend([(400, "{}"), (200, json.dumps({"text": "never"}))])
-    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    backend = http_backend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="HTTP error"):
         backend.complete(CompletionRequest("u"))
     assert len(script.seen) == 1
 
 
-def test_http_missing_text_field(http_server):
+def test_http_missing_text_field(http_server, http_backend):
     url, script = http_server
     script.script.append((200, json.dumps({"output": "x"})))
-    backend = HttpBackend(url, timeout=5)
+    backend = http_backend(url, timeout=5)
     with pytest.raises(BackendError, match="missing 'text'"):
         backend.complete(CompletionRequest("u"))
 
 
-def test_http_auth_token_read_from_env(http_server, monkeypatch):
+def test_http_auth_token_read_from_env(http_server, monkeypatch, http_backend):
     url, script = http_server
     script.script.extend([(200, json.dumps({"text": "a"})), (200, json.dumps({"text": "b"}))])
-    backend = HttpBackend(url, auth_token_env="TEST_JUDGE_TOKEN", timeout=5)
+    backend = http_backend(url, auth_token_env="TEST_JUDGE_TOKEN", timeout=5)
     monkeypatch.delenv("TEST_JUDGE_TOKEN", raising=False)
     backend.complete(CompletionRequest("u"))
     monkeypatch.setenv("TEST_JUDGE_TOKEN", "sekret")
@@ -458,8 +496,8 @@ def test_http_auth_token_read_from_env(http_server, monkeypatch):
     assert script.seen[1]["auth"] == "Bearer sekret"
 
 
-def test_http_connection_refused():
-    backend = HttpBackend("http://127.0.0.1:9", timeout=0.2, transport_retries=1, backoff_seconds=0.0)
+def test_http_connection_refused(http_backend):
+    backend = http_backend("http://127.0.0.1:9", timeout=0.2, transport_retries=1, backoff_seconds=0.0)
     with pytest.raises(BackendError, match="2 attempts"):
         backend.complete(CompletionRequest("u"))
 
@@ -473,33 +511,43 @@ def test_http_connection_refused():
         (json.dumps({"text": None}), "'text' is not a string"),
     ],
 )
-def test_http_rejects_malformed_reply(http_server, body, message):
+def test_http_rejects_malformed_reply(http_server, body, message, http_backend):
     url, script = http_server
     script.script.extend([(200, body), (200, json.dumps({"text": "never"}))])
-    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    backend = http_backend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError, match=message):
         backend.complete(CompletionRequest("u"))
     assert len(script.seen) == 1
 
 
-def test_http_reuses_connection(keep_alive_server):
+def test_http_reuses_connection(keep_alive_server, http_backend):
     url, script = keep_alive_server
     script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
-    backend = HttpBackend(url, timeout=5)
+    backend = http_backend(url, timeout=5)
     assert [backend.complete(CompletionRequest("u")) for _ in range(3)] == ["0", "1", "2"]
     assert len({seen["peer"] for seen in script.seen}) == 1
 
 
-def test_http_sessions_are_per_thread(keep_alive_server):
-    url, script = keep_alive_server
-    script.script.extend([(200, json.dumps({"text": "x"}))] * 2)
-    backend = HttpBackend(url, timeout=5)
-    backend.complete(CompletionRequest("u"))
-    worker = threading.Thread(target=backend.complete, args=(CompletionRequest("u"),))
-    worker.start()
-    worker.join(timeout=5)
-    assert not worker.is_alive()
-    assert len({seen["peer"] for seen in script.seen}) == 2
+def test_http_overlapping_calls_use_two_connections_and_a_later_thread_reuses_one(rendezvous_server, http_backend):
+    url, script = rendezvous_server
+    script.script.extend([(200, json.dumps({"text": "x"}))] * 3)
+    backend = http_backend(url, timeout=5)
+
+    def call_at_once(count):
+        """`count` calls, each from a thread of its own."""
+        threads = [threading.Thread(target=backend.complete, args=(CompletionRequest("u"),)) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+
+    # the server answers neither of the first two requests before both have arrived
+    call_at_once(2)
+    assert len({seen["peer"] for seen in script.seen}) == len(backend._idle) == 2
+    call_at_once(1)
+    assert len(script.seen) == 3
+    assert len({seen["peer"] for seen in script.seen}) == len(backend._idle) == 2
 
 
 def test_http_calls_need_no_requests_and_import_loads_no_http_client(http_server):
@@ -512,7 +560,9 @@ def test_http_calls_need_no_requests_and_import_loads_no_http_client(http_server
         "sys.modules['requests'] = sys.modules['urllib3'] = None\n"
         "import btevolve\n"
         "print('http.client' in sys.modules)\n"
-        f"print(btevolve.HttpBackend({url!r}, timeout=5).complete(btevolve.CompletionRequest('u')))"
+        f"backend = btevolve.HttpBackend({url!r}, timeout=5)\n"
+        "print(backend.complete(btevolve.CompletionRequest('u')))\n"
+        "backend.close()"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True
@@ -521,11 +571,11 @@ def test_http_calls_need_no_requests_and_import_loads_no_http_client(http_server
     assert script.seen[0]["body"] == {"system": None, "user": "u", "temperature": 1.0}
 
 
-def test_http_reopens_a_connection_the_server_closed_while_idle(closing_server):
+def test_http_reopens_a_connection_the_server_closed_while_idle(closing_server, http_backend):
     # without the idle check the second call would go out on the closed socket and fail
     url, script = closing_server
     script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
-    backend = HttpBackend(url, timeout=5, transport_retries=0)
+    backend = http_backend(url, timeout=5, transport_retries=0)
     replies = []
     for _ in range(3):
         replies.append(backend.complete(CompletionRequest("u")))
@@ -539,10 +589,10 @@ def test_http_reopens_a_connection_the_server_closed_while_idle(closing_server):
     [(302, "{}", r"HTTP error from .*: 302"), (200, "<html>busy</html>", "not JSON")],
     ids=["redirect", "not-json"],
 )
-def test_http_redirects_and_non_json_replies_fail_immediately(http_server, status, body, message):
+def test_http_redirects_and_non_json_replies_fail_immediately(http_server, status, body, message, http_backend):
     url, script = http_server
     script.script.extend([(status, body), (200, json.dumps({"text": "never"}))])
-    backend = HttpBackend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
+    backend = http_backend(url, timeout=5, transport_retries=2, backoff_seconds=0.0)
     with pytest.raises(BackendError, match=message):
         backend.complete(CompletionRequest("u"))
     assert len(script.seen) == 1

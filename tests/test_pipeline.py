@@ -546,6 +546,14 @@ def _run_edits(lines):
             )
             for name, content in (("as-number", 5), ("null", None), ("list", ["x"]))
         },
+        **{
+            f"empty-content-{candidate}": (
+                _edited(lines, _line_where(lines, "candidate", id=candidate), content=""),
+                _line_where(lines, "candidate", id=candidate),
+                f"candidate {candidate} has empty content, which complete_candidate refuses",
+            )
+            for candidate in ("g0-s000", "g0-s004", "g2-mut005")
+        },
         "child-content-as-number": (
             _edited(lines, child, content=5),
             child,
@@ -588,6 +596,9 @@ RUN_EDITS = [
     "sample-content-as-number",
     "sample-content-null",
     "sample-content-list",
+    "empty-content-g0-s000",
+    "empty-content-g0-s004",
+    "empty-content-g2-mut005",
     "child-content-as-number",
     "fit-iterations-string",
     "fit-iterations-fraction",

@@ -115,16 +115,6 @@ def test_matrix_validation():
     JudgmentMatrix(3, outcomes, (True, False, False))
 
 
-def test_matrix_record_orientation():
-    matrix = JudgmentMatrix(
-        2, {(0, 1): FIRST_WINS}, (True, False)
-    )
-    assert matrix.record(0, 1, 0, 1).outcome == LEFT_WINS
-    assert matrix.record(1, 0, 0, 1).outcome == RIGHT_WINS
-    record = matrix.record(1, 0, 4, 7)
-    assert (record.left, record.right) == (4, 7)
-
-
 def test_m_formula_and_infeasible_cell():
     matrix = generate_matrix(24, WORLD, seed=1)
     cell = simulate_cell(matrix, budget=120, n=20, trials=2, seed=0)
@@ -180,8 +170,8 @@ def test_judgment_matrix_win_weights():
         for j in range(16):
             if i != j:
                 assert pool.wins[i, j] + pool.wins[j, i] == 1.0
-                record = pool.record(i, j, 0, 1)
-                assert pool.wins[i, j] == {LEFT_WINS: 1.0, RIGHT_WINS: 0.0, TIE: 0.5}[record.outcome]
+            if i < j:
+                assert pool.wins[i, j] == {FIRST_WINS: 1.0, SECOND_WINS: 0.0, MATRIX_TIE: 0.5}[pool.outcomes[(i, j)]]
 
 
 # (budget, n, m, top1_hits, trials_with_accepted) of sweep_grid(budgets, populations,
@@ -218,6 +208,18 @@ def test_simulate_cell_frozen_values(mode, pairing):
     assert [(c.budget, c.n, c.m, c.top1_hits, c.trials_with_accepted) for c in cells] == FROZEN_CELLS[mode, pairing]
 
 
+# matrix outcome -> record outcome, for a pair shown in pool order and reversed
+IN_ORDER = {FIRST_WINS: LEFT_WINS, SECOND_WINS: RIGHT_WINS, MATRIX_TIE: TIE}
+REVERSED = {FIRST_WINS: RIGHT_WINS, SECOND_WINS: LEFT_WINS, MATRIX_TIE: TIE}
+
+
+def matrix_record(matrix, left, right, left_index, right_index):
+    """The matrix's outcome of pool pair (left, right) as a (left_index, right_index, outcome) record."""
+    if left < right:
+        return (left_index, right_index, IN_ORDER[matrix.outcomes[(left, right)]])
+    return (left_index, right_index, REVERSED[matrix.outcomes[(right, left)]])
+
+
 def drawn_trial(matrix, budget, n, trial, seed, pairing):
     """A trial's sorted sample and its compared (local) pairs, round by round,
     drawn by the documented per-trial scheme."""
@@ -237,7 +239,7 @@ def per_trial_cell(matrix, budget, n, trials, seed, pairing):
     hits = with_accepted = 0
     for trial in range(trials):
         sample, pairs = drawn_trial(matrix, budget, n, trial, seed, pairing)
-        records = [matrix.record(int(sample[a]), int(sample[b]), a, b) for a, b in pairs]
+        records = [matrix_record(matrix, int(sample[a]), int(sample[b]), a, b) for a, b in pairs]
         hits += matrix.labels[int(sample[rank(fit_bt(records, n))[0]])]
         with_accepted += any(matrix.labels[int(i)] for i in sample)
     return hits, with_accepted
@@ -387,7 +389,7 @@ def test_summed_fits_agree_with_per_trial_fits(matrix, pairing, budgets, n):
     samples, pairs = draw(matrix, budgets, n, 15, 5, pairing)
     picks = _fit_trials(matrix.wins, samples, pairs, 0.01)
     for row, (sample, row_pairs) in enumerate(zip(samples.tolist(), pairs.tolist())):
-        records = [matrix.record(sample[a], sample[b], a, b) for a, b in row_pairs if a != b]
+        records = [matrix_record(matrix, sample[a], sample[b], a, b) for a, b in row_pairs if a != b]
         assert picks[row] == rank(fit_bt(records, n, lam=0.01))[0]
 
 
@@ -576,7 +578,7 @@ def test_full_pool_round_robin_equals_direct_bt():
         matrix = generate_matrix(8, WORLD, seed=seed)
         # m = n-1 = 7: every pair judged once, budget = 8 + 8*7/2 = 36
         cell = simulate_cell(matrix, 36, 8, trials=4, seed=99, pairing="round-robin")
-        records = [matrix.record(i, j, i, j) for (i, j) in sorted(matrix.outcomes)]
+        records = [matrix_record(matrix, i, j, i, j) for (i, j) in sorted(matrix.outcomes)]
         top = rank(fit_bt(records, 8))[0]
         assert cell.top1_accuracy == float(matrix.labels[top])
         assert cell.trials_with_accepted == (4 if any(matrix.labels) else 0)
