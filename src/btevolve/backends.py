@@ -149,9 +149,13 @@ class HttpBackend:
             for attempt in range(self.transport_retries + 1):
                 if attempt:
                     time.sleep(self.backoff_seconds * 2 ** (attempt - 1))
-                # an idle socket that reads as ready holds the server's close: reopen instead of failing
-                if connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-                    connection.close()
+                # an idle socket that reads as ready holds the server's close: reopen instead of failing;
+                # poll, unlike select.select, takes a socket numbered 1024 or above and opens no fd of its own
+                if connection.sock is not None:
+                    idle = select.poll()
+                    idle.register(connection.sock, select.POLLIN)
+                    if idle.poll(0):
+                        connection.close()
                 try:
                     # headers and body go out in one write, so no delayed ACK stalls the request
                     connection.request("POST", self._target, body, headers)

@@ -60,6 +60,16 @@ def _load_config(path: str, allowed: set) -> dict:
     return config
 
 
+def _path_of(config: dict, key: str) -> str:
+    """The file path a config sets at `key`: a non-empty string, so that no
+    number is read as a file descriptor and no empty path as the current
+    directory."""
+    value = config[key]
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a file path, got {value!r}")
+    return value
+
+
 def _strategy_from(value) -> FeedbackStrategy | None:
     """A file's feedback_strategy, a kind or a {kind, k} mapping; null or a
     bare "pairwise-K" leaves it unset, which RunConfig reads as K = k."""
@@ -119,7 +129,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config, _RUN_KEYS)
     if "problem" not in config:
         raise ConfigError("run config needs a problem path")
-    problem_path = Path(config["problem"])
+    problem_path = Path(_path_of(config, "problem"))
     out_dir = Path(args.out or "runs")
     if problem_path.is_dir():
         problems = sorted(p for p in problem_path.iterdir() if p.is_file())
@@ -172,9 +182,10 @@ def _cmd_simulate(args) -> int:
     populations = config.get("populations")
     if not (isinstance(budgets, list) and budgets and isinstance(populations, list) and populations):
         raise ConfigError("simulate config needs budgets and populations lists")
-    if config.get("matrix"):
+    if "matrix" in config:
+        matrix_path = _path_of(config, "matrix")
         try:
-            matrix = scaling.load_matrix(config["matrix"])
+            matrix = scaling.load_matrix(matrix_path)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad matrix file: {exc}") from exc
     else:
@@ -187,7 +198,7 @@ def _cmd_simulate(args) -> int:
     cells = scaling.sweep_grid(matrix, budgets, populations, trials, seed, lam=lam, pairing=pairing)
     echo = {**config, "seed": seed, "trials": trials, "lambda": lam, "pairing": pairing, "pool_size": matrix.pool_size}
     # echo only the settings that acted: a matrix file stands in for the world
-    echo.pop("world" if config.get("matrix") else "matrix", None)
+    echo.pop("world" if "matrix" in config else "matrix", None)
     out_path = Path(args.out or "grid.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     scaling.write_grid_csv(cells, out_path, config_echo=echo)
@@ -204,7 +215,7 @@ def _cmd_elo(args) -> int:
     seed = _seed_of(config, args)
     settings = {key: value for key, value in config.items() if key not in ("outcomes", "seed")}
     try:
-        outcomes = elo.load_outcomes(config["outcomes"])
+        outcomes = elo.load_outcomes(_path_of(config, "outcomes"))
         result = elo.estimate(outcomes, seed=seed, **settings)
     except ConfigError:
         raise
@@ -221,7 +232,7 @@ def _cmd_diagnose(args) -> int:
     if "pairs" not in config:
         raise ConfigError("diagnose config needs a pairs file")
     seed = _seed_of(config, args)
-    pairs = baselines.load_pairs(config["pairs"])
+    pairs = baselines.load_pairs(_path_of(config, "pairs"))
     if not pairs:
         raise ConfigError(f"no usable pairs in {config['pairs']}")
     backend = make_backend(*_backend_spec(config.get("backend"), args.backend))
@@ -254,7 +265,7 @@ def _cmd_baseline(args) -> int:
         raise ConfigError("baseline mode must be pointwise or self-refine")
     if "problem" not in config:
         raise ConfigError("baseline config needs a problem path")
-    problem = Path(config["problem"]).read_text(encoding="utf-8")
+    problem = Path(_path_of(config, "problem")).read_text(encoding="utf-8")
     seed = _seed_of(config, args)
     n = config.get("n", 20)
     votes = config.get("votes", 14 if mode == "pointwise" else 8)

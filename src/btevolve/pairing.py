@@ -103,18 +103,3 @@ def _left_first(pairs, n: int) -> list[bool]:
             at = other
     return [pair in shown for pair in pairs]
 
-
-def _plan_misfit(pairs, n: int, k: int) -> int | None:
-    """The position of the first of `pairs`, (left, right) index tuples below n, out of the shape of a
-    `sample_pairing(n, k, ...)` plan, or None: left < right, strictly increasing, each index in at most
-    k pairs (so in exactly k when n*k/2 pairs pass)."""
-    count = [0] * n
-    previous = (-1, -1)
-    for position, pair in enumerate(pairs):
-        left, right = pair
-        count[left] += 1
-        count[right] += 1
-        if not (previous < pair and left < right and count[left] <= k and count[right] <= k):
-            return position
-        previous = pair
-    return None

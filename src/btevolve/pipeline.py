@@ -21,18 +21,20 @@ an aborted run keeps everything up to the last completed barrier plus one
 abort record, and the file is closed when the run ends or aborts.  A
 RunTrace made directly keeps its file open until its `close`.
 
-One walk, `_walk`, writes a run's records.  A run drives it with the
-backend's answers; `replay` drives it with answers read from a trace, and
-each record the walk writes must be the recorded one, type for type.  Which
-side of each pair is shown first is not drawn: the run and replay both take
-it from the orientation of the round's plan (`pairing._left_first`).  Replay
-takes as recorded what the backend decides (candidate and judgment text,
-verdicts), which plan of a pairing plan's shape was sampled, the value of a
-fit's `iterations`, and the config fields no checked record depends on.
+One walk, `_walk`, writes a run's records.  It draws each judged round's
+seeds (`seed_schedule`), pairing plan (`sample_pairing`) and the side of
+each pair shown first (the plan's orientation, `pairing._left_first`).  A
+run drives it with the backend's answers; `replay` drives it with answers
+read from a trace, and each record the walk writes must be the recorded one,
+type for type, each judgment the planned pair shown first on its planned
+side.  Replay takes as recorded only what the backend decides (candidate
+and judgment text, verdicts), the value of a fit's `iterations`, and the
+config fields no checked record depends on.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from collections import deque
@@ -57,7 +59,7 @@ from .backends import (
 from .btrank import DEFAULT_LAM, ScoreVector, _converged, bt_gradient, check_lam, fit_bt, rank
 from .errors import BackendError, ConfigError, JudgeParseError, ReplayError, check_count, is_int
 from .judging import Judgment, canonicalize, degraded_tie, parse_judge_reply, render_comparison_prompt
-from .pairing import _left_first, _plan_misfit, sample_pairing
+from .pairing import _left_first, sample_pairing
 from .population import (
     ORIGIN_MUTATED,
     ORIGIN_SAMPLED,
@@ -443,19 +445,23 @@ def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Can
     """Write every record of a run to `trace`, in the run's order, and return
     each judged generation and the selected candidate.
 
-    The walk alone counts calls and barriers, routes, assembles, selects and
+    The walk alone draws each judged round's seeds, pairing plan and plan
+    orientation, counts calls and barriers, routes, assembles, selects and
     checks the budget.  It asks `answers` for what only a run decides:
-    `start()` once the config record is written; `samples()`, generation
-    0's n candidates; `judged(round, state, degree)`, the round's (left,
-    right) member index pairs and a (judgment, retries) per pair;
+    `samples()`, generation 0's n candidates; `judged(round, state, degree,
+    plan)`, a (judgment, retries) per pair of the round's plan, where
+    `plan()` draws the round's (seeds, (left, right) member index pairs,
+    left-shown-first flags) once, when the answers first ask for it;
     `fit(round, state, pairs, judgments)`, the ScoreVector over them; and
-    `mutations(round, state, routing)`, the texts of the routing parents'
-    children, in order.  Any exception appends an abort record naming the
-    error and its type, flushes the trace and is re-raised unchanged.
+    `mutations(round, state, routing, mutate_seeds)`, the texts of the
+    routing parents' children, in order.  Replay's answers read a round's
+    judgments before they ask for its plan, so a trace costs no more than
+    the rounds it holds, whatever its config names.  Any exception appends an abort record naming the error and its type,
+    flushes the trace and is re-raised unchanged.
     """
     n, last = config.n, config.generations + 1
     calls = retries = barriers = round_no = 0
-    states = []
+    states, seeds = [], None  # seeds: the RoundSeeds of the round judged last
 
     def barrier() -> None:
         nonlocal barriers
@@ -465,9 +471,18 @@ def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Can
 
     def judge(state: GenerationState, degree: int) -> GenerationState:
         """Judge and trace the generation's pairs at `degree`, then fit and trace the scores."""
-        nonlocal calls, retries
+        nonlocal calls, retries, seeds
         generation, members = state.generation, state.members
-        pairs, results = answers.judged(round_no, state, degree)
+
+        @functools.cache
+        def plan():
+            """The round's seeds, pairing plan and plan orientation, drawn once, when first asked for."""
+            seeds = next(schedule)
+            pairs = sample_pairing(len(members), degree, seeds.pairing).pairs
+            return seeds, pairs, _left_first(pairs, len(members))
+
+        results = answers.judged(round_no, state, degree, plan)
+        seeds, pairs, _ = plan()
         calls += len(results)
         for p, (judgment, spent) in enumerate(results):
             retries += spent
@@ -491,7 +506,7 @@ def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Can
     try:
         trace.append("config", -1, 0, config.echo())
         trace.flush()
-        answers.start()
+        schedule = seed_schedule(config.seed, n, config.k, config.generations, config.final_k)
         round_no = 1
         state = GenerationState(0, tuple(answers.samples()))
         calls += n
@@ -505,7 +520,7 @@ def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Can
             sides = {"elites": elites, "discards": discards, "mutation_parents": parents}
             trace.append("routing", state.generation, round_no, sides)
             trace.flush()
-            texts = answers.mutations(round_no, state, routing)
+            texts = answers.mutations(round_no, state, routing, seeds.mutate)
             children = [
                 Candidate(f"g{round_no}-mut{i:03d}", text, round_no, ORIGIN_MUTATED, parent_id=ids[i])
                 for i, text in zip(routing.parents, texts)
@@ -533,15 +548,11 @@ def _walk(config: RunConfig, answers, trace) -> tuple[list[GenerationState], Can
 
 
 class _LiveAnswers:
-    """A run's answers: backend calls on one TaskPool, seeded from the run's
-    seed schedule, and `fit_bt`'s fits."""
+    """A run's answers: backend calls on one TaskPool, seeded by the walk,
+    and `fit_bt`'s fits."""
 
     def __init__(self, config: RunConfig, backend: Backend, pool: TaskPool) -> None:
         self.config, self.backend, self.pool = config, backend, pool
-
-    def start(self) -> None:
-        config = self.config
-        self.schedule = seed_schedule(config.seed, config.n, config.k, config.generations, config.final_k)
 
     def samples(self) -> list[Candidate]:
         config = self.config
@@ -549,9 +560,9 @@ class _LiveAnswers:
             self.backend, config.problem, config.n, config.seed, self.pool, config.temperature_generate
         )
 
-    def judged(self, round_no: int, state: GenerationState, degree: int):
-        config, members, seeds = self.config, state.members, self.schedule[round_no - 1]
-        pairs = sample_pairing(len(members), degree, seeds.pairing).pairs
+    def judged(self, round_no: int, state: GenerationState, degree: int, plan):
+        config, members = self.config, state.members
+        seeds, pairs, shown_first = plan()
         retry_root = (config.seed, round_no, _P_RETRY)
         where = f"comparison round {round_no}"
 
@@ -562,13 +573,13 @@ class _LiveAnswers:
                 config.temperature_judge, config.parse_retries, retry_root, where, p,
             )
 
-        return pairs, self.pool.map(judge, range(len(pairs)), pairs, _left_first(pairs, len(members)), seeds.judge)
+        return self.pool.map(judge, range(len(pairs)), pairs, shown_first, seeds.judge)
 
     def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
         return fit_bt(_fit_pairs(pairs, judgments), len(state.members), lam=self.config.lam)
 
-    def mutations(self, round_no: int, state: GenerationState, routing: Routing) -> list[str]:
-        config, seeds, strategy = self.config, self.schedule[round_no - 1], self.config.strategy()
+    def mutations(self, round_no: int, state: GenerationState, routing: Routing, mutate_seeds) -> list[str]:
+        config, strategy = self.config, self.config.strategy()
         # each member's judgments, left and right sides, in judging order
         judged = {member.id: [] for member in state.members}
         for judgment in state.judgments:
@@ -583,7 +594,7 @@ class _LiveAnswers:
             )
             context = f"mutation round {round_no}, member {member.id}"
             temperature = config.temperature_generate
-            return complete_candidate(self.backend, prompt, PURPOSE_MUTATE, temperature, seeds.mutate[i], context)
+            return complete_candidate(self.backend, prompt, PURPOSE_MUTATE, temperature, mutate_seeds[i], context)
 
         return self.pool.map(mutate, routing.parents)
 
@@ -718,9 +729,6 @@ class _Recorded:
     def flush(self) -> None:
         """Nothing to write: the records are the input."""
 
-    def start(self) -> None:
-        """Nothing to draw: the answers are the records."""
-
     def content(self, generation: int, round_no: int):
         """The recorded text of the next candidate, which `complete_candidate`
         never leaves empty."""
@@ -734,17 +742,17 @@ class _Recorded:
         """Each sample `sample_candidates` makes of its recorded text."""
         return [_sample(i, self.content(0, 1)) for i in range(self.config.n)]
 
-    def judged(self, round_no: int, state: GenerationState, degree: int):
+    def judged(self, round_no: int, state: GenerationState, degree: int, plan):
         """The round's judgments as recorded, each at its position, with
-        retries the run can spend on it, between members of the generation,
-        and the round's member-index pairs in a pairing plan's shape, each
-        shown first on the side that plan's orientation shows first."""
-        generation, n = state.generation, len(state.members)
-        index = {member.id: i for i, member in enumerate(state.members)}
-        results, pairs, judgment_at = [], [], []
+        retries the run can spend on it, then each checked to be its planned
+        pair, shown first on the side the plan's orientation shows first.
+        The plan is drawn only once the round's records are read, so a trace
+        that ends first costs no plan of the size its config names."""
+        generation, ids = state.generation, [member.id for member in state.members]
+        results, judgment_at = [], []
         # a pair is retried at most parse_retries times, and degrades to a tie only after all of them
         most = self.config.parse_retries
-        for position in range(n * degree // 2):
+        for position in range(len(ids) * degree // 2):
             payload = self.read("judgment", generation, round_no)
             pair_index, retries = payload.pop("pair_index"), payload.pop("retries")
             judgment = Judgment(**payload)
@@ -753,21 +761,18 @@ class _Recorded:
                 raise ReplayError(f"record {at}: pair_index {pair_index!r} is not its position {position}")
             if not (type(retries) is int and 0 <= retries <= most and (retries == most or not judgment.degraded)):
                 raise ReplayError(f"record {at}: retries {retries!r} is not a count the run spends on this judgment")
-            left, right = index.get(judgment.left_id), index.get(judgment.right_id)
-            if left is None or right is None:
-                pair = (judgment.left_id, judgment.right_id)
-                raise ReplayError(f"record {at}: judgment {pair} is not between members of its generation")
             results.append((judgment, retries))
-            pairs.append((left, right))
             judgment_at.append(at)
-        bad = _plan_misfit(pairs, n, degree)
-        if bad is not None:
-            pair, at = (results[bad][0].left_id, results[bad][0].right_id), judgment_at[bad]
-            raise ReplayError(f"record {at}: judgment {pair} is out of a sorted {degree}-regular plan's shape")
-        for (judgment, _), first, at in zip(results, _left_first(pairs, n), judgment_at):
-            if (judgment.presented_first == judgment.left_id) != first:
-                raise ReplayError(f"record {at}: presented_first {judgment.presented_first!r} is not the side its plan shows first")
-        return pairs, results
+        _, pairs, shown_first = plan()
+        for (judgment, _), (left, right), first, at in zip(results, pairs, shown_first, judgment_at):
+            planned = (ids[left], ids[right], ids[left] if first else ids[right])
+            if (judgment.left_id, judgment.right_id, judgment.presented_first) != planned:
+                found = (judgment.left_id, judgment.right_id)
+                raise ReplayError(
+                    f"record {at}: judgment {found} shown {judgment.presented_first!r} first is not its plan's "
+                    f"pair {planned[:2]} shown {planned[2]!r} first"
+                )
+        return results
 
     def fit(self, round_no: int, state: GenerationState, pairs, judgments) -> ScoreVector:
         """The recorded scores and iterations, over the generation's members,
@@ -781,7 +786,7 @@ class _Recorded:
         gradient = bt_gradient(scores, _fit_pairs(pairs, judgments), lam)
         return ScoreVector(scores, lam, bool(_converged(gradient)), payload["iterations"])
 
-    def mutations(self, round_no: int, state: GenerationState, routing: Routing):
+    def mutations(self, round_no: int, state: GenerationState, routing: Routing, mutate_seeds):
         """The recorded texts of the next generation's children, the members
         after its carryovers, each read as the walk takes it, so that a child
         the walk cannot build is named by its own record."""
@@ -800,25 +805,25 @@ def replay(source) -> ReplayResult:
     record comes first and is rebuilt as a RunConfig.  Then every record, its
     five fields and its payload, must be the one the walk writes from the
     answers read so far, type for type, the config record first, and nothing
-    may follow the summary.  The answers are checked as they are read: each
-    sampled or mutated candidate's content is not empty; each
-    judgment's `pair_index` is its position, its `retries` a count the run
-    can spend on it, its sides members of its generation, and its round's
-    member-index pairs the shape of a `sample_pairing` plan, and its
-    `presented_first` the side that plan's orientation shows first; each
-    score-fit is over its generation's members, its `iterations` a
-    non-negative integer, and its `converged` flag the test of
-    `bt_gradient` at its scores.  Taken as recorded are what the backend
-    decides (candidate and judgment text, verdicts), which plan of that
-    shape was sampled, the value of a fit's `iterations`, and the config
-    fields no checked record depends on: `problem`, `seed`, the two
-    temperatures, `include_restart_license`, and `parse_retries` while it
-    bounds every recorded `retries`.
+    may follow the summary.  The walk re-draws each round's seeds, pairing
+    plan and orientation from the config's `seed`, once the round's
+    judgments are read.  The answers are checked as they are read: each
+    sampled or mutated candidate's content is not empty; each judgment's
+    `pair_index` is its position and its `retries` a count the run can spend
+    on it, and once its round is read, its sides and `presented_first` are
+    those of the planned pair at that position; each score-fit is over its generation's members,
+    its `iterations` a non-negative integer, and its `converged` flag the
+    test of `bt_gradient` at its scores.  Taken as recorded are what the
+    backend decides (candidate and judgment text, verdicts), the value of a
+    fit's `iterations`, and the config fields no checked record depends on:
+    `problem`, the two temperatures, `include_restart_license`, and
+    `parse_retries` while it bounds every recorded `retries`.
 
     Raises ReplayError for corrupt input, for any record that breaks these
     rules, and for a trace that ends, or reaches an abort record, before its
     summary; each error names the first offending record by its 0-based line
-    index, blank lines counted.
+    index, blank lines counted (a round's judgments meet its plan only after
+    all of them are read).
     """
     if isinstance(source, RunTrace):
         lines = source.to_jsonl().splitlines()

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -189,36 +189,28 @@ class RoundSeeds:
     mutate: list[int]
 
 
-def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> list[RoundSeeds]:
-    """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round.
+def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> Iterator[RoundSeeds]:
+    """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round, drawn as it is reached.
 
     Rounds 1..generations compare n*k/2 pairs and mutate n members; round
-    generations+1 compares n*final_k/2 pairs.  All seeds come from one
-    `derive_seeds` pass over every (round, purpose, index) column,
-    bit-identical to `derive_seed` per index.  A round or index of 2**32 or
-    more would take SeedSequence a second entropy word, so it raises
-    ConfigError rather than build a column.
+    generations+1 compares n*final_k/2 pairs.  Each round's seeds come from
+    one `derive_seeds` pass over its (purpose, index) columns, bit-identical
+    to `derive_seed` per index, so however many rounds a run names, one
+    round's seeds are drawn at a time.  A round or index of 2**32 or more
+    would take SeedSequence a second entropy word, so it raises ConfigError
+    before any round is drawn.
     """
     if generations + 1 > _MASK32 or max(n, n * k // 2, n * final_k // 2) > _MASK32 + 1:
         raise ConfigError("seed schedule: a round or index reaches 2**32")
-    sizes = [(n * k // 2, n)] * generations + [(n * final_k // 2, 0)]
-    purposes = (_P_PAIRING, _P_JUDGE, _P_MUTATE)
-    counts = np.array([(1, pairs, mutations) for pairs, mutations in sizes]).ravel()
-    starts = np.cumsum(counts) - counts
-    seeds = derive_seeds(
-        root,
-        np.arange(1, len(sizes) + 1).repeat(len(purposes)).repeat(counts),
-        np.tile(purposes, len(sizes)).repeat(counts),
-        np.arange(counts.sum()) - starts.repeat(counts),
+    return (
+        _round_seeds(root, r, *((n * k // 2, n) if r <= generations else (n * final_k // 2, 0)))
+        for r in range(1, generations + 2)
     )
 
-    seeds = iter(seeds.tolist())
-    # keyword arguments are evaluated in order, so each field takes the next columns
-    return [
-        RoundSeeds(
-            pairing=next(seeds),
-            judge=list(islice(seeds, pairs)),
-            mutate=list(islice(seeds, mutations)),
-        )
-        for pairs, mutations in sizes
-    ]
+
+def _round_seeds(root: int, round_no: int, pairs: int, mutations: int) -> RoundSeeds:
+    """One round's seeds: its pairing seed, `pairs` judge seeds and `mutations` mutation seeds."""
+    purposes = np.repeat([_P_PAIRING, _P_JUDGE, _P_MUTATE], [1, pairs, mutations])
+    indices = np.concatenate([np.arange(1), np.arange(pairs), np.arange(mutations)])
+    seeds = derive_seeds(root, round_no, purposes, indices).tolist()
+    return RoundSeeds(pairing=seeds[0], judge=seeds[1 : 1 + pairs], mutate=seeds[1 + pairs :])

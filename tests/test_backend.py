@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import resource
 import re
 import socket
 import subprocess
@@ -525,6 +526,26 @@ def test_http_reuses_connection(keep_alive_server, http_backend):
     script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(3)])
     backend = http_backend(url, timeout=5)
     assert [backend.complete(CompletionRequest("u")) for _ in range(3)] == ["0", "1", "2"]
+    assert len({seen["peer"] for seen in script.seen}) == 1
+
+
+def test_http_reuses_a_connection_numbered_above_select_s_limit(keep_alive_server, http_backend):
+    # select.select refuses a file descriptor of 1024 or more; the idle check must not
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("needs a limit of at least 1200 open files")
+    url, script = keep_alive_server
+    script.script.extend([(200, json.dumps({"text": str(i)})) for i in range(2)])
+    backend = http_backend(url, timeout=5)
+    held = []
+    try:
+        for _ in range(1100):  # the lowest free numbers first, so the connection's socket comes above them
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        assert backend.complete(CompletionRequest("u")) == "0"
+        assert backend._idle[0].sock.fileno() >= 1024
+        assert backend.complete(CompletionRequest("u")) == "1"
+    finally:
+        for fd in held:
+            os.close(fd)
     assert len({seen["peer"] for seen in script.seen}) == 1
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -917,6 +918,28 @@ def test_config_errors_exit_2(tmp_path, problem_file, command, payload, message)
     assert error["error"] == "config"
     assert message in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [5, 0, True, None, ""], ids=["5", "0", "true", "null", "empty"])
+@pytest.mark.parametrize(
+    ("command", "key", "settings"),
+    [
+        ("run", "problem", {}),
+        ("baseline", "problem", {"mode": "pointwise"}),
+        ("diagnose", "pairs", {}),
+        ("elo", "outcomes", {}),
+        ("simulate", "matrix", {"budgets": [10], "populations": [2]}),
+    ],
+    ids=["run", "baseline", "diagnose", "elo", "simulate"],
+)
+def test_a_file_setting_that_is_not_a_path_exits_2(tmp_path, command, key, settings, value):
+    # 0 and true would otherwise open stdin and stdout as files, and "" the current directory
+    config = write_config(tmp_path, "cfg.yaml", {**settings, key: value})
+    out = tmp_path / "out"
+    code, _, err = run_cli(command, "--config", str(config), "--out", str(out))
+    assert (code, json.loads(err)) == (2, {"error": "config", "message": f"{key} must be a file path, got {value!r}"})
+    assert not out.exists()
+    os.fstat(0)  # stdin is still open
 
 
 def test_unexpected_error_exits_1_as_internal(tmp_path, monkeypatch):

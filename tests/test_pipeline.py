@@ -64,12 +64,12 @@ def _count_seed_calls(monkeypatch, generations):
 
 
 def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
-    # whatever T is: one SeedSequence replay for sampling and one for the
-    # whole seed schedule; presentation orders draw no seed, and there is no
+    # one SeedSequence replay for sampling and one per judged round, drawn as
+    # the round is reached; presentation orders draw no seed, and there is no
     # scalar derivation without retries
     for generations in (0, 1, 3):
         _, calls = _count_seed_calls(monkeypatch, generations)
-        assert (calls["_seed_state"], calls["derive_seed"]) == (2, 0), generations
+        assert (calls["_seed_state"], calls["derive_seed"]) == (1 + generations + 1, 0), generations
 
 
 def test_every_round_shows_its_pairs_in_its_plan_s_orientation():
@@ -418,6 +418,11 @@ def _line_where(lines, kind, **fields):
     raise LookupError(kind, fields)
 
 
+def _off_plan(found, shown, planned, planned_shown):
+    """Replay's message for a judgment that is not its plan's pair, shown first on its planned side."""
+    return f"judgment {found} shown {shown!r} first is not its plan's pair {planned} shown {planned_shown!r} first"
+
+
 def _run_edits(lines):
     """Edits of the SMALL-config trace that the run could not have written:
     for each, the edited lines, the index of the first record they make
@@ -438,10 +443,17 @@ def _run_edits(lines):
     sides = dict(judgment, left_id="g0-s001", right_id="g0-s000", outcome="left-wins")
     sides.update(rationale_for_left=judgment["rationale_for_right"], rationale_for_right=judgment["rationale_for_left"])
     # the side the first pair does not show first
-    hidden = judgment["right_id"] if judgment["presented_first"] == judgment["left_id"] else judgment["left_id"]
+    shown = judgment["presented_first"]
+    hidden = judgment["right_id"] if shown == judgment["left_id"] else judgment["left_id"]
+    planned, planned_next = ("g0-s000", "g0-s001"), ("g0-s000", following["right_id"])
     sample = _line_where(lines, "candidate", id="g0-s000")
     summary = json.loads(lines[at["summary"]])
     next_barrier = _line_where(lines, "barrier", barrier=2)
+    # the right side of round 1's last pair, put in the third pair, is in k + 1 pairs
+    third = _line_where(lines, "judgment", pair_index=2)
+    crowded = json.loads(lines[next_barrier - 1])["payload"]["right_id"]
+    planned_third = json.loads(lines[third])["payload"]
+    assert crowded not in (planned_third["left_id"], planned_third["right_id"])
     fit_message = "score-fit is not what the run writes at its scores"
     iterations = "bad score-fit payload (iterations must be a non-negative integer, got {})"
     counts = "does not count the records before it"
@@ -465,7 +477,7 @@ def _run_edits(lines):
         "judgment-non-member": (
             _edited(lines, first, right_id="g1-mut000", presented_first="g0-s000"),
             first,
-            "judgment ('g0-s000', 'g1-mut000') is not between members of its generation",
+            _off_plan(("g0-s000", "g1-mut000"), "g0-s000", planned, shown),
         ),
         "converged-flipped": (_edited(lines, at["score-fit"], converged=flipped), at["score-fit"], fit_message),
         "scores-permuted": (_edited(lines, final_fit, scores=final["scores"][::-1]), final_fit, fit_message),
@@ -495,13 +507,28 @@ def _run_edits(lines):
         "judgment-sides-swapped": (
             _edited(lines, first, **sides),
             first,
-            "judgment ('g0-s001', 'g0-s000') is out of a sorted 3-regular plan's shape",
+            _off_plan(("g0-s001", "g0-s000"), shown, planned, shown),
         ),
         # each pair_index left at its position
         "judgments-swapped": (
             _edited(_edited(lines, first, **dict(following, pair_index=0)), second, **dict(judgment, pair_index=1)),
+            first,
+            _off_plan(planned_next, following["presented_first"], planned, shown),
+        ),
+        "judgment-repeated": (
+            _edited(lines, second, **dict(judgment, pair_index=1)),
             second,
-            "judgment ('g0-s000', 'g0-s001') is out of a sorted 3-regular plan's shape",
+            _off_plan(planned, shown, planned_next, following["presented_first"]),
+        ),
+        "judgment-over-degree": (
+            _edited(lines, third, right_id=crowded, presented_first=planned_third["left_id"]),
+            third,
+            _off_plan(
+                (planned_third["left_id"], crowded),
+                planned_third["left_id"],
+                (planned_third["left_id"], planned_third["right_id"]),
+                planned_third["presented_first"],
+            ),
         ),
         "record-after-summary": (
             lines + ["", lines[at["barrier"]]],
@@ -536,7 +563,7 @@ def _run_edits(lines):
         "presented-first-flipped": (
             _edited(lines, first, presented_first=hidden),
             first,
-            f"presented_first {hidden!r} is not the side its plan shows first",
+            _off_plan(planned, hidden, planned, shown),
         ),
         **{
             f"sample-content-{name}": (
@@ -586,6 +613,8 @@ RUN_EDITS = [
     "judgment-of-itself",
     "judgment-sides-swapped",
     "judgments-swapped",
+    "judgment-repeated",
+    "judgment-over-degree",
     "record-after-summary",
     "abort-after-summary",
     "degraded-as-0",
@@ -615,6 +644,52 @@ def test_replay_names_the_first_record_the_run_could_not_have_written(edit):
     edited, at, message = edits[edit]
     with pytest.raises(ReplayError, match=re.escape(f"record {at}: {message}") + "$"):
         replay(edited)
+
+
+def test_replay_refuses_a_trace_judged_on_another_plan(monkeypatch):
+    config = RunConfig(**SMALL)
+    planned = run_pipeline(config)[1].to_jsonl().splitlines()
+    draw = pipeline.sample_pairing
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "sample_pairing", lambda n, k, seed: draw(n, k, seed + 1))
+        off_plan = run_pipeline(config)[1].to_jsonl().splitlines()
+    assert pipeline.sample_pairing is draw
+    at = next(i for i, (line, wanted) in enumerate(zip(off_plan, planned)) if line != wanted)
+    found, wanted = json.loads(off_plan[at]), json.loads(planned[at])
+    assert found["kind"] == wanted["kind"] == "judgment" and found["round"] == 1
+    found, wanted = found["payload"], wanted["payload"]
+    message = _off_plan(
+        (found["left_id"], found["right_id"]), found["presented_first"],
+        (wanted["left_id"], wanted["right_id"]), wanted["presented_first"],
+    )
+    with pytest.raises(ReplayError, match=re.escape(f"record {at}: {message}") + "$"):
+        replay(off_plan)
+
+
+def test_replay_draws_only_the_rounds_its_trace_reaches(monkeypatch):
+    # a config naming a billion rounds costs only the rounds whose judgments
+    # the trace holds: a round's seeds, and so its plan, are drawn after them
+    lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    config = json.loads(lines[0])
+    config["payload"]["generations"] = 10**9
+    lines[0] = json.dumps(config)
+    drawn = []
+
+    def schedule(*args):
+        for seeds in pipeline_schedule(*args):
+            drawn.append(seeds)
+            assert len(drawn) <= 1, "a round the trace never reaches was drawn"
+            yield seeds
+
+    pipeline_schedule = pipeline.seed_schedule
+    monkeypatch.setattr(pipeline, "seed_schedule", schedule)
+    # the config alone; generation 0's candidates and barrier (records 1-9);
+    # round 1's 12 judgments but not their barrier (records 10-21)
+    for end, rounds in ((1, 0), (10, 0), (21, 0), (22, 1)):
+        drawn.clear()
+        with pytest.raises(ReplayError, match=rf"truncated trace: no summary record \(last record index {end - 1}\)"):
+            replay(lines[:end])
+        assert len(drawn) == rounds
 
 
 ENVELOPE_EDITS = {
@@ -660,7 +735,8 @@ def _edits_of(value) -> list:
 # the (kind, field) pairs whose edits replay may accept: what the backend
 # decides, a fit's iterations while they stay a non-negative integer, and the
 # config fields no checked record depends on (parse_retries only while it
-# bounds every recorded retries)
+# bounds every recorded retries); the seed draws every round's plan, which
+# replay re-draws
 TAKEN_AS_RECORDED = {
     ("candidate", "content"),
     ("judgment", "rationale_for_left"),
@@ -668,9 +744,7 @@ TAKEN_AS_RECORDED = {
     ("score-fit", "iterations"),
     *(
         ("config", name)
-        for name in (
-            "problem", "seed", "temperature_generate", "temperature_judge", "include_restart_license", "parse_retries"
-        )
+        for name in ("problem", "temperature_generate", "temperature_judge", "include_restart_license", "parse_retries")
     ),
 }
 
