@@ -9,25 +9,30 @@ back through the template that rendered it (`prompts.parse`), chosen among
 the templates of the request's purpose, and answers
 from the theta in its candidate fields plus the request seed, never from the
 problem text, so whole runs are reproducible and ground truth stays
-available to the harness.
+available to the harness.  Its random numbers are draws of the request seed
+(`seeds.seed_uniform`), pure functions of it, so a call builds no generator;
+a normal is a Box-Muller transform of draws 0 and 1.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import math
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Protocol
 from urllib.parse import quote, urlsplit
 
 import numpy as np
 
 from . import prompts
 from .errors import BackendError, ConfigError, check_count, is_finite_real
+from .seeds import seed_uniform
 
 logger = logging.getLogger(__name__)
 
@@ -256,28 +261,34 @@ def parse_theta(text: str) -> float:
     return float(match.group(1))
 
 
+def _seed_normal(seed: int, mean: float, std: float) -> float:
+    """N(mean, std^2) from draws 0 and 1 of `seed`, by the Box-Muller transform."""
+    radius = math.sqrt(-2.0 * math.log(1.0 - seed_uniform(seed, 0)))
+    return mean + std * radius * math.cos(2.0 * math.pi * seed_uniform(seed, 1))
+
+
 def synthetic_mutate(parent_theta: float, feedback_present: bool, world: SyntheticWorldConfig, seed: int) -> float:
     """Child quality after one mutation, deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    shift = rng.normal(world.mutation_shift_mean, world.mutation_shift_std)
+    shift = _seed_normal(seed, world.mutation_shift_mean, world.mutation_shift_std)
     if feedback_present:
         shift += world.feedback_bonus
     return parent_theta + shift
 
 
-def judge_outcome(theta_a: float, theta_b: float, world: SyntheticWorldConfig, rng: np.random.Generator) -> str:
+def judge_outcome(theta_a: float, theta_b: float, world: SyntheticWorldConfig, draw: Callable[[], float]) -> str:
     """The synthetic judge's verdict ("A", "B" or "TIE") on one pair.
 
-    Logistic mode draws once from sigmoid(theta_a - theta_b); fixed-accuracy
-    mode ties equal thetas without a draw, else draws once to pick the
-    higher-theta side with probability judge_accuracy.
+    `draw` returns a uniform in [0, 1) per call.  Logistic mode draws once
+    from sigmoid(theta_a - theta_b); fixed-accuracy mode ties equal thetas
+    without a draw, else draws once to pick the higher-theta side with
+    probability judge_accuracy.
     """
     if world.judge_mode == JUDGE_MODE_LOGISTIC:
-        return "A" if rng.random() < 1.0 / (1.0 + np.exp(theta_b - theta_a)) else "B"
+        return "A" if draw() < 1.0 / (1.0 + np.exp(theta_b - theta_a)) else "B"
     if theta_a == theta_b:
         return "TIE"
     better_a = theta_a > theta_b
-    return "A" if (rng.random() < world.judge_accuracy) == better_a else "B"
+    return "A" if (draw() < world.judge_accuracy) == better_a else "B"
 
 
 # the synthetic judge's reply for each verdict, built once
@@ -327,16 +338,15 @@ class SyntheticBackend:
                 return answer(self, fields, seed)
         if purpose not in (None, PURPOSE_GENERATE):
             raise BackendError(f"the {purpose} prompt matches none of its templates")
-        rng = np.random.default_rng(seed)
-        return format_candidate(float(rng.normal(self.world.theta_mean, self.world.theta_std)))
+        return format_candidate(_seed_normal(seed, self.world.theta_mean, self.world.theta_std))
 
     def _judge(self, fields: dict, seed: int) -> str:
         theta_a = parse_theta(fields["code_a"])
         theta_b = parse_theta(fields["code_b"])
-        return _JUDGE_REPLIES[judge_outcome(theta_a, theta_b, self.world, np.random.default_rng(seed))]
+        return _JUDGE_REPLIES[judge_outcome(theta_a, theta_b, self.world, functools.partial(seed_uniform, seed))]
 
     def _pointwise(self, fields: dict, seed: int) -> str:
-        draw = np.random.default_rng(seed).random()
+        draw = seed_uniform(seed)
         if parse_theta(fields["code"]) >= self.world.acceptance_threshold:
             say_yes = draw < self.world.pointwise_recall_accepted
         else:

@@ -132,7 +132,7 @@ def generate_matrix(pool_size: int, world: SyntheticWorldConfig, seed: int) -> J
     thetas = rng.normal(world.theta_mean, world.theta_std, size=pool_size)
     labels = tuple(bool(theta >= world.acceptance_threshold) for theta in thetas)
     outcomes = {
-        (i, j): _MATRIX_OUTCOME[judge_outcome(thetas[i], thetas[j], world, rng)]
+        (i, j): _MATRIX_OUTCOME[judge_outcome(thetas[i], thetas[j], world, rng.random)]
         for i, j in _pair_order(pool_size)
     }
     return JudgmentMatrix(pool_size, outcomes, labels)

@@ -1,14 +1,17 @@
-"""The seed scheme: a numpy SeedSequence child seed for every random draw.
+"""The seed scheme: a derived child seed for every randomized step, and scalar draws from a seed.
 
 Every randomized step of a run draws from derive_seed(root, round, purpose,
-index...), so no result depends on scheduling order.  Sampling is round 0,
-the evolution rounds are 1..t and the final comparison round is t+1.  Which
-side of a pair is shown first is not drawn: pairing.py orients each round's
-plan so that every member is shown first in half of its pairs.  The batched
-functions replay SeedSequence's hash (`_seed_state`) bit for bit on
-numpy arrays, one row per seed, from entropy parts as `_entropy` takes them;
-`pcg64_generators` hands each row's words to numpy's own PCG64, so the
-package replays no other numpy algorithm.
+index...), a numpy SeedSequence child seed, so no result depends on
+scheduling order.  Sampling is round 0, the evolution rounds are 1..t and
+the final comparison round is t+1.  Which side of a pair is shown first is
+not drawn: pairing.py orients each round's plan so that every member is
+shown first in half of its pairs.  The batched functions replay
+SeedSequence's hash (`_seed_state`) bit for bit on numpy arrays, one row
+per seed, from entropy parts as `_entropy` takes them; `pcg64_generators`
+hands each row's words to numpy's own PCG64, so the package replays no
+other numpy algorithm.  A step that needs only a number or two from its
+seed, as each synthetic backend call does, takes them from `seed_uniform`:
+draw d of a seed is a pure function of (seed, d), with no generator built.
 """
 
 from __future__ import annotations
@@ -35,6 +38,36 @@ _P_MUTATE = 5
 def derive_seed(root: int, *path: int) -> int:
     """Child seed for (root, round, purpose, index...), stable across platforms."""
     return int(np.random.SeedSequence([root, *path]).generate_state(1, np.uint64)[0])
+
+
+# SplitMix64 (Steele, Lea & Flood 2014): its increment and output function, over 64-bit words
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def seed_uniform(seed, draw: int = 0) -> float:
+    """Draw number `draw` (0, 1, ...) of `seed`: a double in [0, 1), a pure function of both.
+
+    The seed, any non-negative integer (a numpy one draws what its int
+    does), is folded to 64 bits: a seed below 2**64 is itself, and each
+    higher 64-bit word is xored into one SplitMix64 step of the fold of the
+    words below it.  The draw is SplitMix64's output function at the folded
+    seed + (draw + 1) * gamma, modulo 2**64, with its top 53 bits read as a
+    fraction.  A negative seed raises ValueError, as numpy's default_rng does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"a seed must be non-negative, got {seed}")
+    folded = seed & _MASK64
+    while seed := seed >> 64:
+        folded = _mix64((folded + _GOLDEN_GAMMA) & _MASK64) ^ (seed & _MASK64)
+    return (_mix64((folded + (draw + 1) * _GOLDEN_GAMMA) & _MASK64) >> 11) * 2.0**-53
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx), replayed by _seed_state
@@ -87,18 +120,25 @@ def _entropy(*parts) -> np.ndarray:
     """The (words, rows) uint32 entropy array of SeedSequence([*parts]) for each row.
 
     A part is a shared non-negative int, split into words as SeedSequence
-    splits it, or a 1-D integer numpy column of one word per row in [0, 2**32).
+    splits it, or a 1-D integer numpy column of one word per row in [0, 2**32);
+    every column has the same length.
     """
-    words = []
+    words, rows = [], set()
     for part in parts:
         if isinstance(part, np.ndarray):
             in_range = part.size == 0 or 0 <= part.min() <= part.max() <= _MASK32
             if part.ndim != 1 or part.dtype.kind not in "iu" or not in_range:
                 raise ValueError("a seed column must be a 1-D integer array of values in [0, 2**32)")
             words.append(part)
+            rows.add(len(part))
         else:
             words.extend(_entropy_words(part))
-    return np.array(np.broadcast_arrays(*words), dtype=np.uint32)
+    if len(rows) > 1:
+        raise ValueError(f"seed columns must have one length, got {sorted(rows)}")
+    entropy = np.empty((len(words), *rows), dtype=np.uint32)
+    for i, word in enumerate(words):
+        entropy[i] = word
+    return entropy
 
 
 def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import resource
 import re
@@ -31,6 +32,7 @@ from btevolve.errors import BackendError, ConfigError
 from btevolve.judging import canonicalize, parse_judge_reply, render_comparison_prompt
 from btevolve import cli, pipeline
 from btevolve.pipeline import RunConfig, compute_budget, derive_seed, make_backend, run_pipeline
+from btevolve.seeds import derive_seeds, seed_uniform
 from btevolve.population import render_mutation_prompt
 from btevolve.prompts import POINTWISE_TEMPLATE, SELF_REFINE_TEMPLATE, render
 from conftest import judge_reply, sampled
@@ -108,6 +110,54 @@ def test_generation_draws_configured_distribution():
     ]
     assert abs(np.mean(thetas) - 2.0) < 0.05
     assert abs(np.std(thetas) - 0.25) < 0.03
+
+
+# the seeds a run hands the backend: derived child seeds, not small consecutive ones
+LAW_SEEDS = derive_seeds(2024, 1, 5, np.arange(4000)).tolist()
+
+
+def test_mutation_shift_keeps_its_configured_mean_and_sd():
+    world = SyntheticWorldConfig()  # shift N(0.2, 0.1^2)
+    shifts = np.array([synthetic_mutate(1.0, False, world, seed) - 1.0 for seed in LAW_SEEDS])
+    # 4-sigma intervals at 4000 draws: the mean's sd is 0.1 / sqrt(4000), the sd's about 0.1 / sqrt(8000)
+    assert abs(shifts.mean() - 0.2) < 4 * 0.1 / math.sqrt(4000)
+    assert abs(shifts.std() - 0.1) < 4 * 0.1 / math.sqrt(8000)
+
+
+def test_generation_theta_passes_a_ks_test_against_its_normal():
+    backend = SyntheticBackend(SyntheticWorldConfig(theta_mean=0.5, theta_std=2.0))
+    thetas = np.sort([parse_theta(backend.complete(CompletionRequest("p", seed=seed))) for seed in LAW_SEEDS])
+    cdf = np.array([0.5 * (1.0 + math.erf((theta - 0.5) / (2.0 * math.sqrt(2.0)))) for theta in thetas])
+    ranks = np.arange(1, len(thetas) + 1) / len(thetas)
+    statistic = max((ranks - cdf).max(), (cdf - (ranks - 1 / len(thetas))).max())
+    # Kolmogorov's 0.1% critical value is 1.95 / sqrt(N); theta carries 9 decimals, far below it
+    assert statistic < 1.95 / math.sqrt(len(thetas))
+
+
+def test_uniforms_of_consecutive_small_seeds_are_uncorrelated():
+    # tests and the CLI hand the backend seeds 0, 1, 2, ...: draw 0 of one seed
+    # must not track draw 0 of the next, nor its own draw 1 (Box-Muller's pair)
+    count = 20000
+    first = np.array([seed_uniform(seed) for seed in range(count + 1)])
+    second = np.array([seed_uniform(seed, 1) for seed in range(count)])
+    bound = 4 / math.sqrt(count)  # 4 sd of a sample correlation of independent draws
+    assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < bound
+    assert abs(np.corrcoef(first[:-1], second)[0, 1]) < bound
+    assert abs(first.mean() - 0.5) < 4 * math.sqrt(1 / 12 / count)
+
+
+@pytest.mark.parametrize(
+    "prompt",
+    [
+        "plain problem",
+        render(POINTWISE_TEMPLATE, problem="p", code=format_candidate(0.5)),
+        render(SELF_REFINE_TEMPLATE, problem="p", code=format_candidate(0.5)),
+    ],
+    ids=["generate", "pointwise", "refine"],
+)
+def test_a_request_without_a_seed_answers_as_seed_0(prompt):
+    backend = SyntheticBackend(SyntheticWorldConfig(pointwise_recall_accepted=0.5, pointwise_recall_rejected=0.5))
+    assert backend.complete(CompletionRequest(prompt)) == backend.complete(CompletionRequest(prompt, seed=0))
 
 
 def test_same_seed_same_reply():

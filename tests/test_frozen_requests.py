@@ -23,7 +23,7 @@ from btevolve.baselines import LabeledPair, judge_diagnostic, pointwise_score, s
 from btevolve.pipeline import RunConfig, run_pipeline, sample_candidates
 from btevolve.population import FeedbackStrategy
 
-FROZEN_DIGEST = "5400432dcc4ba93225a0d412fa10bd6bee91c0e92e4f0ae0c16846e33db8ed35"
+FROZEN_DIGEST = "c7d530dc7ed6e256fd0d47e8de9df04e130d1224bf8772ee394414e96ec65ef9"
 
 PROBLEM = "Given n (1 <= n <= 10^5) integers a_i, print their sum.\nInput: {n} on one line, then the a_i."
 

@@ -14,7 +14,7 @@ import pytest
 
 from btevolve import pipeline, seeds
 from btevolve.backends import SyntheticBackend, SyntheticWorldConfig
-from btevolve.btrank import TIE, ComparisonRecord, ScoreVector, fit_bt
+from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, ComparisonRecord, ScoreVector, fit_bt
 from btevolve.errors import BackendError, ConfigError, ReplayError
 from btevolve.judging import Judgment
 from btevolve.pairing import _left_first
@@ -70,6 +70,28 @@ def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
     for generations in (0, 1, 3):
         _, calls = _count_seed_calls(monkeypatch, generations)
         assert (calls["_seed_state"], calls["derive_seed"]) == (1 + generations + 1, 0), generations
+
+
+def test_default_synthetic_run_builds_one_generator_per_pairing_plan(monkeypatch):
+    # the backend draws from each request's seed directly; only the 4 plans
+    # of a default run (rounds 1-3 and the final round) build a numpy Generator
+    built = []
+    default_rng, generator = np.random.default_rng, np.random.Generator
+
+    def counting_default_rng(*args, **kwargs):
+        built.append("default_rng")
+        return default_rng(*args, **kwargs)
+
+    def counting_generator(*args, **kwargs):
+        built.append("Generator")
+        return generator(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+    monkeypatch.setattr(np.random, "Generator", counting_generator)
+    for judge_mode in ("fixed-accuracy", "logistic"):
+        built.clear()
+        run_pipeline(RunConfig(problem="Sort the list.", seed=7, backend_options={"judge_mode": judge_mode}))
+        assert built == ["default_rng"] * 4, judge_mode
 
 
 def test_every_round_shows_its_pairs_in_its_plan_s_orientation():
@@ -426,26 +448,37 @@ def _off_plan(found, shown, planned, planned_shown):
 def _run_edits(lines):
     """Edits of the SMALL-config trace that the run could not have written:
     for each, the edited lines, the index of the first record they make
-    wrong and the message that names it."""
+    wrong and the message that names it.  The candidates and judgments they
+    edit are read from the trace, so they hold whatever the run drew."""
     at = {kind: _line_of(lines, kind) for kind in ("score-fit", "routing", "barrier", "selection", "summary")}
     final_fit = max(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "score-fit")
     fit, final = json.loads(lines[at["score-fit"]])["payload"], json.loads(lines[final_fit])["payload"]
     flipped = not fit["converged"]
-    assert "g0-s004" in json.loads(lines[at["routing"]])["payload"]["discards"]
-    assert json.loads(lines[at["selection"]])["payload"]["selected_id"] == "g2-mut005"
-    elite = _line_where(lines, "candidate", id="g1-elite001")
-    child = _line_where(lines, "candidate", id="g1-mut002")
+    discard = json.loads(lines[at["routing"]])["payload"]["discards"][0]
+    selected = json.loads(lines[at["selection"]])["payload"]["selected_id"]
+    # another member of the last generation, at its index there
+    moved = next((i, member) for i, member in enumerate(final["member_ids"]) if member != selected)
+    generation_1 = [
+        record["payload"]["id"]
+        for record in map(json.loads, lines)
+        if record["kind"] == "candidate" and record["generation"] == 1
+    ]
+    elite_id = next(member for member in generation_1 if "-elite" in member)
+    child_id = next(member for member in generation_1 if "-mut" in member)
+    elite, child = _line_where(lines, "candidate", id=elite_id), _line_where(lines, "candidate", id=child_id)
     first, second = _line_where(lines, "judgment", pair_index=0), _line_where(lines, "judgment", pair_index=1)
     judgment, following = json.loads(lines[first])["payload"], json.loads(lines[second])["payload"]
-    pair = (judgment["left_id"], judgment["right_id"], judgment["outcome"])
-    assert (first, *pair) == (10, "g0-s000", "g0-s001", "right-wins") and following["left_id"] == "g0-s000"
+    # round 1's first two pairs come after the config, generation 0's 8 candidates and its barrier
+    assert first == 10 and following["left_id"] == judgment["left_id"]
     # the first pair's sides swapped, with its outcome and rationales
-    sides = dict(judgment, left_id="g0-s001", right_id="g0-s000", outcome="left-wins")
+    mirrored = {LEFT_WINS: RIGHT_WINS, RIGHT_WINS: LEFT_WINS, TIE: TIE}[judgment["outcome"]]
+    sides = dict(judgment, left_id=judgment["right_id"], right_id=judgment["left_id"], outcome=mirrored)
     sides.update(rationale_for_left=judgment["rationale_for_right"], rationale_for_right=judgment["rationale_for_left"])
     # the side the first pair does not show first
     shown = judgment["presented_first"]
     hidden = judgment["right_id"] if shown == judgment["left_id"] else judgment["left_id"]
-    planned, planned_next = ("g0-s000", "g0-s001"), ("g0-s000", following["right_id"])
+    planned, planned_next = (judgment["left_id"], judgment["right_id"]), (following["left_id"], following["right_id"])
+    member = judgment["left_id"]
     sample = _line_where(lines, "candidate", id="g0-s000")
     summary = json.loads(lines[at["summary"]])
     next_barrier = _line_where(lines, "barrier", barrier=2)
@@ -460,24 +493,24 @@ def _run_edits(lines):
     off_budget = f"summary {counts} or is off budget"
     return {
         "selection-moved": (
-            _edited(lines, at["selection"], selected_id="g2-elite001", selected_index=0),
+            _edited(lines, at["selection"], selected_id=moved[1], selected_index=moved[0]),
             at["selection"],
             NOT_THE_TOP,
         ),
         "carryover-reparented": (
-            _edited(lines, elite, parent_id="g0-s004", content="new content"),
+            _edited(lines, elite, parent_id=discard, content="new content"),
             elite,
-            "candidate g1-elite001 is not what assemble_next_generation makes",
+            f"candidate {elite_id} is not what assemble_next_generation makes",
         ),
         "child-reparented": (
-            _edited(lines, child, parent_id="g0-s004"),
+            _edited(lines, child, parent_id=discard),
             child,
-            "candidate g1-mut002 is not what assemble_next_generation makes",
+            f"candidate {child_id} is not what assemble_next_generation makes",
         ),
         "judgment-non-member": (
-            _edited(lines, first, right_id="g1-mut000", presented_first="g0-s000"),
+            _edited(lines, first, right_id="g1-mut000", presented_first=member),
             first,
-            _off_plan(("g0-s000", "g1-mut000"), "g0-s000", planned, shown),
+            _off_plan((member, "g1-mut000"), member, planned, shown),
         ),
         "converged-flipped": (_edited(lines, at["score-fit"], converged=flipped), at["score-fit"], fit_message),
         "scores-permuted": (_edited(lines, final_fit, scores=final["scores"][::-1]), final_fit, fit_message),
@@ -500,14 +533,14 @@ def _run_edits(lines):
             "pair_index 0 is not its position 1",
         ),
         "judgment-of-itself": (
-            _edited(lines, first, right_id="g0-s000"),
+            _edited(lines, first, right_id=member),
             first,
-            "bad judgment payload (self-comparison of 'g0-s000')",
+            f"bad judgment payload (self-comparison of {member!r})",
         ),
         "judgment-sides-swapped": (
             _edited(lines, first, **sides),
             first,
-            _off_plan(("g0-s001", "g0-s000"), shown, planned, shown),
+            _off_plan(planned[::-1], shown, planned, shown),
         ),
         # each pair_index left at its position
         "judgments-swapped": (
@@ -574,12 +607,12 @@ def _run_edits(lines):
             for name, content in (("as-number", 5), ("null", None), ("list", ["x"]))
         },
         **{
-            f"empty-content-{candidate}": (
+            f"empty-content-{role}": (
                 _edited(lines, _line_where(lines, "candidate", id=candidate), content=""),
                 _line_where(lines, "candidate", id=candidate),
                 f"candidate {candidate} has empty content, which complete_candidate refuses",
             )
-            for candidate in ("g0-s000", "g0-s004", "g2-mut005")
+            for role, candidate in (("first-sample", "g0-s000"), ("discard", discard), ("selection", selected))
         },
         "child-content-as-number": (
             _edited(lines, child, content=5),
@@ -625,9 +658,9 @@ RUN_EDITS = [
     "sample-content-as-number",
     "sample-content-null",
     "sample-content-list",
-    "empty-content-g0-s000",
-    "empty-content-g0-s004",
-    "empty-content-g2-mut005",
+    "empty-content-first-sample",
+    "empty-content-discard",
+    "empty-content-selection",
     "child-content-as-number",
     "fit-iterations-string",
     "fit-iterations-fraction",
@@ -773,14 +806,22 @@ def test_replay_refuses_every_single_field_edit_but_of_what_it_takes_as_recorded
     assert [edit for edit in accepted if edit[1:] not in TAKEN_AS_RECORDED] == []
 
 
-@pytest.mark.parametrize(("seed", "selected_index"), [(31, 6.0), (0, True)])
-def test_replay_rejects_a_selected_index_of_another_type(seed, selected_index):
+def _selection_at(seed):
+    """A SMALL-shaped run's trace at `seed`, the selection's line and its recorded selected_index."""
     lines = run_pipeline(RunConfig(**dict(SMALL, seed=seed)))[1].to_jsonl().splitlines()
     at = _line_of(lines, "selection")
-    recorded = json.loads(lines[at])["payload"]["selected_index"]
-    assert recorded == selected_index and type(recorded) is int
+    return lines, at, json.loads(lines[at])["payload"]["selected_index"]
+
+
+@pytest.mark.parametrize("retype", [float, bool])
+def test_replay_rejects_a_selected_index_of_another_type(retype):
+    # the first run from SMALL's seed on whose selected index the other type
+    # has an equal value: any index as a float, only 0 or 1 as a bool
+    runs = map(_selection_at, range(SMALL["seed"], SMALL["seed"] + 64))
+    lines, at, recorded = next(run for run in runs if retype(run[2]) == run[2])
+    assert type(recorded) is int
     with pytest.raises(ReplayError, match=f"record {at}: {NOT_THE_TOP}$"):
-        replay(_edited(lines, at, selected_index=selected_index))
+        replay(_edited(lines, at, selected_index=retype(recorded)))
 
 
 @pytest.mark.parametrize(

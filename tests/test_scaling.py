@@ -1,5 +1,8 @@
 """Scaling-simulation tests: schedules, matrix lookups, cell semantics."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,22 @@ def test_generate_matrix_frozen_values():
         assert "".join(code[matrix.outcomes[pair]] for pair in sorted(matrix.outcomes)) == outcomes
     flat = generate_matrix(8, SyntheticWorldConfig(theta_std=0.0), seed=3)
     assert set(flat.outcomes.values()) == {MATRIX_TIE}  # equal thetas tie in fixed mode
+
+
+@pytest.mark.parametrize(
+    ("mode", "digest"),
+    [
+        ("fixed-accuracy", "032eb70af2a26068003222dca8f9caa34c29f5494b226435f7c84f462ed06fea"),
+        ("logistic", "94fab0b07a1f5dbdcac9dfbe5b96c458bec873029e3f76cfe286b4c3d51480d3"),
+    ],
+)
+def test_generate_matrix_frozen_digest(mode, digest):
+    # the simulator's 40-pool matrix draws its thetas and every verdict from
+    # one default_rng(seed) stream; the digest pins labels and outcomes in
+    # canonical pair order, so a change to the backend's own draws cannot move it
+    matrix = generate_matrix(40, SyntheticWorldConfig(judge_mode=mode), seed=7)
+    record = [list(matrix.labels), [[i, j, outcome] for (i, j), outcome in sorted(matrix.outcomes.items())]]
+    assert hashlib.sha256(json.dumps(record).encode("utf-8")).hexdigest() == digest
 
 
 def test_perfect_judge_matrix_is_transitive():

@@ -1,12 +1,20 @@
 """Seed scheme tests: frozen derivations, the batched replays of SeedSequence
-and the PCG64 generators seeded from them against numpy itself, and the
-entropy parts they all take."""
+and the PCG64 generators seeded from them against numpy itself, the
+entropy parts they all take, and the scalar draws of a seed."""
 
 import numpy as np
 import pytest
 
 from btevolve.errors import ConfigError
-from btevolve.seeds import _entropy, _SeedWords, derive_seed, derive_seeds, pcg64_generators, seed_schedule
+from btevolve.seeds import (
+    _entropy,
+    _SeedWords,
+    derive_seed,
+    derive_seeds,
+    pcg64_generators,
+    seed_schedule,
+    seed_uniform,
+)
 
 
 @pytest.mark.parametrize(
@@ -40,6 +48,12 @@ def test_entropy_rejects_a_column_that_is_not_one_word_per_row(column):
         _entropy(5, column)
     with pytest.raises(ValueError):
         derive_seeds(5, column)
+
+
+def test_entropy_rejects_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="one length"):
+        _entropy(5, np.arange(3), np.arange(1))
+    assert _entropy(5, np.arange(3), 2, np.arange(3)).shape == (4, 3)
 
 
 def test_derive_seed_purpose_paths_distinct():
@@ -152,3 +166,46 @@ def test_seed_words_answer_pcg64_seeding_only():
         words.generate_state(8, np.uint32)
     with pytest.raises(ValueError):
         np.random.MT19937(words)  # seeds itself from uint32 words
+
+
+@pytest.mark.parametrize(
+    ("seed", "draws"),
+    [
+        (0, (0.8833108082136426, 0.43152799704850997)),
+        (1, (0.5665615751722809, 0.7457817572627011)),
+        (2**64 - 1, (0.8939429202831845, 0.9125972035944532)),
+        (2**64 + 5, (0.8807895827318415, 0.8289319590208399)),
+    ],
+    ids=["zero", "one", "2-to-the-64-minus-1", "2-to-the-64-plus-5"],
+)
+def test_seed_uniform_frozen_values(seed, draws):
+    # pins the synthetic world's draws: SplitMix64's output at seed + (draw + 1) * gamma
+    assert (seed_uniform(seed), seed_uniform(seed, 1)) == draws
+
+
+def test_seed_uniform_folds_a_seed_past_64_bits_without_dropping_its_high_words():
+    assert seed_uniform(2**64 + 5) != seed_uniform(5)
+    assert seed_uniform(2**64) not in (seed_uniform(0), seed_uniform(1))
+    assert seed_uniform(2**128) != seed_uniform(0)
+    assert seed_uniform(2**128) != seed_uniform(2**64)
+
+
+@pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32, np.int8])
+def test_seed_uniform_takes_a_numpy_integer_as_its_int(kind):
+    for seed in (0, 1, 100):
+        assert seed_uniform(kind(seed), 1) == seed_uniform(seed, 1)
+    assert seed_uniform(np.uint64(2**64 - 1)) == seed_uniform(2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**64)])
+def test_seed_uniform_rejects_a_negative_seed_as_default_rng_does(seed):
+    with pytest.raises(ValueError):
+        seed_uniform(seed)
+    with pytest.raises(ValueError):
+        np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("seed", [1.0, "3", None])
+def test_seed_uniform_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(TypeError):
+        seed_uniform(seed)
