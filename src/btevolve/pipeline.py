@@ -8,8 +8,10 @@ primary backend calls (parse retries are counted separately) and joins at
 1 + 2t + 1 barriers: one after sampling, one after each generation's
 comparisons and each generation's mutations, and one after the final round.
 
-Every randomized step draws from a child seed of the run's root seed
-(seeds.py), so traces are byte-identical across parallelism limits.
+Every randomized step draws from a word of one SeedSequence per round of the
+run's root seed (seeds.py): generation 0's n sample seeds, then each judged
+round's pairing, mutation and judge seeds.  So traces are byte-identical
+across parallelism limits.
 
 The trace is line-delimited JSON, one record per line with fields
 {kind, generation, round, payload, schema_version}.  Run-level records
@@ -73,7 +75,7 @@ from .population import (
     render_mutation_prompt,
     route,
 )
-from .seeds import _P_RETRY, _P_SAMPLE, derive_seed, derive_seeds, seed_schedule
+from .seeds import _P_RETRY, derive_seed, seed_schedule, seed_words
 
 logger = logging.getLogger(__name__)
 
@@ -126,10 +128,15 @@ class RunConfig:
             raise ConfigError(f"problem must be a string, got {self.problem!r}")
         if not isinstance(self.backend_options, dict):
             raise ConfigError(f"backend_options must be a dict, got {self.backend_options!r}")
+        try:
+            _ENCODER.encode(self.backend_options)
+        except (TypeError, ValueError) as exc:  # the config record could not be written
+            raise ConfigError(f"backend_options must be JSON values: {exc}") from exc
         for name in ("n", "k", "generations", "final_k", "seed", "parse_retries"):
             value = getattr(self, name)
             if not is_int(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as the int the trace can write
         for name in ("lam", "temperature_generate", "temperature_judge"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -401,9 +408,9 @@ def sample_candidates(
     temperature: float = 1.0,
 ) -> list[Candidate]:
     """Generation 0: n independent samples `g0-s000`, `g0-s001`, ..., sample i
-    drawn with seed derive_seed(seed, 0, 0, i).  `parallelism` is a limit on
-    concurrent calls or a TaskPool to run them on.  The user prompt is the
-    problem itself."""
+    drawn with seed seed_words(seed, 0, count=n)[i], all n in one call.
+    `parallelism` is a limit on concurrent calls or a TaskPool to run them
+    on.  The user prompt is the problem itself."""
     check_count("n", n, 1)
 
     def sample(i: int, sample_seed: int) -> Candidate:
@@ -413,7 +420,7 @@ def sample_candidates(
         return _sample(i, content)
 
     with task_pool(parallelism) as pool:
-        return pool.map(sample, range(n), derive_seeds(seed, 0, _P_SAMPLE, np.arange(n)).tolist())
+        return pool.map(sample, range(n), seed_words(seed, 0, count=n))
 
 
 def run_pipeline(

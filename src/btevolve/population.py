@@ -84,6 +84,8 @@ class FeedbackStrategy:
         if self.kind == STRATEGY_PAIRWISE_K:
             if not is_int(self.k) or self.k < 1:
                 raise ConfigError("pairwise-K needs an integer k >= 1")
+        if is_int(self.k):
+            object.__setattr__(self, "k", int(self.k))  # a numpy integer as the int the trace can write
 
 
 @dataclass(frozen=True)

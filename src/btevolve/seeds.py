@@ -1,17 +1,23 @@
-"""The seed scheme: a derived child seed for every randomized step, and scalar draws from a seed.
+"""The seed scheme: the words of one SeedSequence per round, and scalar draws from a seed.
 
-Every randomized step of a run draws from derive_seed(root, round, purpose,
-index...), a numpy SeedSequence child seed, so no result depends on
-scheduling order.  Sampling is round 0, the evolution rounds are 1..t and
-the final comparison round is t+1.  Which side of a pair is shown first is
+Every randomized step of a run draws from a word of
+seed_words(root, round, count=...), numpy's SeedSequence([root, round])
+stretched to `count` 64-bit words in one call, so no result depends on
+scheduling order.  Sampling is round 0, whose word i seeds sample i; the
+evolution rounds are 1..t and the final comparison round is t+1, and in each
+of those word 0 seeds the pairing plan, word 1+i the mutation of member i
+(unused in the final round) and word 1+n+p the judge call of pair p.  A
+parse retry, which happens to few calls, draws derive_seed(root, round, 4,
+pair, attempt), a word 0 of its own.  Which side of a pair is shown first is
 not drawn: pairing.py orients each round's plan so that every member is
 shown first in half of its pairs.  The batched functions replay
-SeedSequence's hash (`_seed_state`) bit for bit on numpy arrays, one row
-per seed, from entropy parts as `_entropy` takes them; `pcg64_generators`
-hands each row's words to numpy's own PCG64, so the package replays no
-other numpy algorithm.  A step that needs only a number or two from its
-seed, as each synthetic backend call does, takes them from `seed_uniform`:
-draw d of a seed is a pure function of (seed, d), with no generator built.
+SeedSequence's hash (`_seed_state`) bit for bit on numpy arrays, one row per
+seed, from entropy parts as `_entropy` takes them, for callers that need a
+word of many sequences at once; `pcg64_generators` hands each row's words to
+numpy's own PCG64, so the package replays no other numpy algorithm.  A step
+that needs only a number or two from its seed, as each synthetic backend
+call does, takes them from `seed_uniform`: draw d of a seed is a pure
+function of (seed, d), with no generator built.
 """
 
 from __future__ import annotations
@@ -24,20 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError
-
-# purpose codes for seed derivation; part of the documented scheme above
-# (code 2 is unused: a code is part of every seed it derives, so none is renumbered)
-_P_SAMPLE = 0
-_P_PAIRING = 1
-_P_JUDGE = 3
+# the path element of a parse retry's seed, derive_seed(root, round, _P_RETRY, pair, attempt)
 _P_RETRY = 4
-_P_MUTATE = 5
+
+
+def seed_words(root: int, *path: int, count: int) -> list[int]:
+    """The first `count` 64-bit words of SeedSequence([root, *path]), as ints, in one call.
+
+    Word i does not depend on `count`, so a prefix of a longer call is the
+    shorter call.  Stable across platforms.
+    """
+    return np.random.SeedSequence([root, *path]).generate_state(count, np.uint64).tolist()
 
 
 def derive_seed(root: int, *path: int) -> int:
-    """Child seed for (root, round, purpose, index...), stable across platforms."""
-    return int(np.random.SeedSequence([root, *path]).generate_state(1, np.uint64)[0])
+    """Child seed of (root, *path): word 0 of seed_words(root, *path)."""
+    return seed_words(root, *path, count=1)[0]
 
 
 # SplitMix64 (Steele, Lea & Flood 2014): its increment and output function, over 64-bit words
@@ -220,9 +228,9 @@ def pcg64_generators(*parts):
 
 @dataclass(frozen=True)
 class RoundSeeds:
-    """The seeds of one comparison round: derive_seed(root, round, purpose, i)
-    for its pairing (i = 0), each pair's judge seed and each member's
-    mutation seed (none in the final round)."""
+    """The seeds of one comparison round, words of seed_words(root, round):
+    word 0 for its pairing, word 1+i for member i's mutation (unused in the
+    final round) and word 1+n+p for pair p's judge call."""
 
     pairing: int
     judge: list[int]
@@ -232,25 +240,11 @@ class RoundSeeds:
 def seed_schedule(root: int, n: int, k: int, generations: int, final_k: int) -> Iterator[RoundSeeds]:
     """Every seed of rounds 1..generations+1 of a run, one RoundSeeds per round, drawn as it is reached.
 
-    Rounds 1..generations compare n*k/2 pairs and mutate n members; round
-    generations+1 compares n*final_k/2 pairs.  Each round's seeds come from
-    one `derive_seeds` pass over its (purpose, index) columns, bit-identical
-    to `derive_seed` per index, so however many rounds a run names, one
-    round's seeds are drawn at a time.  A round or index of 2**32 or more
-    would take SeedSequence a second entropy word, so it raises ConfigError
-    before any round is drawn.
+    Rounds 1..generations compare n*k/2 pairs and round generations+1
+    compares n*final_k/2; each round's seeds are one seed_words call of
+    1 + n + pairs words, so however many rounds a run names, one round's
+    seeds are drawn at a time.
     """
-    if generations + 1 > _MASK32 or max(n, n * k // 2, n * final_k // 2) > _MASK32 + 1:
-        raise ConfigError("seed schedule: a round or index reaches 2**32")
-    return (
-        _round_seeds(root, r, *((n * k // 2, n) if r <= generations else (n * final_k // 2, 0)))
-        for r in range(1, generations + 2)
-    )
-
-
-def _round_seeds(root: int, round_no: int, pairs: int, mutations: int) -> RoundSeeds:
-    """One round's seeds: its pairing seed, `pairs` judge seeds and `mutations` mutation seeds."""
-    purposes = np.repeat([_P_PAIRING, _P_JUDGE, _P_MUTATE], [1, pairs, mutations])
-    indices = np.concatenate([np.arange(1), np.arange(pairs), np.arange(mutations)])
-    seeds = derive_seeds(root, round_no, purposes, indices).tolist()
-    return RoundSeeds(pairing=seeds[0], judge=seeds[1 : 1 + pairs], mutate=seeds[1 + pairs :])
+    for r in range(1, generations + 2):
+        words = seed_words(root, r, count=1 + n + n * (k if r <= generations else final_k) // 2)
+        yield RoundSeeds(pairing=words[0], judge=words[1 + n :], mutate=words[1 : 1 + n])

@@ -13,6 +13,7 @@ from btevolve import cli, pipeline
 from btevolve.backends import format_candidate
 from btevolve.cli import main
 from btevolve.pipeline import derive_seed, replay
+from btevolve.seeds import seed_words
 from conftest import ClosingBackend, EmptyReplyBackend
 
 
@@ -574,7 +575,7 @@ def test_bad_http_transport_option_is_a_config_error(tmp_path, problem_file, opt
 
 
 def test_empty_completion_exit_code(tmp_path, problem_file, monkeypatch):
-    backend = EmptyReplyBackend([derive_seed(13, 0, 0, 3)])
+    backend = EmptyReplyBackend(seed_words(13, 0, count=4)[3:])
     monkeypatch.setattr(cli, "make_backend", lambda kind, options: backend)
     monkeypatch.setattr(pipeline, "make_backend", lambda kind, options: backend)
     config = write_config(tmp_path, "run.yaml", small_run_config(problem_file))

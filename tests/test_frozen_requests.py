@@ -23,7 +23,7 @@ from btevolve.baselines import LabeledPair, judge_diagnostic, pointwise_score, s
 from btevolve.pipeline import RunConfig, run_pipeline, sample_candidates
 from btevolve.population import FeedbackStrategy
 
-FROZEN_DIGEST = "c7d530dc7ed6e256fd0d47e8de9df04e130d1224bf8772ee394414e96ec65ef9"
+FROZEN_DIGEST = "7fca47a16a9b0c02075dc1f5fdba40bb8ecea28ce49debc7da54ad5123573ff2"
 
 PROBLEM = "Given n (1 <= n <= 10^5) integers a_i, print their sum.\nInput: {n} on one line, then the a_i."
 

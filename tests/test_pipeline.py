@@ -20,56 +20,53 @@ from btevolve.judging import Judgment
 from btevolve.pairing import _left_first
 from btevolve.pipeline import ReplayResult, RunConfig, RunTrace, TaskPool, compute_budget, replay, run_pipeline
 from btevolve.population import Candidate, FeedbackStrategy, GenerationState
-from btevolve.seeds import derive_seed
+from btevolve.seeds import derive_seed, seed_words
 from conftest import ClosingBackend, CountingBackend, EmptyReplyBackend, ScriptedBackend, judge_reply
 
 SMALL = dict(problem="toy problem", n=8, k=3, generations=2, final_k=5, seed=31)
 
 
 def test_derive_seed_frozen_values():
-    # pins the derivation scheme; all production paths share this shape
+    # pins derive_seed, word 0 of its path's SeedSequence: parse retries,
+    # baselines and the CLI's per-problem roots draw from it
     assert derive_seed(0, 0, 0, 0) == 15793235383387715774
     assert derive_seed(7, 1, 3, 2) == 4500710621912219148
 
 
-def test_seed_schedule_round_of_2_to_the_32_aborts_the_run(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    config = RunConfig(problem="p", n=4, k=1, generations=2**32 - 1, final_k=1)
-    with pytest.raises(ConfigError):
-        run_pipeline(config, trace_path=path)
-    kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
-    assert kinds == ["config", "abort"]
-
-
 def _count_seed_calls(monkeypatch, generations):
-    """Run the default config at `generations` and count the seeding calls it makes."""
-    calls = {"_seed_state": 0, "derive_seed": 0}
+    """Run the default config at `generations`, then replay its trace, and count
+    the seeding calls each makes."""
+    counts = {phase: dict.fromkeys(("seed_words", "_seed_state", "derive_seed"), 0) for phase in ("run", "replay")}
+    phase = "run"
 
-    def counted_state(entropy, n_words):
-        calls["_seed_state"] += 1
-        return seed_state(entropy, n_words)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[phase][name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_scalar(*args):
-        calls["derive_seed"] += 1
-        return derive_seed(*args)
+        return call
 
-    seed_state = seeds._seed_state
     with monkeypatch.context() as patch:
-        patch.setattr(seeds, "_seed_state", counted_state)
-        patch.setattr(pipeline, "derive_seed", counted_scalar)
-        config = RunConfig(problem="toy problem", generations=generations)
-        _, trace = run_pipeline(config)
+        for module, name in ((seeds, "_seed_state"), (seeds, "seed_words"), (pipeline, "seed_words"),
+                             (pipeline, "derive_seed")):
+            patch.setattr(module, name, counted(name, getattr(module, name)))
+        _, trace = run_pipeline(RunConfig(problem="toy problem", generations=generations))
+        phase = "replay"
+        replay(trace)
     assert trace.records_of_kind("summary")[0]["payload"]["retry_calls"] == 0
-    return config, calls
+    return counts
 
 
 def test_run_derives_batch_seeds_in_batched_calls(monkeypatch):
-    # one SeedSequence replay for sampling and one per judged round, drawn as
-    # the round is reached; presentation orders draw no seed, and there is no
-    # scalar derivation without retries
+    # one SeedSequence for sampling and one per judged round, drawn as the
+    # round is reached; replay draws no sample seeds; presentation orders draw
+    # no seed, nothing replays SeedSequence's hash, and there is no scalar
+    # derivation without retries
     for generations in (0, 1, 3):
-        _, calls = _count_seed_calls(monkeypatch, generations)
-        assert (calls["_seed_state"], calls["derive_seed"]) == (1 + generations + 1, 0), generations
+        assert _count_seed_calls(monkeypatch, generations) == {
+            "run": {"seed_words": generations + 2, "_seed_state": 0, "derive_seed": 0},
+            "replay": {"seed_words": generations + 1, "_seed_state": 0, "derive_seed": 0},
+        }, generations
 
 
 def test_default_synthetic_run_builds_one_generator_per_pairing_plan(monkeypatch):
@@ -185,6 +182,25 @@ def test_config_echo_is_json_ready():
     assert json.loads(json.dumps(echo)) == echo
     assert echo["feedback_strategy"] == {"kind": "pairwise-K", "k": 3}  # unset: K = k
     assert "parallelism" not in echo
+
+
+@pytest.mark.parametrize("as_numpy", [("seed",), ("seed", "n", "k", "generations", "final_k", "parse_retries", "K")])
+def test_a_config_of_numpy_integers_writes_the_trace_of_its_ints(tmp_path, as_numpy):
+    # each integer field is stored as the int the trace can write, the strategy's K too
+    shape = dict(problem="p", n=8, k=2, generations=1, final_k=3, seed=5, parse_retries=1, K=2)
+    paths = []
+    for fields in ((), as_numpy):
+        values = {name: np.int64(value) if name in fields else value for name, value in shape.items()}
+        strategy = FeedbackStrategy("pairwise-K", values.pop("K"))
+        config = RunConfig(**values, feedback_strategy=strategy)
+        paths.append(tmp_path / f"{len(fields)}.jsonl")
+        run_pipeline(config, backend=SyntheticBackend(), trace_path=paths[-1])
+    assert paths[1].read_bytes() == paths[0].read_bytes()
+
+
+def test_run_config_refuses_backend_options_the_trace_cannot_write():
+    with pytest.raises(ConfigError, match="backend_options must be JSON values"):
+        RunConfig(problem="p", backend_options={"theta_std": np.float32(1.0)})
 
 
 def test_replaced_k_carries_the_unset_feedback_strategy():
@@ -401,11 +417,10 @@ def test_replay_rejects_a_score_fit_that_is_not_over_its_generation(edit):
 
 @pytest.mark.parametrize("selected_index", [99, -1, 0, "3", 3.0, True, None])
 def test_replay_rejects_a_selected_index_that_does_not_name_the_selection(selected_index):
-    _, trace = run_pipeline(RunConfig(**SMALL))
-    lines = trace.to_jsonl().splitlines()
-    at = _line_of(lines, "selection")
-    selection = json.loads(lines[at])["payload"]
-    assert selection["selected_index"] not in (0, True)  # so index 0 names another member
+    # the first run from SMALL's seed whose selected index is neither 0 nor
+    # true, so that index 0 names another member
+    runs = map(_selection_at, range(SMALL["seed"], SMALL["seed"] + 64))
+    lines, at, _ = next(run for run in runs if run[2] not in (0, True))
     with pytest.raises(ReplayError, match=f"record {at}: {NOT_THE_TOP}$"):
         replay(_edited(lines, at, selected_index=selected_index))
 
@@ -456,6 +471,13 @@ def _run_edits(lines):
     flipped = not fit["converged"]
     discard = json.loads(lines[at["routing"]])["payload"]["discards"][0]
     selected = json.loads(lines[at["selection"]])["payload"]["selected_id"]
+    # the candidate whose text the selection carries: itself, or the child or
+    # sample an elite carryover goes back to
+    records = map(json.loads, lines)
+    made = {record["payload"]["id"]: record["payload"] for record in records if record["kind"] == "candidate"}
+    written = selected
+    while made[written]["origin"] == "elite-carryover":
+        written = made[written]["parent_id"]
     # another member of the last generation, at its index there
     moved = next((i, member) for i, member in enumerate(final["member_ids"]) if member != selected)
     generation_1 = [
@@ -612,7 +634,7 @@ def _run_edits(lines):
                 _line_where(lines, "candidate", id=candidate),
                 f"candidate {candidate} has empty content, which complete_candidate refuses",
             )
-            for role, candidate in (("first-sample", "g0-s000"), ("discard", discard), ("selection", selected))
+            for role, candidate in (("first-sample", "g0-s000"), ("discard", discard), ("selection", written))
         },
         "child-content-as-number": (
             _edited(lines, child, content=5),
@@ -867,14 +889,17 @@ def _renamed(lines, old, new):
 
 @pytest.mark.parametrize(
     ("edit", "named"),
-    [("sample-renamed", "g0-s002"), ("child-renamed", "g1-mut002"), ("child-generation-float", "g1-mut002")],
+    [("sample-renamed", "g0-s002"), ("child-renamed", "first-child"), ("child-generation-float", "first-child")],
 )
 def test_replay_checks_each_candidate_s_id_and_generation_type(edit, named):
     lines = run_pipeline(RunConfig(**SMALL))[1].to_jsonl().splitlines()
+    # the trace's first child, generation 1's, whichever parent it has
+    child = json.loads(lines[_line_where(lines, "candidate", origin="mutated")])["payload"]["id"]
+    named = child if named == "first-child" else named
     at = _line_where(lines, "candidate", id=named)
     edited = {
         "sample-renamed": lambda: _renamed(lines, "g0-s002", "g0-x"),
-        "child-renamed": lambda: _renamed(lines, "g1-mut002", "g1-child-x"),
+        "child-renamed": lambda: _renamed(lines, child, "g1-child-x"),
         "child-generation-float": lambda: _edited(lines, at, generation=1.0),
     }[edit]()
     candidate = json.loads(edited[at])["payload"]["id"]
@@ -1252,8 +1277,8 @@ def test_any_exception_aborts_with_partial_trace(tmp_path):
 @pytest.mark.parametrize(
     "empty_seeds, message",
     [
-        ([derive_seed(31, 0, 0, 3)], r"^sampling candidate 3: empty completion$"),
-        ([derive_seed(31, 1, 5, i) for i in range(8)], r"^mutation round 1, member g0-s\d{3}: empty completion$"),
+        (seed_words(31, 0, count=4)[3:], r"^sampling candidate 3: empty completion$"),
+        (seed_words(31, 1, count=9)[1:], r"^mutation round 1, member g0-s\d{3}: empty completion$"),
     ],
     ids=["sampling", "mutation"],
 )

@@ -5,15 +5,17 @@ entropy parts they all take, and the scalar draws of a seed."""
 import numpy as np
 import pytest
 
-from btevolve.errors import ConfigError
 from btevolve.seeds import (
     _entropy,
+    _seed_state,
     _SeedWords,
+    _uint64_words,
     derive_seed,
     derive_seeds,
     pcg64_generators,
     seed_schedule,
     seed_uniform,
+    seed_words,
 )
 
 
@@ -105,19 +107,29 @@ def test_derive_seeds_rejects_out_of_range_inputs(root, path, indices):
             derive_seed(root, *path, *indices)
 
 
-def _expected_schedule(root, n, k, generations, final_k):
-    """seed_schedule's fields, one derive_seed per seed."""
+def _replayed_words(roots, round_no, count):
+    """seed_words(root, round_no, count=count) for each root, by the package's own
+    replay of SeedSequence on a column of roots: the roots are split into
+    SeedSequence's 32-bit words and grouped by how many they take."""
+    by_width = {}
+    for root in roots:
+        by_width.setdefault(max(1, -(-root.bit_length() // 32)), []).append(root)
+    words = {}
+    for width, group in by_width.items():
+        columns = [np.array([root >> 32 * w & 0xFFFFFFFF for root in group]) for w in range(width)]
+        rows = _uint64_words(_seed_state(_entropy(*columns, round_no), 2 * count)).T.tolist()
+        words.update(zip(group, rows))
+    return [words[root] for root in roots]
+
+
+def _expected_schedule(roots, n, k, generations, final_k):
+    """seed_schedule's fields for each root, from `_replayed_words`: word 0
+    the pairing, word 1+i member i's mutation, word 1+n+p pair p's judge call."""
     rounds = []
     for r in range(1, generations + 2):
-        pairs, mutations = (n * k // 2, n) if r <= generations else (n * final_k // 2, 0)
-        rounds.append(
-            (
-                derive_seed(root, r, 1, 0),
-                _scalar_seeds(root, r, 3, indices=range(pairs)),
-                _scalar_seeds(root, r, 5, indices=range(mutations)),
-            )
-        )
-    return rounds
+        pairs = n * (k if r <= generations else final_k) // 2
+        rounds.append([(w[0], w[1 + n :], w[1 : 1 + n]) for w in _replayed_words(roots, r, 1 + n + pairs)])
+    return [list(schedule) for schedule in zip(*rounds)]
 
 
 @pytest.mark.parametrize(
@@ -126,21 +138,37 @@ def _expected_schedule(root, n, k, generations, final_k):
     ids=["small", "generations-0", "k-n-1", "final-k-1", "n-4"],
 )
 def test_seed_schedule_matches_derive_seed(shape):
+    # every round's seeds and the sample seeds are the words of derive_seed's
+    # SeedSequence at (root, round), as the package's own replay computes them
     roots = [0, 2**32 - 1, 2**32, 2**64 + 5]
     roots += [int(r) for r in np.random.default_rng(sum(shape)).integers(0, 2**63, size=4)]
-    for root in roots:
-        schedule = seed_schedule(root, *shape)
-        got = [(s.pairing, s.judge, s.mutate) for s in schedule]
-        assert got == _expected_schedule(root, *shape), root
+    expected = _expected_schedule(roots, *shape)
+    for root, rounds in zip(roots, expected):
+        got = [(s.pairing, s.judge, s.mutate) for s in seed_schedule(root, *shape)]
+        assert got == rounds, root
+        assert [pairing for pairing, _, _ in got] == [derive_seed(root, r) for r in range(1, len(got) + 1)]
+    n = shape[0]
+    samples = [seed_words(root, 0, count=n) for root in roots]
+    assert samples == _replayed_words(roots, 0, n)
+    assert [words[0] for words in samples] == [derive_seed(root, 0) for root in roots]
 
 
-def test_seed_schedule_rejects_a_path_word_of_2_to_the_32():
-    # a round of 2**32 would need a second SeedSequence word, so it raises
-    # before any column is built
-    with pytest.raises(ConfigError, match=r"2\*\*32"):
-        seed_schedule(3, 4, 1, 2**32 - 1, 1)
-    with pytest.raises(ConfigError, match=r"2\*\*32"):
-        seed_schedule(3, 2**32 + 4, 1, 1, 1)  # mutation index 2**32
+def test_seed_words_frozen_values():
+    # pins the scheme: generation 0's first two sample seeds at root 0, and a
+    # round's words, each a prefix of a longer call
+    assert seed_words(0, 0, count=2) == [15793235383387715774, 12390638538380655177]
+    assert seed_words(7, 1, count=3) == seed_words(7, 1, count=40)[:3]
+    for root, path in ((0, (0,)), (7, (1,)), (2**64 + 5, (3,)), (5, (2, 4, 1, 0)), (9, ())):
+        assert derive_seed(root, *path) == seed_words(root, *path, count=1)[0]
+        assert type(derive_seed(root, *path)) is int
+
+
+def test_seed_schedule_draws_one_round_at_a_time_whatever_the_generations():
+    # a run naming 2**32 - 1 generations costs nothing until its rounds are reached
+    schedule = seed_schedule(3, 4, 1, 2**32 - 1, 1)
+    first = next(schedule)
+    words = seed_words(3, 1, count=1 + 4 + 2)
+    assert (first.pairing, first.mutate, first.judge) == (words[0], words[1:5], words[5:])
 
 
 @pytest.mark.parametrize("words", [1, 2, 4, 5, 7])
