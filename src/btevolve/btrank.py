@@ -10,9 +10,12 @@ zero-sum.
 
 There is one solver, a damped Newton method that fits a whole stack of
 independent comparison sets at once (fit_bt_rows), dropping each row from
-the working stack once it stops.  fit_bt is its one-row case: every row of a
-stack gets exactly the scores, bit for bit, and the step count that fit_bt
-gives it alone.  A caller that reads only each row's top pick can have a
+the working stack once it stops.  It starts each candidate at its smoothed
+win log-odds, log((wins + 1/2) / (losses + 1/2)) with Haldane's 1/2
+correction, centred on its row, which puts Newton near the optimum before
+its first step.  fit_bt is its one-row case: every row of a stack gets
+exactly the scores, bit for bit, and the step count that fit_bt gives it
+alone.  A caller that reads only each row's top pick can have a
 row stop as soon as that pick is certain (_fit_entries' `picks_only`).
 """
 
@@ -239,6 +242,21 @@ def _certain_picks(s: np.ndarray, grad: np.ndarray, lam: float) -> np.ndarray:
     return lead > 2.0 * _PICK_SAFETY * radius + 2.0 * _RANK_RESOLUTION
 
 
+def _start(edges: _Edges, rows: int, n: int) -> np.ndarray:
+    """Every row's Newton start: each candidate's smoothed win log-odds,
+    log((wins + 1/2) / (losses + 1/2)), centred on its row's mean.
+
+    A tie counts half a win to each side and a zero-weight entry adds
+    nothing; a candidate without comparisons starts at log(1) = 0 before
+    centring, so a row without any starts at zero.  Each bin sums its row's
+    entries in their order, so a row's start has the same bits in any stack.
+    """
+    wins = np.bincount(edges.winners, weights=edges.weights, minlength=rows * n)
+    losses = np.bincount(edges.losers, weights=edges.weights, minlength=rows * n)
+    s = np.log((wins + 0.5) / (losses + 0.5)).reshape(rows, n)
+    return s - s.sum(axis=1, keepdims=True) / n
+
+
 def _solve(
     edges: _Edges, rows: int, n: int, lam: float, picks_only: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -256,7 +274,7 @@ def _solve(
     iterations = np.zeros(rows, dtype=np.intp)
     live = np.arange(rows)
     work = edges
-    s = np.zeros((rows, n))
+    s = _start(edges, rows, n)
     p = _win_probabilities(_differences(s, work))
     grad = _gradient(s, p, work, lam)
     value = None  # objective at s, when the last line search already computed it
@@ -414,20 +432,24 @@ def fit_bt_rows(
 def fit_bt(records, population_size: int, lam: float = DEFAULT_LAM) -> ScoreVector:
     """Fit scores to `records`, (left, right, outcome) triples such as ComparisonRecords, by damped Newton.
 
-    Deterministic: start from zeros; each step solves (L_w + lam*I) step =
-    grad, where L_w is the comparison graph's Laplacian under edge weights
-    w*p*(1-p), the negated Hessian.  While the Newton decrement grad.step is
-    above 1e-8 the step is halved until it passes an Armijo test on the
-    objective; below that the objective is flat to rounding, so a test on it
-    would only see noise, and full steps are taken (they converge
-    quadratically there).  Iteration stops once the gradient max-norm is
-    within _TOLERANCE/2 (_TOLERANCE = 1e-8) or after _MAX_ITERATIONS (500)
-    Newton steps, and the scores are then mean-centered exactly (the
-    likelihood is shift-invariant and the penalty strictly prefers the
-    centered point).  `iterations` counts Newton steps; `converged` reports
-    whether the gradient max-norm at the returned point is within
-    _TOLERANCE.  A non-converged fit is still returned.  This is the one-row
-    case of fit_bt_rows, which runs the same solver on a stack of fits.
+    Deterministic: start from each candidate's smoothed win log-odds,
+    log((wins + 1/2) / (losses + 1/2)) with a tie half a win and half a loss,
+    centred (so a candidate without comparisons starts at minus the mean,
+    and a fit without any at zeros, taking 0 steps); each step solves
+    (L_w + lam*I) step = grad, where L_w is the comparison graph's
+    Laplacian under edge weights w*p*(1-p), the negated Hessian.  While the
+    Newton decrement grad.step is above 1e-8 the step is halved until it
+    passes an Armijo test on the objective; below that the objective is flat
+    to rounding, so a test on it would only see noise, and full steps are
+    taken (they converge quadratically there).  Iteration stops once the
+    gradient max-norm is within _TOLERANCE/2 (_TOLERANCE = 1e-8) or after
+    _MAX_ITERATIONS (500) Newton steps, and the scores are then
+    mean-centered exactly (the likelihood is shift-invariant and the penalty
+    strictly prefers the centered point).  `iterations` counts Newton
+    steps; `converged` reports whether the gradient max-norm at the returned
+    point is within _TOLERANCE.  A non-converged fit is still returned.
+    This is the one-row case of fit_bt_rows, which runs the same solver on a
+    stack of fits.
     """
     if population_size < 2:
         raise ValueError("population_size must be at least 2")

@@ -81,10 +81,12 @@ class FeedbackStrategy:
     def __post_init__(self) -> None:
         if self.kind not in STRATEGIES:
             raise ConfigError(f"unknown feedback strategy {self.kind!r}")
-        if self.kind == STRATEGY_PAIRWISE_K:
-            if not is_int(self.k) or self.k < 1:
+        if self.k is None:
+            if self.kind == STRATEGY_PAIRWISE_K:
                 raise ConfigError("pairwise-K needs an integer k >= 1")
-        if is_int(self.k):
+        elif not is_int(self.k) or self.k < 1:
+            raise ConfigError(f"feedback strategy {self.kind} takes an integer k >= 1 or none, got {self.k!r}")
+        else:
             object.__setattr__(self, "k", int(self.k))  # a numpy integer as the int the trace can write
 
 

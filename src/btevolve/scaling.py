@@ -23,8 +23,9 @@ lam-strongly concave, so the full solve cannot move the scores that far.
 So a trial's pick, and with it its hit, is bit for bit what top_candidates
 reads off fit_bt_rows' fit of its summed pairs, though the scores it is read
 from are not that fit's.  A grid simulates the feasible cells of one
-population together, in budget order, up to _STACK_ROWS trials per stack;
-cells of different populations are never stacked.
+population together, in budget order, up to _STACK_ROWS trials per stack,
+and fits a stack's mixed trials in solves of at most _SOLVE_ENTRIES Hessian
+entries; cells of different populations are never stacked.
 """
 
 from __future__ import annotations
@@ -58,15 +59,18 @@ PAIRING_ROUND_ROBIN = "round-robin"
 
 # a stack holds max(1, _STACK_ROWS // trials) cells of one population, so it
 # draws at most this many trials only while a cell has at most this many: a
-# larger cell is a stack of its own, and all of its mixed trials reach one
-# solve (up to 500 rows at the CLI's default of 500 trials).  A Newton step
-# costs a fixed ~100 us of numpy calls whatever the stack height, which a
-# taller stack shares out, but past ~64 rows the per-row Hessians and edge
-# arrays outgrow the cache, and stacking whole 500-trial cells was measured
-# ~10% slower than fitting them one by one; the benchmark's 15-trial grid
-# stacks 4 cells.  A stack bounds the draws and the solve only, as a grid is
-# seeded in one replay
+# larger cell is a stack of its own (500 trials at the CLI's default).  A
+# Newton step costs a fixed ~100 us of numpy calls whatever the stack height,
+# which a taller stack shares out, but the per-row n x n Hessians of a tall
+# stack outgrow the cache, so a solve holds at most _SOLVE_ENTRIES Hessian
+# entries: 64 rows at n = 20, 400 at n = 8, 1600 at n = 4, and a stack's
+# mixed trials above that are fitted in slices.  At 500 trials, slicing a
+# cell's ~450 mixed rows this way was measured ~30% faster than one solve at
+# n = 20 and n = 40, while at n <= 8 one solve beats 64-row slices and the
+# cap keeps it whole; the benchmark's 15-trial grid stacks 4 cells.  A stack
+# bounds the draws and the solve only, as a grid is seeded in one replay
 _STACK_ROWS = 64
+_SOLVE_ENTRIES = _STACK_ROWS * 20 * 20
 
 
 def _pair_order(pool_size: int):
@@ -253,7 +257,8 @@ def _simulate_stack(
     matrix: JudgmentMatrix, budgets: list, n: int, trials: int, lam: float, pairing: str, generators
 ) -> list[SimCell]:
     """Simulate feasible cells of one population n, fitting their mixed trials
-    in one solve; the trials draw from `generators` in row order.
+    in solves of at most _SOLVE_ENTRIES Hessian entries each; the trials draw
+    from `generators` in row order.
 
     A trial whose sample is all accepted or all rejected picks a candidate
     of that label whatever the fit ranks first, so its hit is that label
@@ -265,8 +270,11 @@ def _simulate_stack(
     # a label-determined trial hits exactly when its whole sample is accepted
     hit = sampled.all(axis=1)
     mixed = np.flatnonzero(hit != with_accepted)
-    if len(mixed):
-        hit[mixed] = sampled[mixed, _fit_trials(matrix.wins, samples[mixed], pairs[mixed], lam)]
+    # rows are independent, so each keeps its pick in any slice
+    height = max(1, _SOLVE_ENTRIES // (n * n))
+    for start in range(0, len(mixed), height):
+        rows = mixed[start : start + height]
+        hit[rows] = sampled[rows, _fit_trials(matrix.wins, samples[rows], pairs[rows], lam)]
     hits = hit.reshape(-1, trials).sum(axis=1)
     accepted = with_accepted.reshape(-1, trials).sum(axis=1)
     return [
@@ -292,7 +300,7 @@ def simulate_cell(
     are derived per (seed, budget, n, trial), so cells and trials can be
     computed in any order.  A trial whose sample holds one label only hits
     exactly when that label is accepted, so it is not fitted; the mixed
-    trials are fitted in one btrank solve on their nonzero summed pairs,
+    trials are fitted in btrank solves on their nonzero summed pairs,
     each stopped once its pick is certain, and each picks the candidate
     rank picks from fit_bt_rows' fit of those pairs.  A cell that cannot be
     simulated raises ConfigError.
@@ -316,9 +324,9 @@ def sweep_grid(
     the same result simulate_cell gives it: the feasible cells of one
     population are drawn together, in budget order, _STACK_ROWS // trials
     cells (at least one) per stack, and a stack's mixed trials are fitted in
-    one solve (label-determined trials need none, so a stack without a
-    mixed trial runs no solve).  The trials of all feasible cells are seeded
-    in one replay.
+    solves of at most _SOLVE_ENTRIES Hessian entries (label-determined
+    trials need none, so a stack without a mixed trial runs no solve).  The
+    trials of all feasible cells are seeded in one replay.
     """
     _check_grid(matrix.pool_size, budgets, populations, trials, lam, pairing)
     per_stack = max(1, _STACK_ROWS // trials)

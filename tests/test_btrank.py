@@ -271,6 +271,31 @@ def test_disconnected_graph_converges():
     assert abs(float(np.sum(fit.scores))) <= 1e-12
 
 
+def smoothed_start(winners, losers, weights, n):
+    """The documented Newton start of one comparison set, written out plainly:
+    each candidate's log((wins + 1/2) / (losses + 1/2)), centred."""
+    wins, losses = np.zeros(n), np.zeros(n)
+    for winner, loser, weight in zip(winners, losers, weights):
+        wins[winner] += weight
+        losses[loser] += weight
+    start = np.log((wins + 0.5) / (losses + 0.5))
+    return start - start.sum() / n
+
+
+def test_zero_steps_return_the_smoothed_log_odds(monkeypatch):
+    # 0 beats 1 twice, 2 beats 0, 2 and 3 tie, 4 is never compared: with no
+    # Newton step the fit returns its start, centred once more as every fit is
+    monkeypatch.setattr(btrank, "_MAX_ITERATIONS", 0)
+    triples = [(0, 1, LEFT_WINS), (1, 0, RIGHT_WINS), (0, 2, RIGHT_WINS), (2, 3, TIE)]
+    fit = fit_bt(records_of(triples), 5)
+    wins = np.array([2.0, 0.0, 1.5, 0.5, 0.0])
+    losses = np.array([1.0, 2.0, 0.5, 0.5, 0.0])
+    start = np.log((wins + 0.5) / (losses + 0.5))
+    start -= start.sum() / 5
+    assert fit.iterations == 0 and not fit.converged
+    assert fit.scores.tobytes() == (start - start.sum() / 5).tobytes()
+
+
 def test_max_iterations_bounds_newton_steps(monkeypatch):
     monkeypatch.setattr(btrank, "_MAX_ITERATIONS", 1)
     fit = fit_bt(records_of(FIXED_RECORDS), 8)
@@ -341,9 +366,11 @@ def test_stacked_row_bare_triples_and_records_fit_alike():
         assert bare.converged == recorded.converged == converged[0]
 
 
-def test_stacked_line_search_rows_fit_exactly_as_alone():
-    # heavy weights and a weak penalty: the first two rows halve their Newton step
-    # (once and three times), each in different iterations, and the third never does
+def test_stacked_line_search_rows_fit_exactly_as_alone(monkeypatch):
+    # heavy weights and a weak penalty: the first two rows halve their first
+    # Newton steps, in lockstep but to different scales (6, 3 and 1 halvings
+    # over 10 steps, 8 and 1 over 11: 23 and 22 objective evaluations alone),
+    # and the third never halves (4 evaluations over 4 steps)
     winners = [[0, 1, 4, 3, 4, 0], [2, 1, 2, 3, 4, 3], [0, 1, 2, 3, 4, 0]]
     losers = [[3, 4, 2, 2, 0, 0], [4, 0, 0, 1, 3, 1], [1, 2, 3, 4, 0, 2]]
     weights = [
@@ -353,14 +380,19 @@ def test_stacked_line_search_rows_fit_exactly_as_alone():
     ]
     scores, converged, iterations = fit_bt_rows(winners, losers, weights, 5, lam=1e-3)
     assert converged.all()
-    for row in range(3):
+    assert iterations.tolist() == [10, 11, 4]
+    objective, evaluations = btrank._objective, []
+    monkeypatch.setattr(btrank, "_objective", lambda *args: evaluations.append(1) or objective(*args))
+    for row, expected in enumerate((23, 22, 4)):
+        evaluations.clear()
         alone = fit_bt_rows(winners[row : row + 1], losers[row : row + 1], weights[row : row + 1], 5, lam=1e-3)
+        assert len(evaluations) == expected
         assert scores[row].tobytes() == alone[0][0].tobytes()
         assert iterations[row] == alone[2][0]
 
 
-def reference_fit(winners, losers, weights, n, lam):
-    """fit_bt's documented damped Newton for one comparison set, written out plainly."""
+def reference_fit(winners, losers, weights, n, lam, start):
+    """fit_bt's documented damped Newton for one comparison set from `start`, written out plainly."""
     w, l, wt = (np.asarray(a) for a in (winners, losers, weights))
 
     def objective(s):
@@ -380,7 +412,7 @@ def reference_fit(winners, losers, weights, n, lam):
             h[j, j] += c
         return h + lam * np.eye(n)
 
-    s, iterations = np.zeros(n), 0
+    s, iterations = np.asarray(start, dtype=float), 0
     while np.max(np.abs(gradient(s))) > 0.5e-8 and iterations < 500:
         step = np.linalg.solve(negated_hessian(s), gradient(s))
         decrement, scale = float(np.dot(gradient(s), step)), 1.0
@@ -391,10 +423,8 @@ def reference_fit(winners, losers, weights, n, lam):
     return s - s.mean(), iterations
 
 
-def test_stacked_rows_follow_the_reference_newton_path():
-    # the rows of the line-search stack above, one that halves its tenth step
-    # after nine full ones, and random sets: every row takes the reference's
-    # steps, so it stops after as many and at the same point
+def reference_path_rows():
+    """The rows of the line-search stack above, one more heavy row, and random sets."""
     rng = np.random.default_rng(37)
     winners = [[0, 1, 4, 3, 4, 0], [2, 1, 2, 3, 4, 3], [0, 1, 2, 3, 4, 0], [1, 0, 2, 2, 0, 0]]
     losers = [[3, 4, 2, 2, 0, 0], [4, 0, 0, 1, 3, 1], [1, 2, 3, 4, 0, 2], [2, 4, 3, 4, 3, 1]]
@@ -409,11 +439,40 @@ def test_stacked_rows_follow_the_reference_newton_path():
         winners.append(w.tolist())
         losers.append(((w + rng.integers(1, 5, 6)) % 5).tolist())
         weights.append(rng.choice([0.5, 1.0, 2.0], 6).tolist())
+    return winners, losers, weights
+
+
+def test_stacked_rows_follow_the_reference_newton_path():
+    # from the smoothed log-odds start every row takes the reference's steps,
+    # so it stops after as many and at the same point; the heavy rows 0, 1
+    # and 3 halve their first steps (23, 22 and 13 objective evaluations over
+    # 10, 11 and 7 steps)
+    winners, losers, weights = reference_path_rows()
     scores, _, iterations = fit_bt_rows(winners, losers, weights, 5, lam=1e-3)
+    assert iterations[:4].tolist() == [10, 11, 4, 7]
     for row in range(len(winners)):
-        expected, steps = reference_fit(winners[row], losers[row], weights[row], 5, 1e-3)
+        start = smoothed_start(winners[row], losers[row], weights[row], 5)
+        expected, steps = reference_fit(winners[row], losers[row], weights[row], 5, 1e-3, start)
         assert iterations[row] == steps
         assert np.max(np.abs(scores[row] - expected)) <= 1e-12
+
+
+def test_stacked_rows_reach_the_zero_start_optimum():
+    # the start moves the path, not its end: the reference run from zeros takes
+    # as many steps or more, to the same top pick and, as both stop with every
+    # gradient component within tol/2 of a lam-strongly concave optimum, to
+    # scores within sqrt(n) tol / lam of the fit's (up to 3.4e-7 apart here)
+    winners, losers, weights = reference_path_rows()
+    scores, _, iterations = fit_bt_rows(winners, losers, weights, 5, lam=1e-3)
+    bound = math.sqrt(5) * btrank._TOLERANCE / 1e-3
+    zero_start_steps = []
+    for row in range(len(winners)):
+        expected, steps = reference_fit(winners[row], losers[row], weights[row], 5, 1e-3, np.zeros(5))
+        assert np.max(np.abs(scores[row] - expected)) <= bound
+        assert top_candidates(scores[row : row + 1])[0] == rank(ScoreVector(expected, 1e-3, True, steps))[0]
+        zero_start_steps.append(steps)
+    assert (np.asarray(zero_start_steps) >= iterations).all()
+    assert sum(zero_start_steps) > sum(iterations)
 
 
 def test_stacked_max_iterations_bounds_every_row(monkeypatch):

@@ -612,6 +612,7 @@ def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
         ({"lambda": float("inf")}, "lam must be positive"),
         ({"k": "2"}, "k must be an integer"),
         ({"feedback_strategy": {"kind": "pairwise-K", "k": 2.5}}, "integer k"),
+        ({"feedback_strategy": {"kind": "none", "k": "x"}}, "integer k"),
         ({"include_restart_license": "no"}, "include_restart_license"),
     ],
     ids=[
@@ -625,6 +626,7 @@ def test_empty_refined_candidate_exit_code(tmp_path, problem_file, monkeypatch):
         "infinite-lambda",
         "string-k",
         "fractional-feedback-k",
+        "string-k-of-another-strategy",
         "string-license",
     ],
 )

@@ -10,6 +10,7 @@ from btevolve.btrank import LEFT_WINS, RIGHT_WINS, TIE, ScoreVector
 from btevolve.errors import ConfigError
 from btevolve.judging import Judgment
 from btevolve.population import (
+    STRATEGIES,
     Candidate,
     FeedbackStrategy,
     GenerationState,
@@ -45,6 +46,17 @@ def test_strategy_validation():
     with pytest.raises(ConfigError):
         FeedbackStrategy("everything")
     FeedbackStrategy("none")
+
+
+def test_every_strategy_refuses_a_k_that_is_not_a_count():
+    # a k of any kind reaches the trace's config echo, where a float32 would not
+    # serialise and "x" would be written as the run's k
+    for kind in STRATEGIES:
+        for k in ("x", 2.5, True, -3, 0, np.float32(2)):
+            with pytest.raises(ConfigError, match="integer k >= 1"):
+                FeedbackStrategy(kind, k)
+        strategy = FeedbackStrategy(kind, np.int64(3))
+        assert type(strategy.k) is int and strategy.k == 3
 
 
 def test_quartile_selection():

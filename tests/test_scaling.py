@@ -558,6 +558,34 @@ def test_sweep_grid_picks_equal_full_fits(monkeypatch, mode, threshold, pairing)
     assert early < full
 
 
+def test_sweep_grid_slices_tall_solves_without_moving_a_cell(monkeypatch):
+    # at 500 trials a cell's ~450 mixed rows are fitted 64 to a solve at
+    # n = 20, and whole at n <= 8, where a solve may hold 400 and 1600 rows;
+    # rows are independent, so every cell is what unsliced solves give it
+    import btevolve.scaling as scaling
+
+    shapes = []
+    fit_trials = scaling._fit_trials
+
+    def recording(wins, samples, pairs, lam):
+        shapes.append(samples.shape)
+        return fit_trials(wins, samples, pairs, lam)
+
+    monkeypatch.setattr(scaling, "_fit_trials", recording)
+    matrix = generate_matrix(40, SyntheticWorldConfig(), seed=0)
+    budgets, populations = [60, 120], [4, 8, 20]
+    sliced = sweep_grid(matrix, budgets, populations, trials=500, seed=0)
+    heights = {}
+    for rows, n in shapes:
+        heights.setdefault(n, []).append(rows)
+    assert max(heights[4]) > 64 and max(heights[8]) > 64 and len(heights[4]) == len(heights[8]) == len(budgets)
+    assert max(heights[20]) == 64 and len(heights[20]) > len(budgets)
+    monkeypatch.setattr(scaling, "_SOLVE_ENTRIES", 10**9)
+    shapes.clear()
+    assert sweep_grid(matrix, budgets, populations, trials=500, seed=0) == sliced
+    assert len(shapes) == len(budgets) * len(populations)
+
+
 def relabeled(matrix, labels):
     return JudgmentMatrix(matrix.pool_size, matrix.outcomes, tuple(labels))
 
